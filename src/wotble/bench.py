@@ -158,34 +158,40 @@ def run_bench(plan: BenchPlan, clock=None, transport=None) -> list[BenchStats]:
     time; the default is the real monotonic clock. Failed repetitions are
     excluded from the statistics and counted separately.
     """
+    network = None
     if transport is None:
         transport = _create_transport(plan, clock)
-    timer = getattr(transport, "clock", None) or clock or RealClock()
-    thing = consume(parse_td_file(plan.td_path), transport, plan.policy)
+        network = getattr(transport, "network", None)
+    try:
+        timer = getattr(transport, "clock", None) or clock or RealClock()
+        thing = consume(parse_td_file(plan.td_path), transport, plan.policy)
 
-    results: list[BenchStats] = []
-    for operation in plan.operations:
-        if operation == "read" and plan.policy is ConnectionPolicy.KEEP_CONNECTED:
-            thing.connect()  # keep the timed window free of connection setup
-        samples: list[float] = []
-        failures = 0
-        for index in range(plan.warmup + plan.repetitions):
-            _prepare(operation, thing)
-            try:
-                elapsed = time_operation(operation, thing, timer, plan.property)
-            except Exception:
+        results: list[BenchStats] = []
+        for operation in plan.operations:
+            if operation == "read" and plan.policy is ConnectionPolicy.KEEP_CONNECTED:
+                thing.connect()  # keep the timed window free of connection setup
+            samples: list[float] = []
+            failures = 0
+            for index in range(plan.warmup + plan.repetitions):
+                _prepare(operation, thing)
+                try:
+                    elapsed = time_operation(operation, thing, timer, plan.property)
+                except Exception:
+                    if index >= plan.warmup:
+                        failures += 1
+                    continue
                 if index >= plan.warmup:
-                    failures += 1
-                continue
-            if index >= plan.warmup:
-                samples.append(elapsed)
-        if not samples:
-            raise AllSamplesFailed(
-                f"all {plan.repetitions} {operation!r} repetitions failed"
-            )
-        results.append(BenchStats.from_samples(operation, samples, failures))
-        thing.disconnect()
-    return results
+                    samples.append(elapsed)
+            if not samples:
+                raise AllSamplesFailed(
+                    f"all {plan.repetitions} {operation!r} repetitions failed"
+                )
+            results.append(BenchStats.from_samples(operation, samples, failures))
+            thing.disconnect()
+        return results
+    finally:
+        if network is not None:
+            network.close()  # stops the delivery thread of the network built here
 
 
 def _create_transport(plan: BenchPlan, clock):

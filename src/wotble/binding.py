@@ -138,7 +138,7 @@ def resolve_form(affordance: "Affordance", op: WotOperation) -> ResolvedRequest:
         if op not in form.op:
             continue
         return ResolvedRequest(
-            uri=parse_gatt_uri(form.href),
+            uri=form.uri if form.uri is not None else parse_gatt_uri(form.href),
             method=map_operation(op, form.method_name),
             spec=affordance.bdo,
             operation=op,

@@ -89,6 +89,8 @@ class BdoSpec:
     scale: float = 1.0
     pattern: str | None = None
     variables: Mapping[str, VariableSpec] = field(default_factory=dict)
+    _layout: "PatternLayout | None" = field(default=None, init=False, compare=False,
+                                            repr=False)
 
     def __post_init__(self):
         if self.pattern is None and self.bytelength is None:
@@ -100,13 +102,14 @@ class BdoSpec:
         if not math.isfinite(self.scale) or self.scale == 0:
             raise BadValue("scale must be finite and nonzero")
         if self.pattern is not None:
-            # Validates placeholder coverage and literal runs up front.
-            compile_pattern(self.pattern, self.variables)
+            # Validates placeholder coverage and literal runs up front, and
+            # keeps the result for every later encode and decode.
+            object.__setattr__(self, "_layout", compile_pattern(self.pattern, self.variables))
 
     def layout(self) -> "PatternLayout":
-        if self.pattern is None:
+        if self._layout is None:
             raise BadValue("spec has no pattern")
-        return compile_pattern(self.pattern, self.variables)
+        return self._layout
 
 
 @dataclass(frozen=True)

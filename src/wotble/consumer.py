@@ -25,11 +25,10 @@ from .errors import (
     NotSupported,
     OutOfRange,
     UnknownAffordance,
-    UriError,
+    UnsupportedMediaType,
 )
 from .td import Affordance, Severity, ThingDescription, validate_td
 from .transport import TransportContract
-from .uris import parse_gatt_uri
 
 Listener = Callable[[object], None]
 
@@ -79,15 +78,17 @@ def expose(*_args, **_kwargs):
     raise NotSupported("this binding is a GATT client; it cannot expose Things")
 
 
-produce = expose
-
-
 class ConsumedThing:
     """Client-side handle over one Bluetooth LE Thing.
 
     All forms of the TD must point at a single device; operations on the
     thing are serialized so the connection policy stays coherent under
     concurrent callers.
+
+    Each (affordance, operation) pair is resolved to its form, request and
+    codec on first use and reused after that, so the TD must not be mutated
+    after ``consume``. Failed resolutions are not kept: they raise again on
+    every call.
     """
 
     def __init__(self, td: ThingDescription, transport: TransportContract,
@@ -98,7 +99,7 @@ class ConsumedThing:
         self._lock = threading.RLock()
         self._connected = False
         self._device_id: str | None = None
-        self._gatt_tree = None
+        self._requests: dict = {}
 
     # -- connection management
 
@@ -111,14 +112,11 @@ class ConsumedThing:
             return self._device_id
 
     def _resolve_device_id(self) -> str:
-        macs = set()
-        for category in ("properties", "actions", "events"):
-            for affordance in getattr(self.td, category).values():
-                for form in affordance.forms:
-                    try:
-                        macs.add(parse_gatt_uri(form.href).device_id)
-                    except UriError:
-                        continue  # non-gatt forms were reported by validate_td
+        macs = {form.uri.device_id
+                for category in (self.td.properties, self.td.actions, self.td.events)
+                for affordance in category.values()
+                for form in affordance.forms
+                if form.uri is not None}  # validate_td reported the others
         if len(macs) > 1:
             raise MixedDevices(
                 f"TD {self.td.title!r} references several devices: "
@@ -139,7 +137,9 @@ class ConsumedThing:
             if self._connected:
                 return
             self.transport.connect(self.device_id)
-            self._gatt_tree = self.transport.discover_gatt(self.device_id)
+            # Exploring the GATT structure is part of the connect time the
+            # paper measures, though nothing reads the tree afterwards.
+            self.transport.discover_gatt(self.device_id)
             self._connected = True
 
     def disconnect(self) -> None:
@@ -149,7 +149,6 @@ class ConsumedThing:
                 return
             self.transport.disconnect(self.device_id)
             self._connected = False
-            self._gatt_tree = None
 
     def _ensure_connected(self) -> None:
         if self.policy is ConnectionPolicy.RECONNECT_PER_OPERATION and self._connected:
@@ -164,20 +163,14 @@ class ConsumedThing:
     # -- single-affordance interactions
 
     def read_property(self, name: str):
-        request = self._resolve("properties", name, WotOperation.READPROPERTY)
-        return self._run_read(request)
+        _, request, codec = self._resolve("properties", name, WotOperation.READPROPERTY)
+        return self._run_read(request, _require_codec(request, codec))
 
     def write_property(self, name: str, value) -> None:
-        affordance = self._affordance("properties", name)
-        request = resolve_form(affordance, WotOperation.WRITEPROPERTY)
-        self._check_bounds(affordance, value)
-        self._run_write(request, value)
+        self._write_value("properties", name, WotOperation.WRITEPROPERTY, value)
 
     def invoke_action(self, name: str, value) -> None:
-        affordance = self._affordance("actions", name)
-        request = resolve_form(affordance, WotOperation.INVOKEACTION)
-        self._check_bounds(affordance, value)
-        self._run_write(request, value)
+        self._write_value("actions", name, WotOperation.INVOKEACTION, value)
 
     def subscribe_event(self, name: str, listener: Listener) -> Subscription:
         """Register a listener for decoded notification values.
@@ -187,8 +180,8 @@ class ConsumedThing:
         subscription. Policy teardown does not apply; an active subscription
         pins the connection.
         """
-        request = self._resolve("events", name, WotOperation.SUBSCRIBEEVENT)
-        codec = get_codec(request.content_type)
+        _, request, codec = self._resolve("events", name, WotOperation.SUBSCRIBEEVENT)
+        codec = _require_codec(request, codec)
 
         def sink(payload: bytes) -> None:
             try:
@@ -265,38 +258,46 @@ class ConsumedThing:
 
     def read_raw(self, name: str) -> bytes:
         """Escape hatch: read a property's octets without decoding."""
-        request = self._resolve("properties", name, WotOperation.READPROPERTY)
-        with self._lock:
-            self._ensure_connected()
-            try:
-                return self.transport.read(request.uri)
-            finally:
-                self._after_operation()
+        _, request, _ = self._resolve("properties", name, WotOperation.READPROPERTY)
+        return self._run_read(request)
 
     def write_raw(self, name: str, payload: bytes,
                   with_response: bool | None = None) -> None:
         """Escape hatch: write raw octets, bypassing the codec."""
-        request = self._resolve("properties", name, WotOperation.WRITEPROPERTY)
+        _, request, _ = self._resolve("properties", name, WotOperation.WRITEPROPERTY)
         if with_response is None:
             with_response = request.method is GattMethod.WRITE
-        with self._lock:
-            self._ensure_connected()
-            try:
-                self.transport.write(request.uri, payload, with_response)
-            finally:
-                self._after_operation()
+        self._run_write(request, payload, with_response)
 
     # -- internals
 
-    def _affordance(self, category: str, name: str) -> Affordance:
-        affordance = getattr(self.td, category).get(name)
-        if affordance is None:
-            raise UnknownAffordance(f"TD {self.td.title!r} has no {category[:-1]}"
-                                    f" named {name!r}")
-        return affordance
+    def _resolve(self, category: str, name: str, op: WotOperation):
+        """Return ``(affordance, request, codec)``, resolved on first use.
 
-    def _resolve(self, category: str, name: str, op: WotOperation) -> ResolvedRequest:
-        return resolve_form(self._affordance(category, name), op)
+        The codec is None when no codec handles the form's content type: the
+        raw escape hatch still works, and decoding paths raise on each call.
+        """
+        key = (category, name, op)
+        entry = self._requests.get(key)
+        if entry is None:
+            affordance = getattr(self.td, category).get(name)
+            if affordance is None:
+                raise UnknownAffordance(f"TD {self.td.title!r} has no "
+                                        f"{category[:-1]} named {name!r}")
+            request = resolve_form(affordance, op)
+            try:
+                codec = get_codec(request.content_type)
+            except UnsupportedMediaType:
+                codec = None
+            # Callers racing on a first use all get the entry stored first.
+            entry = self._requests.setdefault(key, (affordance, request, codec))
+        return entry
+
+    def _write_value(self, category: str, name: str, op: WotOperation, value) -> None:
+        affordance, request, codec = self._resolve(category, name, op)
+        self._check_bounds(affordance, value)
+        payload = _require_codec(request, codec).encode(value, request.spec)
+        self._run_write(request, payload, request.method is GattMethod.WRITE)
 
     def _check_bounds(self, affordance: Affordance, value) -> None:
         if not isinstance(value, (int, float)) or isinstance(value, bool):
@@ -308,23 +309,26 @@ class ConsumedThing:
             raise OutOfRange(f"{affordance.name!r}: {value} above maximum "
                              f"{affordance.maximum}")
 
-    def _run_read(self, request: ResolvedRequest):
-        codec = get_codec(request.content_type)
+    def _run_read(self, request: ResolvedRequest, codec=None):
+        """Read under the connection policy; decode unless ``codec`` is None."""
         with self._lock:
             self._ensure_connected()
             try:
                 payload = self.transport.read(request.uri)
             finally:
                 self._after_operation()
-        return codec.decode(payload, request.spec)
+        return payload if codec is None else codec.decode(payload, request.spec)
 
-    def _run_write(self, request: ResolvedRequest, value) -> None:
-        codec = get_codec(request.content_type)
-        payload = codec.encode(value, request.spec)
-        with_response = request.method is GattMethod.WRITE
+    def _run_write(self, request: ResolvedRequest, payload: bytes,
+                   with_response: bool) -> None:
         with self._lock:
             self._ensure_connected()
             try:
                 self.transport.write(request.uri, payload, with_response)
             finally:
                 self._after_operation()
+
+
+def _require_codec(request: ResolvedRequest, codec):
+    """The resolved codec, or ``UnsupportedMediaType`` raised anew."""
+    return codec if codec is not None else get_codec(request.content_type)

@@ -34,7 +34,7 @@ from .errors import (
     UnsupportedUnit,
     UriError,
 )
-from .uris import parse_gatt_uri
+from .uris import GattUri, parse_gatt_uri
 
 SBO_IRI = "https://freumi.inrupt.net/SimpleBluetoothOntology.ttl#"
 BDO_IRI = "https://freumi.inrupt.net/BinaryDataOntology.ttl#"
@@ -65,10 +65,24 @@ class BleMetadata:
 
 @dataclass(frozen=True)
 class Form:
+    """One way to perform an affordance's operations.
+
+    ``uri`` is ``href`` parsed once, when the form is built. It is None when
+    ``href`` is not a valid gatt:// URI; readers that need the reason parse
+    ``href`` again and get the error. It takes no part in equality.
+    """
+
     href: str
     op: tuple[WotOperation, ...]
     method_name: GattMethod | None = None
     content_type: str = BINARY_DATA_STREAM
+    uri: GattUri | None = field(default=None, init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        try:
+            object.__setattr__(self, "uri", parse_gatt_uri(self.href))
+        except UriError:
+            pass
 
 
 @dataclass(frozen=True)
@@ -94,9 +108,6 @@ class ThingDescription:
     actions: dict
     events: dict
     extensions: dict = field(default_factory=dict)
-
-    def affordance(self, category: str, name: str) -> Affordance:
-        return getattr(self, category)[name]
 
 
 class Severity(str, Enum):
@@ -485,11 +496,10 @@ def validate_td(td: ThingDescription) -> list[Diagnostic]:
             path = f"{category}/{name}"
             for index, form in enumerate(affordance.forms):
                 form_path = f"{path}/forms/{index}"
-                gatt_href = True
                 try:
-                    parse_gatt_uri(form.href)
+                    if form.uri is None:
+                        parse_gatt_uri(form.href)  # raises, saying why
                 except BadScheme:
-                    gatt_href = False
                     diagnostics.append(Diagnostic(
                         Severity.WARNING,
                         DiagnosticCode.BAD_URI_SCHEME,
@@ -498,21 +508,21 @@ def validate_td(td: ThingDescription) -> list[Diagnostic]:
                         form_path,
                     ))
                 except UriError as exc:
-                    gatt_href = False
                     diagnostics.append(Diagnostic(
                         Severity.ERROR,
                         DiagnosticCode.BAD_HREF,
                         f"href {form.href!r}: {exc}",
                         form_path,
                     ))
-                if gatt_href and td.metadata.is_connectable is False:
-                    diagnostics.append(Diagnostic(
-                        Severity.ERROR,
-                        DiagnosticCode.CONNECTABILITY_CONFLICT,
-                        "device is not connectable but the form requires "
-                        "a GATT connection",
-                        form_path,
-                    ))
+                else:
+                    if td.metadata.is_connectable is False:
+                        diagnostics.append(Diagnostic(
+                            Severity.ERROR,
+                            DiagnosticCode.CONNECTABILITY_CONFLICT,
+                            "device is not connectable but the form requires "
+                            "a GATT connection",
+                            form_path,
+                        ))
                 if affordance.bdo is None and any(op in WRITE_OPERATIONS for op in form.op):
                     diagnostics.append(Diagnostic(
                         Severity.WARNING,

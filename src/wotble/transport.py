@@ -216,9 +216,7 @@ class SimNetwork:
             return list(self._peripherals.values())
 
     def characteristic(self, device_id: str, service, characteristic) -> SimCharacteristic:
-        svc = service if isinstance(service, uuidlib.UUID) else parse_uuid(str(service))
-        chr_ = (characteristic if isinstance(characteristic, uuidlib.UUID)
-                else parse_uuid(str(characteristic)))
+        svc, chr_ = _as_uuid(service), _as_uuid(characteristic)
         return self.peripheral(device_id).characteristic(svc, chr_)
 
     def has_device(self, device_id: str) -> bool:
@@ -246,14 +244,12 @@ class SimNetwork:
 
     def emit(self, device_id: str, service, characteristic, payload: bytes) -> None:
         """Deliver one notification value to all active subscribers."""
-        char = self.characteristic(device_id, service, characteristic)
+        svc, chr_ = _as_uuid(service), _as_uuid(characteristic)
+        peripheral = self.peripheral(device_id)
+        char = peripheral.characteristic(svc, chr_)
         if GattMethod.NOTIFY not in char.allowed:
             raise MethodNotPermitted("characteristic does not allow notify")
-        mac = normalize_mac(device_id)
-        svc = service if isinstance(service, uuidlib.UUID) else parse_uuid(str(service))
-        chr_ = (characteristic if isinstance(characteristic, uuidlib.UUID)
-                else parse_uuid(str(characteristic)))
-        for sub in self._subscribers(mac, svc, chr_):
+        for sub in self._subscribers(peripheral.device_id, svc, chr_):
             self._queue.put((sub, bytes(payload)))
 
     def emit_next(self, device_id: str, service, characteristic) -> bytes | None:
@@ -317,7 +313,6 @@ class SimTransport(TransportContract):
         self.network = network
         self.timeout_s = timeout_s
         self.trace: list[tuple] = []
-        self._scanning = False
         self._sessions: dict[str, Session] = {}
         self._lock = threading.RLock()
 
@@ -328,22 +323,15 @@ class SimTransport(TransportContract):
     # -- discovery
 
     def start_discovery(self) -> None:
-        with self._lock:
-            self._scanning = True
         self.trace.append(("start_discovery", None))
 
     def stop_discovery(self) -> None:
-        with self._lock:
-            self._scanning = False
         self.trace.append(("stop_discovery", None))
 
     # -- connections
 
     def connect(self, device_id: str) -> Session:
         mac = normalize_mac(device_id)
-        with self._lock:
-            if not self._scanning:
-                self._scanning = True  # consumers need not start scans themselves
         if not self.network.has_device(mac):
             self.clock.sleep(self.timeout_s)
             self.trace.append(("connect_failed", mac))
@@ -456,6 +444,10 @@ class SimTransport(TransportContract):
                 f"allowed: {sorted(m.value for m in char.allowed)}"
             )
         return char
+
+
+def _as_uuid(value) -> uuidlib.UUID:
+    return value if isinstance(value, uuidlib.UUID) else parse_uuid(str(value))
 
 
 # --- simulated network config files ----------------------------------------------

@@ -14,6 +14,7 @@ from __future__ import annotations
 import re
 import uuid
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import BadDeviceId, BadScheme, BadStructure, BadUuid
 
@@ -40,8 +41,13 @@ class GattUri:
     service: uuid.UUID
     characteristic: uuid.UUID
 
-    def __str__(self) -> str:
+    @cached_property
+    def text(self) -> str:
+        """The canonical text, formatted once per value."""
         return format_gatt_uri(self)
+
+    def __str__(self) -> str:
+        return self.text
 
 
 def normalize_mac(text: str) -> str:

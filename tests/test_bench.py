@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import threading
 
 import pytest
 
@@ -158,6 +159,22 @@ def test_run_bench_counts_failures_separately(tmp_path):
     }))
     with pytest.raises(AllSamplesFailed):
         run_bench(load_bench_plan(plan_file), clock=VirtualClock())
+
+
+def test_run_bench_stops_only_the_network_it_built():
+    before = set(threading.enumerate())
+    run_bench(load_bench_plan(BENCH_PLAN), clock=VirtualClock())
+    started = [t for t in threading.enumerate() if t not in before]
+    for thread in started:
+        thread.join(timeout=1.0)
+    assert [t for t in started if t.is_alive()] == []
+
+    clock = VirtualClock()
+    net = make_network(clock=clock, seed=7)
+    plan = load_bench_plan(BENCH_PLAN)
+    run_bench(plan, clock=clock, transport=SimTransport(net, timeout_s=60.0))
+    assert net._worker.is_alive()  # a caller's network stays up
+    net.close()
 
 
 # --- output formats ----------------------------------------------------------------------

@@ -146,6 +146,17 @@ def lamp_spec() -> BdoSpec:
     return BdoSpec(pattern=LAMP_PATTERN, variables=LAMP_VARS)
 
 
+def test_spec_keeps_its_compiled_layout():
+    spec = lamp_spec()
+    assert spec.layout() is spec.layout()
+    assert spec.layout() == compile_pattern(LAMP_PATTERN, LAMP_VARS)
+    # The kept layout is derived data: not part of equality or repr.
+    other = BdoSpec(pattern=LAMP_PATTERN, variables=LAMP_VARS)
+    object.__setattr__(other, "_layout", None)
+    assert other == spec
+    assert "layout" not in repr(spec)
+
+
 def test_encode_substitutes_variable_into_pattern():
     payload = encode({"on": 1}, lamp_spec())
     assert payload == bytes([0x7E, 0x00, 0x04, 0x01, 0x00, 0x00, 0x00, 0x00, 0xEF])

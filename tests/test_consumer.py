@@ -16,6 +16,7 @@ from wotble import (
 )
 from wotble.codec import encode
 from wotble.errors import (
+    BadScheme,
     InvalidTd,
     MethodNotPermitted,
     MixedDevices,
@@ -23,6 +24,7 @@ from wotble.errors import (
     NotSupported,
     OutOfRange,
     UnknownAffordance,
+    UnsupportedMediaType,
     ValueTooLong,
 )
 from conftest import (
@@ -105,8 +107,67 @@ def test_read_property_decodes_scalar():
 def test_read_unknown_property():
     net = make_network(clock=VirtualClock())
     thing, _ = sensor_thing(net)
-    with pytest.raises(UnknownAffordance):
-        thing.read_property("altitude")
+    for _ in range(2):  # a failed lookup is not remembered
+        with pytest.raises(UnknownAffordance):
+            thing.read_property("altitude")
+    net.close()
+
+
+SENSOR_VALUES = {"moisture": 42, "temperature": 25.0}
+
+
+def test_interactions_reuse_what_the_first_call_resolved(monkeypatch):
+    net = make_network(clock=VirtualClock())
+    sensor, _ = sensor_thing(net)
+    lamp, _ = lamp_thing(net)
+    for name, value in SENSOR_VALUES.items():
+        assert sensor.read_property(name) == pytest.approx(value)
+    lamp.write_property("power", {"on": 0})
+
+    def recomputed(*_args, **_kwargs):
+        raise AssertionError("derived data recomputed after the first call")
+
+    monkeypatch.setattr("wotble.binding.parse_gatt_uri", recomputed)
+    monkeypatch.setattr("wotble.codec.compile_pattern", recomputed)
+    monkeypatch.setattr("wotble.consumer.resolve_form", recomputed)
+    log = net.characteristic(LAMP_MAC, LAMP_SERVICE, LAMP_CHAR).write_log
+    for i in range(100):
+        if i % 5 == 4:
+            on = i % 2
+            lamp.write_property("power", {"on": on})
+            assert log[-1].payload == bytes.fromhex(f"7e0004{on:02x}00000000ef")
+        else:
+            name = ("moisture", "temperature")[i % 2]
+            assert sensor.read_property(name) == pytest.approx(SENSOR_VALUES[name])
+    net.close()
+
+
+def non_gatt_first_form(form: dict) -> None:
+    form["href"] = "http://example.com/moisture"
+
+
+def plain_text_form(form: dict) -> None:
+    form["contentType"] = "text/plain"
+
+
+@pytest.mark.parametrize("edit, error", [
+    (non_gatt_first_form, BadScheme),
+    (plain_text_form, UnsupportedMediaType),
+])
+def test_failed_resolution_raises_again_on_every_call(edit, error):
+    net = make_network(clock=VirtualClock())
+    transport = SimTransport(net, timeout_s=60.0)
+    doc = json.loads(SENSOR_TD.read_text())
+    forms = doc["properties"]["moisture"]["forms"]
+    forms.insert(0, dict(forms[0]))
+    edit(forms[0])
+    thing = consume(parse_td(json.dumps(doc)), transport)
+    for _ in range(2):
+        with pytest.raises(error):
+            thing.read_property("moisture")
+    assert transport.trace == []  # both fail before connecting
+    if error is UnsupportedMediaType:
+        assert thing.read_raw("moisture") == bytes([42])  # no codec needed
     net.close()
 
 

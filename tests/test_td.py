@@ -11,6 +11,7 @@ from wotble import (
     Severity,
     VariableType,
     WotOperation,
+    parse_gatt_uri,
     parse_td,
     parse_td_file,
     validate_td,
@@ -278,10 +279,22 @@ def test_non_connectable_device_with_forms_conflicts():
     assert diagnostics[0].severity is Severity.ERROR
 
 
+@pytest.mark.parametrize("path", [LAMP_TD, SENSOR_TD, BEACON_TD])
+def test_forms_carry_their_parsed_href(path):
+    td = parse_td_file(path)
+    forms = [form for category in (td.properties, td.actions, td.events)
+             for affordance in category.values() for form in affordance.forms]
+    assert forms
+    for form in forms:
+        assert form.uri == parse_gatt_uri(form.href)
+
+
 def test_non_gatt_href_is_flagged():
     doc = json.loads(td_doc())
     doc["properties"]["level"]["forms"][0]["href"] = "http://x"
-    diagnostics = validate_td(parse_td(json.dumps(doc)))
+    td = parse_td(json.dumps(doc))
+    assert td.properties["level"].forms[0].uri is None
+    diagnostics = validate_td(td)
     assert [d.code for d in diagnostics] == [DiagnosticCode.BAD_URI_SCHEME]
     assert diagnostics[0].severity is Severity.WARNING
 
@@ -289,7 +302,9 @@ def test_non_gatt_href_is_flagged():
 def test_malformed_gatt_href_is_an_error():
     doc = json.loads(td_doc())
     doc["properties"]["level"]["forms"][0]["href"] = "gatt://AA:BB:CC:DD:EE:FF/fff0"
-    diagnostics = validate_td(parse_td(json.dumps(doc)))
+    td = parse_td(json.dumps(doc))
+    assert td.properties["level"].forms[0].uri is None
+    diagnostics = validate_td(td)
     assert [d.code for d in diagnostics] == [DiagnosticCode.BAD_HREF]
     assert diagnostics[0].severity is Severity.ERROR
 
