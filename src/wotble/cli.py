@@ -12,6 +12,7 @@ import json
 import queue
 import sys
 import time
+from contextlib import contextmanager
 
 from . import bench as benchmod
 from .clock import VirtualClock
@@ -110,9 +111,16 @@ def _make_transport(args):
     raise PlanError(f"unknown transport {args.transport!r}")
 
 
-def _consume(args):
+@contextmanager
+def _consumed(args):
+    """Yield the TD's ConsumedThing; closes the simulated network built for it."""
     td = parse_td_file(args.td)
-    return consume(td, _make_transport(args), ConnectionPolicy(args.policy))
+    transport = _make_transport(args)
+    try:
+        yield consume(td, transport, ConnectionPolicy(args.policy))
+    finally:
+        if isinstance(transport, SimTransport):
+            transport.network.close()
 
 
 def _emit(args, payload: dict, plain) -> None:
@@ -123,43 +131,43 @@ def _emit(args, payload: dict, plain) -> None:
 
 
 def cmd_read(args) -> int:
-    thing = _consume(args)
-    value = thing.read_property(args.property)
+    with _consumed(args) as thing:
+        value = thing.read_property(args.property)
     _emit(args, {"property": args.property, "value": value}, value)
     return 0
 
 
 def cmd_write(args) -> int:
-    thing = _consume(args)
-    value = _json_value(args.value)
-    thing.write_property(args.property, value)
+    with _consumed(args) as thing:
+        value = _json_value(args.value)
+        thing.write_property(args.property, value)
     _emit(args, {"property": args.property, "written": value}, "ok")
     return 0
 
 
 def cmd_invoke(args) -> int:
-    thing = _consume(args)
-    value = _json_value(args.value)
-    thing.invoke_action(args.action, value)
+    with _consumed(args) as thing:
+        value = _json_value(args.value)
+        thing.invoke_action(args.action, value)
     _emit(args, {"action": args.action, "input": value}, "ok")
     return 0
 
 
 def cmd_subscribe(args) -> int:
-    thing = _consume(args)
-    received: queue.Queue = queue.Queue()
-    subscription = thing.subscribe_event(args.event, received.put)
-    try:
-        for _ in range(max(args.count, 0)):
-            try:
-                value = received.get(timeout=args.timeout_ms / 1000.0)
-            except queue.Empty:
-                print(f"no notification within {args.timeout_ms:.0f} ms",
-                      file=sys.stderr)
-                return INTERACTION_ERROR
-            _emit(args, {"event": args.event, "value": value}, value)
-    finally:
-        thing.unsubscribe_event(subscription)
+    with _consumed(args) as thing:
+        received: queue.Queue = queue.Queue()
+        subscription = thing.subscribe_event(args.event, received.put)
+        try:
+            for _ in range(max(args.count, 0)):
+                try:
+                    value = received.get(timeout=args.timeout_ms / 1000.0)
+                except queue.Empty:
+                    print(f"no notification within {args.timeout_ms:.0f} ms",
+                          file=sys.stderr)
+                    return INTERACTION_ERROR
+                _emit(args, {"event": args.event, "value": value}, value)
+        finally:
+            thing.unsubscribe_event(subscription)
     return 0
 
 

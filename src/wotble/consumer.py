@@ -139,7 +139,11 @@ class ConsumedThing:
             self.transport.connect(self.device_id)
             # Exploring the GATT structure is part of the connect time the
             # paper measures, though nothing reads the tree afterwards.
-            self.transport.discover_gatt(self.device_id)
+            try:
+                self.transport.discover_gatt(self.device_id)
+            except Exception:
+                self.transport.disconnect(self.device_id)  # release the link
+                raise
             self._connected = True
 
     def disconnect(self) -> None:

@@ -159,6 +159,7 @@ class SimPeripheral:
 class _Subscription:
     def __init__(self, uri: GattUri, sink: Sink, transport: "SimTransport"):
         self.uri = uri
+        self.key = (uri.device_id, uri.service, uri.characteristic)
         self.sink = sink
         self.transport = transport
         self.active = True
@@ -171,6 +172,18 @@ class SimNetwork:
     Any number of :class:`SimTransport` centrals may attach; each peripheral
     accepts a single connection at a time. Notification delivery runs on a
     dedicated worker thread, never on the subscriber's calling thread.
+
+    Lifecycle:
+
+    * The subscription registry holds live subscriptions only: unsubscribing
+      removes the entry, and nothing is delivered to it after
+      ``unsubscribe`` returns, not even a value already queued.
+    * Disconnecting a central cancels that central's subscriptions on the
+      device; unsubscribing one of them afterwards is a no-op.
+    * :meth:`close` (also called on leaving a ``with`` block) lets the
+      delivery thread hand out what was queued before it, then stops and
+      joins the thread. It is idempotent; later ``subscribe`` and
+      :meth:`emit` calls raise :class:`TransportUnavailable`.
     """
 
     def __init__(self, clock=None, seed: int | None = None, auto_notify: bool = True,
@@ -191,8 +204,16 @@ class SimNetwork:
         self._cond = threading.Condition(self._lock)
         self._subscriptions: dict[tuple, list[_Subscription]] = {}
         self._queue: SimpleQueue = SimpleQueue()
-        self._worker = threading.Thread(target=self._deliver_loop, daemon=True)
+        self._closed = False
+        self._worker = threading.Thread(target=self._deliver_loop,
+                                        name="wotble-sim-delivery", daemon=True)
         self._worker.start()
+
+    def __enter__(self) -> "SimNetwork":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # -- definition
 
@@ -219,10 +240,6 @@ class SimNetwork:
         svc, chr_ = _as_uuid(service), _as_uuid(characteristic)
         return self.peripheral(device_id).characteristic(svc, chr_)
 
-    def has_device(self, device_id: str) -> bool:
-        with self._lock:
-            return normalize_mac(device_id) in self._peripherals
-
     # -- discovery latency model
 
     def discovery_delay_s(self, peripheral: SimPeripheral) -> float:
@@ -232,15 +249,14 @@ class SimNetwork:
 
     # -- notifications
 
-    def _register(self, sub: _Subscription) -> None:
-        key = (sub.uri.device_id, sub.uri.service, sub.uri.characteristic)
-        with self._lock:
-            self._subscriptions.setdefault(key, []).append(sub)
+    def _require_open(self) -> None:
+        if self._closed:
+            raise TransportUnavailable("the simulated network is closed")
 
-    def _subscribers(self, device_id: str, service, characteristic) -> list[_Subscription]:
-        key = (device_id, service, characteristic)
+    def _register(self, sub: _Subscription) -> None:
         with self._lock:
-            return [s for s in self._subscriptions.get(key, []) if s.active]
+            self._require_open()
+            self._subscriptions.setdefault(sub.key, []).append(sub)
 
     def emit(self, device_id: str, service, characteristic, payload: bytes) -> None:
         """Deliver one notification value to all active subscribers."""
@@ -249,8 +265,12 @@ class SimNetwork:
         char = peripheral.characteristic(svc, chr_)
         if GattMethod.NOTIFY not in char.allowed:
             raise MethodNotPermitted("characteristic does not allow notify")
-        for sub in self._subscribers(peripheral.device_id, svc, chr_):
-            self._queue.put((sub, bytes(payload)))
+        payload = bytes(payload)
+        # Queued under the lock, so nothing lands behind close()'s stop marker.
+        with self._lock:
+            self._require_open()
+            for sub in self._subscriptions.get((peripheral.device_id, svc, chr_), ()):
+                self._queue.put((sub, payload))
 
     def emit_next(self, device_id: str, service, characteristic) -> bytes | None:
         """Deliver the next scripted value; None when the script is exhausted."""
@@ -266,7 +286,12 @@ class SimNetwork:
     def _cancel_subscription(self, sub: _Subscription) -> None:
         on_worker = threading.get_ident() == self._worker.ident
         with self._cond:
-            sub.active = False
+            if sub.active:
+                sub.active = False
+                live = self._subscriptions[sub.key]
+                live.remove(sub)
+                if not live:
+                    del self._subscriptions[sub.key]
             # Guarantees nothing is delivered after unsubscribe returns;
             # skip the wait when called from the delivery thread itself.
             while sub.delivering and not on_worker:
@@ -299,7 +324,18 @@ class SimNetwork:
                     self._cond.notify_all()
 
     def close(self) -> None:
-        self._queue.put(None)
+        """Stop the delivery thread for good; a second call is a no-op.
+
+        Values queued before the call are still delivered. Returns once the
+        thread has exited, except when a sink calls it on that thread.
+        """
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            self._queue.put(None)
+        if threading.current_thread() is not self._worker:
+            self._worker.join()
 
 
 class SimTransport(TransportContract):
@@ -332,12 +368,12 @@ class SimTransport(TransportContract):
 
     def connect(self, device_id: str) -> Session:
         mac = normalize_mac(device_id)
-        if not self.network.has_device(mac):
+        peripheral = self.network._peripherals.get(mac)
+        if peripheral is None:
             self.clock.sleep(self.timeout_s)
             self.trace.append(("connect_failed", mac))
             raise NotFound(f"device {mac} never advertised within "
                            f"{self.timeout_s:.3f} s")
-        peripheral = self.network.peripheral(mac)
         delay_s = self.network.discovery_delay_s(peripheral)
         if delay_s > self.timeout_s:
             self.clock.sleep(self.timeout_s)
@@ -367,7 +403,7 @@ class SimTransport(TransportContract):
             raise NotConnected(f"not connected to {mac}")
         self.network._cancel_device_subscriptions(mac, self)
         self.clock.sleep(self.network.disconnect_latency_ms / 1000.0)
-        peripheral = self.network.peripheral(mac)
+        peripheral = self.network._peripherals[mac]
         with self.network._lock:
             if peripheral.connected_by is self:
                 peripheral.connected_by = None
@@ -383,7 +419,7 @@ class SimTransport(TransportContract):
         mac = normalize_mac(device_id)
         self._require_session(mac)
         self.trace.append(("discover_gatt", mac))
-        return self.network.peripheral(mac).gatt_tree()
+        return self.network._peripherals[mac].gatt_tree()
 
     # -- attribute operations
 
@@ -434,8 +470,10 @@ class SimTransport(TransportContract):
                 raise NotConnected(f"not connected to {mac}")
 
     def _attribute(self, uri: GattUri, method: GattMethod) -> SimCharacteristic:
+        # A session key is a canonical MAC of a defined peripheral, so once
+        # the session check passes, ``uri.device_id`` indexes the network.
         self._require_session(uri.device_id)
-        char = self.network.peripheral(uri.device_id).characteristic(
+        char = self.network._peripherals[uri.device_id].characteristic(
             uri.service, uri.characteristic
         )
         if method not in char.allowed:
@@ -481,8 +519,12 @@ def load_sim_config(source, clock=None, seed: int | None = None,
         write_latency_ms=_number(config, "writeLatencyMs", 0.0),
         disconnect_latency_ms=_number(config, "disconnectLatencyMs", 0.0),
     )
-    for device in config["devices"]:
-        network.define_peripheral(_parse_device(device))
+    try:
+        for device in config["devices"]:
+            network.define_peripheral(_parse_device(device))
+    except BaseException:
+        network.close()
+        raise
     return network
 
 

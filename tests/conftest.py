@@ -1,3 +1,4 @@
+import threading
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,21 @@ SENSOR_MAC = "C4:7C:8D:6A:10:2E"
 BEACON_MAC = "D0:F0:18:44:23:02"
 BEACON_SERVICE = "0000ffe0-0000-1000-8000-00805f9b34fb"
 BEACON_CHAR = "0000ffe1-0000-1000-8000-00805f9b34fb"
+
+
+DELIVERY_THREAD = "wotble-sim-delivery"
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_delivery_threads():
+    """Fail a test that leaves a SimNetwork it started unclosed."""
+    before = set(threading.enumerate())
+    yield
+    leaked = [t for t in threading.enumerate()
+              if t.name == DELIVERY_THREAD and t not in before]
+    if leaked:
+        pytest.fail(f"{len(leaked)} {DELIVERY_THREAD} thread(s) still running: "
+                    "close each SimNetwork the test builds", pytrace=False)
 
 
 @pytest.fixture

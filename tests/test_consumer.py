@@ -23,6 +23,7 @@ from wotble.errors import (
     MultiPropertyError,
     NotSupported,
     OutOfRange,
+    Timeout,
     UnknownAffordance,
     UnsupportedMediaType,
     ValueTooLong,
@@ -293,6 +294,30 @@ def test_disconnect_after_reuses_then_drops():
     assert disconnect_count(transport) == 1
     assert not thing.connected
     net.close()
+
+
+class FirstExplorationTimesOut(SimTransport):
+    """Fault injection: the first GATT exploration fails after the link is up."""
+
+    failures_left = 1
+
+    def discover_gatt(self, device_id):
+        if self.failures_left:
+            self.failures_left -= 1
+            raise Timeout("injected GATT exploration timeout")
+        return super().discover_gatt(device_id)
+
+
+def test_failed_gatt_exploration_releases_the_link():
+    with make_network(clock=VirtualClock()) as net:
+        transport = FirstExplorationTimesOut(net, timeout_s=60.0)
+        thing = consume(parse_td_file(SENSOR_TD), transport)
+        with pytest.raises(Timeout):
+            thing.read_property("moisture")
+        assert not thing.connected and not transport.is_connected(SENSOR_MAC)
+        assert thing.read_property("moisture") == 42  # no Busy on the retry
+        thing.disconnect()
+        assert net.peripheral(SENSOR_MAC).connected_by is None
 
 
 # --- events ---------------------------------------------------------------------------

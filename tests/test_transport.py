@@ -6,16 +6,20 @@ import uuid
 import pytest
 
 from wotble import (
+    ConnectionPolicy,
     GattMethod,
+    GattUri,
     SimCharacteristic,
     SimNetwork,
     SimPeripheral,
     SimTransport,
     VirtualClock,
+    consume,
     create_host_transport,
     expand_uuid,
     load_sim_config,
     parse_gatt_uri,
+    parse_td_file,
     register_host_backend,
 )
 from wotble.errors import (
@@ -35,6 +39,7 @@ from conftest import (
     BEACON_CHAR,
     BEACON_MAC,
     BEACON_SERVICE,
+    BEACON_TD,
     LAMP_CHAR,
     LAMP_MAC,
     LAMP_SERVICE,
@@ -359,3 +364,157 @@ def test_registered_host_backend_is_used():
         assert create_host_transport() is sentinel
     finally:
         transport_module._host_backend_factory = saved
+
+
+# --- subscription registry and network lifecycle -----------------------------------------
+
+def live_subscriptions(net):
+    return sum(len(subs) for subs in net._subscriptions.values())
+
+
+def beacon_thing(net, policy=ConnectionPolicy.RECONNECT_PER_OPERATION):
+    return consume(parse_td_file(BEACON_TD), SimTransport(net, timeout_s=10.0), policy)
+
+
+def test_registry_keeps_only_live_subscriptions_across_sessions():
+    with virtual_network(auto_notify=False) as net:
+        thing = beacon_thing(net)
+        for _ in range(100):
+            thing.unsubscribe_event(thing.subscribe_event("temperature", print))
+            thing.disconnect()
+        assert live_subscriptions(net) == 0 and net._subscriptions == {}
+
+
+def test_disconnect_cancels_only_live_subscriptions(monkeypatch):
+    with virtual_network(auto_notify=False) as net:
+        thing = beacon_thing(net)
+        for _ in range(99):
+            thing.unsubscribe_event(thing.subscribe_event("temperature", print))
+            thing.disconnect()
+        thing.subscribe_event("temperature", print)
+        thing.transport.subscribe(BEACON_URI, print)  # a second live one
+        cancels = []
+        cancel = net._cancel_subscription
+        monkeypatch.setattr(net, "_cancel_subscription",
+                            lambda sub: cancels.append(sub) or cancel(sub))
+        live = live_subscriptions(net)
+        thing.disconnect()  # the 100th
+        assert len(cancels) == live == 2
+        assert live_subscriptions(net) == 0
+
+
+def test_value_queued_before_unsubscribe_is_not_delivered():
+    net = make_network(seed=0, auto_notify=False)
+    t = SimTransport(net, timeout_s=1.0)
+    t.connect(BEACON_MAC)
+    entered, release = threading.Event(), threading.Event()
+    received = []
+
+    def blocking_sink(payload):
+        entered.set()
+        release.wait(5.0)
+
+    t.subscribe(BEACON_URI, blocking_sink)
+    handle = t.subscribe(BEACON_URI, received.append)
+    try:
+        net.emit(BEACON_MAC, BEACON_SERVICE, BEACON_CHAR, b"\x01")
+        assert entered.wait(5.0)  # the second delivery is queued behind this one
+        t.unsubscribe(handle)
+    finally:
+        release.set()
+        net.close()  # returns after the queue has drained
+    assert received == []
+
+
+def test_unsubscribe_after_disconnect_is_a_no_op():
+    with virtual_network(auto_notify=False) as net:
+        thing = beacon_thing(net, ConnectionPolicy.KEEP_CONNECTED)
+        subscription = thing.subscribe_event("temperature", print)
+        handle = thing.transport.subscribe(BEACON_URI, print)
+        thing.disconnect()
+        thing.unsubscribe_event(subscription)
+        thing.transport.unsubscribe(handle)
+        assert not subscription.active and not handle.active
+        assert net._subscriptions == {}
+
+
+def test_attribute_operations_do_not_renormalize_the_mac(monkeypatch):
+    with virtual_network() as net:
+        t = SimTransport(net, timeout_s=1.0)
+        t.connect(LAMP_MAC)
+
+        def refuse(text):
+            raise AssertionError(f"normalize_mac({text!r}) on a canonical GattUri")
+
+        monkeypatch.setattr("wotble.transport.normalize_mac", refuse)
+        payload = bytes.fromhex("7e00040100000000ef")
+        t.write(LAMP_URI, payload, with_response=True)
+        assert t.read(LAMP_URI) == payload
+
+
+def test_hand_built_uri_with_non_canonical_mac_is_not_connected():
+    with virtual_network() as net:
+        t = SimTransport(net, timeout_s=1.0)
+        t.connect(LAMP_MAC)
+        raw = GattUri(LAMP_MAC.lower(), LAMP_URI.service, LAMP_URI.characteristic)
+        with pytest.raises(NotConnected):
+            t.read(raw)
+
+
+@pytest.mark.parametrize("spelling", [LAMP_MAC.lower(), LAMP_MAC.replace(":", "-")])
+def test_session_calls_accept_any_mac_spelling(spelling):
+    with virtual_network() as net:
+        t = SimTransport(net, timeout_s=1.0)
+        assert t.connect(spelling).device_id == LAMP_MAC
+        assert t.is_connected(spelling)
+        assert set(t.discover_gatt(spelling).services) == {uuid.UUID(LAMP_SERVICE)}
+        t.disconnect(spelling)
+        assert not t.is_connected(LAMP_MAC)
+        assert net.peripheral(LAMP_MAC).connected_by is None
+
+
+def delivery_threads():
+    return sum(1 for t in threading.enumerate() if t.name == "wotble-sim-delivery")
+
+
+def test_close_joins_the_delivery_thread_and_is_idempotent():
+    baseline = delivery_threads()
+    net = virtual_network()
+    assert delivery_threads() == baseline + 1
+    net.close()
+    assert delivery_threads() == baseline and not net._worker.is_alive()
+    net.close()  # a no-op
+    with virtual_network() as net:
+        assert delivery_threads() == baseline + 1
+    assert delivery_threads() == baseline
+
+
+def test_closed_network_refuses_subscribe_and_emit():
+    net = virtual_network(auto_notify=False)
+    t = SimTransport(net, timeout_s=1.0)
+    t.connect(BEACON_MAC)
+    net.close()
+    with pytest.raises(TransportUnavailable):
+        t.subscribe(BEACON_URI, print)
+    with pytest.raises(TransportUnavailable):
+        net.emit(BEACON_MAC, BEACON_SERVICE, BEACON_CHAR, b"\x01")
+    assert net._subscriptions == {}
+
+
+def test_sink_may_close_its_own_network():
+    net = make_network(seed=0, auto_notify=False)
+    t = SimTransport(net, timeout_s=1.0)
+    t.connect(BEACON_MAC)
+    errors = []
+
+    def closing_sink(payload):
+        try:
+            net.close()  # on the delivery thread: must not join itself
+        except Exception as exc:
+            errors.append(exc)
+
+    t.subscribe(BEACON_URI, closing_sink)
+    net.emit(BEACON_MAC, BEACON_SERVICE, BEACON_CHAR, b"\x01")
+    net._worker.join(5.0)
+    assert not net._worker.is_alive() and errors == []
+    net.close()
