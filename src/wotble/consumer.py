@@ -7,6 +7,7 @@ via the explicit ``read_raw``/``write_raw`` escape hatch.
 
 A connection policy governs session lifetime per device: stay connected,
 reconnect around every operation, or drop the link after each operation.
+A live event subscription pins the link against the policy's teardown.
 """
 
 from __future__ import annotations
@@ -34,18 +35,19 @@ Listener = Callable[[object], None]
 
 
 class ConnectionPolicy(str, Enum):
+    """When a :class:`ConsumedThing` opens and drops its device link.
+
+    While the thing has a live event subscription the link is pinned: the
+    two teardown policies neither drop nor cycle it until the last
+    subscription ends.
+    """
+
     #: Connect on first use, stay connected until an explicit disconnect.
     KEEP_CONNECTED = "keep_connected"
     #: Establish a fresh connection for every operation and drop it after.
     RECONNECT_PER_OPERATION = "reconnect_per_operation"
     #: Reuse an existing connection but drop the link after each operation.
     DISCONNECT_AFTER = "disconnect_after"
-
-
-_TEARDOWN_POLICIES = (
-    ConnectionPolicy.RECONNECT_PER_OPERATION,
-    ConnectionPolicy.DISCONNECT_AFTER,
-)
 
 
 @dataclass
@@ -85,6 +87,12 @@ class ConsumedThing:
     thing are serialized so the connection policy stays coherent under
     concurrent callers.
 
+    The thing is disconnected, connected, or pinned: connected with at least
+    one live subscription, which no policy teardown ends. A subscription
+    ends only through ``unsubscribe_event`` or an explicit ``disconnect()``,
+    which ends all of the thing's subscriptions; either sets its ``active``
+    to False.
+
     Each (affordance, operation) pair is resolved to its form, request and
     codec on first use and reused after that, so the TD must not be mutated
     after ``consume``. Failed resolutions are not kept: they raise again on
@@ -100,6 +108,7 @@ class ConsumedThing:
         self._connected = False
         self._device_id: str | None = None
         self._requests: dict = {}
+        self._subscriptions: list[Subscription] = []  # live ones; they pin the link
 
     # -- connection management
 
@@ -147,28 +156,25 @@ class ConsumedThing:
             self._connected = True
 
     def disconnect(self) -> None:
-        """Tear the session down; a no-op when not connected."""
+        """Tear the session down and end the thing's subscriptions.
+
+        A no-op when not connected.
+        """
         with self._lock:
             if not self._connected:
                 return
             self.transport.disconnect(self.device_id)
             self._connected = False
-
-    def _ensure_connected(self) -> None:
-        if self.policy is ConnectionPolicy.RECONNECT_PER_OPERATION and self._connected:
-            self.disconnect()
-        if not self._connected:
-            self.connect()
-
-    def _after_operation(self) -> None:
-        if self.policy in _TEARDOWN_POLICIES:
-            self.disconnect()
+            for subscription in self._subscriptions:
+                subscription.active = False
+            self._subscriptions.clear()
 
     # -- single-affordance interactions
 
     def read_property(self, name: str):
         _, request, codec = self._resolve("properties", name, WotOperation.READPROPERTY)
-        return self._run_read(request, _require_codec(request, codec))
+        codec = _require_codec(request, codec)
+        return codec.decode(self._run(self.transport.read, request.uri), request.spec)
 
     def write_property(self, name: str, value) -> None:
         self._write_value("properties", name, WotOperation.WRITEPROPERTY, value)
@@ -181,8 +187,9 @@ class ConsumedThing:
 
         The listener runs on the transport's delivery thread and its
         exceptions are swallowed so one bad callback cannot kill the
-        subscription. Policy teardown does not apply; an active subscription
-        pins the connection.
+        subscription. While the subscription is active it pins the
+        connection: reads and writes under a teardown policy leave the link
+        up, and a second subscription reuses it.
         """
         _, request, codec = self._resolve("events", name, WotOperation.SUBSCRIBEEVENT)
         codec = _require_codec(request, codec)
@@ -197,16 +204,25 @@ class ConsumedThing:
             except Exception:
                 pass
 
-        with self._lock:
-            self._ensure_connected()
+        def subscribe() -> Subscription:
             handle = self.transport.subscribe(request.uri, sink)
-        return Subscription(thing=self, event=name, handle=handle)
+            subscription = Subscription(thing=self, event=name, handle=handle)
+            self._subscriptions.append(subscription)
+            return subscription
+
+        return self._run(subscribe)
 
     def unsubscribe_event(self, subscription: Subscription) -> None:
         if not subscription.active:
             return
+        # Not under the thing's lock: this waits for an in-flight delivery,
+        # whose listener may call back into the thing.
         self.transport.unsubscribe(subscription.handle)
         subscription.active = False
+        with self._lock:
+            # By identity: Subscription equality compares fields.
+            self._subscriptions = [s for s in self._subscriptions
+                                   if s is not subscription]
 
     # -- multi-property interactions
 
@@ -263,7 +279,7 @@ class ConsumedThing:
     def read_raw(self, name: str) -> bytes:
         """Escape hatch: read a property's octets without decoding."""
         _, request, _ = self._resolve("properties", name, WotOperation.READPROPERTY)
-        return self._run_read(request)
+        return self._run(self.transport.read, request.uri)
 
     def write_raw(self, name: str, payload: bytes,
                   with_response: bool | None = None) -> None:
@@ -271,7 +287,7 @@ class ConsumedThing:
         _, request, _ = self._resolve("properties", name, WotOperation.WRITEPROPERTY)
         if with_response is None:
             with_response = request.method is GattMethod.WRITE
-        self._run_write(request, payload, with_response)
+        self._run(self.transport.write, request.uri, payload, with_response)
 
     # -- internals
 
@@ -301,7 +317,8 @@ class ConsumedThing:
         affordance, request, codec = self._resolve(category, name, op)
         self._check_bounds(affordance, value)
         payload = _require_codec(request, codec).encode(value, request.spec)
-        self._run_write(request, payload, request.method is GattMethod.WRITE)
+        self._run(self.transport.write, request.uri, payload,
+                  request.method is GattMethod.WRITE)
 
     def _check_bounds(self, affordance: Affordance, value) -> None:
         if not isinstance(value, (int, float)) or isinstance(value, bool):
@@ -313,24 +330,24 @@ class ConsumedThing:
             raise OutOfRange(f"{affordance.name!r}: {value} above maximum "
                              f"{affordance.maximum}")
 
-    def _run_read(self, request: ResolvedRequest, codec=None):
-        """Read under the connection policy; decode unless ``codec`` is None."""
-        with self._lock:
-            self._ensure_connected()
-            try:
-                payload = self.transport.read(request.uri)
-            finally:
-                self._after_operation()
-        return payload if codec is None else codec.decode(payload, request.spec)
+    def _run(self, call, *args):
+        """Return ``call(*args)``, made under the connection policy.
 
-    def _run_write(self, request: ResolvedRequest, payload: bytes,
-                   with_response: bool) -> None:
+        Unless a live subscription pins the link, ``RECONNECT_PER_OPERATION``
+        drops it first, and both teardown policies drop it afterwards, also
+        when the call raises.
+        """
         with self._lock:
-            self._ensure_connected()
+            if (self.policy is ConnectionPolicy.RECONNECT_PER_OPERATION
+                    and not self._subscriptions):
+                self.disconnect()
+            self.connect()
             try:
-                self.transport.write(request.uri, payload, with_response)
+                return call(*args)
             finally:
-                self._after_operation()
+                if (self.policy is not ConnectionPolicy.KEEP_CONNECTED
+                        and not self._subscriptions):
+                    self.disconnect()
 
 
 def _require_codec(request: ResolvedRequest, codec):

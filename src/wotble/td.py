@@ -260,7 +260,7 @@ def parse_td(document: str) -> ThingDescription:
             for name, body in value.items():
                 categories[key][name] = _parse_affordance(name, body, ctx, key)
             continue
-        resolved = ctx.vocab_term(key) if _CURIE_RE.match(key) else None
+        resolved = ctx.vocab_term(key)
         if resolved and resolved[0] == SBO_IRI:
             _apply_metadata_term(meta, resolved[1], value, ctx)
             if resolved[1] in _METADATA_TERMS:
@@ -356,7 +356,7 @@ def _parse_affordance(name: str, body, ctx: _Context, category: str) -> Affordan
         if key == "maximum":
             maximum = value
             continue
-        resolved = ctx.vocab_term(key) if _CURIE_RE.match(key) else None
+        resolved = ctx.vocab_term(key)
         if resolved and resolved[0] == BDO_IRI:
             bdo_terms[resolved[1]] = value
         else:
@@ -397,7 +397,7 @@ def _parse_form(body, ctx: _Context, category: str, name: str) -> Form:
 
     method_name = None
     for key, value in body.items():
-        resolved = ctx.vocab_term(key) if _CURIE_RE.match(key) else None
+        resolved = ctx.vocab_term(key)
         if resolved and resolved == (SBO_IRI, "methodName"):
             method_name = parse_method(ctx.local_name(value))
 
@@ -445,7 +445,7 @@ def _parse_variable(var_name: str, body, ctx: _Context) -> VariableSpec:
         raise MalformedDocument(f"variable {var_name!r} must be an object")
     fields: dict = {}
     for key, value in body.items():
-        resolved = ctx.vocab_term(key) if _CURIE_RE.match(key) else None
+        resolved = ctx.vocab_term(key)
         local = resolved[1] if resolved and resolved[0] == BDO_IRI else key
         if local == "type":
             if value == "integer":

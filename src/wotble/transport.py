@@ -178,6 +178,8 @@ class SimNetwork:
     * The subscription registry holds live subscriptions only: unsubscribing
       removes the entry, and nothing is delivered to it after
       ``unsubscribe`` returns, not even a value already queued.
+    * With ``auto_notify`` a subscription's scripted values are queued in
+      the same critical section that registers it, for that subscriber only.
     * Disconnecting a central cancels that central's subscriptions on the
       device; unsubscribing one of them afterwards is a no-op.
     * :meth:`close` (also called on leaving a ``with`` block) lets the
@@ -253,10 +255,13 @@ class SimNetwork:
         if self._closed:
             raise TransportUnavailable("the simulated network is closed")
 
-    def _register(self, sub: _Subscription) -> None:
+    def _register(self, sub: _Subscription, backlog) -> None:
+        """Add ``sub`` to the registry and queue ``backlog`` for it alone."""
         with self._lock:
             self._require_open()
             self._subscriptions.setdefault(sub.key, []).append(sub)
+            for payload in backlog:
+                self._queue.put((sub, payload))
 
     def emit(self, device_id: str, service, characteristic, payload: bytes) -> None:
         """Deliver one notification value to all active subscribers."""
@@ -341,6 +346,8 @@ class SimNetwork:
 class SimTransport(TransportContract):
     """A simulated central attached to a :class:`SimNetwork`.
 
+    The central is connected to a device exactly when the device's
+    ``connected_by`` is this transport; the link is recorded nowhere else.
     Safe for concurrent use; every public call is appended to ``trace`` as a
     ``(operation, detail)`` tuple for test inspection.
     """
@@ -349,8 +356,6 @@ class SimTransport(TransportContract):
         self.network = network
         self.timeout_s = timeout_s
         self.trace: list[tuple] = []
-        self._sessions: dict[str, Session] = {}
-        self._lock = threading.RLock()
 
     @property
     def clock(self):
@@ -389,37 +394,31 @@ class SimTransport(TransportContract):
                 raise Busy(f"device {mac} already holds its single connection")
             peripheral.connected_by = self
         self.clock.sleep(self.network.connect_setup_ms / 1000.0)
-        session = Session(device_id=mac)
-        with self._lock:
-            self._sessions[mac] = session
         self.trace.append(("connect", mac))
-        return session
+        return Session(device_id=mac)
 
     def disconnect(self, device_id: str) -> None:
         mac = normalize_mac(device_id)
-        with self._lock:
-            session = self._sessions.get(mac)
-        if session is None:
-            raise NotConnected(f"not connected to {mac}")
+        peripheral = self._connected_peripheral(mac)
         self.network._cancel_device_subscriptions(mac, self)
         self.clock.sleep(self.network.disconnect_latency_ms / 1000.0)
-        peripheral = self.network._peripherals[mac]
         with self.network._lock:
             if peripheral.connected_by is self:
                 peripheral.connected_by = None
-        with self._lock:
-            self._sessions.pop(mac, None)
         self.trace.append(("disconnect", mac))
 
     def is_connected(self, device_id: str) -> bool:
-        with self._lock:
-            return normalize_mac(device_id) in self._sessions
+        try:
+            self._connected_peripheral(normalize_mac(device_id))
+        except NotConnected:
+            return False
+        return True
 
     def discover_gatt(self, device_id: str) -> GattTree:
         mac = normalize_mac(device_id)
-        self._require_session(mac)
+        peripheral = self._connected_peripheral(mac)
         self.trace.append(("discover_gatt", mac))
-        return self.network._peripherals[mac].gatt_tree()
+        return peripheral.gatt_tree()
 
     # -- attribute operations
 
@@ -450,11 +449,10 @@ class SimTransport(TransportContract):
     def subscribe(self, uri: GattUri, sink: Sink):
         char = self._attribute(uri, GattMethod.NOTIFY)
         sub = _Subscription(uri, sink, self)
-        self.network._register(sub)
+        # The script is this subscriber's alone; emit() would send it to all.
+        backlog = char.notify_source if self.network.auto_notify else ()
+        self.network._register(sub, backlog)
         self.trace.append(("subscribe", str(uri)))
-        if self.network.auto_notify:
-            for payload in char.notify_source:
-                self.network._queue.put((sub, payload))
         return sub
 
     def unsubscribe(self, handle) -> None:
@@ -464,16 +462,15 @@ class SimTransport(TransportContract):
 
     # -- helpers
 
-    def _require_session(self, mac: str) -> None:
-        with self._lock:
-            if mac not in self._sessions:
-                raise NotConnected(f"not connected to {mac}")
+    def _connected_peripheral(self, mac: str) -> SimPeripheral:
+        """The peripheral this central holds the link to; ``mac`` is canonical."""
+        peripheral = self.network._peripherals.get(mac)
+        if peripheral is None or peripheral.connected_by is not self:
+            raise NotConnected(f"not connected to {mac}")
+        return peripheral
 
     def _attribute(self, uri: GattUri, method: GattMethod) -> SimCharacteristic:
-        # A session key is a canonical MAC of a defined peripheral, so once
-        # the session check passes, ``uri.device_id`` indexes the network.
-        self._require_session(uri.device_id)
-        char = self.network._peripherals[uri.device_id].characteristic(
+        char = self._connected_peripheral(uri.device_id).characteristic(
             uri.service, uri.characteristic
         )
         if method not in char.allowed:
@@ -553,8 +550,15 @@ def _parse_device(body) -> SimPeripheral:
     if isinstance(interval, bool) or not isinstance(interval, (int, float)) or interval <= 0:
         raise InvalidConfig(f"device {mac}: advertisingIntervalMs must be > 0")
 
+    connectable = body.get("connectable", True)
+    if not isinstance(connectable, bool):
+        raise InvalidConfig(f"device {mac}: connectable must be true or false")
+    services_body = body.get("services", {})
+    if not isinstance(services_body, dict):
+        raise InvalidConfig(f"device {mac}: services must be an object")
+
     services: dict = {}
-    for svc_text, chars in (body.get("services") or {}).items():
+    for svc_text, chars in services_body.items():
         svc = _config_uuid(svc_text)
         services[svc] = {}
         if not isinstance(chars, dict):
@@ -565,7 +569,7 @@ def _parse_device(body) -> SimPeripheral:
     return SimPeripheral(
         device_id=mac,
         advertising_interval_ms=float(interval),
-        connectable=body.get("connectable", True),
+        connectable=connectable,
         services=services,
     )
 
@@ -580,9 +584,15 @@ def _config_uuid(text: str) -> uuidlib.UUID:
 def _parse_characteristic(body, mac: str) -> SimCharacteristic:
     if not isinstance(body, dict):
         raise InvalidConfig(f"device {mac}: characteristic entries must be objects")
+    value_hex = body.get("valueHex", "")
+    if not isinstance(value_hex, str):
+        raise InvalidConfig(f"device {mac}: valueHex must be a hex string")
+    notify_hex = body.get("notifySequenceHex", [])
+    if not isinstance(notify_hex, list) or not all(isinstance(h, str) for h in notify_hex):
+        raise InvalidConfig(f"device {mac}: notifySequenceHex must be hex strings")
     try:
-        value = bytes.fromhex(body.get("valueHex", ""))
-        notify = tuple(bytes.fromhex(h) for h in body.get("notifySequenceHex", []))
+        value = bytes.fromhex(value_hex)
+        notify = tuple(bytes.fromhex(h) for h in notify_hex)
     except ValueError as exc:
         raise InvalidConfig(f"device {mac}: bad hex value: {exc}") from exc
     allowed = []

@@ -22,6 +22,22 @@ BEACON_SERVICE = "0000ffe0-0000-1000-8000-00805f9b34fb"
 BEACON_CHAR = "0000ffe1-0000-1000-8000-00805f9b34fb"
 
 
+def _one_device(**fields) -> dict:
+    return {"devices": [{"mac": "AA:BB:CC:DD:EE:FF", **fields}]}
+
+
+def _one_characteristic(**fields) -> dict:
+    return _one_device(services={"180f": {"2a19": fields}})
+
+
+#: Sim configs whose values have the wrong JSON type; each is InvalidConfig.
+WRONG_TYPED_CONFIGS = [
+    _one_device(connectable="false"),
+    _one_device(services=[1]),
+    _one_characteristic(valueHex=12),
+    _one_characteristic(notifySequenceHex=[1]),
+]
+
 DELIVERY_THREAD = "wotble-sim-delivery"
 
 
@@ -40,6 +56,10 @@ def no_leaked_delivery_threads():
 @pytest.fixture
 def fixtures_dir() -> Path:
     return FIXTURES
+
+
+def live_subscriptions(net) -> int:
+    return sum(len(subs) for subs in net._subscriptions.values())
 
 
 def make_network(clock=None, seed=0, auto_notify=True, **latencies):

@@ -3,7 +3,15 @@ import json
 import pytest
 
 from wotble.cli import main
-from conftest import BEACON_TD, BENCH_PLAN, FIXTURES, LAMP_TD, NETWORK_CONFIG, SENSOR_TD
+from conftest import (
+    BEACON_TD,
+    BENCH_PLAN,
+    FIXTURES,
+    LAMP_TD,
+    NETWORK_CONFIG,
+    SENSOR_TD,
+    WRONG_TYPED_CONFIGS,
+)
 
 SIM = f"sim:{NETWORK_CONFIG}"
 
@@ -82,6 +90,16 @@ def test_missing_td_file_is_usage_error(capsys):
     code, _, err = run(capsys, "read", "no-such.td.json", "power",
                        "--transport", SIM)
     assert code == 2
+
+
+@pytest.mark.parametrize("config", WRONG_TYPED_CONFIGS)
+def test_wrong_typed_sim_config_is_usage_error(capsys, tmp_path, config):
+    path = tmp_path / "net.sim.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run(capsys, "read", SENSOR_TD, "moisture",
+                         "--transport", f"sim:{path}")
+    assert code == 2 and out == ""
+    assert err.startswith("error: device AA:BB:CC:DD:EE:FF: ")
 
 
 def test_unknown_property_is_interaction_error(capsys):

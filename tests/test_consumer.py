@@ -1,5 +1,7 @@
 import json
 import queue
+import sys
+import threading
 
 import pytest
 
@@ -29,6 +31,9 @@ from wotble.errors import (
     ValueTooLong,
 )
 from conftest import (
+    BEACON_CHAR,
+    BEACON_MAC,
+    BEACON_SERVICE,
     BEACON_TD,
     LAMP_CHAR,
     LAMP_MAC,
@@ -36,6 +41,7 @@ from conftest import (
     LAMP_TD,
     SENSOR_MAC,
     SENSOR_TD,
+    live_subscriptions,
     make_network,
 )
 
@@ -374,6 +380,127 @@ def test_subscribe_to_unknown_event():
     with pytest.raises(UnknownAffordance):
         thing.subscribe_event("humidity", lambda v: None)
     net.close()
+
+
+# --- a live subscription pins the link -------------------------------------------------
+
+def beacon_reader(net, policy):
+    """The beacon TD plus a read/write property on the event's characteristic.
+
+    The characteristic only notifies and reads; it is widened to take writes.
+    """
+    beacon_char = net.characteristic(BEACON_MAC, BEACON_SERVICE, BEACON_CHAR)
+    beacon_char.allowed = beacon_char.allowed | {GattMethod.WRITE}
+    doc = json.loads(BEACON_TD.read_text())
+    event = doc["events"]["temperature"]
+    doc["properties"] = {"temperature": {
+        key: value for key, value in event.items() if key != "forms"}}
+    doc["properties"]["temperature"]["forms"] = [{
+        "href": event["forms"][0]["href"],
+        "op": ["readproperty", "writeproperty"],
+        "contentType": "application/x.binary-data-stream",
+    }]
+    transport = SimTransport(net, timeout_s=10.0)
+    return consume(parse_td(json.dumps(doc)), transport, policy), transport
+
+
+def emit_beacon(net, octet: int) -> None:
+    net.emit(BEACON_MAC, BEACON_SERVICE, BEACON_CHAR, bytes([octet]))
+
+
+@pytest.mark.parametrize("policy", [ConnectionPolicy.RECONNECT_PER_OPERATION,
+                                    ConnectionPolicy.DISCONNECT_AFTER])
+def test_subscription_survives_reads_and_writes_under_teardown_policies(policy):
+    with make_network(clock=VirtualClock(), auto_notify=False) as net:
+        thing, _ = beacon_reader(net, policy)
+        received: queue.Queue = queue.Queue()
+        subscription = thing.subscribe_event("temperature", received.put)
+        assert thing.read_property("temperature") == pytest.approx(25.0)
+        thing.write_property("temperature", 3.0)
+        assert thing.read_raw("temperature") == bytes([30])
+        emit_beacon(net, 1)
+        emit_beacon(net, 2)
+        assert [received.get(timeout=2.0) for _ in range(2)] == [
+            pytest.approx(0.1), pytest.approx(0.2)]
+        assert subscription.active and thing.connected
+        assert live_subscriptions(net) == 1
+        thing.unsubscribe_event(subscription)
+
+
+def test_second_subscription_keeps_the_first_delivering():
+    with make_network(clock=VirtualClock(), auto_notify=False) as net:
+        thing, transport = beacon_reader(net, ConnectionPolicy.RECONNECT_PER_OPERATION)
+        first: queue.Queue = queue.Queue()
+        second: queue.Queue = queue.Queue()
+        subscriptions = [thing.subscribe_event("temperature", first.put),
+                         thing.subscribe_event("temperature", second.put)]
+        emit_beacon(net, 3)
+        assert first.get(timeout=2.0) == pytest.approx(0.3)
+        assert second.get(timeout=2.0) == pytest.approx(0.3)
+        assert connect_count(transport) == 1 and disconnect_count(transport) == 0
+        for subscription in subscriptions:
+            thing.unsubscribe_event(subscription)
+
+
+def test_explicit_disconnect_ends_subscriptions_at_once():
+    with make_network(clock=VirtualClock(), auto_notify=False) as net:
+        thing, transport = beacon_reader(net, ConnectionPolicy.KEEP_CONNECTED)
+        subscriptions = [thing.subscribe_event("temperature", print) for _ in range(2)]
+        thing.disconnect()
+        assert [s.active for s in subscriptions] == [False, False]
+        assert live_subscriptions(net) == 0
+        thing.unsubscribe_event(subscriptions[0])  # a no-op
+        assert not any(entry[0] == "unsubscribe" for entry in transport.trace)
+
+
+@pytest.mark.parametrize("policy, cycles", [
+    (ConnectionPolicy.RECONNECT_PER_OPERATION, (2, 2)),
+    (ConnectionPolicy.DISCONNECT_AFTER, (1, 1)),
+])
+def test_last_unsubscribe_restores_the_policy(policy, cycles):
+    with make_network(clock=VirtualClock(), auto_notify=False) as net:
+        thing, transport = beacon_reader(net, policy)
+        subscriptions = [thing.subscribe_event("temperature", print) for _ in range(2)]
+        thing.read_property("temperature")
+        thing.unsubscribe_event(subscriptions[0])
+        thing.read_property("temperature")  # still pinned by the second
+        assert (connect_count(transport), disconnect_count(transport)) == (1, 0)
+        thing.unsubscribe_event(subscriptions[1])
+        thing.read_property("temperature")
+        assert (connect_count(transport), disconnect_count(transport)) == cycles
+        assert not thing.connected
+
+
+def test_concurrent_subscribers_leave_no_pin_behind():
+    with make_network(clock=VirtualClock(), auto_notify=False) as net:
+        thing, _ = beacon_reader(net, ConnectionPolicy.RECONNECT_PER_OPERATION)
+        errors = []
+
+        def churn():
+            try:
+                for _ in range(50):
+                    subscription = thing.subscribe_event("temperature", print)
+                    thing.read_property("temperature")
+                    if not subscription.handle.active:
+                        errors.append("a read cancelled a live subscription")
+                    thing.unsubscribe_event(subscription)
+            except Exception as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=churn) for _ in range(4)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert errors == [] and thing._subscriptions == [] and net._subscriptions == {}
+        thing.read_property("temperature")  # unpinned: the policy drops the link
+        assert net.peripheral(BEACON_MAC).connected_by is None
 
 
 # --- multi-property operations -----------------------------------------------------------

@@ -43,6 +43,8 @@ from conftest import (
     LAMP_CHAR,
     LAMP_MAC,
     LAMP_SERVICE,
+    WRONG_TYPED_CONFIGS,
+    live_subscriptions,
     make_network,
 )
 
@@ -289,6 +291,44 @@ def test_failing_sink_does_not_stall_other_subscribers():
     net.close()
 
 
+def test_auto_notify_script_goes_to_each_new_subscriber_alone():
+    net = make_network(seed=0)
+    t = SimTransport(net, timeout_s=1.0)
+    t.connect(BEACON_MAC)
+    first: queue.Queue = queue.Queue()
+    second: queue.Queue = queue.Queue()
+    t.subscribe(BEACON_URI, first.put)
+    assert [first.get(timeout=2.0) for _ in range(3)] == [b"\xfa", b"\x00", b"\x64"]
+    t.subscribe(BEACON_URI, second.put)
+    assert [second.get(timeout=2.0) for _ in range(3)] == [b"\xfa", b"\x00", b"\x64"]
+    # One delivery thread, in queue order: a copy for the first subscriber
+    # would have been handed out before the second one's last value.
+    assert first.empty()
+    net.close()
+
+
+def test_close_racing_subscribe_still_delivers_the_script(monkeypatch):
+    closers: list[threading.Thread] = []
+
+    class CloseOnFirstValue(queue.SimpleQueue):
+        def put(self, item, *args, **kwargs):
+            if item is not None and not closers:
+                closers.append(threading.Thread(target=net.close))
+                closers[0].start()
+                closers[0].join(0.2)  # close() needs the lock the script is queued under
+            super().put(item, *args, **kwargs)
+
+    monkeypatch.setattr("wotble.transport.SimpleQueue", CloseOnFirstValue)
+    net = make_network(seed=0)
+    t = SimTransport(net, timeout_s=1.0)
+    t.connect(BEACON_MAC)
+    received = []
+    t.subscribe(BEACON_URI, received.append)
+    closers[0].join(5.0)
+    assert not closers[0].is_alive()
+    assert received == [b"\xfa", b"\x00", b"\x64"]  # none left behind the stop marker
+
+
 def test_disconnect_cancels_subscriptions():
     net = make_network(seed=0, auto_notify=False)
     t = SimTransport(net, timeout_s=1.0)
@@ -331,6 +371,7 @@ def test_load_config_accepts_short_uuids_and_latency_knobs(tmp_path):
     {"devices": [{"mac": "AA:BB:CC:DD:EE:FF",
                   "services": {"not-a-uuid": {"2a19": {}}}}]},
     {"notdevices": []},
+    *WRONG_TYPED_CONFIGS,
 ])
 def test_invalid_configs_are_rejected(config):
     with pytest.raises(InvalidConfig):
@@ -367,10 +408,6 @@ def test_registered_host_backend_is_used():
 
 
 # --- subscription registry and network lifecycle -----------------------------------------
-
-def live_subscriptions(net):
-    return sum(len(subs) for subs in net._subscriptions.values())
-
 
 def beacon_thing(net, policy=ConnectionPolicy.RECONNECT_PER_OPERATION):
     return consume(parse_td_file(BEACON_TD), SimTransport(net, timeout_s=10.0), policy)
