@@ -15,7 +15,7 @@ from enum import Enum
 from typing import TYPE_CHECKING
 
 from .errors import MethodOpConflict, NoMatchingForm
-from .uris import GattUri, parse_gatt_uri
+from .uris import GattUri, _memoised, parse_gatt_uri
 
 if TYPE_CHECKING:
     from .codec import BdoSpec
@@ -60,6 +60,7 @@ SUBSCRIBE_OPERATIONS = frozenset({
 })
 
 
+@_memoised
 def parse_operation(text: str) -> WotOperation:
     """Map an op string from a TD form onto the closed operation vocabulary."""
     try:

@@ -13,7 +13,7 @@ A live event subscription pins the link against the policy's teardown.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Mapping
 
@@ -23,6 +23,7 @@ from .errors import (
     InvalidTd,
     MixedDevices,
     MultiPropertyError,
+    NotConnected,
     NotSupported,
     OutOfRange,
     UnknownAffordance,
@@ -56,6 +57,8 @@ class Subscription:
     event: str
     handle: object
     active: bool = True
+    #: Calls of the listener now running; guarded by the thing's delivery lock.
+    _listening: int = field(default=0, init=False, repr=False, compare=False)
 
 
 def consume(td: ThingDescription, transport: TransportContract,
@@ -109,6 +112,9 @@ class ConsumedThing:
         self._device_id: str | None = None
         self._requests: dict = {}
         self._subscriptions: list[Subscription] = []  # live ones; they pin the link
+        # Guards a subscription's active check in its sink against
+        # disconnect(); held only while reading or setting those fields.
+        self._delivery_lock = threading.Lock()
 
     # -- connection management
 
@@ -158,16 +164,31 @@ class ConsumedThing:
     def disconnect(self) -> None:
         """Tear the session down and end the thing's subscriptions.
 
-        A no-op when not connected.
+        A no-op when not connected. A link the transport already dropped
+        counts as disconnected, so the next operation connects again. A
+        running listener may call back into the thing meanwhile.
         """
-        with self._lock:
-            if not self._connected:
-                return
-            self.transport.disconnect(self.device_id)
-            self._connected = False
-            for subscription in self._subscriptions:
-                subscription.active = False
-            self._subscriptions.clear()
+        # A subscription whose listener is running ends through _end, outside
+        # the thing's lock, as that listener may call back into the thing. The
+        # others end with the link, once no listener of theirs can start.
+        while True:
+            with self._lock:
+                with self._delivery_lock:
+                    running = [s for s in self._subscriptions if s._listening]
+                    if not running:
+                        for subscription in self._subscriptions:
+                            subscription.active = False  # no listener starts now
+                if not running:
+                    if self._connected:
+                        try:
+                            self.transport.disconnect(self.device_id)
+                        except NotConnected:
+                            pass  # the link was dropped underneath the thing
+                        self._connected = False
+                    self._subscriptions.clear()
+                    return
+            for subscription in running:
+                self._end(subscription)
 
     # -- single-affordance interactions
 
@@ -193,28 +214,37 @@ class ConsumedThing:
         """
         _, request, codec = self._resolve("events", name, WotOperation.SUBSCRIBEEVENT)
         codec = _require_codec(request, codec)
+        subscription = Subscription(thing=self, event=name, handle=None)
 
         def sink(payload: bytes) -> None:
             try:
                 value = codec.decode(payload, request.spec)
             except Exception:
                 return
+            with self._delivery_lock:
+                if not subscription.active:
+                    return
+                subscription._listening += 1
             try:
                 listener(value)
             except Exception:
                 pass
+            finally:
+                with self._delivery_lock:
+                    subscription._listening -= 1
 
         def subscribe() -> Subscription:
-            handle = self.transport.subscribe(request.uri, sink)
-            subscription = Subscription(thing=self, event=name, handle=handle)
+            subscription.handle = self.transport.subscribe(request.uri, sink)
             self._subscriptions.append(subscription)
             return subscription
 
         return self._run(subscribe)
 
     def unsubscribe_event(self, subscription: Subscription) -> None:
-        if not subscription.active:
-            return
+        if subscription.active:
+            self._end(subscription)
+
+    def _end(self, subscription: Subscription) -> None:
         # Not under the thing's lock: this waits for an in-flight delivery,
         # whose listener may call back into the thing.
         self.transport.unsubscribe(subscription.handle)

@@ -14,6 +14,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from pathlib import Path
 
 from .binding import (
@@ -34,7 +35,7 @@ from .errors import (
     UnsupportedUnit,
     UriError,
 )
-from .uris import GattUri, parse_gatt_uri
+from .uris import GattUri, _CACHE_SIZE, _memoised, parse_gatt_uri
 
 SBO_IRI = "https://freumi.inrupt.net/SimpleBluetoothOntology.ttl#"
 BDO_IRI = "https://freumi.inrupt.net/BinaryDataOntology.ttl#"
@@ -69,7 +70,8 @@ class Form:
 
     ``uri`` is ``href`` parsed once, when the form is built. It is None when
     ``href`` is not a valid gatt:// URI; readers that need the reason parse
-    ``href`` again and get the error. It takes no part in equality.
+    ``href`` again and get the error. It takes no part in equality. Forms
+    with the same ``href`` share one immutable ``GattUri``.
     """
 
     href: str
@@ -137,16 +139,34 @@ class Diagnostic:
 # --- context and term resolution ---------------------------------------------
 
 
+# Both splits depend on their text alone, never on a TD's prefix bindings,
+# so one process-wide cache serves every TD.
+@_memoised
+def _split_curie(term: str) -> tuple[str, str] | None:
+    """``(prefix, local part)`` of a CURIE; None for a plain term or an IRI."""
+    m = _CURIE_RE.match(term)
+    return None if m is None else m.groups()
+
+
+@lru_cache(maxsize=_CACHE_SIZE)  # given expanded IRIs only, so always a str
+def _split_vocab(iri: str) -> tuple[str, str] | None:
+    """``(vocabulary IRI, local name)`` for an IRI in a known vocabulary."""
+    for vocab in (SBO_IRI, BDO_IRI, RDF_IRI, QUDT_IRI):
+        if iri.startswith(vocab):
+            return vocab, iri[len(vocab):]
+    return None
+
+
 class _Context:
     def __init__(self, prefixes: dict):
         self.prefixes = prefixes
 
     def expand(self, term: str) -> str | None:
         """Expand a CURIE against declared prefixes; None for plain terms."""
-        m = _CURIE_RE.match(term)
-        if m is None:
+        curie = _split_curie(term)
+        if curie is None:
             return None
-        prefix, local = m.group(1), m.group(2)
+        prefix, local = curie
         iri = self.prefixes.get(prefix)
         if iri is None:
             raise UnknownPrefix(f"prefix {prefix!r} is not declared in @context")
@@ -155,22 +175,15 @@ class _Context:
     def vocab_term(self, key: str) -> tuple[str, str] | None:
         """Return (vocab IRI, local name) for keys in a known vocabulary."""
         expanded = self.expand(key)
-        if expanded is None:
-            return None
-        for iri in (SBO_IRI, BDO_IRI, RDF_IRI, QUDT_IRI):
-            if expanded.startswith(iri):
-                return iri, expanded[len(iri):]
-        return None
+        return None if expanded is None else _split_vocab(expanded)
 
     def local_name(self, value: str) -> str:
         """Strip a declared prefix off a CURIE value; bare names pass through."""
         expanded = self.expand(value)
         if expanded is None:
             return value
-        for iri in (SBO_IRI, BDO_IRI, QUDT_IRI, RDF_IRI):
-            if expanded.startswith(iri):
-                return expanded[len(iri):]
-        return expanded
+        resolved = _split_vocab(expanded)
+        return expanded if resolved is None else resolved[1]
 
 
 def _parse_context(raw) -> dict:

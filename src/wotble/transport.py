@@ -595,8 +595,11 @@ def _parse_characteristic(body, mac: str) -> SimCharacteristic:
         notify = tuple(bytes.fromhex(h) for h in notify_hex)
     except ValueError as exc:
         raise InvalidConfig(f"device {mac}: bad hex value: {exc}") from exc
+    allowed_raw = body.get("allowed", ["read"])
+    if not isinstance(allowed_raw, list):
+        raise InvalidConfig(f"device {mac}: allowed must be a list of method names")
     allowed = []
-    for method in body.get("allowed", ["read"]):
+    for method in allowed_raw:
         try:
             allowed.append(GattMethod(method))
         except ValueError:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 import uuid
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache, wraps
 
 from .errors import BadDeviceId, BadScheme, BadStructure, BadUuid
 
@@ -28,13 +28,36 @@ _UUID128_RE = re.compile(
 )
 _UUID16_RE = re.compile(r"^[0-9A-Fa-f]{4}$")
 
+#: Distinct texts each parser remembers; beyond that the least recent go.
+_CACHE_SIZE = 256
+
+
+def _memoised(parse):
+    """Wrap a pure text parser so each text is parsed once per process.
+
+    Only results are kept, and they are immutable, so callers share them.
+    Invalid text raises anew on every call. Input that is not a ``str``
+    skips the cache, so it fails exactly as ``parse`` makes it fail.
+    """
+    cached = lru_cache(maxsize=_CACHE_SIZE)(parse)
+
+    @wraps(parse)
+    def parse_once(text):
+        return cached(text) if type(text) is str else parse(text)
+
+    parse_once.cache_info = cached.cache_info
+    return parse_once
+
 
 @dataclass(frozen=True)
 class GattUri:
     """A parsed gatt:// resource locator.
 
     ``device_id`` is the canonical uppercase colon-separated MAC; ``service``
-    and ``characteristic`` are full 128-bit UUIDs.
+    and ``characteristic`` are full 128-bit UUIDs. ``parse_gatt_uri`` hands
+    every caller of one text the same value, so its ``text`` is formatted
+    once rather than once per caller; the value is immutable and safe to
+    share.
     """
 
     device_id: str
@@ -50,6 +73,7 @@ class GattUri:
         return self.text
 
 
+@_memoised
 def normalize_mac(text: str) -> str:
     """Return the canonical ``HH:HH:HH:HH:HH:HH`` uppercase form of a MAC."""
     if not _MAC_RE.match(text):
@@ -64,6 +88,7 @@ def expand_uuid(short: int) -> uuid.UUID:
     return uuid.UUID(f"0000{short:04x}-0000-1000-8000-00805f9b34fb")
 
 
+@_memoised
 def parse_uuid(text: str) -> uuid.UUID:
     """Parse a UUID segment: canonical 128-bit form or 4-hex-digit short form."""
     if _UUID16_RE.match(text):
@@ -73,6 +98,7 @@ def parse_uuid(text: str) -> uuid.UUID:
     raise BadUuid(f"not a 4-hex short UUID or canonical 128-bit UUID: {text!r}")
 
 
+@_memoised
 def parse_gatt_uri(text: str) -> GattUri:
     """Parse a gatt:// URI into its device, service, and characteristic."""
     m = _SCHEME_RE.match(text)

@@ -36,6 +36,7 @@ WRONG_TYPED_CONFIGS = [
     _one_device(services=[1]),
     _one_characteristic(valueHex=12),
     _one_characteristic(notifySequenceHex=[1]),
+    _one_characteristic(allowed=5),
 ]
 
 DELIVERY_THREAD = "wotble-sim-delivery"

@@ -2,6 +2,7 @@ import json
 import queue
 import sys
 import threading
+from types import SimpleNamespace
 
 import pytest
 
@@ -147,6 +148,27 @@ def test_interactions_reuse_what_the_first_call_resolved(monkeypatch):
             name = ("moisture", "temperature")[i % 2]
             assert sensor.read_property(name) == pytest.approx(SENSOR_VALUES[name])
     net.close()
+
+
+def test_parsing_reuses_each_term_uuid_and_mac(monkeypatch):
+    with make_network(clock=VirtualClock(), auto_notify=False) as net:
+        fixtures = (LAMP_TD, SENSOR_TD, BEACON_TD)
+        first = [parse_td_file(path) for path in fixtures]
+        beacon = consume(first[2], SimTransport(net, timeout_s=60.0))
+        received: queue.Queue = queue.Queue()
+        beacon.subscribe_event("temperature", received.put)
+        emit_beacon(net, 1)
+        assert received.get(timeout=2.0) == pytest.approx(0.1)
+
+        def recomputed(*_args, **_kwargs):
+            raise AssertionError("parsed again after the first time")
+
+        monkeypatch.setattr("wotble.uris.uuid", SimpleNamespace(UUID=recomputed))
+        monkeypatch.setattr("wotble.td._CURIE_RE", SimpleNamespace(match=recomputed))
+        assert [parse_td_file(path) for path in fixtures] == first
+        emit_beacon(net, 2)
+        assert received.get(timeout=2.0) == pytest.approx(0.2)
+        beacon.disconnect()
 
 
 def non_gatt_first_form(form: dict) -> None:
@@ -451,6 +473,95 @@ def test_explicit_disconnect_ends_subscriptions_at_once():
         assert live_subscriptions(net) == 0
         thing.unsubscribe_event(subscriptions[0])  # a no-op
         assert not any(entry[0] == "unsubscribe" for entry in transport.trace)
+
+
+def test_listener_may_call_back_while_disconnect_runs(monkeypatch):
+    net = make_network(clock=VirtualClock(), auto_notify=False)
+    thing, transport = beacon_reader(net, ConnectionPolicy.KEEP_CONNECTED)
+    in_listener, at_transport = threading.Event(), threading.Event()
+    seen = []
+
+    def listener(value):
+        in_listener.set()
+        at_transport.wait(5.0)
+        seen.append(thing.connected)  # takes the thing's lock
+
+    def reaching_the_transport(call):
+        def spy(*args):
+            at_transport.set()
+            return call(*args)
+        return spy
+
+    # The listener calls back once disconnect() has reached the transport.
+    for name in ("unsubscribe", "disconnect"):
+        monkeypatch.setattr(transport, name,
+                            reaching_the_transport(getattr(transport, name)))
+    subscription = thing.subscribe_event("temperature", listener)
+    emit_beacon(net, 1)
+    assert in_listener.wait(5.0)
+    worker = threading.Thread(target=thing.disconnect, daemon=True)
+    worker.start()
+    worker.join(5.0)
+    assert not worker.is_alive(), "disconnect() and the listener deadlocked"
+    assert seen == [True]
+    assert not subscription.active and not thing.connected
+    assert live_subscriptions(net) == 0
+    # Not in a finally: close() would join a deadlocked delivery thread.
+    net.close()
+
+
+def test_concurrent_disconnects_let_listeners_call_back():
+    net = make_network(clock=VirtualClock(), auto_notify=False)
+    thing, _ = beacon_reader(net, ConnectionPolicy.KEEP_CONNECTED)
+    errors, subscriptions = [], []
+
+    def listener(value):
+        try:
+            assert thing.read_property("temperature") == pytest.approx(25.0)
+        except Exception as exc:
+            errors.append(exc)
+
+    def churn():
+        try:
+            for _ in range(50):
+                subscriptions.append(thing.subscribe_event("temperature", listener))
+                emit_beacon(net, 1)
+                thing.disconnect()
+        except Exception as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=churn, daemon=True) for _ in range(4)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(30.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers), "deadlocked"
+    assert errors == [] and thing._subscriptions == [] and net._subscriptions == {}
+    assert not any(s.active or s._listening for s in subscriptions)
+    # Not in a finally: close() would join a deadlocked delivery thread.
+    net.close()
+
+
+def test_disconnect_accepts_a_link_dropped_underneath():
+    with make_network(clock=VirtualClock(), auto_notify=False) as net:
+        sensor, sensor_link = sensor_thing(net)
+        beacon, beacon_link = beacon_reader(net, ConnectionPolicy.KEEP_CONNECTED)
+        assert sensor.read_property("moisture") == 42
+        subscription = beacon.subscribe_event("temperature", print)
+        sensor_link.disconnect(SENSOR_MAC)
+        beacon_link.disconnect(BEACON_MAC)
+        for thing in (sensor, beacon):
+            thing.disconnect()
+            assert not thing.connected
+        assert not subscription.active and beacon._subscriptions == []
+        assert sensor.read_property("moisture") == 42
+        assert beacon.read_property("temperature") == pytest.approx(25.0)
+        beacon.disconnect()
 
 
 @pytest.mark.parametrize("policy, cycles", [

@@ -2,8 +2,11 @@ import json
 
 import pytest
 
+import wotble.td as td_module
+
 from wotble import (
     BdoSpec,
+    BleMetadata,
     DiagnosticCode,
     Endianess,
     GapRole,
@@ -172,8 +175,12 @@ def test_undeclared_prefix_is_rejected():
     doc = json.loads(td_doc())
     doc["@context"] = ["https://www.w3.org/2022/wot/td/v1", {"bdo": CONTEXT[1]["bdo"]}]
     doc["sbo:isConnectable"] = True
-    with pytest.raises(UnknownPrefix):
-        parse_td(json.dumps(doc))
+    raised = []
+    for _ in range(2):  # the failure is not remembered: it is raised anew
+        with pytest.raises(UnknownPrefix) as exc_info:
+            parse_td(json.dumps(doc))
+        raised.append(exc_info.value)
+    assert raised[0] is not raised[1] and str(raised[0]) == str(raised[1])
 
 
 def test_missing_bytelength_is_required():
@@ -256,6 +263,32 @@ def test_renamed_prefix_resolves_by_iri():
     td = parse_td(json.dumps(doc))
     assert td.metadata.is_connectable is True
     assert td.properties["level"].bdo.bytelength == 2
+
+
+def test_prefix_bindings_stay_with_their_document():
+    fixtures = (LAMP_TD, SENSOR_TD, BEACON_TD)
+    for path in fixtures:
+        assert parse_td_file(path).metadata.is_connectable is True
+    doc = json.loads(td_doc())
+    doc["@context"] = [CONTEXT[0], {**CONTEXT[1], "sbo": "https://example.com/other#"}]
+    doc["sbo:isConnectable"] = False
+    doc["sbo:hasGAPRole"] = "sbo:peripheral"
+    doc["properties"]["level"]["forms"][0]["sbo:methodName"] = "sbo:read"
+    td = parse_td(json.dumps(doc))
+    assert td.metadata == BleMetadata()
+    assert td.extensions == {"sbo:isConnectable": False, "sbo:hasGAPRole": "sbo:peripheral"}
+    assert td.properties["level"].forms[0].method_name is None
+    for path in fixtures:  # nor does the foreign binding reach the fixtures
+        assert parse_td_file(path).metadata.gap_role is GapRole.PERIPHERAL
+
+
+def test_term_caches_stay_bounded():
+    doc = json.loads(td_doc())
+    doc.update({f"sbo:term{i}": i for i in range(1_000)})
+    assert len(parse_td(json.dumps(doc)).extensions) == 1_000
+    for split in (td_module._split_curie, td_module._split_vocab):
+        info = split.cache_info()
+        assert 0 < info.currsize <= info.maxsize
 
 
 def test_method_name_resolution():

@@ -5,6 +5,7 @@ import pytest
 
 from wotble import GattUri, expand_uuid, format_gatt_uri, parse_gatt_uri
 from wotble.errors import BadDeviceId, BadScheme, BadStructure, BadUuid
+from wotble.uris import normalize_mac, parse_uuid
 
 FULL_FFF0 = "0000fff0-0000-1000-8000-00805f9b34fb"
 FULL_FFF3 = "0000fff3-0000-1000-8000-00805f9b34fb"
@@ -121,3 +122,38 @@ def test_short_and_expanded_spellings_are_equivalent():
         a = parse_gatt_uri(f"gatt://AA:BB:CC:DD:EE:FF/{short:04x}/{short:04X}")
         b = parse_gatt_uri(f"gatt://AA:BB:CC:DD:EE:FF/{expanded}/{expanded.upper()}")
         assert a == b
+
+
+# --- each text is parsed once per process ----------------------------------------
+
+@pytest.mark.parametrize("parse, text, error, message", [
+    (normalize_mac, "AA:BB:CC:DD:EE", BadDeviceId, "not a 6-octet MAC"),
+    (parse_uuid, "fff", BadUuid, "not a 4-hex short UUID"),
+    (parse_gatt_uri, "gatt://AA:BB:CC:DD:EE:FF/fff0/xyz", BadUuid, "not a 4-hex"),
+    (normalize_mac, ["AA:BB:CC:DD:EE:FF"], TypeError, "expected string"),
+])
+def test_invalid_input_raises_anew_on_every_call(parse, text, error, message):
+    size = parse.cache_info().currsize
+    raised = []
+    for _ in range(2):
+        with pytest.raises(error, match=message) as exc_info:
+            parse(text)
+        raised.append(exc_info.value)
+    assert raised[0] is not raised[1] and str(raised[0]) == str(raised[1])
+    assert parse.cache_info().currsize == size
+
+
+def test_parsed_values_are_shared():
+    text = f"gatt://be-58-30-00-cc-11/{FULL_FFF0}/fff3"
+    uri = parse_gatt_uri(text)
+    assert parse_gatt_uri(text) is uri
+    assert parse_gatt_uri(text).text is uri.text
+
+
+def test_caches_stay_bounded():
+    for i in range(10_000):
+        mac = "-".join(f"{octet:02x}" for octet in i.to_bytes(6, "big"))
+        parse_gatt_uri(f"gatt://{mac}/fff0/{i % 0x10000:04x}")
+    for parse in (normalize_mac, parse_uuid, parse_gatt_uri):
+        info = parse.cache_info()
+        assert 0 < info.currsize <= info.maxsize
