@@ -29,7 +29,7 @@ from .codec import (
     get_codec,
     register_codec,
 )
-from .consumer import ConnectionPolicy, ConsumedThing, Subscription, consume, expose
+from .consumer import ConnectionPolicy, ConsumedThing, Subscription, consume
 from .td import (
     Affordance,
     BleMetadata,
@@ -50,9 +50,7 @@ from .transport import (
     SimPeripheral,
     SimTransport,
     TransportContract,
-    create_host_transport,
     load_sim_config,
-    register_host_backend,
 )
 from .uris import GattUri, expand_uuid, format_gatt_uri, parse_gatt_uri
 
@@ -91,12 +89,10 @@ __all__ = [
     "WotOperation",
     "compile_pattern",
     "consume",
-    "create_host_transport",
     "decode",
     "encode",
     "errors",
     "expand_uuid",
-    "expose",
     "format_gatt_uri",
     "get_codec",
     "load_bench_plan",
@@ -106,7 +102,6 @@ __all__ = [
     "parse_td",
     "parse_td_file",
     "register_codec",
-    "register_host_backend",
     "resolve_form",
     "run_bench",
     "time_operation",

@@ -27,7 +27,7 @@ from .clock import RealClock
 from .consumer import ConnectionPolicy, ConsumedThing, consume
 from .errors import AllSamplesFailed, NotConnected, PlanError
 from .td import parse_td_file
-from .transport import SimTransport, create_host_transport, load_sim_config
+from .transport import open_transport
 
 BENCH_OPERATIONS = ("connect", "disconnect", "read")
 
@@ -83,6 +83,8 @@ class BenchPlan:
             )
         if "read" in self.operations and not self.property:
             raise PlanError("a 'read' benchmark needs a property name")
+        if isinstance(self.timeout_ms, bool) or not isinstance(self.timeout_ms, (int, float)):
+            raise PlanError("timeoutMs must be a number")
 
 
 def load_bench_plan(path) -> BenchPlan:
@@ -97,6 +99,8 @@ def load_bench_plan(path) -> BenchPlan:
     base = path.parent
 
     transport = raw.get("transport", "sim:network.sim.json")
+    if not isinstance(transport, str):
+        raise PlanError("transport must be a 'sim:<config path>' string")
     if transport.startswith("sim:"):
         transport = "sim:" + str((base / transport[4:]).resolve())
 
@@ -160,8 +164,9 @@ def run_bench(plan: BenchPlan, clock=None, transport=None) -> list[BenchStats]:
     """
     network = None
     if transport is None:
-        transport = _create_transport(plan, clock)
-        network = getattr(transport, "network", None)
+        transport = open_transport(plan.transport, clock=clock, seed=plan.seed,
+                                   timeout_s=plan.timeout_ms / 1000.0)
+        network = transport.network
     try:
         timer = getattr(transport, "clock", None) or clock or RealClock()
         thing = consume(parse_td_file(plan.td_path), transport, plan.policy)
@@ -192,15 +197,6 @@ def run_bench(plan: BenchPlan, clock=None, transport=None) -> list[BenchStats]:
     finally:
         if network is not None:
             network.close()  # stops the delivery thread of the network built here
-
-
-def _create_transport(plan: BenchPlan, clock):
-    if plan.transport.startswith("sim:"):
-        network = load_sim_config(plan.transport[4:], clock=clock, seed=plan.seed)
-        return SimTransport(network, timeout_s=plan.timeout_ms / 1000.0)
-    if plan.transport == "host":
-        return create_host_transport()
-    raise PlanError(f"unknown transport {plan.transport!r}; use 'sim:<path>' or 'host'")
 
 
 # --- output formats ------------------------------------------------------------

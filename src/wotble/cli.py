@@ -25,7 +25,7 @@ from .errors import (
     WotBleError,
 )
 from .td import Severity, parse_td_file, validate_td
-from .transport import SimTransport, create_host_transport, load_sim_config
+from .transport import load_sim_config, open_transport
 
 USAGE_ERROR = 2
 INTERACTION_ERROR = 1
@@ -38,7 +38,7 @@ def _add_global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
         return argparse.SUPPRESS if suppress else value
 
     parser.add_argument("--transport", default=d(None),
-                        help="'sim:<config.json>' or 'host'")
+                        help="'sim:<config.json>'")
     parser.add_argument("--seed", type=int, default=d(None),
                         help="RNG seed for the simulated network")
     parser.add_argument("--timeout-ms", type=float, default=d(10_000.0))
@@ -55,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wotble",
         description="Interact with Bluetooth LE Things described by a TD, "
-                    "over a simulated or host GATT transport.",
+                    "over a simulated GATT transport.",
     )
     _add_global_flags(parser, suppress=False)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -100,27 +100,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _make_transport(args):
-    if not args.transport:
-        raise PlanError("this command needs --transport sim:<config> or host")
-    if args.transport.startswith("sim:"):
-        network = load_sim_config(args.transport[4:], seed=args.seed)
-        return SimTransport(network, timeout_s=args.timeout_ms / 1000.0)
-    if args.transport == "host":
-        return create_host_transport()
-    raise PlanError(f"unknown transport {args.transport!r}")
-
-
 @contextmanager
 def _consumed(args):
     """Yield the TD's ConsumedThing; closes the simulated network built for it."""
     td = parse_td_file(args.td)
-    transport = _make_transport(args)
+    if not args.transport:
+        raise PlanError("this command needs --transport sim:<config>")
+    transport = open_transport(args.transport, seed=args.seed,
+                               timeout_s=args.timeout_ms / 1000.0)
     try:
         yield consume(td, transport, ConnectionPolicy(args.policy))
     finally:
-        if isinstance(transport, SimTransport):
-            transport.network.close()
+        transport.network.close()
 
 
 def _emit(args, payload: dict, plain) -> None:

@@ -24,7 +24,6 @@ from .errors import (
     MixedDevices,
     MultiPropertyError,
     NotConnected,
-    NotSupported,
     OutOfRange,
     UnknownAffordance,
     UnsupportedMediaType,
@@ -76,11 +75,6 @@ def consume(td: ThingDescription, transport: TransportContract,
             diagnostics=errors,
         )
     return ConsumedThing(td, transport, policy)
-
-
-def expose(*_args, **_kwargs):
-    """Server-side exposing is not part of this client-only binding."""
-    raise NotSupported("this binding is a GATT client; it cannot expose Things")
 
 
 class ConsumedThing:

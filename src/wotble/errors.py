@@ -150,7 +150,7 @@ class ValueTooLong(TransportError):
 
 
 class TransportUnavailable(TransportError):
-    """Requested transport backend is not available in this environment."""
+    """The simulated network behind the transport is closed."""
 
 
 # --- consumer -------------------------------------------------------------------
@@ -173,10 +173,6 @@ class UnknownAffordance(ConsumerError):
 
 class MixedDevices(ConsumerError):
     """Forms of one TD reference more than one device MAC."""
-
-
-class NotSupported(ConsumerError):
-    """Server-side exposing of Things is not part of this client binding."""
 
 
 class MultiPropertyError(ConsumerError):

@@ -412,9 +412,13 @@ def _parse_form(body, ctx: _Context, category: str, name: str) -> Form:
     for key, value in body.items():
         resolved = ctx.vocab_term(key)
         if resolved and resolved == (SBO_IRI, "methodName"):
+            if not isinstance(value, str):
+                raise MalformedDocument(f"form of {name!r}: sbo:methodName must be a string")
             method_name = parse_method(ctx.local_name(value))
 
     content_type = body.get("contentType", BINARY_DATA_STREAM)
+    if not isinstance(content_type, str):
+        raise MalformedDocument(f"form of {name!r}: contentType must be a string")
     return Form(href=href, op=ops, method_name=method_name, content_type=content_type)
 
 
@@ -451,6 +455,8 @@ def _build_bdo_spec(terms: dict, ctx: _Context, name: str) -> BdoSpec:
         raise MissingRequired(f"{name!r}: {exc}") from exc
     except CodecError as exc:
         raise MalformedDocument(f"{name!r}: {exc}") from exc
+    except TypeError as exc:
+        raise MalformedDocument(f"{name!r}: a bdo term has the wrong type: {exc}") from exc
 
 
 def _parse_variable(var_name: str, body, ctx: _Context) -> VariableSpec:

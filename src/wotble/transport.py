@@ -8,8 +8,9 @@ observes a peripheral after a delay uniformly distributed over its
 advertising interval, plus a configurable fixed processing delay. All waits
 go through a pluggable clock, so tests can run on virtual time.
 
-A host-OS Bluetooth backend can be plugged in through
-:func:`register_host_backend`; none ships with the package.
+Any other backend implements :class:`TransportContract` and is handed to
+``consume`` directly; :func:`open_transport` builds the simulated one from a
+``sim:<config path>`` spec.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import json
 import random
 import threading
 import uuid as uuidlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from queue import SimpleQueue
 from typing import Callable
@@ -36,6 +37,7 @@ from .errors import (
     NotConnected,
     NotFound,
     Timeout,
+    TransportError,
     TransportUnavailable,
     ValueTooLong,
 )
@@ -44,13 +46,6 @@ from .uris import GattUri, normalize_mac, parse_uuid
 MAX_VALUE_OCTETS = 512
 
 Sink = Callable[[bytes], None]
-
-
-@dataclass(frozen=True)
-class Session:
-    """Handle for one established central-to-peripheral connection."""
-
-    device_id: str
 
 
 @dataclass(frozen=True)
@@ -78,7 +73,7 @@ class TransportContract(abc.ABC):
     def stop_discovery(self) -> None: ...
 
     @abc.abstractmethod
-    def connect(self, device_id: str) -> Session: ...
+    def connect(self, device_id: str) -> None: ...
 
     @abc.abstractmethod
     def disconnect(self, device_id: str) -> None: ...
@@ -175,6 +170,10 @@ class SimNetwork:
 
     Lifecycle:
 
+    * Only the network's methods change a device's ``connected_by``, a
+      characteristic's value and write log, and the subscription registry:
+      :meth:`attach`, :meth:`detach`, :meth:`store`, :meth:`subscribe` and
+      :meth:`unsubscribe`.
     * The subscription registry holds live subscriptions only: unsubscribing
       removes the entry, and nothing is delivered to it after
       ``unsubscribe`` returns, not even a value already queued.
@@ -249,19 +248,98 @@ class SimNetwork:
             phase_ms = self._rng.uniform(0.0, peripheral.advertising_interval_ms)
         return (phase_ms + self.processing_delay_ms) / 1000.0
 
+    # -- links
+
+    def attach(self, mac: str, central, timeout_s: float) -> None:
+        """Discover ``mac`` and give ``central`` the device's single link.
+
+        ``mac`` is canonical. Waits out the discovery delay, or ``timeout_s``
+        when the device never advertises in time, and then the link setup.
+        """
+        peripheral = self._peripherals.get(mac)
+        if peripheral is None:
+            self.clock.sleep(timeout_s)
+            raise NotFound(f"device {mac} never advertised within {timeout_s:.3f} s")
+        delay_s = self.discovery_delay_s(peripheral)
+        if delay_s > timeout_s:
+            self.clock.sleep(timeout_s)
+            raise Timeout(f"device {mac} not discovered within {timeout_s:.3f} s")
+        self.clock.sleep(delay_s)
+        with self._lock:
+            if not peripheral.connectable:
+                raise NotConnectable(f"device {mac} does not accept connections")
+            if peripheral.connected_by is not None:
+                raise Busy(f"device {mac} already holds its single connection")
+            peripheral.connected_by = central
+        self.clock.sleep(self.connect_setup_ms / 1000.0)
+
+    def linked(self, mac: str, central) -> SimPeripheral:
+        """The peripheral ``central`` holds the link to; ``mac`` is canonical.
+
+        Takes no lock, as it runs on every read and write.
+        """
+        peripheral = self._peripherals.get(mac)
+        if peripheral is None or peripheral.connected_by is not central:
+            raise NotConnected(f"not connected to {mac}")
+        return peripheral
+
+    def detach(self, mac: str, central) -> None:
+        """End ``central``'s link to ``mac`` and its subscriptions there."""
+        peripheral = self.linked(mac, central)
+        with self._lock:
+            subs = [s for lst in self._subscriptions.values() for s in lst
+                    if s.transport is central and s.uri.device_id == mac]
+        for sub in subs:
+            self.unsubscribe(sub)
+        self.clock.sleep(self.disconnect_latency_ms / 1000.0)
+        with self._lock:
+            if peripheral.connected_by is central:
+                peripheral.connected_by = None
+
+    def store(self, char: SimCharacteristic, payload: bytes, with_response: bool) -> None:
+        """Commit a written value and append it to the write log."""
+        with self._lock:
+            char.value = payload
+            char.write_log.append(
+                WriteRecord(self.clock.monotonic(), payload, with_response)
+            )
+
     # -- notifications
 
     def _require_open(self) -> None:
         if self._closed:
             raise TransportUnavailable("the simulated network is closed")
 
-    def _register(self, sub: _Subscription, backlog) -> None:
-        """Add ``sub`` to the registry and queue ``backlog`` for it alone."""
+    def subscribe(self, uri: GattUri, sink: Sink, central,
+                  char: SimCharacteristic) -> _Subscription:
+        """Register a live subscription of ``central`` to ``uri``.
+
+        With ``auto_notify`` the characteristic's script is queued in the
+        same critical section, for this subscriber alone.
+        """
+        sub = _Subscription(uri, sink, central)
         with self._lock:
             self._require_open()
             self._subscriptions.setdefault(sub.key, []).append(sub)
-            for payload in backlog:
-                self._queue.put((sub, payload))
+            if self.auto_notify:
+                for payload in char.notify_source:
+                    self._queue.put((sub, payload))
+        return sub
+
+    def unsubscribe(self, sub: _Subscription) -> None:
+        """End ``sub``: nothing is delivered to it once this returns."""
+        on_worker = threading.get_ident() == self._worker.ident
+        with self._cond:
+            if sub.active:
+                sub.active = False
+                live = self._subscriptions[sub.key]
+                live.remove(sub)
+                if not live:
+                    del self._subscriptions[sub.key]
+            # Skip the wait for a running delivery when called from the
+            # delivery thread itself.
+            while sub.delivering and not on_worker:
+                self._cond.wait()
 
     def emit(self, device_id: str, service, characteristic, payload: bytes) -> None:
         """Deliver one notification value to all active subscribers."""
@@ -287,27 +365,6 @@ class SimNetwork:
             char._notify_cursor += 1
         self.emit(device_id, service, characteristic, payload)
         return payload
-
-    def _cancel_subscription(self, sub: _Subscription) -> None:
-        on_worker = threading.get_ident() == self._worker.ident
-        with self._cond:
-            if sub.active:
-                sub.active = False
-                live = self._subscriptions[sub.key]
-                live.remove(sub)
-                if not live:
-                    del self._subscriptions[sub.key]
-            # Guarantees nothing is delivered after unsubscribe returns;
-            # skip the wait when called from the delivery thread itself.
-            while sub.delivering and not on_worker:
-                self._cond.wait()
-
-    def _cancel_device_subscriptions(self, device_id: str, transport) -> None:
-        with self._lock:
-            subs = [s for lst in self._subscriptions.values() for s in lst
-                    if s.transport is transport and s.uri.device_id == device_id]
-        for sub in subs:
-            self._cancel_subscription(sub)
 
     def _deliver_loop(self) -> None:
         while True:
@@ -347,9 +404,10 @@ class SimTransport(TransportContract):
     """A simulated central attached to a :class:`SimNetwork`.
 
     The central is connected to a device exactly when the device's
-    ``connected_by`` is this transport; the link is recorded nowhere else.
-    Safe for concurrent use; every public call is appended to ``trace`` as a
-    ``(operation, detail)`` tuple for test inspection.
+    ``connected_by`` is this transport; the link is recorded nowhere else,
+    and only the network's methods change it. Safe for concurrent use;
+    every public call is appended to ``trace`` as an ``(operation, detail)``
+    tuple for test inspection.
     """
 
     def __init__(self, network: SimNetwork, timeout_s: float = 10.0):
@@ -371,52 +429,30 @@ class SimTransport(TransportContract):
 
     # -- connections
 
-    def connect(self, device_id: str) -> Session:
+    def connect(self, device_id: str) -> None:
         mac = normalize_mac(device_id)
-        peripheral = self.network._peripherals.get(mac)
-        if peripheral is None:
-            self.clock.sleep(self.timeout_s)
+        try:
+            self.network.attach(mac, self, self.timeout_s)
+        except TransportError:
             self.trace.append(("connect_failed", mac))
-            raise NotFound(f"device {mac} never advertised within "
-                           f"{self.timeout_s:.3f} s")
-        delay_s = self.network.discovery_delay_s(peripheral)
-        if delay_s > self.timeout_s:
-            self.clock.sleep(self.timeout_s)
-            self.trace.append(("connect_failed", mac))
-            raise Timeout(f"device {mac} not discovered within {self.timeout_s:.3f} s")
-        self.clock.sleep(delay_s)
-        with self.network._lock:
-            if not peripheral.connectable:
-                self.trace.append(("connect_failed", mac))
-                raise NotConnectable(f"device {mac} does not accept connections")
-            if peripheral.connected_by is not None:
-                self.trace.append(("connect_failed", mac))
-                raise Busy(f"device {mac} already holds its single connection")
-            peripheral.connected_by = self
-        self.clock.sleep(self.network.connect_setup_ms / 1000.0)
+            raise
         self.trace.append(("connect", mac))
-        return Session(device_id=mac)
 
     def disconnect(self, device_id: str) -> None:
         mac = normalize_mac(device_id)
-        peripheral = self._connected_peripheral(mac)
-        self.network._cancel_device_subscriptions(mac, self)
-        self.clock.sleep(self.network.disconnect_latency_ms / 1000.0)
-        with self.network._lock:
-            if peripheral.connected_by is self:
-                peripheral.connected_by = None
+        self.network.detach(mac, self)
         self.trace.append(("disconnect", mac))
 
     def is_connected(self, device_id: str) -> bool:
         try:
-            self._connected_peripheral(normalize_mac(device_id))
+            self.network.linked(normalize_mac(device_id), self)
         except NotConnected:
             return False
         return True
 
     def discover_gatt(self, device_id: str) -> GattTree:
         mac = normalize_mac(device_id)
-        peripheral = self._connected_peripheral(mac)
+        peripheral = self.network.linked(mac, self)
         self.trace.append(("discover_gatt", mac))
         return peripheral.gatt_tree()
 
@@ -439,38 +475,24 @@ class SimTransport(TransportContract):
         if with_response:
             # Confirmation round trip; write-without-response completes on send.
             self.clock.sleep(self.network.write_latency_ms / 1000.0)
-        with self.network._lock:
-            char.value = payload
-            char.write_log.append(
-                WriteRecord(self.clock.monotonic(), payload, with_response)
-            )
+        self.network.store(char, payload, with_response)
         self.trace.append(("write", str(uri), payload.hex(), with_response))
 
     def subscribe(self, uri: GattUri, sink: Sink):
         char = self._attribute(uri, GattMethod.NOTIFY)
-        sub = _Subscription(uri, sink, self)
-        # The script is this subscriber's alone; emit() would send it to all.
-        backlog = char.notify_source if self.network.auto_notify else ()
-        self.network._register(sub, backlog)
+        sub = self.network.subscribe(uri, sink, self, char)
         self.trace.append(("subscribe", str(uri)))
         return sub
 
     def unsubscribe(self, handle) -> None:
         if isinstance(handle, _Subscription):
-            self.network._cancel_subscription(handle)
+            self.network.unsubscribe(handle)
             self.trace.append(("unsubscribe", str(handle.uri)))
 
     # -- helpers
 
-    def _connected_peripheral(self, mac: str) -> SimPeripheral:
-        """The peripheral this central holds the link to; ``mac`` is canonical."""
-        peripheral = self.network._peripherals.get(mac)
-        if peripheral is None or peripheral.connected_by is not self:
-            raise NotConnected(f"not connected to {mac}")
-        return peripheral
-
     def _attribute(self, uri: GattUri, method: GattMethod) -> SimCharacteristic:
-        char = self._connected_peripheral(uri.device_id).characteristic(
+        char = self.network.linked(uri.device_id, self).characteristic(
             uri.service, uri.characteristic
         )
         if method not in char.allowed:
@@ -607,21 +629,16 @@ def _parse_characteristic(body, mac: str) -> SimCharacteristic:
     return SimCharacteristic(value=value, allowed=allowed, notify_source=notify)
 
 
-# --- host backend slot --------------------------------------------------------------
-
-_host_backend_factory: Callable[..., TransportContract] | None = None
+# --- transport specs ----------------------------------------------------------------
 
 
-def register_host_backend(factory: Callable[..., TransportContract]) -> None:
-    """Install a factory for the host-OS Bluetooth backend."""
-    global _host_backend_factory
-    _host_backend_factory = factory
+def open_transport(spec: str, clock=None, seed: int | None = None,
+                   timeout_s: float = 10.0) -> SimTransport:
+    """A central on a new network loaded from a ``sim:<config path>`` spec.
 
-
-def create_host_transport(**kwargs) -> TransportContract:
-    if _host_backend_factory is None:
-        raise TransportUnavailable(
-            "no host Bluetooth backend registered; use the simulated transport "
-            "or call register_host_backend() with a platform implementation"
-        )
-    return _host_backend_factory(**kwargs)
+    The caller closes ``transport.network`` when done with it.
+    """
+    if not spec.startswith("sim:"):
+        raise InvalidConfig(f"unknown transport {spec!r}; use 'sim:<config path>'")
+    return SimTransport(load_sim_config(spec[4:], clock=clock, seed=seed),
+                        timeout_s=timeout_s)

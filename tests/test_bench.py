@@ -73,6 +73,8 @@ def test_load_plan_resolves_paths_relative_to_plan_file():
     {"operations": ["connect", "teleport"]},
     {"operations": []},
     {"operations": ["read"], "property": None},
+    {"transport": 5},
+    {"timeoutMs": "5"},
 ])
 def test_invalid_plans_are_rejected(tmp_path, overrides):
     raw = json.loads(BENCH_PLAN.read_text())

@@ -115,9 +115,10 @@ def test_missing_transport_is_usage_error(capsys):
 
 
 def test_host_transport_unavailable(capsys):
+    # Only simulated transports can be named; any other spec is a usage error.
     code, _, err = run(capsys, "read", SENSOR_TD, "moisture", "--transport", "host")
-    assert code == 1
-    assert "backend" in err
+    assert code == 2
+    assert "unknown transport 'host'" in err
 
 
 def test_bench_csv_output(capsys):
@@ -141,6 +142,16 @@ def test_bench_table_output(capsys):
 def test_bench_missing_plan_is_usage_error(capsys):
     code, _, _ = run(capsys, "bench", "no-such-plan.json")
     assert code == 2
+
+
+def test_bench_wrong_typed_plan_is_usage_error(capsys, tmp_path):
+    raw = json.loads(BENCH_PLAN.read_text())
+    raw.update(td=str(SENSOR_TD), transport=f"sim:{NETWORK_CONFIG}", timeoutMs="5")
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(raw))
+    code, _, err = run(capsys, "bench", plan, "--virtual-clock")
+    assert code == 2
+    assert err.startswith("error:") and "timeoutMs" in err
 
 
 def test_sim_serve_lists_devices(capsys):

@@ -12,7 +12,6 @@ from wotble import (
     SimTransport,
     VirtualClock,
     consume,
-    expose,
     parse_gatt_uri,
     parse_td,
     parse_td_file,
@@ -24,7 +23,6 @@ from wotble.errors import (
     MethodNotPermitted,
     MixedDevices,
     MultiPropertyError,
-    NotSupported,
     OutOfRange,
     Timeout,
     UnknownAffordance,
@@ -246,11 +244,6 @@ def test_action_uses_write_without_response():
     with pytest.raises(ValueTooLong):
         thing.write_raw("power", bytes(513))
     net.close()
-
-
-def test_exposing_is_not_supported():
-    with pytest.raises(NotSupported):
-        expose(parse_td_file(LAMP_TD))
 
 
 def test_mixed_device_tds_are_rejected_on_connect():

@@ -1,0 +1,26 @@
+import importlib
+
+import pytest
+
+import wotble
+
+#: Public names deleted with the features they served, by module.
+REMOVED = {
+    "wotble": ("Session", "expose", "register_host_backend", "create_host_transport"),
+    "wotble.transport": ("Session", "register_host_backend", "create_host_transport",
+                         "_host_backend_factory"),
+    "wotble.consumer": ("expose",),
+    "wotble.errors": ("NotSupported",),
+}
+
+
+@pytest.mark.parametrize("name", wotble.__all__)
+def test_every_exported_name_resolves(name):
+    assert getattr(wotble, name) is not None
+
+
+@pytest.mark.parametrize("module, name",
+                         [(m, n) for m, names in REMOVED.items() for n in names])
+def test_removed_names_are_gone(module, name):
+    assert name not in getattr(importlib.import_module(module), "__all__", ())
+    assert not hasattr(importlib.import_module(module), name)

@@ -191,6 +191,20 @@ def test_missing_bytelength_is_required():
         parse_td(json.dumps(doc))
 
 
+@pytest.mark.parametrize("in_form, term, value", [
+    (True, "sbo:methodName", ["sbo:write"]),
+    (True, "contentType", 5),
+    (False, "bdo:bytelength", "1"),
+    (False, "bdo:scale", "0.1"),
+])
+def test_wrong_typed_terms_are_malformed(in_form, term, value):
+    doc = json.loads(td_doc())
+    level = doc["properties"]["level"]
+    (level["forms"][0] if in_form else level)[term] = value
+    with pytest.raises(MalformedDocument):
+        parse_td(json.dumps(doc))
+
+
 def test_unsupported_operation_is_rejected():
     doc = json.loads(td_doc())
     doc["properties"]["level"]["forms"][0]["op"] = "observeproperty"

@@ -15,12 +15,10 @@ from wotble import (
     SimTransport,
     VirtualClock,
     consume,
-    create_host_transport,
     expand_uuid,
     load_sim_config,
     parse_gatt_uri,
     parse_td_file,
-    register_host_backend,
 )
 from wotble.errors import (
     Busy,
@@ -383,30 +381,6 @@ def test_characteristic_value_cap():
         SimCharacteristic(value=bytes(513))
 
 
-# --- host backend slot ----------------------------------------------------------------------
-
-def test_host_backend_unregistered_is_unavailable():
-    import wotble.transport as transport_module
-    saved = transport_module._host_backend_factory
-    transport_module._host_backend_factory = None
-    try:
-        with pytest.raises(TransportUnavailable):
-            create_host_transport()
-    finally:
-        transport_module._host_backend_factory = saved
-
-
-def test_registered_host_backend_is_used():
-    import wotble.transport as transport_module
-    saved = transport_module._host_backend_factory
-    sentinel = object()
-    register_host_backend(lambda **kw: sentinel)
-    try:
-        assert create_host_transport() is sentinel
-    finally:
-        transport_module._host_backend_factory = saved
-
-
 # --- subscription registry and network lifecycle -----------------------------------------
 
 def beacon_thing(net, policy=ConnectionPolicy.RECONNECT_PER_OPERATION):
@@ -431,8 +405,8 @@ def test_disconnect_cancels_only_live_subscriptions(monkeypatch):
         thing.subscribe_event("temperature", print)
         thing.transport.subscribe(BEACON_URI, print)  # a second live one
         cancels = []
-        cancel = net._cancel_subscription
-        monkeypatch.setattr(net, "_cancel_subscription",
+        cancel = net.unsubscribe
+        monkeypatch.setattr(net, "unsubscribe",
                             lambda sub: cancels.append(sub) or cancel(sub))
         live = live_subscriptions(net)
         thing.disconnect()  # the 100th
@@ -502,7 +476,8 @@ def test_hand_built_uri_with_non_canonical_mac_is_not_connected():
 def test_session_calls_accept_any_mac_spelling(spelling):
     with virtual_network() as net:
         t = SimTransport(net, timeout_s=1.0)
-        assert t.connect(spelling).device_id == LAMP_MAC
+        t.connect(spelling)
+        assert net.peripheral(LAMP_MAC).connected_by is t
         assert t.is_connected(spelling)
         assert set(t.discover_gatt(spelling).services) == {uuid.UUID(LAMP_SERVICE)}
         t.disconnect(spelling)
