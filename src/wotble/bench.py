@@ -71,10 +71,15 @@ class BenchPlan:
     timeout_ms: float = 10_000.0
 
     def __post_init__(self):
+        for name in ("repetitions", "warmup"):
+            if not _is_int(getattr(self, name)):
+                raise PlanError(f"{name} must be an integer")
         if self.repetitions < 1:
             raise PlanError("repetitions must be >= 1")
         if self.warmup < 0:
             raise PlanError("warmup must be >= 0")
+        if self.seed is not None and not _is_int(self.seed):
+            raise PlanError("seed must be an integer or null")
         unknown = [op for op in self.operations if op not in BENCH_OPERATIONS]
         if unknown or not self.operations:
             raise PlanError(
@@ -85,6 +90,11 @@ class BenchPlan:
             raise PlanError("a 'read' benchmark needs a property name")
         if isinstance(self.timeout_ms, bool) or not isinstance(self.timeout_ms, (int, float)):
             raise PlanError("timeoutMs must be a number")
+
+
+def _is_int(value) -> bool:
+    """True for an ``int`` that is not a ``bool``, as JSON true is no count."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def load_bench_plan(path) -> BenchPlan:

@@ -18,6 +18,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from typing import Mapping, Union
 
 from .errors import (
@@ -55,9 +56,16 @@ class VariableType(str, Enum):
     STRING_HEX = "string-hex"
 
 
+_STRING_HEX = VariableType.STRING_HEX
+
+
 @dataclass(frozen=True)
 class VariableSpec:
-    """Description of one ``{name}`` placeholder inside a pattern."""
+    """Description of one ``{name}`` placeholder inside a pattern.
+
+    ``_byteorder`` is derived: ``endianess`` as ``int.to_bytes`` spells it,
+    set once at construction and left out of equality and repr.
+    """
 
     name: str
     data_type: VariableType = VariableType.INTEGER
@@ -66,10 +74,12 @@ class VariableSpec:
     endianess: Endianess = Endianess.LITTLE
     minimum: int | None = None
     maximum: int | None = None
+    _byteorder: str = field(default="little", init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.bytelength < 1:
             raise BadValue(f"variable {self.name!r}: bytelength must be >= 1")
+        object.__setattr__(self, "_byteorder", self.endianess.byteorder)
 
 
 @dataclass(frozen=True)
@@ -80,6 +90,12 @@ class BdoSpec:
     offset 0, scale 1.0. ``bytelength`` is required unless a pattern supplies
     the layout; when a pattern is present every placeholder must have an
     entry in ``variables``.
+
+    Three fields are derived once at construction, for every later encode
+    and decode, and take no part in equality or repr: ``_layout``, the
+    compiled pattern (None without one); ``_byteorder``, ``endianess`` as
+    ``int.to_bytes`` spells it; and ``_end``, ``offset + bytelength``, where
+    a scalar value's octets end (None without a bytelength).
     """
 
     bytelength: int | None = None
@@ -91,6 +107,8 @@ class BdoSpec:
     variables: Mapping[str, VariableSpec] = field(default_factory=dict)
     _layout: "PatternLayout | None" = field(default=None, init=False, compare=False,
                                             repr=False)
+    _byteorder: str = field(default="little", init=False, compare=False, repr=False)
+    _end: int | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.pattern is None and self.bytelength is None:
@@ -104,7 +122,10 @@ class BdoSpec:
         if self.pattern is not None:
             # Validates placeholder coverage and literal runs up front, and
             # keeps the result for every later encode and decode.
-            object.__setattr__(self, "_layout", compile_pattern(self.pattern, self.variables))
+            object.__setattr__(self, "_layout", _shared_layout(self.pattern, self.variables))
+        object.__setattr__(self, "_byteorder", self.endianess.byteorder)
+        if self.bytelength is not None:
+            object.__setattr__(self, "_end", self.offset + self.bytelength)
 
     def layout(self) -> "PatternLayout":
         if self._layout is None:
@@ -165,6 +186,30 @@ def compile_pattern(pattern: str, variables: Mapping[str, VariableSpec]) -> Patt
     return PatternLayout(tuple(segments))
 
 
+#: Distinct (pattern, variable sizes) pairs whose layout is kept.
+_LAYOUT_CACHE_SIZE = 256
+
+
+def _shared_layout(pattern: str, variables: Mapping[str, VariableSpec]) -> PatternLayout:
+    """``compile_pattern``, run once per pattern text and variable sizes.
+
+    A layout depends only on the pattern and each variable's bytelength, so
+    specs that agree on those share one. Failures are not kept: they raise
+    anew on every call. A pattern that is not a ``str`` skips the cache, so
+    it fails exactly as ``compile_pattern`` makes it fail.
+    """
+    if type(pattern) is not str:
+        return compile_pattern(pattern, variables)
+    return _layout_of(pattern, tuple((name, var.bytelength)
+                                     for name, var in variables.items()))
+
+
+@lru_cache(maxsize=_LAYOUT_CACHE_SIZE)
+def _layout_of(pattern: str, sizes: tuple) -> PatternLayout:
+    return compile_pattern(pattern, {name: VariableSpec(name, bytelength=bytelength)
+                                     for name, bytelength in sizes})
+
+
 def _append_literal(segments: list, run: str) -> None:
     if not run:
         return
@@ -194,22 +239,18 @@ def _to_raw_integer(value: Scalar, scale: float) -> int:
     return round(value / scale)
 
 
-def _encode_integer(raw: int, bytelength: int, signed: bool, endianess: Endianess) -> bytes:
+def _encode_integer(raw: int, bytelength: int, signed: bool, byteorder: str) -> bytes:
     lo, hi = _int_bounds(bytelength, signed)
     if not lo <= raw <= hi:
         raise OutOfRange(
             f"{raw} not representable in {bytelength} octet(s) "
             f"({'signed' if signed else 'unsigned'})"
         )
-    return raw.to_bytes(bytelength, endianess.byteorder, signed=signed)
-
-
-def _decode_integer(octets: bytes, signed: bool, endianess: Endianess) -> int:
-    return int.from_bytes(octets, endianess.byteorder, signed=signed)
+    return raw.to_bytes(bytelength, byteorder, signed=signed)
 
 
 def _encode_variable(var: VariableSpec, value) -> bytes:
-    if var.data_type is VariableType.STRING_HEX:
+    if var.data_type is _STRING_HEX:
         if not isinstance(value, str):
             raise BadValue(f"variable {var.name!r} expects hex text")
         try:
@@ -228,13 +269,13 @@ def _encode_variable(var: VariableSpec, value) -> bytes:
         raise OutOfRange(f"variable {var.name!r}: {value} below minimum {var.minimum}")
     if var.maximum is not None and value > var.maximum:
         raise OutOfRange(f"variable {var.name!r}: {value} above maximum {var.maximum}")
-    return _encode_integer(value, var.bytelength, var.signed, var.endianess)
+    return _encode_integer(value, var.bytelength, var.signed, var._byteorder)
 
 
 def _decode_variable(var: VariableSpec, octets: bytes):
-    if var.data_type is VariableType.STRING_HEX:
+    if var.data_type is _STRING_HEX:
         return octets.hex()
-    return _decode_integer(octets, var.signed, var.endianess)
+    return int.from_bytes(octets, var._byteorder, signed=var.signed)
 
 
 def encode(value: Value, spec: BdoSpec) -> bytes:
@@ -251,7 +292,7 @@ def encode(value: Value, spec: BdoSpec) -> bytes:
         if isinstance(value, Mapping):
             raise BadValue("scalar spec got a mapping; no pattern is defined")
         raw = _to_raw_integer(value, spec.scale)
-        body = _encode_integer(raw, spec.bytelength, spec.signed, spec.endianess)
+        body = _encode_integer(raw, spec.bytelength, spec.signed, spec._byteorder)
         payload = bytes(spec.offset) + body
     if len(payload) > MAX_PAYLOAD_OCTETS:
         raise AttLengthExceeded(
@@ -281,13 +322,13 @@ def decode(payload: bytes, spec: BdoSpec) -> Value:
     """
     if spec.pattern is not None:
         return _decode_pattern(payload, spec)
-    end = spec.offset + spec.bytelength
+    end = spec._end
     if len(payload) < end:
         raise TooShort(
             f"payload has {len(payload)} octet(s), spec reads octets "
             f"[{spec.offset}, {end})"
         )
-    raw = _decode_integer(payload[spec.offset:end], spec.signed, spec.endianess)
+    raw = int.from_bytes(payload[spec.offset:end], spec._byteorder, signed=spec.signed)
     if spec.scale == 1:
         return raw
     return raw * spec.scale

@@ -50,6 +50,15 @@ class ConnectionPolicy(str, Enum):
     DISCONNECT_AFTER = "disconnect_after"
 
 
+# Bound once: every interaction compares against these, and a module name is
+# cheaper to read than an enum member.
+_KEEP_CONNECTED = ConnectionPolicy.KEEP_CONNECTED
+_RECONNECT_PER_OPERATION = ConnectionPolicy.RECONNECT_PER_OPERATION
+_READPROPERTY = WotOperation.READPROPERTY
+_WRITEPROPERTY = WotOperation.WRITEPROPERTY
+_WRITE = GattMethod.WRITE
+
+
 @dataclass
 class Subscription:
     thing: "ConsumedThing"
@@ -94,6 +103,10 @@ class ConsumedThing:
     codec on first use and reused after that, so the TD must not be mutated
     after ``consume``. Failed resolutions are not kept: they raise again on
     every call.
+
+    An operation calls ``connect()`` only while the thing is disconnected,
+    so on a link that is already up it takes the thing's lock once and does
+    not re-enter ``connect()``.
     """
 
     def __init__(self, td: ThingDescription, transport: TransportContract,
@@ -187,12 +200,12 @@ class ConsumedThing:
     # -- single-affordance interactions
 
     def read_property(self, name: str):
-        _, request, codec = self._resolve("properties", name, WotOperation.READPROPERTY)
+        _, request, codec = self._resolve("properties", name, _READPROPERTY)
         codec = _require_codec(request, codec)
         return codec.decode(self._run(self.transport.read, request.uri), request.spec)
 
     def write_property(self, name: str, value) -> None:
-        self._write_value("properties", name, WotOperation.WRITEPROPERTY, value)
+        self._write_value("properties", name, _WRITEPROPERTY, value)
 
     def invoke_action(self, name: str, value) -> None:
         self._write_value("actions", name, WotOperation.INVOKEACTION, value)
@@ -302,15 +315,15 @@ class ConsumedThing:
 
     def read_raw(self, name: str) -> bytes:
         """Escape hatch: read a property's octets without decoding."""
-        _, request, _ = self._resolve("properties", name, WotOperation.READPROPERTY)
+        _, request, _ = self._resolve("properties", name, _READPROPERTY)
         return self._run(self.transport.read, request.uri)
 
     def write_raw(self, name: str, payload: bytes,
                   with_response: bool | None = None) -> None:
         """Escape hatch: write raw octets, bypassing the codec."""
-        _, request, _ = self._resolve("properties", name, WotOperation.WRITEPROPERTY)
+        _, request, _ = self._resolve("properties", name, _WRITEPROPERTY)
         if with_response is None:
-            with_response = request.method is GattMethod.WRITE
+            with_response = request.method is _WRITE
         self._run(self.transport.write, request.uri, payload, with_response)
 
     # -- internals
@@ -341,8 +354,7 @@ class ConsumedThing:
         affordance, request, codec = self._resolve(category, name, op)
         self._check_bounds(affordance, value)
         payload = _require_codec(request, codec).encode(value, request.spec)
-        self._run(self.transport.write, request.uri, payload,
-                  request.method is GattMethod.WRITE)
+        self._run(self.transport.write, request.uri, payload, request.method is _WRITE)
 
     def _check_bounds(self, affordance: Affordance, value) -> None:
         if not isinstance(value, (int, float)) or isinstance(value, bool):
@@ -362,15 +374,14 @@ class ConsumedThing:
         when the call raises.
         """
         with self._lock:
-            if (self.policy is ConnectionPolicy.RECONNECT_PER_OPERATION
-                    and not self._subscriptions):
+            if self.policy is _RECONNECT_PER_OPERATION and not self._subscriptions:
                 self.disconnect()
-            self.connect()
+            if not self._connected:
+                self.connect()
             try:
                 return call(*args)
             finally:
-                if (self.policy is not ConnectionPolicy.KEEP_CONNECTED
-                        and not self._subscriptions):
+                if self.policy is not _KEEP_CONNECTED and not self._subscriptions:
                     self.disconnect()
 
 

@@ -487,7 +487,14 @@ def _parse_variable(var_name: str, body, ctx: _Context) -> VariableSpec:
             fields["maximum"] = value
     if "bytelength" not in fields:
         raise MissingRequired(f"variable {var_name!r} has no bdo:bytelength")
-    return VariableSpec(name=var_name, **fields)
+    try:
+        return VariableSpec(name=var_name, **fields)
+    except CodecError as exc:  # its message names the variable
+        raise MalformedDocument(str(exc)) from exc
+    except TypeError as exc:
+        raise MalformedDocument(
+            f"variable {var_name!r}: a bdo term has the wrong type: {exc}"
+        ) from exc
 
 
 def _parse_endianess(value, ctx: _Context, name: str) -> Endianess:

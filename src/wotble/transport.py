@@ -47,6 +47,13 @@ MAX_VALUE_OCTETS = 512
 
 Sink = Callable[[bytes], None]
 
+# Bound once for the per-call checks; a module name is cheaper to read than
+# an enum member.
+_READ = GattMethod.READ
+_WRITE = GattMethod.WRITE
+_WRITE_WITHOUT_RESPONSE = GattMethod.WRITE_WITHOUT_RESPONSE
+_NOTIFY = GattMethod.NOTIFY
+
 
 @dataclass(frozen=True)
 class GattTree:
@@ -122,7 +129,13 @@ class SimCharacteristic:
 
 
 class SimPeripheral:
-    """Definition plus runtime state of one simulated device."""
+    """Definition plus runtime state of one simulated device.
+
+    ``services`` maps service UUID to characteristic UUID to
+    :class:`SimCharacteristic`. It is fixed once the peripheral is defined:
+    an index by canonical ``gatt://`` text, built from it here, serves the
+    transport's per-call lookup.
+    """
 
     def __init__(self, device_id: str, advertising_interval_ms: float,
                  connectable: bool = True, services: dict | None = None):
@@ -133,6 +146,11 @@ class SimPeripheral:
         self.connectable = bool(connectable)
         self.services: dict = services or {}
         self.connected_by = None  # the SimTransport holding the single connection
+        self._by_uri: dict[str, SimCharacteristic] = {
+            GattUri(self.device_id, svc, char).text: chr_obj
+            for svc, chars in self.services.items()
+            for char, chr_obj in chars.items()
+        }
 
     def characteristic(self, service: uuidlib.UUID, characteristic: uuidlib.UUID
                        ) -> SimCharacteristic:
@@ -346,7 +364,7 @@ class SimNetwork:
         svc, chr_ = _as_uuid(service), _as_uuid(characteristic)
         peripheral = self.peripheral(device_id)
         char = peripheral.characteristic(svc, chr_)
-        if GattMethod.NOTIFY not in char.allowed:
+        if _NOTIFY not in char.allowed:
             raise MethodNotPermitted("characteristic does not allow notify")
         payload = bytes(payload)
         # Queued under the lock, so nothing lands behind close()'s stop marker.
@@ -459,42 +477,44 @@ class SimTransport(TransportContract):
     # -- attribute operations
 
     def read(self, uri: GattUri) -> bytes:
-        char = self._attribute(uri, GattMethod.READ)
-        self.clock.sleep(self.network.read_latency_ms / 1000.0)
-        self.trace.append(("read", str(uri)))
+        char = self._attribute(uri, _READ)
+        network = self.network
+        network.clock.sleep(network.read_latency_ms / 1000.0)
+        self.trace.append(("read", uri.text))
         return bytes(char.value)
 
     def write(self, uri: GattUri, payload: bytes, with_response: bool) -> None:
-        method = GattMethod.WRITE if with_response else GattMethod.WRITE_WITHOUT_RESPONSE
-        char = self._attribute(uri, method)
+        char = self._attribute(uri, _WRITE if with_response else _WRITE_WITHOUT_RESPONSE)
         payload = bytes(payload)
         if len(payload) > MAX_VALUE_OCTETS:
             raise ValueTooLong(
                 f"payload is {len(payload)} octets, ATT allows at most {MAX_VALUE_OCTETS}"
             )
+        network = self.network
         if with_response:
             # Confirmation round trip; write-without-response completes on send.
-            self.clock.sleep(self.network.write_latency_ms / 1000.0)
-        self.network.store(char, payload, with_response)
-        self.trace.append(("write", str(uri), payload.hex(), with_response))
+            network.clock.sleep(network.write_latency_ms / 1000.0)
+        network.store(char, payload, with_response)
+        self.trace.append(("write", uri.text, payload.hex(), with_response))
 
     def subscribe(self, uri: GattUri, sink: Sink):
-        char = self._attribute(uri, GattMethod.NOTIFY)
+        char = self._attribute(uri, _NOTIFY)
         sub = self.network.subscribe(uri, sink, self, char)
-        self.trace.append(("subscribe", str(uri)))
+        self.trace.append(("subscribe", uri.text))
         return sub
 
     def unsubscribe(self, handle) -> None:
         if isinstance(handle, _Subscription):
             self.network.unsubscribe(handle)
-            self.trace.append(("unsubscribe", str(handle.uri)))
+            self.trace.append(("unsubscribe", handle.uri.text))
 
     # -- helpers
 
     def _attribute(self, uri: GattUri, method: GattMethod) -> SimCharacteristic:
-        char = self.network.linked(uri.device_id, self).characteristic(
-            uri.service, uri.characteristic
-        )
+        peripheral = self.network.linked(uri.device_id, self)
+        char = peripheral._by_uri.get(uri.text)
+        if char is None:  # not in the index: raises NoSuchAttribute
+            char = peripheral.characteristic(uri.service, uri.characteristic)
         if method not in char.allowed:
             raise MethodNotPermitted(
                 f"{method.value} not permitted on {uri.characteristic}; "

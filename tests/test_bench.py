@@ -75,6 +75,10 @@ def test_load_plan_resolves_paths_relative_to_plan_file():
     {"operations": ["read"], "property": None},
     {"transport": 5},
     {"timeoutMs": "5"},
+    {"warmup": 1.5},
+    {"repetitions": 2.5},
+    {"seed": [1]},
+    {"seed": True},
 ])
 def test_invalid_plans_are_rejected(tmp_path, overrides):
     raw = json.loads(BENCH_PLAN.read_text())

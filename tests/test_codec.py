@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+import wotble.codec as codec_module
+
 from wotble import BdoSpec, Endianess, VariableSpec, VariableType, compile_pattern
 from wotble.codec import (
     LiteralSegment,
@@ -155,6 +157,75 @@ def test_spec_keeps_its_compiled_layout():
     object.__setattr__(other, "_layout", None)
     assert other == spec
     assert "layout" not in repr(spec)
+
+
+def test_equal_patterns_share_one_compiled_layout(monkeypatch):
+    spec = lamp_spec()
+    # Only the pattern and each variable's bytelength shape the layout.
+    same_sizes = BdoSpec(pattern=LAMP_PATTERN,
+                         variables={"on": VariableSpec("on", bytelength=1, signed=True)})
+    assert same_sizes.layout() is spec.layout()
+    wider = BdoSpec(pattern=LAMP_PATTERN, variables={"on": VariableSpec("on", bytelength=2)})
+    assert wider.layout().total_octets == spec.layout().total_octets + 1
+
+    def recompiled(*_args, **_kwargs):
+        raise AssertionError("pattern compiled again")
+
+    monkeypatch.setattr("wotble.codec.compile_pattern", recompiled)
+    assert lamp_spec().layout() is spec.layout()
+
+
+@pytest.mark.parametrize("pattern, error", [
+    ("7e{off}ef", MissingVariable),
+    ("7e0{on}", BadHexPattern),
+])
+def test_failed_pattern_compiles_raise_anew(pattern, error):
+    raised = []
+    for _ in range(2):
+        with pytest.raises(error) as exc_info:
+            BdoSpec(pattern=pattern, variables=LAMP_VARS)
+        raised.append(exc_info.value)
+    assert raised[0] is not raised[1] and str(raised[0]) == str(raised[1])
+
+
+def test_compiled_layout_cache_stays_bounded():
+    for index in range(codec_module._LAYOUT_CACHE_SIZE + 50):
+        BdoSpec(pattern=f"{index:04x}{{on}}", variables=LAMP_VARS)
+    info = codec_module._layout_of.cache_info()
+    assert info.currsize <= info.maxsize == codec_module._LAYOUT_CACHE_SIZE
+
+
+@pytest.mark.parametrize("scale", [1, 0.1])
+@pytest.mark.parametrize("offset", [0, 2])
+@pytest.mark.parametrize("signed", [False, True])
+@pytest.mark.parametrize("endianess", list(Endianess))
+def test_scalar_codec_matches_int_bytes(endianess, signed, offset, scale):
+    spec = BdoSpec(bytelength=2, signed=signed, endianess=endianess, offset=offset,
+                   scale=scale)
+    byteorder = "little" if endianess is Endianess.LITTLE else "big"
+    lo, hi = (-0x8000, 0x7FFF) if signed else (0, 0xFFFF)
+    for raw in (lo, lo + 1, 0, 1, 0x1234, hi - 1, hi):
+        payload = bytes(offset) + raw.to_bytes(2, byteorder, signed=signed)
+        value = decode(payload, spec)
+        assert value == (raw if scale == 1 else pytest.approx(raw * scale))
+        assert encode(value, spec) == payload
+        assert int.from_bytes(payload[offset:], byteorder, signed=signed) == raw
+    with pytest.raises(TooShort, match=rf"reads octets \[{offset}, {offset + 2}\)"):
+        decode(bytes(offset + 1), spec)
+
+
+def test_derived_fields_take_no_part_in_equality_or_repr():
+    spec = BdoSpec(bytelength=2, endianess=Endianess.BIG, offset=2)
+    var = VariableSpec("x", endianess=Endianess.BIG)
+    assert (spec._byteorder, spec._end, var._byteorder) == ("big", 4, "big")
+    twin = BdoSpec(bytelength=2, endianess=Endianess.BIG, offset=2)
+    twin_var = VariableSpec("x", endianess=Endianess.BIG)
+    object.__setattr__(twin, "_byteorder", "little")
+    object.__setattr__(twin, "_end", None)
+    object.__setattr__(twin_var, "_byteorder", "little")
+    assert twin == spec and twin_var == var and hash(twin_var) == hash(var)
+    for text in (repr(spec), repr(var)):
+        assert "_byteorder" not in text and "_end" not in text
 
 
 def test_encode_substitutes_variable_into_pattern():

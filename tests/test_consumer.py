@@ -7,8 +7,11 @@ from types import SimpleNamespace
 import pytest
 
 from wotble import (
+    ConsumedThing,
     ConnectionPolicy,
+    Endianess,
     GattMethod,
+    SimPeripheral,
     SimTransport,
     VirtualClock,
     consume,
@@ -137,6 +140,12 @@ def test_interactions_reuse_what_the_first_call_resolved(monkeypatch):
     monkeypatch.setattr("wotble.codec.compile_pattern", recomputed)
     monkeypatch.setattr("wotble.consumer.resolve_form", recomputed)
     log = net.characteristic(LAMP_MAC, LAMP_SERVICE, LAMP_CHAR).write_log
+    mixed_interactions(sensor, lamp, log)
+    net.close()
+
+
+def mixed_interactions(sensor, lamp, log) -> None:
+    """100 sensor reads and lamp writes (1 in 5), checked against the fixture."""
     for i in range(100):
         if i % 5 == 4:
             on = i % 2
@@ -145,7 +154,29 @@ def test_interactions_reuse_what_the_first_call_resolved(monkeypatch):
         else:
             name = ("moisture", "temperature")[i % 2]
             assert sensor.read_property(name) == pytest.approx(SENSOR_VALUES[name])
-    net.close()
+
+
+def test_a_kept_link_rederives_nothing(monkeypatch):
+    with make_network(clock=VirtualClock()) as net:
+        sensor, sensor_link = sensor_thing(net)
+        lamp, lamp_link = lamp_thing(net)
+        for name, value in SENSOR_VALUES.items():
+            assert sensor.read_property(name) == pytest.approx(value)
+        lamp.write_property("power", {"on": 0})
+        log = net.characteristic(LAMP_MAC, LAMP_SERVICE, LAMP_CHAR).write_log
+        entries = len(sensor_link.trace), len(lamp_link.trace)
+
+        def rederived(*_args, **_kwargs):
+            raise AssertionError("re-derived on a kept link")
+
+        monkeypatch.setattr(ConsumedThing, "connect", rederived)
+        monkeypatch.setattr(Endianess, "byteorder", property(rederived))
+        monkeypatch.setattr(SimPeripheral, "characteristic", rederived)
+        mixed_interactions(sensor, lamp, log)
+        # One trace entry per interaction, and no connect among them.
+        assert {entry[0] for entry in sensor_link.trace[entries[0]:]} == {"read"}
+        assert {entry[0] for entry in lamp_link.trace[entries[1]:]} == {"write"}
+        assert len(sensor_link.trace) + len(lamp_link.trace) == sum(entries) + 100
 
 
 def test_parsing_reuses_each_term_uuid_and_mac(monkeypatch):
@@ -163,6 +194,7 @@ def test_parsing_reuses_each_term_uuid_and_mac(monkeypatch):
 
         monkeypatch.setattr("wotble.uris.uuid", SimpleNamespace(UUID=recomputed))
         monkeypatch.setattr("wotble.td._CURIE_RE", SimpleNamespace(match=recomputed))
+        monkeypatch.setattr("wotble.codec.compile_pattern", recomputed)
         assert [parse_td_file(path) for path in fixtures] == first
         emit_beacon(net, 2)
         assert received.get(timeout=2.0) == pytest.approx(0.2)
@@ -573,6 +605,39 @@ def test_last_unsubscribe_restores_the_policy(policy, cycles):
         thing.read_property("temperature")
         assert (connect_count(transport), disconnect_count(transport)) == cycles
         assert not thing.connected
+
+
+CYCLE = ("connect", "discover_gatt")
+#: Trace operations of a read, a write and a raw read under each policy.
+POLICY_TRACES = {
+    (ConnectionPolicy.KEEP_CONNECTED, False):
+        CYCLE + ("read", "write", "read"),
+    (ConnectionPolicy.RECONNECT_PER_OPERATION, False):
+        CYCLE + ("read", "disconnect") + CYCLE + ("write", "disconnect")
+        + CYCLE + ("read", "disconnect"),
+    (ConnectionPolicy.DISCONNECT_AFTER, False):
+        CYCLE + ("read", "disconnect") + CYCLE + ("write", "disconnect")
+        + CYCLE + ("read", "disconnect"),
+    (ConnectionPolicy.KEEP_CONNECTED, True):
+        CYCLE + ("subscribe", "read", "write", "read"),
+    (ConnectionPolicy.RECONNECT_PER_OPERATION, True):
+        CYCLE + ("subscribe", "read", "write", "read"),
+    (ConnectionPolicy.DISCONNECT_AFTER, True):
+        CYCLE + ("subscribe", "read", "write", "read"),
+}
+
+
+@pytest.mark.parametrize("policy, pinned", list(POLICY_TRACES))
+def test_each_policy_gives_its_connect_sequence(policy, pinned):
+    with make_network(clock=VirtualClock(), auto_notify=False) as net:
+        thing, transport = beacon_reader(net, policy)
+        if pinned:
+            thing.subscribe_event("temperature", print)
+        assert thing.read_property("temperature") == pytest.approx(25.0)
+        thing.write_property("temperature", 3.0)
+        assert thing.read_raw("temperature") == bytes([30])
+        assert tuple(entry[0] for entry in transport.trace) == POLICY_TRACES[policy, pinned]
+        thing.disconnect()
 
 
 def test_concurrent_subscribers_leave_no_pin_behind():

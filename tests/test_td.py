@@ -196,6 +196,7 @@ def test_missing_bytelength_is_required():
     (True, "contentType", 5),
     (False, "bdo:bytelength", "1"),
     (False, "bdo:scale", "0.1"),
+    (False, "bdo:variable", {"on": {"bdo:bytelength": "1"}}),
 ])
 def test_wrong_typed_terms_are_malformed(in_form, term, value):
     doc = json.loads(td_doc())
