@@ -25,7 +25,7 @@ from pathlib import Path
 
 from .clock import RealClock
 from .consumer import ConnectionPolicy, ConsumedThing, consume
-from .errors import AllSamplesFailed, NotConnected, PlanError
+from .errors import AllSamplesFailed, NotConnected, PlanError, expect
 from .td import parse_td_file
 from .transport import open_transport
 
@@ -71,30 +71,24 @@ class BenchPlan:
     timeout_ms: float = 10_000.0
 
     def __post_init__(self):
-        for name in ("repetitions", "warmup"):
-            if not _is_int(getattr(self, name)):
-                raise PlanError(f"{name} must be an integer")
-        if self.repetitions < 1:
+        if expect(self.repetitions, int, PlanError, "repetitions") < 1:
             raise PlanError("repetitions must be >= 1")
-        if self.warmup < 0:
+        if expect(self.warmup, int, PlanError, "warmup") < 0:
             raise PlanError("warmup must be >= 0")
-        if self.seed is not None and not _is_int(self.seed):
-            raise PlanError("seed must be an integer or null")
+        if self.seed is not None:
+            expect(self.seed, int, PlanError, "seed")
         unknown = [op for op in self.operations if op not in BENCH_OPERATIONS]
         if unknown or not self.operations:
             raise PlanError(
                 f"operations must be a non-empty subset of {BENCH_OPERATIONS}, "
                 f"got {list(self.operations)}"
             )
+        if self.property is not None:
+            expect(self.property, str, PlanError, "property")
         if "read" in self.operations and not self.property:
             raise PlanError("a 'read' benchmark needs a property name")
-        if isinstance(self.timeout_ms, bool) or not isinstance(self.timeout_ms, (int, float)):
-            raise PlanError("timeoutMs must be a number")
-
-
-def _is_int(value) -> bool:
-    """True for an ``int`` that is not a ``bool``, as JSON true is no count."""
-    return isinstance(value, int) and not isinstance(value, bool)
+        if expect(self.timeout_ms, float, PlanError, "timeoutMs") <= 0:
+            raise PlanError("timeoutMs must be > 0")
 
 
 def load_bench_plan(path) -> BenchPlan:
@@ -102,41 +96,38 @@ def load_bench_plan(path) -> BenchPlan:
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8 or not JSON
         raise PlanError(f"cannot read bench plan {path}: {exc}") from exc
-    if not isinstance(raw, dict) or "td" not in raw:
-        raise PlanError("bench plan must be an object with a 'td' path")
+    expect(raw, dict, PlanError, "bench plan")
+    td = expect(raw.get("td"), str, PlanError, "td")
     base = path.parent
 
-    transport = raw.get("transport", "sim:network.sim.json")
-    if not isinstance(transport, str):
-        raise PlanError("transport must be a 'sim:<config path>' string")
+    transport = expect(raw.get("transport", "sim:network.sim.json"), str, PlanError,
+                       "transport")
     if transport.startswith("sim:"):
         transport = "sim:" + str((base / transport[4:]).resolve())
 
     operations = raw.get("operations", list(BENCH_OPERATIONS))
     if isinstance(operations, str):
         operations = [operations]
+    expect(operations, list, PlanError, "operations")
 
     try:
         policy = ConnectionPolicy(raw.get("policy", "keep_connected"))
     except ValueError as exc:
         raise PlanError(f"unknown policy {raw.get('policy')!r}") from exc
 
-    try:
-        return BenchPlan(
-            td_path=(base / raw["td"]).resolve(),
-            operations=tuple(operations),
-            repetitions=raw.get("repetitions", 25),
-            warmup=raw.get("warmup", 1),
-            transport=transport,
-            seed=raw.get("seed"),
-            property=raw.get("property"),
-            policy=policy,
-            timeout_ms=raw.get("timeoutMs", 10_000.0),
-        )
-    except TypeError as exc:
-        raise PlanError(f"bad bench plan field: {exc}") from exc
+    return BenchPlan(
+        td_path=(base / td).resolve(),
+        operations=tuple(operations),
+        repetitions=raw.get("repetitions", 25),
+        warmup=raw.get("warmup", 1),
+        transport=transport,
+        seed=raw.get("seed"),
+        property=raw.get("property"),
+        policy=policy,
+        timeout_ms=raw.get("timeoutMs", 10_000.0),
+    )
 
 
 def time_operation(operation: str, thing: ConsumedThing, clock,

@@ -245,9 +245,6 @@ def main(argv=None) -> int:
     except (TdError, InvalidTd, PlanError, InvalidConfig) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
     except WotBleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INTERACTION_ERROR

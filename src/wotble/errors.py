@@ -7,6 +7,34 @@ class WotBleError(Exception):
     """Base class for every error raised by this package."""
 
 
+# --- JSON field kinds ----------------------------------------------------------
+
+# The Python types ``json`` gives each kind, and how a message names it.
+# ``float`` stands for any JSON number, integers included.
+_JSON_KINDS = {
+    bool: (bool, "true or false"),
+    int: (int, "an integer"),
+    float: ((int, float), "a number"),
+    str: (str, "a string"),
+    list: (list, "an array"),
+    dict: (dict, "an object"),
+}
+
+
+def expect(value, kind: type, error: type, what: str, *args):
+    """Return ``value`` if it has the JSON ``kind``; raise ``error`` otherwise.
+
+    ``kind`` is ``bool``, ``int``, ``float`` (any number), ``str``, ``list``
+    or ``dict``. A JSON ``true`` or ``false`` has no kind but ``bool``, although
+    Python counts it as an ``int``. The message names the field: ``what``,
+    %-formatted with ``args`` only when the check fails.
+    """
+    types, name = _JSON_KINDS[kind]
+    if isinstance(value, types) and (kind is bool or value.__class__ is not bool):
+        return value
+    raise error(f"{what % args if args else what} must be {name}, got {value!r}")
+
+
 # --- Thing Description parsing ---------------------------------------------
 
 class TdError(WotBleError):

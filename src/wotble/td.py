@@ -5,7 +5,10 @@ and binary-layout annotations (``bdo:`` terms). Prefixes are resolved by
 literal string matching against the ``@context`` array, not by a full JSON-LD
 processor: a term like ``sbo:methodName`` is recognized when its declared
 prefix IRI is the Simple Bluetooth Ontology, whatever the prefix is named.
-Unknown terms are kept in a raw-extensions map rather than rejected.
+Unknown terms are kept in a raw-extensions map rather than rejected. A
+known term whose value has the wrong JSON type raises ``MalformedDocument``
+(``MissingRequired`` for a required ``title``, ``forms`` or ``href``); a
+JSON ``true`` or ``false`` is never a number.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .errors import (
     UnknownPrefix,
     UnsupportedUnit,
     UriError,
+    expect,
 )
 from .uris import GattUri, _CACHE_SIZE, _memoised, parse_gatt_uri
 
@@ -206,11 +210,7 @@ def _duration_ms(value, ctx: _Context, term: str) -> float:
     ``{"rdf:value": n, "qudt:unit": "qudt:MilliSEC"}``. Only MilliSEC and SEC
     are recognized.
     """
-    if isinstance(value, bool):
-        raise MalformedDocument(f"{term}: expected a duration, got a boolean")
-    if isinstance(value, (int, float)):
-        ms = float(value)
-    elif isinstance(value, dict):
+    if isinstance(value, dict):
         number = None
         unit = None
         for key, val in value.items():
@@ -220,20 +220,66 @@ def _duration_ms(value, ctx: _Context, term: str) -> float:
                 number = val
             elif local == "unit":
                 unit = val
-        if not isinstance(number, (int, float)) or isinstance(number, bool):
-            raise MalformedDocument(f"{term}: qudt duration lacks a numeric rdf:value")
-        unit_name = ctx.local_name(unit) if isinstance(unit, str) else None
-        if unit_name == "MilliSEC":
-            ms = float(number)
-        elif unit_name == "SEC":
-            ms = float(number) * 1000.0
-        else:
+        ms = float(expect(number, float, MalformedDocument, "%s: rdf:value", term))
+        unit_name = ctx.local_name(expect(unit, str, UnsupportedUnit, "%s: qudt:unit", term))
+        if unit_name == "SEC":
+            ms *= 1000.0
+        elif unit_name != "MilliSEC":
             raise UnsupportedUnit(f"{term}: unit {unit!r} is not MilliSEC or SEC")
     else:
-        raise MalformedDocument(f"{term}: expected a number or qudt duration object")
+        ms = float(expect(value, float, MalformedDocument, term))
     if ms <= 0:
         raise MalformedDocument(f"{term}: duration must be > 0, got {ms}")
     return ms
+
+
+def _gap_role(value, ctx: _Context, term: str) -> GapRole:
+    try:
+        return GapRole(ctx.local_name(expect(value, str, MalformedDocument, term)))
+    except ValueError:
+        raise MalformedDocument(f"unknown GAP role {value!r}") from None
+
+
+def _boolean(value, ctx: _Context, term: str) -> bool:
+    return expect(value, bool, MalformedDocument, term)
+
+
+#: sbo device metadata term -> (``BleMetadata`` field, reader of its value).
+_METADATA = {
+    "hasGAPRole": ("gap_role", _gap_role),
+    "isConnectable": ("is_connectable", _boolean),
+    "hasGATTLayer": ("has_gatt_layer", _boolean),
+    "hasAdvertisingInterval": ("advertising_interval_ms", _duration_ms),
+    "hasScanWindow": ("scan_window_ms", _duration_ms),
+    "scanWindow": ("scan_window_ms", _duration_ms),
+    "hasScanInterval": ("scan_interval_ms", _duration_ms),
+    "scanInterval": ("scan_interval_ms", _duration_ms),
+}
+
+#: JSON kind of each binary-layout term, on an affordance or a pattern
+#: variable; ``minimum`` and ``maximum`` bound an affordance's value too.
+_LAYOUT_KINDS = {
+    "bytelength": int,
+    "offset": int,
+    "signed": bool,
+    "scale": float,
+    "minimum": float,
+    "maximum": float,
+    "pattern": str,
+}
+_SPEC_TERMS = ("bytelength", "offset", "signed", "scale", "pattern")
+_VARIABLE_TERMS = ("bytelength", "signed", "minimum", "maximum")
+_BOUNDS = ("minimum", "maximum")
+
+
+def _layout_fields(terms: dict, names: tuple, what: str, owner: str) -> dict:
+    """The terms in ``names`` that ``terms`` declares, each checked for its kind.
+
+    ``what`` names a field in a message, formatted with ``owner`` and the term.
+    """
+    return {term: expect(terms[term], _LAYOUT_KINDS[term], MalformedDocument,
+                         what, owner, term)
+            for term in names if term in terms}
 
 
 # --- document parsing ----------------------------------------------------------
@@ -250,14 +296,13 @@ def parse_td(document: str) -> ThingDescription:
         doc = json.loads(document)
     except json.JSONDecodeError as exc:
         raise MalformedDocument(f"document is not JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise MalformedDocument("top-level JSON value is not a TD object")
+    expect(doc, dict, MalformedDocument, "top-level JSON value")
 
     prefixes = _parse_context(doc.get("@context"))
     ctx = _Context(prefixes)
 
     title = doc.get("title")
-    if not isinstance(title, str) or not title:
+    if not expect(title, str, MissingRequired, "title"):
         raise MissingRequired("TD has no title")
 
     meta: dict = {}
@@ -268,17 +313,16 @@ def parse_td(document: str) -> ThingDescription:
         if key in ("@context", "title"):
             continue
         if key in categories:
-            if not isinstance(value, dict):
-                raise MalformedDocument(f"{key} must be an object")
-            for name, body in value.items():
+            for name, body in expect(value, dict, MalformedDocument, key).items():
                 categories[key][name] = _parse_affordance(name, body, ctx, key)
             continue
         resolved = ctx.vocab_term(key)
-        if resolved and resolved[0] == SBO_IRI:
-            _apply_metadata_term(meta, resolved[1], value, ctx)
-            if resolved[1] in _METADATA_TERMS:
-                continue
-        extensions[key] = value
+        entry = _METADATA.get(resolved[1]) if resolved and resolved[0] == SBO_IRI else None
+        if entry is None:
+            extensions[key] = value
+        else:
+            field_name, read = entry
+            meta[field_name] = read(value, ctx, key)
 
     return ThingDescription(
         title=title,
@@ -292,44 +336,11 @@ def parse_td(document: str) -> ThingDescription:
 
 
 def parse_td_file(path) -> ThingDescription:
-    return parse_td(Path(path).read_text(encoding="utf-8"))
-
-
-_METADATA_TERMS = {
-    "hasGAPRole",
-    "isConnectable",
-    "hasGATTLayer",
-    "hasAdvertisingInterval",
-    "hasScanWindow",
-    "scanWindow",
-    "hasScanInterval",
-    "scanInterval",
-}
-
-
-def _apply_metadata_term(meta: dict, local: str, value, ctx: _Context) -> None:
-    if local == "hasGAPRole":
-        name = ctx.local_name(value) if isinstance(value, str) else value
-        try:
-            meta["gap_role"] = GapRole(name)
-        except ValueError:
-            raise MalformedDocument(f"unknown GAP role {value!r}") from None
-    elif local == "isConnectable":
-        meta["is_connectable"] = _require_bool(value, "sbo:isConnectable")
-    elif local == "hasGATTLayer":
-        meta["has_gatt_layer"] = _require_bool(value, "sbo:hasGATTLayer")
-    elif local == "hasAdvertisingInterval":
-        meta["advertising_interval_ms"] = _duration_ms(value, ctx, "advertisingInterval")
-    elif local in ("hasScanWindow", "scanWindow"):
-        meta["scan_window_ms"] = _duration_ms(value, ctx, "scanWindow")
-    elif local in ("hasScanInterval", "scanInterval"):
-        meta["scan_interval_ms"] = _duration_ms(value, ctx, "scanInterval")
-
-
-def _require_bool(value, term: str) -> bool:
-    if not isinstance(value, bool):
-        raise MalformedDocument(f"{term}: expected true/false, got {value!r}")
-    return value
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MalformedDocument(f"cannot read TD {path}: {exc}") from exc
+    return parse_td(text)
 
 
 _DEFAULT_OPS = {
@@ -340,15 +351,11 @@ _DEFAULT_OPS = {
 
 
 def _parse_affordance(name: str, body, ctx: _Context, category: str) -> Affordance:
-    if not isinstance(body, dict):
-        raise MalformedDocument(f"affordance {name!r} must be an object")
-
+    expect(body, dict, MalformedDocument, "affordance %r", name)
     bdo_terms: dict = {}
     extensions: dict = {}
     data_type = None
     fmt = None
-    minimum = None
-    maximum = None
     forms_raw = None
 
     for key, value in body.items():
@@ -363,11 +370,7 @@ def _parse_affordance(name: str, body, ctx: _Context, category: str) -> Affordan
         if key == "format":
             fmt = value
             continue
-        if key == "minimum":
-            minimum = value
-            continue
-        if key == "maximum":
-            maximum = value
+        if key in _BOUNDS:  # read below
             continue
         resolved = ctx.vocab_term(key)
         if resolved and resolved[0] == BDO_IRI:
@@ -375,7 +378,7 @@ def _parse_affordance(name: str, body, ctx: _Context, category: str) -> Affordan
         else:
             extensions[key] = value
 
-    if not isinstance(forms_raw, list) or not forms_raw:
+    if not expect(forms_raw, list, MissingRequired, "affordance %r: forms", name):
         raise MissingRequired(f"affordance {name!r} has no forms")
     forms = tuple(_parse_form(f, ctx, category, name) for f in forms_raw)
 
@@ -386,17 +389,15 @@ def _parse_affordance(name: str, body, ctx: _Context, category: str) -> Affordan
         data_type=data_type,
         format=fmt,
         bdo=bdo,
-        minimum=minimum,
-        maximum=maximum,
         extensions=extensions,
+        **_layout_fields(body, _BOUNDS, "%r: %s", name),
     )
 
 
 def _parse_form(body, ctx: _Context, category: str, name: str) -> Form:
-    if not isinstance(body, dict):
-        raise MalformedDocument(f"form of {name!r} must be an object")
+    expect(body, dict, MalformedDocument, "form of %r", name)
     href = body.get("href")
-    if not isinstance(href, str) or not href:
+    if not expect(href, str, MissingRequired, "form of %r: href", name):
         raise MissingRequired(f"form of {name!r} has no href")
 
     op_raw = body.get("op")
@@ -412,95 +413,62 @@ def _parse_form(body, ctx: _Context, category: str, name: str) -> Form:
     for key, value in body.items():
         resolved = ctx.vocab_term(key)
         if resolved and resolved == (SBO_IRI, "methodName"):
-            if not isinstance(value, str):
-                raise MalformedDocument(f"form of {name!r}: sbo:methodName must be a string")
-            method_name = parse_method(ctx.local_name(value))
+            method_name = parse_method(ctx.local_name(expect(
+                value, str, MalformedDocument, "form of %r: sbo:methodName", name)))
 
-    content_type = body.get("contentType", BINARY_DATA_STREAM)
-    if not isinstance(content_type, str):
-        raise MalformedDocument(f"form of {name!r}: contentType must be a string")
+    content_type = expect(body.get("contentType", BINARY_DATA_STREAM), str,
+                          MalformedDocument, "form of %r: contentType", name)
     return Form(href=href, op=ops, method_name=method_name, content_type=content_type)
 
 
 def _build_bdo_spec(terms: dict, ctx: _Context, name: str) -> BdoSpec:
     """Assemble a BdoSpec from the affordance's bdo:* terms, with defaults."""
-    pattern = terms.get("pattern")
     variables = {}
     if "variable" in terms:
-        raw_vars = terms["variable"]
-        if not isinstance(raw_vars, dict):
-            raise MalformedDocument(f"{name!r}: bdo:variable must be an object")
-        for var_name, var_body in raw_vars.items():
-            variables[var_name] = _parse_variable(var_name, var_body, ctx)
-    if pattern is not None and not variables:
+        raw_vars = expect(terms["variable"], dict, MalformedDocument, "%r: bdo:variable", name)
+        variables = {var_name: _parse_variable(var_name, var_body, ctx)
+                     for var_name, var_body in raw_vars.items()}
+    if terms.get("pattern") is not None and not variables:
         raise MissingRequired(
             f"{name!r}: bdo:pattern is present but bdo:variable is missing"
         )
-
-    bytelength = terms.get("bytelength")
-    if bytelength is None and pattern is None:
+    if terms.get("bytelength") is None and terms.get("pattern") is None:
         raise MissingRequired(f"{name!r}: bdo:bytelength is required")
-
+    fields = _layout_fields(terms, _SPEC_TERMS, "%r: bdo:%s", name)
+    if "endianess" in terms:
+        fields["endianess"] = _parse_endianess(terms["endianess"], ctx, name)
     try:
-        return BdoSpec(
-            bytelength=bytelength,
-            signed=terms.get("signed", False),
-            endianess=_parse_endianess(terms.get("endianess"), ctx, name),
-            offset=terms.get("offset", 0),
-            scale=terms.get("scale", 1.0),
-            pattern=pattern,
-            variables=variables,
-        )
+        return BdoSpec(variables=variables, **fields)
     except MissingVariable as exc:
         raise MissingRequired(f"{name!r}: {exc}") from exc
     except CodecError as exc:
         raise MalformedDocument(f"{name!r}: {exc}") from exc
-    except TypeError as exc:
-        raise MalformedDocument(f"{name!r}: a bdo term has the wrong type: {exc}") from exc
 
 
 def _parse_variable(var_name: str, body, ctx: _Context) -> VariableSpec:
-    if not isinstance(body, dict):
-        raise MalformedDocument(f"variable {var_name!r} must be an object")
-    fields: dict = {}
-    for key, value in body.items():
+    terms: dict = {}
+    for key, value in expect(body, dict, MalformedDocument, "variable %r", var_name).items():
         resolved = ctx.vocab_term(key)
-        local = resolved[1] if resolved and resolved[0] == BDO_IRI else key
-        if local == "type":
-            if value == "integer":
-                fields["data_type"] = VariableType.INTEGER
-            elif value == "string":
-                fields["data_type"] = VariableType.STRING_HEX
-            else:
-                raise MalformedDocument(
-                    f"variable {var_name!r}: unsupported type {value!r}"
-                )
-        elif local == "bytelength":
-            fields["bytelength"] = value
-        elif local == "signed":
-            fields["signed"] = value
-        elif local == "endianess":
-            fields["endianess"] = _parse_endianess(value, ctx, var_name)
-        elif local == "minimum":
-            fields["minimum"] = value
-        elif local == "maximum":
-            fields["maximum"] = value
-    if "bytelength" not in fields:
+        terms[resolved[1] if resolved and resolved[0] == BDO_IRI else key] = value
+    fields: dict = {}
+    data_type = terms.get("type", "integer")
+    if data_type == "string":
+        fields["data_type"] = VariableType.STRING_HEX
+    elif data_type != "integer":
+        raise MalformedDocument(f"variable {var_name!r}: unsupported type {data_type!r}")
+    if "endianess" in terms:
+        fields["endianess"] = _parse_endianess(terms["endianess"], ctx, var_name)
+    if "bytelength" not in terms:
         raise MissingRequired(f"variable {var_name!r} has no bdo:bytelength")
+    fields.update(_layout_fields(terms, _VARIABLE_TERMS, "variable %r: %s", var_name))
     try:
         return VariableSpec(name=var_name, **fields)
     except CodecError as exc:  # its message names the variable
         raise MalformedDocument(str(exc)) from exc
-    except TypeError as exc:
-        raise MalformedDocument(
-            f"variable {var_name!r}: a bdo term has the wrong type: {exc}"
-        ) from exc
 
 
 def _parse_endianess(value, ctx: _Context, name: str) -> Endianess:
-    if value is None:
-        return Endianess.LITTLE
-    local = ctx.local_name(value) if isinstance(value, str) else value
+    local = ctx.local_name(expect(value, str, MalformedDocument, "%r: endianess", name))
     try:
         return Endianess(local)
     except ValueError:

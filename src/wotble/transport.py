@@ -39,7 +39,9 @@ from .errors import (
     Timeout,
     TransportError,
     TransportUnavailable,
+    UriError,
     ValueTooLong,
+    expect,
 )
 from .uris import GattUri, normalize_mac, parse_uuid
 
@@ -530,6 +532,16 @@ def _as_uuid(value) -> uuidlib.UUID:
 # --- simulated network config files ----------------------------------------------
 
 
+#: Config key of each latency knob -> its ``SimNetwork`` parameter.
+_LATENCY_KNOBS = {
+    "processingDelayMs": "processing_delay_ms",
+    "connectSetupMs": "connect_setup_ms",
+    "readLatencyMs": "read_latency_ms",
+    "writeLatencyMs": "write_latency_ms",
+    "disconnectLatencyMs": "disconnect_latency_ms",
+}
+
+
 def load_sim_config(source, clock=None, seed: int | None = None,
                     auto_notify: bool = True) -> SimNetwork:
     """Build a SimNetwork from a config mapping, JSON text, or file path.
@@ -539,27 +551,24 @@ def load_sim_config(source, clock=None, seed: int | None = None,
     "allowed", "notifySequenceHex"}}}}]}`` plus optional latency knobs.
     """
     if isinstance(source, (str, Path)) and not str(source).lstrip().startswith("{"):
-        text = Path(source).read_text(encoding="utf-8")
+        try:
+            text = Path(source).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InvalidConfig(f"cannot read sim config {source}: {exc}") from exc
         config = _loads_config(text)
     elif isinstance(source, str):
         config = _loads_config(source)
     else:
         config = source
-    if not isinstance(config, dict) or not isinstance(config.get("devices"), list):
-        raise InvalidConfig("config must be an object with a 'devices' array")
+    expect(config, dict, InvalidConfig, "config")
+    devices = expect(config.get("devices"), list, InvalidConfig, "config devices")
 
-    network = SimNetwork(
-        clock=clock,
-        seed=seed,
-        auto_notify=auto_notify,
-        processing_delay_ms=_number(config, "processingDelayMs", 0.0),
-        connect_setup_ms=_number(config, "connectSetupMs", 0.0),
-        read_latency_ms=_number(config, "readLatencyMs", 0.0),
-        write_latency_ms=_number(config, "writeLatencyMs", 0.0),
-        disconnect_latency_ms=_number(config, "disconnectLatencyMs", 0.0),
-    )
+    network = SimNetwork(clock=clock, seed=seed, auto_notify=auto_notify, **{
+        name: float(expect(config.get(key, 0.0), float, InvalidConfig, key))
+        for key, name in _LATENCY_KNOBS.items()
+    })
     try:
-        for device in config["devices"]:
+        for device in devices:
             network.define_peripheral(_parse_device(device))
     except BaseException:
         network.close()
@@ -574,38 +583,28 @@ def _loads_config(text: str):
         raise InvalidConfig(f"config is not JSON: {exc}") from exc
 
 
-def _number(config: dict, key: str, default: float) -> float:
-    value = config.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InvalidConfig(f"{key} must be a number")
-    return float(value)
-
-
 def _parse_device(body) -> SimPeripheral:
-    if not isinstance(body, dict) or "mac" not in body:
-        raise InvalidConfig("each device needs at least a 'mac'")
+    expect(body, dict, InvalidConfig, "device")
+    mac_text = expect(body.get("mac"), str, InvalidConfig, "device mac")
     try:
-        mac = normalize_mac(body["mac"])
-    except Exception as exc:
-        raise InvalidConfig(f"bad device mac {body.get('mac')!r}: {exc}") from exc
-    interval = body.get("advertisingIntervalMs", 100.0)
-    if isinstance(interval, bool) or not isinstance(interval, (int, float)) or interval <= 0:
+        mac = normalize_mac(mac_text)
+    except UriError as exc:
+        raise InvalidConfig(f"bad device mac {mac_text!r}: {exc}") from exc
+    interval = expect(body.get("advertisingIntervalMs", 100.0), float, InvalidConfig,
+                      "device %s: advertisingIntervalMs", mac)
+    if interval <= 0:
         raise InvalidConfig(f"device {mac}: advertisingIntervalMs must be > 0")
-
-    connectable = body.get("connectable", True)
-    if not isinstance(connectable, bool):
-        raise InvalidConfig(f"device {mac}: connectable must be true or false")
-    services_body = body.get("services", {})
-    if not isinstance(services_body, dict):
-        raise InvalidConfig(f"device {mac}: services must be an object")
+    connectable = expect(body.get("connectable", True), bool, InvalidConfig,
+                         "device %s: connectable", mac)
+    services_body = expect(body.get("services", {}), dict, InvalidConfig,
+                           "device %s: services", mac)
 
     services: dict = {}
     for svc_text, chars in services_body.items():
         svc = _config_uuid(svc_text)
         services[svc] = {}
-        if not isinstance(chars, dict):
-            raise InvalidConfig(f"device {mac}: services must map uuid to objects")
-        for chr_text, char_body in chars.items():
+        for chr_text, char_body in expect(chars, dict, InvalidConfig,
+                                          "device %s: service %s", mac, svc_text).items():
             services[svc][_config_uuid(chr_text)] = _parse_characteristic(char_body, mac)
 
     return SimPeripheral(
@@ -619,29 +618,26 @@ def _parse_device(body) -> SimPeripheral:
 def _config_uuid(text: str) -> uuidlib.UUID:
     try:
         return parse_uuid(str(text))
-    except Exception as exc:
+    except UriError as exc:
         raise InvalidConfig(f"bad UUID {text!r}: {exc}") from exc
 
 
 def _parse_characteristic(body, mac: str) -> SimCharacteristic:
-    if not isinstance(body, dict):
-        raise InvalidConfig(f"device {mac}: characteristic entries must be objects")
-    value_hex = body.get("valueHex", "")
-    if not isinstance(value_hex, str):
-        raise InvalidConfig(f"device {mac}: valueHex must be a hex string")
-    notify_hex = body.get("notifySequenceHex", [])
-    if not isinstance(notify_hex, list) or not all(isinstance(h, str) for h in notify_hex):
-        raise InvalidConfig(f"device {mac}: notifySequenceHex must be hex strings")
+    expect(body, dict, InvalidConfig, "device %s: characteristic", mac)
+    value_hex = expect(body.get("valueHex", ""), str, InvalidConfig,
+                       "device %s: valueHex", mac)
+    notify_hex = expect(body.get("notifySequenceHex", []), list, InvalidConfig,
+                        "device %s: notifySequenceHex", mac)
+    for entry in notify_hex:
+        expect(entry, str, InvalidConfig, "device %s: notifySequenceHex entry", mac)
     try:
         value = bytes.fromhex(value_hex)
         notify = tuple(bytes.fromhex(h) for h in notify_hex)
     except ValueError as exc:
         raise InvalidConfig(f"device {mac}: bad hex value: {exc}") from exc
-    allowed_raw = body.get("allowed", ["read"])
-    if not isinstance(allowed_raw, list):
-        raise InvalidConfig(f"device {mac}: allowed must be a list of method names")
     allowed = []
-    for method in allowed_raw:
+    for method in expect(body.get("allowed", ["read"]), list, InvalidConfig,
+                         "device %s: allowed", mac):
         try:
             allowed.append(GattMethod(method))
         except ValueError:

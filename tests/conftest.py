@@ -37,6 +37,8 @@ WRONG_TYPED_CONFIGS = [
     _one_characteristic(valueHex=12),
     _one_characteristic(notifySequenceHex=[1]),
     _one_characteristic(allowed=5),
+    _one_device(advertisingIntervalMs=True),
+    {**_one_device(), "readLatencyMs": "5"},
 ]
 
 DELIVERY_THREAD = "wotble-sim-delivery"

@@ -79,6 +79,9 @@ def test_load_plan_resolves_paths_relative_to_plan_file():
     {"repetitions": 2.5},
     {"seed": [1]},
     {"seed": True},
+    {"property": 5},
+    {"property": [1]},
+    {"timeoutMs": 0},
 ])
 def test_invalid_plans_are_rejected(tmp_path, overrides):
     raw = json.loads(BENCH_PLAN.read_text())

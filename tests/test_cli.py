@@ -99,7 +99,9 @@ def test_wrong_typed_sim_config_is_usage_error(capsys, tmp_path, config):
     code, out, err = run(capsys, "read", SENSOR_TD, "moisture",
                          "--transport", f"sim:{path}")
     assert code == 2 and out == ""
-    assert err.startswith("error: device AA:BB:CC:DD:EE:FF: ")
+    # A device field's message names the device; a top-level knob's names the knob.
+    where = "readLatencyMs" if "readLatencyMs" in config else "device AA:BB:CC:DD:EE:FF:"
+    assert err.startswith(f"error: {where} ")
 
 
 def test_unknown_property_is_interaction_error(capsys):

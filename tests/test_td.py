@@ -197,6 +197,16 @@ def test_missing_bytelength_is_required():
     (False, "bdo:bytelength", "1"),
     (False, "bdo:scale", "0.1"),
     (False, "bdo:variable", {"on": {"bdo:bytelength": "1"}}),
+    (False, "bdo:signed", "no"),
+    (False, "bdo:bytelength", True),
+    (False, "bdo:bytelength", 1.5),
+    (False, "bdo:offset", 1.5),
+    (False, "bdo:scale", True),
+    (False, "minimum", "0"),
+    (False, "bdo:variable", {"on": {"bdo:bytelength": 1, "minimum": "x"}}),
+    (False, "bdo:variable", {"on": {"bdo:bytelength": 1, "maximum": "x"}}),
+    (False, "bdo:variable", {"on": {"bdo:bytelength": 1, "signed": "no"}}),
+    (False, "bdo:variable", {"on": {"bdo:bytelength": 1.5}}),
 ])
 def test_wrong_typed_terms_are_malformed(in_form, term, value):
     doc = json.loads(td_doc())
@@ -204,6 +214,11 @@ def test_wrong_typed_terms_are_malformed(in_form, term, value):
     (level["forms"][0] if in_form else level)[term] = value
     with pytest.raises(MalformedDocument):
         parse_td(json.dumps(doc))
+
+
+def test_missing_td_file_is_malformed(tmp_path):
+    with pytest.raises(MalformedDocument):
+        parse_td_file(tmp_path / "no-such.td.json")
 
 
 def test_unsupported_operation_is_rejected():

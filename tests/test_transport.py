@@ -370,6 +370,7 @@ def test_load_config_accepts_short_uuids_and_latency_knobs(tmp_path):
                   "services": {"not-a-uuid": {"2a19": {}}}}]},
     {"notdevices": []},
     *WRONG_TYPED_CONFIGS,
+    "no-such.sim.json",
 ])
 def test_invalid_configs_are_rejected(config):
     with pytest.raises(InvalidConfig):
