@@ -221,7 +221,7 @@ def cmd_sim_serve(args) -> int:
 def _json_value(text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or an integer with too many digits
         raise PlanError(f"value is not JSON: {text!r} ({exc})") from exc
 
 

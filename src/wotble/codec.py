@@ -77,8 +77,9 @@ class VariableSpec:
     _byteorder: str = field(default="little", init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.bytelength < 1:
-            raise BadValue(f"variable {self.name!r}: bytelength must be >= 1")
+        if not 1 <= self.bytelength <= MAX_PAYLOAD_OCTETS:
+            raise BadValue(f"variable {self.name!r}: bytelength must be 1 to "
+                           f"{MAX_PAYLOAD_OCTETS}")
         object.__setattr__(self, "_byteorder", self.endianess.byteorder)
 
 
@@ -113,8 +114,8 @@ class BdoSpec:
     def __post_init__(self):
         if self.pattern is None and self.bytelength is None:
             raise BadValue("spec needs a bytelength or a pattern")
-        if self.bytelength is not None and self.bytelength < 1:
-            raise BadValue("bytelength must be >= 1")
+        if self.bytelength is not None and not 1 <= self.bytelength <= MAX_PAYLOAD_OCTETS:
+            raise BadValue(f"bytelength must be 1 to {MAX_PAYLOAD_OCTETS}")
         if self.offset < 0:
             raise BadValue("offset must be >= 0")
         if not math.isfinite(self.scale) or self.scale == 0:
@@ -288,17 +289,21 @@ def encode(value: Value, spec: BdoSpec) -> bytes:
         if not isinstance(value, Mapping):
             raise BadValue("pattern spec requires a mapping of variable values")
         payload = _encode_pattern(value, spec)
-    else:
-        if isinstance(value, Mapping):
-            raise BadValue("scalar spec got a mapping; no pattern is defined")
-        raw = _to_raw_integer(value, spec.scale)
-        body = _encode_integer(raw, spec.bytelength, spec.signed, spec._byteorder)
-        payload = bytes(spec.offset) + body
-    if len(payload) > MAX_PAYLOAD_OCTETS:
+        _check_att_length(len(payload))
+        return payload
+    if isinstance(value, Mapping):
+        raise BadValue("scalar spec got a mapping; no pattern is defined")
+    _check_att_length(spec._end)  # before the offset's zero octets are built
+    raw = _to_raw_integer(value, spec.scale)
+    body = _encode_integer(raw, spec.bytelength, spec.signed, spec._byteorder)
+    return bytes(spec.offset) + body
+
+
+def _check_att_length(octets: int) -> None:
+    if octets > MAX_PAYLOAD_OCTETS:
         raise AttLengthExceeded(
-            f"payload is {len(payload)} octets, ATT allows at most {MAX_PAYLOAD_OCTETS}"
+            f"payload is {octets} octets, ATT allows at most {MAX_PAYLOAD_OCTETS}"
         )
-    return payload
 
 
 def _encode_pattern(values: Mapping, spec: BdoSpec) -> bytes:
@@ -396,10 +401,7 @@ class OctetStreamCodec:
         if not isinstance(value, (bytes, bytearray)):
             raise BadValue("octet-stream passthrough takes raw bytes")
         payload = bytes(value)
-        if len(payload) > MAX_PAYLOAD_OCTETS:
-            raise AttLengthExceeded(
-                f"payload is {len(payload)} octets, ATT allows at most {MAX_PAYLOAD_OCTETS}"
-            )
+        _check_att_length(len(payload))
         return payload
 
     def decode(self, payload: bytes, spec=None) -> bytes:

@@ -93,20 +93,29 @@ class ConsumedThing:
     thing are serialized so the connection policy stays coherent under
     concurrent callers.
 
+    The transport's link is the only record of whether the thing is
+    connected; the thing keeps no copy. Things on one transport that target
+    one device therefore share its link, and a link the transport drops is
+    dropped for the thing too.
+
     The thing is disconnected, connected, or pinned: connected with at least
     one live subscription, which no policy teardown ends. A subscription
-    ends only through ``unsubscribe_event`` or an explicit ``disconnect()``,
-    which ends all of the thing's subscriptions; either sets its ``active``
-    to False.
+    ends through ``unsubscribe_event``, an explicit ``disconnect()``, which
+    ends all of the thing's subscriptions, or an operation that finds the
+    link dropped, which ends those that died with it; each sets its
+    ``active`` to False.
 
     Each (affordance, operation) pair is resolved to its form, request and
     codec on first use and reused after that, so the TD must not be mutated
     after ``consume``. Failed resolutions are not kept: they raise again on
     every call.
 
-    An operation calls ``connect()`` only while the thing is disconnected,
-    so on a link that is already up it takes the thing's lock once and does
-    not re-enter ``connect()``.
+    An operation makes its call first, so on a link that is already up it
+    takes the thing's lock once and asks the transport nothing else. Only
+    when the call raises ``NotConnected`` does it connect and make the call
+    once more: connecting on first use and recovering a dropped link are
+    one path. ``RECONNECT_PER_OPERATION`` alone, while unpinned, opens a
+    fresh link before the call.
     """
 
     def __init__(self, td: ThingDescription, transport: TransportContract,
@@ -115,7 +124,6 @@ class ConsumedThing:
         self.transport = transport
         self.policy = ConnectionPolicy(policy)
         self._lock = threading.RLock()
-        self._connected = False
         self._device_id: str | None = None
         self._requests: dict = {}
         self._subscriptions: list[Subscription] = []  # live ones; they pin the link
@@ -150,23 +158,24 @@ class ConsumedThing:
 
     @property
     def connected(self) -> bool:
-        with self._lock:
-            return self._connected
+        """Whether the transport holds a link to the TD's device."""
+        return self.transport.is_connected(self._device_id or self.device_id)
 
     def connect(self) -> None:
         """Connect to the TD's device and explore its GATT structure."""
         with self._lock:
-            if self._connected:
-                return
-            self.transport.connect(self.device_id)
-            # Exploring the GATT structure is part of the connect time the
-            # paper measures, though nothing reads the tree afterwards.
-            try:
-                self.transport.discover_gatt(self.device_id)
-            except Exception:
-                self.transport.disconnect(self.device_id)  # release the link
-                raise
-            self._connected = True
+            if not self.connected:
+                self._open()
+
+    def _open(self) -> None:
+        self.transport.connect(self.device_id)
+        # Exploring the GATT structure is part of the connect time the paper
+        # measures, though nothing reads the tree afterwards.
+        try:
+            self.transport.discover_gatt(self.device_id)
+        except Exception:
+            self.transport.disconnect(self.device_id)  # release the link
+            raise
 
     def disconnect(self) -> None:
         """Tear the session down and end the thing's subscriptions.
@@ -186,12 +195,8 @@ class ConsumedThing:
                         for subscription in self._subscriptions:
                             subscription.active = False  # no listener starts now
                 if not running:
-                    if self._connected:
-                        try:
-                            self.transport.disconnect(self.device_id)
-                        except NotConnected:
-                            pass  # the link was dropped underneath the thing
-                        self._connected = False
+                    if self.connected:
+                        self.transport.disconnect(self.device_id)
                     self._subscriptions.clear()
                     return
             for subscription in running:
@@ -369,17 +374,25 @@ class ConsumedThing:
     def _run(self, call, *args):
         """Return ``call(*args)``, made under the connection policy.
 
-        Unless a live subscription pins the link, ``RECONNECT_PER_OPERATION``
-        drops it first, and both teardown policies drop it afterwards, also
-        when the call raises.
+        A call that raises ``NotConnected`` had no effect: the thing was
+        never connected or lost its link, and with the link its
+        subscriptions. Those end, the thing connects, and the call is made
+        once more. Unless a live subscription pins the link,
+        ``RECONNECT_PER_OPERATION`` replaces it with a fresh one first, and
+        both teardown policies drop it afterwards, also when the call raises.
         """
         with self._lock:
             if self.policy is _RECONNECT_PER_OPERATION and not self._subscriptions:
                 self.disconnect()
-            if not self._connected:
-                self.connect()
+                self._open()  # the link is down: spare a call bound to fail
             try:
-                return call(*args)
+                try:
+                    return call(*args)
+                except NotConnected:
+                    if self._subscriptions:
+                        self.disconnect()
+                    self.connect()
+                    return call(*args)
             finally:
                 if self.policy is not _KEEP_CONNECTED and not self._subscriptions:
                     self.disconnect()

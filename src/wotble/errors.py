@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 
 class WotBleError(Exception):
     """Base class for every error raised by this package."""
@@ -10,11 +12,11 @@ class WotBleError(Exception):
 # --- JSON field kinds ----------------------------------------------------------
 
 # The Python types ``json`` gives each kind, and how a message names it.
-# ``float`` stands for any JSON number, integers included.
+# ``float`` stands for any finite JSON number, integers included.
 _JSON_KINDS = {
     bool: (bool, "true or false"),
     int: (int, "an integer"),
-    float: ((int, float), "a number"),
+    float: ((int, float), "a finite number"),
     str: (str, "a string"),
     list: (list, "an array"),
     dict: (dict, "an object"),
@@ -24,15 +26,24 @@ _JSON_KINDS = {
 def expect(value, kind: type, error: type, what: str, *args):
     """Return ``value`` if it has the JSON ``kind``; raise ``error`` otherwise.
 
-    ``kind`` is ``bool``, ``int``, ``float`` (any number), ``str``, ``list``
-    or ``dict``. A JSON ``true`` or ``false`` has no kind but ``bool``, although
-    Python counts it as an ``int``. The message names the field: ``what``,
-    %-formatted with ``args`` only when the check fails.
+    ``kind`` is ``bool``, ``int``, ``float`` (any number a float holds
+    finitely: not NaN, not infinite, no integer too large to convert),
+    ``str``, ``list`` or ``dict``. A JSON ``true`` or ``false`` has no kind
+    but ``bool``, although Python counts it as an ``int``. The message names
+    the field: ``what``, %-formatted with ``args`` only when the check fails.
     """
     types, name = _JSON_KINDS[kind]
-    if isinstance(value, types) and (kind is bool or value.__class__ is not bool):
+    if (isinstance(value, types) and (kind is bool or value.__class__ is not bool)
+            and (kind is not float or _finite(value))):
         return value
     raise error(f"{what % args if args else what} must be {name}, got {value!r}")
+
+
+def _finite(number) -> bool:
+    try:
+        return math.isfinite(number)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 # --- Thing Description parsing ---------------------------------------------

@@ -14,6 +14,7 @@ JSON ``true`` or ``false`` is never a number.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -228,8 +229,8 @@ def _duration_ms(value, ctx: _Context, term: str) -> float:
             raise UnsupportedUnit(f"{term}: unit {unit!r} is not MilliSEC or SEC")
     else:
         ms = float(expect(value, float, MalformedDocument, term))
-    if ms <= 0:
-        raise MalformedDocument(f"{term}: duration must be > 0, got {ms}")
+    if not 0 < ms < math.inf:  # SEC can overflow a finite value
+        raise MalformedDocument(f"{term}: duration must be finite and > 0, got {ms}")
     return ms
 
 
@@ -294,7 +295,7 @@ def parse_td(document: str) -> ThingDescription:
     """
     try:
         doc = json.loads(document)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or an integer with too many digits
         raise MalformedDocument(f"document is not JSON: {exc}") from exc
     expect(doc, dict, MalformedDocument, "top-level JSON value")
 

@@ -27,6 +27,7 @@ from typing import Callable
 
 from .binding import GattMethod
 from .clock import RealClock
+from .codec import MAX_PAYLOAD_OCTETS
 from .errors import (
     Busy,
     DuplicateDevice,
@@ -44,8 +45,6 @@ from .errors import (
     expect,
 )
 from .uris import GattUri, normalize_mac, parse_uuid
-
-MAX_VALUE_OCTETS = 512
 
 Sink = Callable[[bytes], None]
 
@@ -68,24 +67,29 @@ class GattTree:
 
 
 class TransportContract(abc.ABC):
-    """Abstract GATT central.
+    """Abstract GATT central: exactly what a ``ConsumedThing`` calls.
 
-    read/write/subscribe require a prior successful connect; a write with
-    response completes only after the server confirms, without response on
-    send.
+    The transport owns each link; ``is_connected`` is the only record of
+    one that a consumer reads. A consumer relies on two promises:
+
+    * ``read``, ``write`` and ``subscribe`` raise :class:`NotConnected`
+      before any effect when the link to the URI's device is down, so the
+      call may be made again once connected;
+    * nothing reaches a sink after ``unsubscribe`` or ``disconnect``
+      returns, and ``disconnect`` ends the link's subscriptions.
+
+    A write with response completes only after the server confirms, without
+    response on send.
     """
-
-    @abc.abstractmethod
-    def start_discovery(self) -> None: ...
-
-    @abc.abstractmethod
-    def stop_discovery(self) -> None: ...
 
     @abc.abstractmethod
     def connect(self, device_id: str) -> None: ...
 
     @abc.abstractmethod
     def disconnect(self, device_id: str) -> None: ...
+
+    @abc.abstractmethod
+    def is_connected(self, device_id: str) -> bool: ...
 
     @abc.abstractmethod
     def discover_gatt(self, device_id: str) -> GattTree: ...
@@ -119,9 +123,9 @@ class SimCharacteristic:
     def __init__(self, value: bytes = b"", allowed=(GattMethod.READ,),
                  notify_source: tuple[bytes, ...] = ()):
         value = bytes(value)
-        if len(value) > MAX_VALUE_OCTETS:
+        if len(value) > MAX_PAYLOAD_OCTETS:
             raise InvalidConfig(
-                f"characteristic value is {len(value)} octets, max {MAX_VALUE_OCTETS}"
+                f"characteristic value is {len(value)} octets, max {MAX_PAYLOAD_OCTETS}"
             )
         self.value = value
         self.allowed = frozenset(allowed)
@@ -303,6 +307,11 @@ class SimNetwork:
             raise NotConnected(f"not connected to {mac}")
         return peripheral
 
+    def is_linked(self, mac: str, central) -> bool:
+        """Whether ``central`` holds the link to ``mac``; ``mac`` is canonical."""
+        peripheral = self._peripherals.get(mac)
+        return peripheral is not None and peripheral.connected_by is central
+
     def detach(self, mac: str, central) -> None:
         """End ``central``'s link to ``mac`` and its subscriptions there."""
         peripheral = self.linked(mac, central)
@@ -439,7 +448,7 @@ class SimTransport(TransportContract):
     def clock(self):
         return self.network.clock
 
-    # -- discovery
+    # -- discovery, as a bluetoothctl script drives it; no consumer calls it
 
     def start_discovery(self) -> None:
         self.trace.append(("start_discovery", None))
@@ -464,11 +473,7 @@ class SimTransport(TransportContract):
         self.trace.append(("disconnect", mac))
 
     def is_connected(self, device_id: str) -> bool:
-        try:
-            self.network.linked(normalize_mac(device_id), self)
-        except NotConnected:
-            return False
-        return True
+        return self.network.is_linked(normalize_mac(device_id), self)
 
     def discover_gatt(self, device_id: str) -> GattTree:
         mac = normalize_mac(device_id)
@@ -488,9 +493,9 @@ class SimTransport(TransportContract):
     def write(self, uri: GattUri, payload: bytes, with_response: bool) -> None:
         char = self._attribute(uri, _WRITE if with_response else _WRITE_WITHOUT_RESPONSE)
         payload = bytes(payload)
-        if len(payload) > MAX_VALUE_OCTETS:
+        if len(payload) > MAX_PAYLOAD_OCTETS:
             raise ValueTooLong(
-                f"payload is {len(payload)} octets, ATT allows at most {MAX_VALUE_OCTETS}"
+                f"payload is {len(payload)} octets, ATT allows at most {MAX_PAYLOAD_OCTETS}"
             )
         network = self.network
         if with_response:
@@ -579,7 +584,7 @@ def load_sim_config(source, clock=None, seed: int | None = None,
 def _loads_config(text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or an integer with too many digits
         raise InvalidConfig(f"config is not JSON: {exc}") from exc
 
 

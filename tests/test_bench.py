@@ -82,6 +82,9 @@ def test_load_plan_resolves_paths_relative_to_plan_file():
     {"property": 5},
     {"property": [1]},
     {"timeoutMs": 0},
+    {"timeoutMs": float("nan")},
+    {"timeoutMs": float("inf")},
+    {"timeoutMs": 10**400},
 ])
 def test_invalid_plans_are_rejected(tmp_path, overrides):
     raw = json.loads(BENCH_PLAN.read_text())

@@ -53,6 +53,13 @@ def test_write_rejects_non_json_value(capsys):
     assert "not JSON" in err
 
 
+def test_write_rejects_an_integer_past_the_digit_limit(capsys):
+    code, _, err = run(capsys, "write", LAMP_TD, "power", '{"on": ' + "1" * 5000 + "}",
+                       "--transport", SIM)
+    assert code == 2
+    assert "not JSON" in err
+
+
 def test_subscribe_collects_notifications(capsys):
     code, out, _ = run(capsys, "subscribe", BEACON_TD, "temperature",
                        "--count", "3", "--transport", SIM)

@@ -326,6 +326,12 @@ def test_att_cap_applies_to_patterns():
         encode({}, too_long)
 
 
+@pytest.mark.parametrize("offset", [10**6, pytest.param(10**400, id="huge")])
+def test_att_cap_is_checked_before_the_offset_is_built(offset):
+    with pytest.raises(AttLengthExceeded):
+        encode(0, BdoSpec(bytelength=1, offset=offset))
+
+
 # --- invalid specs -----------------------------------------------------------------
 
 @pytest.mark.parametrize("kwargs", [
@@ -334,6 +340,8 @@ def test_att_cap_applies_to_patterns():
     dict(bytelength=1, offset=-1),
     dict(bytelength=1, scale=0.0),
     dict(bytelength=1, scale=float("nan")),
+    dict(bytelength=513),
+    dict(pattern="00", bytelength=513),
 ])
 def test_invalid_specs_are_rejected(kwargs):
     with pytest.raises(BadValue):

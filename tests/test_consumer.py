@@ -105,6 +105,19 @@ def test_write_out_of_range_variable():
     net.close()
 
 
+@pytest.mark.parametrize("value", [-0.1, 10.1])
+def test_write_outside_the_affordance_bounds_is_out_of_range(value):
+    with make_network(clock=VirtualClock(), auto_notify=False) as net:
+        thing, transport = beacon_reader(net, ConnectionPolicy.KEEP_CONNECTED,
+                                         minimum=0, maximum=10)
+        with pytest.raises(OutOfRange):
+            thing.write_property("temperature", value)
+        thing.write_property("temperature", 10)
+        writes = [entry[2] for entry in transport.trace if entry[0] == "write"]
+        assert writes == ["64"]
+        thing.disconnect()
+
+
 def test_read_property_decodes_scalar():
     net = make_network(clock=VirtualClock())
     thing, _ = sensor_thing(net)
@@ -170,6 +183,7 @@ def test_a_kept_link_rederives_nothing(monkeypatch):
             raise AssertionError("re-derived on a kept link")
 
         monkeypatch.setattr(ConsumedThing, "connect", rederived)
+        monkeypatch.setattr(SimTransport, "is_connected", rederived)
         monkeypatch.setattr(Endianess, "byteorder", property(rederived))
         monkeypatch.setattr(SimPeripheral, "characteristic", rederived)
         mixed_interactions(sensor, lamp, log)
@@ -373,6 +387,51 @@ def test_failed_gatt_exploration_releases_the_link():
         assert net.peripheral(SENSOR_MAC).connected_by is None
 
 
+# --- the transport's link is the thing's only record of it ---------------------------
+
+def test_the_next_operation_recovers_a_dropped_link():
+    with make_network(clock=VirtualClock()) as net:
+        thing, transport = sensor_thing(net)
+        assert thing.read_property("moisture") == 42
+        transport.disconnect(SENSOR_MAC)
+        assert not thing.connected
+        entries = len(transport.trace)
+        assert thing.read_property("moisture") == 42
+        assert [entry[0] for entry in transport.trace[entries:]] == [
+            "connect", "discover_gatt", "read"]
+        thing.disconnect()
+
+
+def test_an_operation_ends_the_subscriptions_a_dropped_link_took():
+    with make_network(clock=VirtualClock(), auto_notify=False) as net:
+        thing, transport = beacon_reader(net, ConnectionPolicy.DISCONNECT_AFTER)
+        subscription = thing.subscribe_event("temperature", print)
+        transport.disconnect(BEACON_MAC)
+        assert subscription.active  # nothing has told the thing yet
+        entries = len(transport.trace)
+        assert thing.read_property("temperature") == pytest.approx(25.0)
+        assert not subscription.active and thing._subscriptions == []
+        # Unpinned again: the policy drops the link after the read.
+        assert [entry[0] for entry in transport.trace[entries:]] == [
+            "connect", "discover_gatt", "read", "disconnect"]
+        assert not thing.connected and live_subscriptions(net) == 0
+        thing.unsubscribe_event(subscription)  # a no-op
+        assert transport.trace[-1][0] == "disconnect"
+
+
+def test_things_on_one_transport_share_their_device_link():
+    with make_network(clock=VirtualClock()) as net:
+        transport = SimTransport(net, timeout_s=60.0)
+        first, second = (consume(parse_td_file(SENSOR_TD), transport) for _ in range(2))
+        assert first.read_property("moisture") == 42
+        assert second.read_property("moisture") == 42  # no Busy
+        assert second.connected and connect_count(transport) == 1
+        second.disconnect()
+        assert not first.connected
+        assert first.read_property("moisture") == 42
+        first.disconnect()
+
+
 # --- events ---------------------------------------------------------------------------
 
 def test_subscription_decodes_through_bdo_spec():
@@ -420,6 +479,19 @@ def test_throwing_listener_does_not_break_subscription():
     net.close()
 
 
+def test_an_undecodable_notification_skips_only_the_listener():
+    with make_network(clock=VirtualClock(), auto_notify=False) as net:
+        thing, _ = beacon_reader(net, ConnectionPolicy.KEEP_CONNECTED)
+        received: queue.Queue = queue.Queue()
+        subscription = thing.subscribe_event("temperature", received.put)
+        net.emit(BEACON_MAC, BEACON_SERVICE, BEACON_CHAR, b"")  # too short to decode
+        emit_beacon(net, 4)
+        assert received.get(timeout=2.0) == pytest.approx(0.4)
+        assert received.empty() and subscription.active
+        thing.unsubscribe_event(subscription)
+        thing.disconnect()
+
+
 def test_subscribe_to_unknown_event():
     net = make_network(clock=VirtualClock())
     transport = SimTransport(net, timeout_s=10.0)
@@ -431,10 +503,11 @@ def test_subscribe_to_unknown_event():
 
 # --- a live subscription pins the link -------------------------------------------------
 
-def beacon_reader(net, policy):
+def beacon_reader(net, policy, **terms):
     """The beacon TD plus a read/write property on the event's characteristic.
 
     The characteristic only notifies and reads; it is widened to take writes.
+    ``terms`` are added to the property.
     """
     beacon_char = net.characteristic(BEACON_MAC, BEACON_SERVICE, BEACON_CHAR)
     beacon_char.allowed = beacon_char.allowed | {GattMethod.WRITE}
@@ -447,6 +520,7 @@ def beacon_reader(net, policy):
         "op": ["readproperty", "writeproperty"],
         "contentType": "application/x.binary-data-stream",
     }]
+    doc["properties"]["temperature"].update(terms)
     transport = SimTransport(net, timeout_s=10.0)
     return consume(parse_td(json.dumps(doc)), transport, policy), transport
 

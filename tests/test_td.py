@@ -19,6 +19,7 @@ from wotble import (
     parse_td_file,
     validate_td,
 )
+from wotble.codec import encode
 from wotble.errors import (
     MalformedDocument,
     MethodOpConflict,
@@ -37,6 +38,9 @@ CONTEXT = [
         "qudt": "http://qudt.org/schema/qudt/",
     },
 ]
+
+#: A JSON integer too large for a float.
+HUGE = 10**400
 
 HREF = ("gatt://AA-BB-CC-DD-EE-FF/0000fff0-0000-1000-8000-00805f9b34fb/"
         "0000fff3-0000-1000-8000-00805f9b34fb")
@@ -138,6 +142,11 @@ def test_non_json_document_is_malformed():
         parse_td("this is not json {")
 
 
+def test_integer_past_the_digit_limit_is_malformed():
+    with pytest.raises(MalformedDocument):
+        parse_td('{"title": "t", "x": ' + "1" * 5000 + "}")
+
+
 def test_non_object_document_is_malformed():
     with pytest.raises(MalformedDocument):
         parse_td("[1, 2, 3]")
@@ -207,6 +216,19 @@ def test_missing_bytelength_is_required():
     (False, "bdo:variable", {"on": {"bdo:bytelength": 1, "maximum": "x"}}),
     (False, "bdo:variable", {"on": {"bdo:bytelength": 1, "signed": "no"}}),
     (False, "bdo:variable", {"on": {"bdo:bytelength": 1.5}}),
+    pytest.param(False, "bdo:scale", HUGE, id="False-bdo:scale-huge"),
+    (False, "bdo:scale", float("nan")),
+    (False, "bdo:scale", float("-inf")),
+    (False, "minimum", float("nan")),
+    (False, "maximum", float("inf")),
+    pytest.param(False, "maximum", HUGE, id="False-maximum-huge"),
+    (False, "bdo:variable", {"on": {"bdo:bytelength": 1, "maximum": float("nan")}}),
+    (False, "bdo:bytelength", 513),
+    pytest.param(False, "bdo:bytelength", HUGE, id="False-bdo:bytelength-huge"),
+    (False, "bdo:variable", {"on": {"bdo:bytelength": 513}}),
+    (False, "bdo:variable", {"on": {"bdo:bytelength": HUGE}}),
+    (False, "bdo:endianess", "middleEndian"),
+    (False, "bdo:variable", {"on": {"bdo:bytelength": 1, "bdo:endianess": "middleEndian"}}),
 ])
 def test_wrong_typed_terms_are_malformed(in_form, term, value):
     doc = json.loads(td_doc())
@@ -214,6 +236,26 @@ def test_wrong_typed_terms_are_malformed(in_form, term, value):
     (level["forms"][0] if in_form else level)[term] = value
     with pytest.raises(MalformedDocument):
         parse_td(json.dumps(doc))
+
+
+def test_endianess_is_read_at_affordance_and_variable_level():
+    doc = json.loads(td_doc())
+    doc["properties"]["level"]["bdo:endianess"] = "bdo:bigEndian"
+    doc["properties"]["tagged"] = {
+        "bdo:pattern": "7e{word}{tag}ef",
+        "bdo:variable": {
+            "word": {"type": "integer", "bdo:bytelength": 2,
+                     "bdo:endianess": "bdo:bigEndian"},
+            "tag": {"type": "string", "bdo:bytelength": 2},
+        },
+        "forms": doc["properties"]["level"]["forms"],
+    }
+    td = parse_td(json.dumps(doc))
+    assert td.properties["level"].bdo.endianess is Endianess.BIG
+    spec = td.properties["tagged"].bdo
+    assert spec.variables["word"].endianess is Endianess.BIG
+    assert spec.variables["tag"].data_type is VariableType.STRING_HEX
+    assert encode({"word": 0x0102, "tag": "abcd"}, spec) == bytes.fromhex("7e0102abcdef")
 
 
 def test_missing_td_file_is_malformed(tmp_path):
@@ -259,6 +301,19 @@ def test_unknown_units_error():
 def test_nonpositive_intervals_are_rejected():
     with pytest.raises(MalformedDocument):
         parse_td(td_doc(**{"sbo:hasAdvertisingInterval": 0}))
+
+
+@pytest.mark.parametrize("interval", [
+    float("nan"),
+    float("inf"),
+    pytest.param(HUGE, id="huge"),
+    {"rdf:value": float("nan"), "qudt:unit": "qudt:MilliSEC"},
+    {"rdf:value": HUGE, "qudt:unit": "qudt:MilliSEC"},
+    {"rdf:value": 1e306, "qudt:unit": "qudt:SEC"},  # finite until made ms
+])
+def test_non_finite_intervals_are_rejected(interval):
+    with pytest.raises(MalformedDocument):
+        parse_td(td_doc(**{"sbo:hasAdvertisingInterval": interval}))
 
 
 def test_scan_window_and_interval():

@@ -371,6 +371,13 @@ def test_load_config_accepts_short_uuids_and_latency_knobs(tmp_path):
     {"notdevices": []},
     *WRONG_TYPED_CONFIGS,
     "no-such.sim.json",
+    {"devices": [{"mac": "AA:BB:CC:DD:EE:FF", "advertisingIntervalMs": float("nan")}]},
+    {"devices": [{"mac": "AA:BB:CC:DD:EE:FF", "advertisingIntervalMs": float("inf")}]},
+    {"devices": [{"mac": "AA:BB:CC:DD:EE:FF", "advertisingIntervalMs": 10**400}]},
+    {"devices": [], "readLatencyMs": float("nan")},
+    {"devices": [], "connectSetupMs": 10**400},
+    pytest.param('{"devices": [], "readLatencyMs": ' + "1" * 5000 + "}",
+                 id="digits-past-the-limit"),
 ])
 def test_invalid_configs_are_rejected(config):
     with pytest.raises(InvalidConfig):
