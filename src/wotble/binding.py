@@ -80,6 +80,7 @@ _METHOD_ALIASES = {
 }
 
 
+@_memoised
 def parse_method(text: str) -> GattMethod:
     """Parse an sbo method name; accepts hyphenated or camelCase spellings."""
     key = text.strip().lower().replace("_", "-")

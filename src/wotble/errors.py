@@ -32,6 +32,8 @@ def expect(value, kind: type, error: type, what: str, *args):
     but ``bool``, although Python counts it as an ``int``. The message names
     the field: ``what``, %-formatted with ``args`` only when the check fails.
     """
+    if value.__class__ is kind and (kind is not float or math.isfinite(value)):
+        return value  # exactly the type json gives the kind: the common case
     types, name = _JSON_KINDS[kind]
     if (isinstance(value, types) and (kind is bool or value.__class__ is not bool)
             and (kind is not float or _finite(value))):

@@ -9,6 +9,13 @@ Unknown terms are kept in a raw-extensions map rather than rejected. A
 known term whose value has the wrong JSON type raises ``MalformedDocument``
 (``MissingRequired`` for a required ``title``, ``forms`` or ``href``); a
 JSON ``true`` or ``false`` is never a number.
+
+Each key and CURIE value is resolved once per full prefix->IRI binding: the
+result goes into that binding's term table (``_Context``), which every
+document declaring the same binding shares. The tables are few and each is
+bounded; an undeclared prefix raises ``UnknownPrefix`` anew on every lookup,
+as failures are never kept. Nothing is cached per document text, so each
+call still reads and checks the whole document.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ from .errors import (
     UriError,
     expect,
 )
-from .uris import GattUri, _CACHE_SIZE, _memoised, parse_gatt_uri
+from .uris import GattUri, _CACHE_SIZE, parse_gatt_uri
 
 SBO_IRI = "https://freumi.inrupt.net/SimpleBluetoothOntology.ttl#"
 BDO_IRI = "https://freumi.inrupt.net/BinaryDataOntology.ttl#"
@@ -143,63 +150,68 @@ class Diagnostic:
 
 # --- context and term resolution ---------------------------------------------
 
+_VOCABULARIES = (SBO_IRI, BDO_IRI, RDF_IRI, QUDT_IRI)
 
-# Both splits depend on their text alone, never on a TD's prefix bindings,
-# so one process-wide cache serves every TD.
-@_memoised
-def _split_curie(term: str) -> tuple[str, str] | None:
-    """``(prefix, local part)`` of a CURIE; None for a plain term or an IRI."""
-    m = _CURIE_RE.match(term)
-    return None if m is None else m.groups()
+#: Distinct prefix bindings whose term tables are kept, and the texts one
+#: table holds before it starts afresh.
+_BINDINGS_KEPT = 32
+_TERMS_KEPT = _CACHE_SIZE
 
 
-@lru_cache(maxsize=_CACHE_SIZE)  # given expanded IRIs only, so always a str
-def _split_vocab(iri: str) -> tuple[str, str] | None:
-    """``(vocabulary IRI, local name)`` for an IRI in a known vocabulary."""
-    for vocab in (SBO_IRI, BDO_IRI, RDF_IRI, QUDT_IRI):
-        if iri.startswith(vocab):
-            return vocab, iri[len(vocab):]
-    return None
+class _Context(dict):
+    """The term table of one full prefix->IRI binding: text -> (vocabulary, name).
 
+    For a CURIE that expands into a known vocabulary, ``vocabulary`` is that
+    vocabulary's IRI (the module constant itself, so ``is`` tells them
+    apart) and ``name`` is the local name. Otherwise ``vocabulary`` is None
+    and ``name`` is the CURIE's expansion, or the text itself when it is not
+    a CURIE. So ``ctx[key]`` says which term a key is, and ``ctx[value][1]``
+    is a CURIE value's local name.
 
-class _Context:
-    def __init__(self, prefixes: dict):
-        self.prefixes = prefixes
+    A text is resolved on its first lookup and kept. The table serves every
+    document that declares the same binding (see ``_context``), so it
+    depends on the whole binding, never on a prefix name alone, and never on
+    a document's text. A CURIE whose prefix the binding lacks raises
+    ``UnknownPrefix`` on every lookup: failures are not kept. A full table
+    is emptied before it takes another text.
+    """
 
-    def expand(self, term: str) -> str | None:
-        """Expand a CURIE against declared prefixes; None for plain terms."""
-        curie = _split_curie(term)
+    def __init__(self, binding: frozenset):
+        self.prefixes = dict(binding)
+
+    def __missing__(self, text: str) -> tuple:
+        curie = _CURIE_RE.match(text)
         if curie is None:
-            return None
-        prefix, local = curie
-        iri = self.prefixes.get(prefix)
-        if iri is None:
-            raise UnknownPrefix(f"prefix {prefix!r} is not declared in @context")
-        return iri + local
+            entry = (None, text)
+        else:
+            prefix, local = curie.groups()
+            iri = self.prefixes.get(prefix)
+            if iri is None:
+                raise UnknownPrefix(f"prefix {prefix!r} is not declared in @context")
+            iri += local
+            entry = (None, iri)
+            for vocab in _VOCABULARIES:
+                if iri.startswith(vocab):
+                    entry = (vocab, iri[len(vocab):])
+                    break
+        if len(self) >= _TERMS_KEPT:
+            self.clear()
+        self[text] = entry
+        return entry
 
-    def vocab_term(self, key: str) -> tuple[str, str] | None:
-        """Return (vocab IRI, local name) for keys in a known vocabulary."""
-        expanded = self.expand(key)
-        return None if expanded is None else _split_vocab(expanded)
 
-    def local_name(self, value: str) -> str:
-        """Strip a declared prefix off a CURIE value; bare names pass through."""
-        expanded = self.expand(value)
-        if expanded is None:
-            return value
-        resolved = _split_vocab(expanded)
-        return expanded if resolved is None else resolved[1]
+@lru_cache(maxsize=_BINDINGS_KEPT)
+def _context(binding: frozenset) -> _Context:
+    """The term table of ``binding``, the set of (prefix, IRI) pairs declared."""
+    return _Context(binding)
 
 
 def _parse_context(raw) -> dict:
     prefixes: dict = {}
-    if raw is None:
-        return prefixes
-    entries = raw if isinstance(raw, list) else [raw]
-    for entry in entries:
-        if isinstance(entry, dict):
+    for entry in raw if type(raw) is list else (raw,):
+        if type(entry) is dict:
             for prefix, iri in entry.items():
-                if isinstance(iri, str) and not prefix.startswith("@"):
+                if type(iri) is str and not prefix.startswith("@"):
                     prefixes[prefix] = iri
     return prefixes
 
@@ -209,20 +221,23 @@ def _duration_ms(value, ctx: _Context, term: str) -> float:
 
     Accepts a plain number (already milliseconds) or the qudt structure
     ``{"rdf:value": n, "qudt:unit": "qudt:MilliSEC"}``. Only MilliSEC and SEC
-    are recognized.
+    are recognized, bare or as a CURIE in the qudt vocabulary.
     """
-    if isinstance(value, dict):
+    if type(value) is dict:
         number = None
         unit = None
         for key, val in value.items():
-            resolved = ctx.vocab_term(key)
-            local = resolved[1] if resolved else key
+            vocab, local = ctx[key]
+            if vocab is None:
+                local = key
             if local == "value":
                 number = val
             elif local == "unit":
                 unit = val
         ms = float(expect(number, float, MalformedDocument, "%s: rdf:value", term))
-        unit_name = ctx.local_name(expect(unit, str, UnsupportedUnit, "%s: qudt:unit", term))
+        vocab, unit_name = ctx[expect(unit, str, UnsupportedUnit, "%s: qudt:unit", term)]
+        if vocab is not QUDT_IRI:  # a bare name, or a CURIE outside qudt
+            unit_name = unit
         if unit_name == "SEC":
             ms *= 1000.0
         elif unit_name != "MilliSEC":
@@ -236,7 +251,7 @@ def _duration_ms(value, ctx: _Context, term: str) -> float:
 
 def _gap_role(value, ctx: _Context, term: str) -> GapRole:
     try:
-        return GapRole(ctx.local_name(expect(value, str, MalformedDocument, term)))
+        return GapRole(ctx[expect(value, str, MalformedDocument, term)][1])
     except ValueError:
         raise MalformedDocument(f"unknown GAP role {value!r}") from None
 
@@ -278,9 +293,12 @@ def _layout_fields(terms: dict, names: tuple, what: str, owner: str) -> dict:
 
     ``what`` names a field in a message, formatted with ``owner`` and the term.
     """
-    return {term: expect(terms[term], _LAYOUT_KINDS[term], MalformedDocument,
-                         what, owner, term)
-            for term in names if term in terms}
+    fields = {}
+    for term in names:
+        if term in terms:
+            fields[term] = expect(terms[term], _LAYOUT_KINDS[term], MalformedDocument,
+                                  what, owner, term)
+    return fields
 
 
 # --- document parsing ----------------------------------------------------------
@@ -300,7 +318,7 @@ def parse_td(document: str) -> ThingDescription:
     expect(doc, dict, MalformedDocument, "top-level JSON value")
 
     prefixes = _parse_context(doc.get("@context"))
-    ctx = _Context(prefixes)
+    ctx = _context(frozenset(prefixes.items()))
 
     title = doc.get("title")
     if not expect(title, str, MissingRequired, "title"):
@@ -311,23 +329,23 @@ def parse_td(document: str) -> ThingDescription:
     categories: dict = {"properties": {}, "actions": {}, "events": {}}
 
     for key, value in doc.items():
-        if key in ("@context", "title"):
-            continue
         if key in categories:
+            affordances = categories[key]
             for name, body in expect(value, dict, MalformedDocument, key).items():
-                categories[key][name] = _parse_affordance(name, body, ctx, key)
+                affordances[name] = _parse_affordance(name, body, ctx, key)
             continue
-        resolved = ctx.vocab_term(key)
-        entry = _METADATA.get(resolved[1]) if resolved and resolved[0] == SBO_IRI else None
-        if entry is None:
-            extensions[key] = value
-        else:
-            field_name, read = entry
+        if key == "@context" or key == "title":
+            continue
+        vocab, term = ctx[key]
+        if vocab is SBO_IRI and term in _METADATA:
+            field_name, read = _METADATA[term]
             meta[field_name] = read(value, ctx, key)
+        else:
+            extensions[key] = value
 
     return ThingDescription(
         title=title,
-        context_prefixes=dict(prefixes),
+        context_prefixes=prefixes,
         metadata=BleMetadata(**meta),
         properties=categories["properties"],
         actions=categories["actions"],
@@ -354,36 +372,34 @@ _DEFAULT_OPS = {
 def _parse_affordance(name: str, body, ctx: _Context, category: str) -> Affordance:
     expect(body, dict, MalformedDocument, "affordance %r", name)
     bdo_terms: dict = {}
+    bounds: dict = {}
     extensions: dict = {}
     data_type = None
     fmt = None
     forms_raw = None
 
     for key, value in body.items():
-        if key == "forms":
+        vocab, term = ctx[key]
+        if vocab is BDO_IRI:
+            bdo_terms[term] = value
+        elif key == "forms":
             forms_raw = value
-            continue
-        if key == "type":
-            data_type = value if value in ("integer", "number", "string") else None
-            if data_type is None:
-                extensions[key] = value
-            continue
-        if key == "format":
-            fmt = value
-            continue
-        if key in _BOUNDS:  # read below
-            continue
-        resolved = ctx.vocab_term(key)
-        if resolved and resolved[0] == BDO_IRI:
-            bdo_terms[resolved[1]] = value
+        elif key == "type" and value in ("integer", "number", "string"):
+            data_type = value
+        elif key == "format":
+            fmt = expect(value, str, MalformedDocument, "%r: format", name)
+        elif key in _BOUNDS:  # checked below
+            bounds[key] = value
         else:
             extensions[key] = value
 
     if not expect(forms_raw, list, MissingRequired, "affordance %r: forms", name):
         raise MissingRequired(f"affordance {name!r} has no forms")
-    forms = tuple(_parse_form(f, ctx, category, name) for f in forms_raw)
+    forms = tuple([_parse_form(f, ctx, category, name) for f in forms_raw])
 
     bdo = _build_bdo_spec(bdo_terms, ctx, name) if bdo_terms else None
+    if bounds:
+        bounds = _layout_fields(bounds, _BOUNDS, "%r: %s", name)
     return Affordance(
         name=name,
         forms=forms,
@@ -391,7 +407,7 @@ def _parse_affordance(name: str, body, ctx: _Context, category: str) -> Affordan
         format=fmt,
         bdo=bdo,
         extensions=extensions,
-        **_layout_fields(body, _BOUNDS, "%r: %s", name),
+        **bounds,
     )
 
 
@@ -404,18 +420,19 @@ def _parse_form(body, ctx: _Context, category: str, name: str) -> Form:
     op_raw = body.get("op")
     if op_raw is None:
         ops = _DEFAULT_OPS[category]
+    elif type(op_raw) is not list:
+        ops = (parse_operation(op_raw),)
+    elif op_raw:
+        ops = tuple([parse_operation(item) for item in op_raw])
     else:
-        items = op_raw if isinstance(op_raw, list) else [op_raw]
-        if not items:
-            raise MissingRequired(f"form of {name!r} has an empty op list")
-        ops = tuple(parse_operation(item) for item in items)
+        raise MissingRequired(f"form of {name!r} has an empty op list")
 
     method_name = None
     for key, value in body.items():
-        resolved = ctx.vocab_term(key)
-        if resolved and resolved == (SBO_IRI, "methodName"):
-            method_name = parse_method(ctx.local_name(expect(
-                value, str, MalformedDocument, "form of %r: sbo:methodName", name)))
+        vocab, term = ctx[key]
+        if term == "methodName" and vocab is SBO_IRI:
+            method_name = parse_method(ctx[expect(
+                value, str, MalformedDocument, "form of %r: sbo:methodName", name)][1])
 
     content_type = expect(body.get("contentType", BINARY_DATA_STREAM), str,
                           MalformedDocument, "form of %r: contentType", name)
@@ -427,13 +444,14 @@ def _build_bdo_spec(terms: dict, ctx: _Context, name: str) -> BdoSpec:
     variables = {}
     if "variable" in terms:
         raw_vars = expect(terms["variable"], dict, MalformedDocument, "%r: bdo:variable", name)
-        variables = {var_name: _parse_variable(var_name, var_body, ctx)
-                     for var_name, var_body in raw_vars.items()}
-    if terms.get("pattern") is not None and not variables:
+        for var_name, var_body in raw_vars.items():
+            variables[var_name] = _parse_variable(var_name, var_body, ctx)
+    pattern = terms.get("pattern")
+    if pattern is not None and not variables:
         raise MissingRequired(
             f"{name!r}: bdo:pattern is present but bdo:variable is missing"
         )
-    if terms.get("bytelength") is None and terms.get("pattern") is None:
+    if pattern is None and terms.get("bytelength") is None:
         raise MissingRequired(f"{name!r}: bdo:bytelength is required")
     fields = _layout_fields(terms, _SPEC_TERMS, "%r: bdo:%s", name)
     if "endianess" in terms:
@@ -449,8 +467,8 @@ def _build_bdo_spec(terms: dict, ctx: _Context, name: str) -> BdoSpec:
 def _parse_variable(var_name: str, body, ctx: _Context) -> VariableSpec:
     terms: dict = {}
     for key, value in expect(body, dict, MalformedDocument, "variable %r", var_name).items():
-        resolved = ctx.vocab_term(key)
-        terms[resolved[1] if resolved and resolved[0] == BDO_IRI else key] = value
+        vocab, term = ctx[key]
+        terms[term if vocab is BDO_IRI else key] = value
     fields: dict = {}
     data_type = terms.get("type", "integer")
     if data_type == "string":
@@ -469,7 +487,7 @@ def _parse_variable(var_name: str, body, ctx: _Context) -> VariableSpec:
 
 
 def _parse_endianess(value, ctx: _Context, name: str) -> Endianess:
-    local = ctx.local_name(expect(value, str, MalformedDocument, "%r: endianess", name))
+    local = ctx[expect(value, str, MalformedDocument, "%r: endianess", name)][1]
     try:
         return Endianess(local)
     except ValueError:

@@ -279,11 +279,14 @@ class SimNetwork:
 
         ``mac`` is canonical. Waits out the discovery delay, or ``timeout_s``
         when the device never advertises in time, and then the link setup.
+        Returns at once when ``central`` holds the link already.
         """
         peripheral = self._peripherals.get(mac)
         if peripheral is None:
             self.clock.sleep(timeout_s)
             raise NotFound(f"device {mac} never advertised within {timeout_s:.3f} s")
+        if peripheral.connected_by is central:  # only central can end its link
+            return
         delay_s = self.discovery_delay_s(peripheral)
         if delay_s > timeout_s:
             self.clock.sleep(timeout_s)
@@ -292,6 +295,8 @@ class SimNetwork:
         with self._lock:
             if not peripheral.connectable:
                 raise NotConnectable(f"device {mac} does not accept connections")
+            if peripheral.connected_by is central:  # its connect in flight got there first
+                return
             if peripheral.connected_by is not None:
                 raise Busy(f"device {mac} already holds its single connection")
             peripheral.connected_by = central

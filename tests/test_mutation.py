@@ -5,7 +5,8 @@ node: its value is swapped for one of another JSON type, its key is dropped,
 or a string is cut in half. Whatever the mutant says, only ``WotBleError``
 subclasses may escape the public paths that read it, and the CLI exits with
 0, 1 or 2. The sim config and the plan also set their optional fields, so
-that those are mutated too.
+that those are mutated too. Each TD mutant also parses to the same TD, or
+the same error, whether the term tables start empty or full.
 """
 
 import dataclasses
@@ -14,6 +15,7 @@ import random
 
 import pytest
 
+import wotble.td as td_module
 from wotble import (
     SimTransport,
     VirtualClock,
@@ -151,6 +153,30 @@ def _run_network(plan_dir, doc) -> None:
 def test_td_mutants_raise_only_package_errors(fixture):
     escaped = _escapes(_use_td, mutants(json.loads(fixture.read_text())))
     assert not escaped, "\n".join(escaped)
+
+
+def _outcome(doc):
+    """The parsed TD, or the class and message of the error parsing raised."""
+    try:
+        return parse_td(json.dumps(doc))
+    except WotBleError as exc:
+        return type(exc), str(exc)
+
+
+def test_term_tables_change_no_td_mutant_outcome():
+    fixtures = [json.loads(path.read_text()) for path in (LAMP_TD, SENSOR_TD, BEACON_TD)]
+    docs = [doc for fixture in fixtures for _, doc in mutants(fixture)]
+    cold = []
+    for doc in docs:
+        td_module._context.cache_clear()
+        cold.append(_outcome(doc))
+    for doc in fixtures + docs:
+        _outcome(doc)
+    warm = [_outcome(doc) for doc in docs]
+    assert sum(type(outcome) is tuple for outcome in cold) > len(docs) // 4
+    mismatched = [(json.dumps(doc), before, after)
+                  for doc, before, after in zip(docs, cold, warm) if before != after]
+    assert not mismatched, mismatched[:3]
 
 
 def test_sim_config_mutants_raise_only_package_errors(plan_dir):

@@ -1,4 +1,8 @@
+import cProfile
 import json
+import pstats
+import sys
+import threading
 
 import pytest
 
@@ -190,6 +194,8 @@ def test_undeclared_prefix_is_rejected():
             parse_td(json.dumps(doc))
         raised.append(exc_info.value)
     assert raised[0] is not raised[1] and str(raised[0]) == str(raised[1])
+    table = td_module._context(frozenset([("bdo", CONTEXT[1]["bdo"])]))
+    assert "sbo:isConnectable" not in table
 
 
 def test_missing_bytelength_is_required():
@@ -229,6 +235,7 @@ def test_missing_bytelength_is_required():
     (False, "bdo:variable", {"on": {"bdo:bytelength": HUGE}}),
     (False, "bdo:endianess", "middleEndian"),
     (False, "bdo:variable", {"on": {"bdo:bytelength": 1, "bdo:endianess": "middleEndian"}}),
+    (False, "format", [1]),
 ])
 def test_wrong_typed_terms_are_malformed(in_form, term, value):
     doc = json.loads(td_doc())
@@ -296,6 +303,24 @@ def test_unknown_units_error():
         parse_td(td_doc(**{
             "sbo:hasAdvertisingInterval": {"rdf:value": 1, "qudt:unit": "qudt:HR"},
         }))
+
+
+@pytest.mark.parametrize("unit", ["rdf:SEC", "sbo:MilliSEC", "ex:SEC"])
+def test_units_outside_qudt_error(unit):
+    doc = json.loads(td_doc(**{
+        "sbo:hasAdvertisingInterval": {"rdf:value": 5, "qudt:unit": unit},
+    }))
+    doc["@context"][1]["ex"] = ""  # "ex:SEC" expands to the bare name "SEC"
+    with pytest.raises(UnsupportedUnit, match=f"unit '{unit}' is not MilliSEC or SEC"):
+        parse_td(json.dumps(doc))
+
+
+@pytest.mark.parametrize("unit, ms", [("SEC", 5000.0), ("MilliSEC", 5.0)])
+def test_bare_unit_names_are_read(unit, ms):
+    td = parse_td(td_doc(**{
+        "sbo:hasAdvertisingInterval": {"rdf:value": 5, "qudt:unit": unit},
+    }))
+    assert td.metadata.advertising_interval_ms == ms
 
 
 def test_nonpositive_intervals_are_rejected():
@@ -371,9 +396,71 @@ def test_term_caches_stay_bounded():
     doc = json.loads(td_doc())
     doc.update({f"sbo:term{i}": i for i in range(1_000)})
     assert len(parse_td(json.dumps(doc)).extensions) == 1_000
-    for split in (td_module._split_curie, td_module._split_vocab):
-        info = split.cache_info()
-        assert 0 < info.currsize <= info.maxsize
+    table = td_module._context(frozenset(CONTEXT[1].items()))
+    assert 0 < len(table) <= td_module._TERMS_KEPT
+
+
+def test_term_tables_stay_bounded_in_number():
+    doc = json.loads(td_doc())
+    for i in range(2 * td_module._BINDINGS_KEPT):
+        doc["@context"] = [CONTEXT[0], {**CONTEXT[1], "ex": f"https://example.com/{i}#"}]
+        assert parse_td(json.dumps(doc)).properties["level"].bdo.bytelength == 2
+    info = td_module._context.cache_info()
+    assert info.currsize == info.maxsize == td_module._BINDINGS_KEPT
+
+
+def test_documents_share_a_table_only_when_their_bindings_match():
+    reordered = dict(reversed(CONTEXT[1].items()))
+    renamed = {("bt" if prefix == "sbo" else prefix): iri
+               for prefix, iri in CONTEXT[1].items()}
+    rebound = {**CONTEXT[1], "sbo": "https://example.com/other#"}
+    table = td_module._context(frozenset(CONTEXT[1].items()))
+    assert td_module._context(frozenset(reordered.items())) is table
+    for other in (renamed, rebound):
+        assert td_module._context(frozenset(other.items())) is not table
+    parse_td(td_doc(**{"sbo:isConnectable": True}))
+    assert table["sbo:isConnectable"] == (td_module.SBO_IRI, "isConnectable")
+    assert table["title"] == (None, "title")
+
+
+def test_threads_sharing_a_term_table_parse_alike():
+    fixtures = [path.read_text() for path in (LAMP_TD, SENSOR_TD, BEACON_TD)]
+    churn = json.loads(td_doc())  # enough distinct keys to empty the table
+    churn.update({f"sbo:term{i}": i for i in range(td_module._TERMS_KEPT + 50)})
+    texts = fixtures + [json.dumps(churn)]
+    expected = [parse_td(text) for text in texts]
+    mismatches = []
+
+    def parse_all():
+        for _ in range(20):
+            for text, want in zip(texts, expected):
+                if parse_td(text) != want:
+                    mismatches.append(text[:40])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=parse_all) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not mismatches
+
+
+def test_fixture_parse_stays_within_its_call_budget():
+    texts = [path.read_text() for path in (LAMP_TD, SENSOR_TD, BEACON_TD)]
+    for text in texts:  # fill the term tables and the other caches first
+        parse_td(text)
+    profile = cProfile.Profile()
+    profile.enable()
+    for text in texts:
+        parse_td(text)
+    profile.disable()
+    assert pstats.Stats(profile).total_calls / len(texts) <= 130
 
 
 def test_method_name_resolution():

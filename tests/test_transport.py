@@ -133,6 +133,41 @@ def test_single_connection_peripheral_second_central_busy():
     net.close()
 
 
+def test_connect_by_the_holder_returns_at_once():
+    net = virtual_network(processing_delay_ms=5, connect_setup_ms=7)
+    t = SimTransport(net, timeout_s=1.0)
+    t.connect(LAMP_MAC)
+    before, rng_state = net.clock.monotonic(), net._rng.getstate()
+    t.connect(LAMP_MAC)  # no Busy: this central holds the link
+    assert net.clock.monotonic() == before
+    assert net._rng.getstate() == rng_state
+    assert t.is_connected(LAMP_MAC) and t.read(LAMP_URI) is not None
+    net.close()
+
+
+class InterleavingClock(VirtualClock):
+    """A virtual clock that runs ``then`` once, at the end of the next sleep."""
+
+    then = None
+
+    def sleep(self, seconds):
+        super().sleep(seconds)
+        then, self.then = self.then, None
+        if then is not None:
+            then()
+
+
+def test_connects_of_one_central_in_flight_together_both_succeed():
+    clock = InterleavingClock()
+    net = make_network(clock=clock)
+    t = SimTransport(net, timeout_s=1.0)
+    clock.then = lambda: t.connect(LAMP_MAC)  # inside the first discovery wait
+    t.connect(LAMP_MAC)
+    assert t.is_connected(LAMP_MAC)
+    assert [entry for entry in t.trace if entry[0] == "connect"] == [("connect", LAMP_MAC)] * 2
+    net.close()
+
+
 def test_central_holds_sessions_to_many_devices():
     net = virtual_network()
     t = SimTransport(net, timeout_s=1.0)
