@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import queue
 import sys
+import threading
 import time
 from contextlib import contextmanager
 
@@ -31,6 +33,23 @@ USAGE_ERROR = 2
 INTERACTION_ERROR = 1
 
 
+#: The longest wait, in ms, that a thread can be given.
+_MAX_TIMEOUT_MS = threading.TIMEOUT_MAX * 1000.0
+
+
+def _timeout_ms(text: str) -> float:
+    """Milliseconds that a wait can honour: finite, > 0 and at most
+    ``_MAX_TIMEOUT_MS``; anything else is a usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (math.isfinite(value) and 0 < value <= _MAX_TIMEOUT_MS):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number > 0 and at most {_MAX_TIMEOUT_MS:g}, got {text!r}")
+    return value
+
+
 def _add_global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
     # Shared flags live on the root parser and on every subcommand; the
     # subcommand copies default to SUPPRESS so they never shadow root values.
@@ -41,7 +60,8 @@ def _add_global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
                         help="'sim:<config.json>'")
     parser.add_argument("--seed", type=int, default=d(None),
                         help="RNG seed for the simulated network")
-    parser.add_argument("--timeout-ms", type=float, default=d(10_000.0))
+    parser.add_argument("--timeout-ms", type=_timeout_ms, default=d(10_000.0),
+                        help="connect and notification wait in ms (finite, > 0)")
     parser.add_argument("--output", choices=("table", "csv", "json"),
                         default=d("table"))
     parser.add_argument("--policy", default=d("keep_connected"),

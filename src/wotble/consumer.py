@@ -116,6 +116,10 @@ class ConsumedThing:
     once more: connecting on first use and recovering a dropped link are
     one path. ``RECONNECT_PER_OPERATION`` alone, while unpinned, opens a
     fresh link before the call.
+
+    A teardown of an unpinned thing, by a policy or by ``disconnect()``,
+    asks the transport once whether the link is up and drops it at most
+    once.
     """
 
     def __init__(self, td: ThingDescription, transport: TransportContract,
@@ -136,10 +140,13 @@ class ConsumedThing:
     @property
     def device_id(self) -> str:
         """The single MAC all gatt:// forms of this TD agree on."""
-        with self._lock:
-            if self._device_id is None:
-                self._device_id = self._resolve_device_id()
-            return self._device_id
+        device_id = self._device_id
+        if device_id is None:  # resolved once, under the lock; read freely after
+            with self._lock:
+                if self._device_id is None:
+                    self._device_id = self._resolve_device_id()
+                device_id = self._device_id
+        return device_id
 
     def _resolve_device_id(self) -> str:
         macs = {form.uri.device_id
@@ -159,7 +166,7 @@ class ConsumedThing:
     @property
     def connected(self) -> bool:
         """Whether the transport holds a link to the TD's device."""
-        return self.transport.is_connected(self._device_id or self.device_id)
+        return self.transport.is_connected(self.device_id)
 
     def connect(self) -> None:
         """Connect to the TD's device and explore its GATT structure."""
@@ -168,14 +175,21 @@ class ConsumedThing:
                 self._open()
 
     def _open(self) -> None:
-        self.transport.connect(self.device_id)
+        device_id, transport = self.device_id, self.transport
+        transport.connect(device_id)
         # Exploring the GATT structure is part of the connect time the paper
         # measures, though nothing reads the tree afterwards.
         try:
-            self.transport.discover_gatt(self.device_id)
+            transport.discover_gatt(device_id)
         except Exception:
-            self.transport.disconnect(self.device_id)  # release the link
+            transport.disconnect(device_id)  # release the link
             raise
+
+    def _drop(self) -> None:
+        """Drop the link of a thing with no live subscription; under the lock."""
+        device_id, transport = self.device_id, self.transport
+        if transport.is_connected(device_id):
+            transport.disconnect(device_id)
 
     def disconnect(self) -> None:
         """Tear the session down and end the thing's subscriptions.
@@ -184,6 +198,10 @@ class ConsumedThing:
         counts as disconnected, so the next operation connects again. A
         running listener may call back into the thing meanwhile.
         """
+        with self._lock:
+            if not self._subscriptions:
+                self._drop()
+                return
         # A subscription whose listener is running ends through _end, outside
         # the thing's lock, as that listener may call back into the thing. The
         # others end with the link, once no listener of theirs can start.
@@ -253,8 +271,9 @@ class ConsumedThing:
         return self._run(subscribe)
 
     def unsubscribe_event(self, subscription: Subscription) -> None:
+        """End ``subscription`` on its own thing, whichever thing is called."""
         if subscription.active:
-            self._end(subscription)
+            subscription.thing._end(subscription)
 
     def _end(self, subscription: Subscription) -> None:
         # Not under the thing's lock: this waits for an in-flight delivery,
@@ -383,7 +402,7 @@ class ConsumedThing:
         """
         with self._lock:
             if self.policy is _RECONNECT_PER_OPERATION and not self._subscriptions:
-                self.disconnect()
+                self._drop()
                 self._open()  # the link is down: spare a call bound to fail
             try:
                 try:
@@ -395,7 +414,7 @@ class ConsumedThing:
                     return call(*args)
             finally:
                 if self.policy is not _KEEP_CONNECTED and not self._subscriptions:
-                    self.disconnect()
+                    self._drop()
 
 
 def _require_codec(request: ResolvedRequest, codec):

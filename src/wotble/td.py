@@ -504,11 +504,11 @@ def validate_td(td: ThingDescription) -> list[Diagnostic]:
     list means the TD is fully usable with this binding.
     """
     diagnostics: list[Diagnostic] = []
+    # The common form has nothing to report, so a path is formatted only for
+    # a diagnostic.
     for category in ("properties", "actions", "events"):
         for name, affordance in getattr(td, category).items():
-            path = f"{category}/{name}"
             for index, form in enumerate(affordance.forms):
-                form_path = f"{path}/forms/{index}"
                 try:
                     if form.uri is None:
                         parse_gatt_uri(form.href)  # raises, saying why
@@ -518,14 +518,14 @@ def validate_td(td: ThingDescription) -> list[Diagnostic]:
                         DiagnosticCode.BAD_URI_SCHEME,
                         f"href {form.href!r} is not a gatt:// URI; "
                         "this binding will not use it",
-                        form_path,
+                        f"{category}/{name}/forms/{index}",
                     ))
                 except UriError as exc:
                     diagnostics.append(Diagnostic(
                         Severity.ERROR,
                         DiagnosticCode.BAD_HREF,
                         f"href {form.href!r}: {exc}",
-                        form_path,
+                        f"{category}/{name}/forms/{index}",
                     ))
                 else:
                     if td.metadata.is_connectable is False:
@@ -534,14 +534,14 @@ def validate_td(td: ThingDescription) -> list[Diagnostic]:
                             DiagnosticCode.CONNECTABILITY_CONFLICT,
                             "device is not connectable but the form requires "
                             "a GATT connection",
-                            form_path,
+                            f"{category}/{name}/forms/{index}",
                         ))
-                if affordance.bdo is None and any(op in WRITE_OPERATIONS for op in form.op):
+                if affordance.bdo is None and not WRITE_OPERATIONS.isdisjoint(form.op):
                     diagnostics.append(Diagnostic(
                         Severity.WARNING,
                         DiagnosticCode.NOT_ENCODABLE,
                         f"affordance {name!r} allows writes but declares no "
                         "binary layout",
-                        form_path,
+                        f"{category}/{name}/forms/{index}",
                     ))
     return diagnostics

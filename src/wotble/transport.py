@@ -23,7 +23,8 @@ import uuid as uuidlib
 from dataclasses import dataclass
 from pathlib import Path
 from queue import SimpleQueue
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 from .binding import GattMethod
 from .clock import RealClock
@@ -58,9 +59,13 @@ _NOTIFY = GattMethod.NOTIFY
 
 @dataclass(frozen=True)
 class GattTree:
-    """Services and characteristics found while exploring a device."""
+    """Services and characteristics found while exploring a device.
 
-    services: dict
+    ``services`` is a read-only mapping from service UUID to a tuple of
+    ``(characteristic UUID, allowed methods)`` pairs.
+    """
+
+    services: Mapping
 
     def characteristics(self, service: uuidlib.UUID):
         return self.services.get(service, ())
@@ -137,10 +142,12 @@ class SimCharacteristic:
 class SimPeripheral:
     """Definition plus runtime state of one simulated device.
 
-    ``services`` maps service UUID to characteristic UUID to
-    :class:`SimCharacteristic`. It is fixed once the peripheral is defined:
-    an index by canonical ``gatt://`` text, built from it here, serves the
-    transport's per-call lookup.
+    ``services`` is a read-only mapping from service UUID to characteristic
+    UUID to :class:`SimCharacteristic`. It is fixed once the peripheral is
+    defined, so what is derived from it is built here once: an index by
+    canonical ``gatt://`` text, which serves the transport's per-call
+    lookup, and the :class:`GattTree` that every exploration returns. The
+    tree lists each characteristic's methods as they were defined.
     """
 
     def __init__(self, device_id: str, advertising_interval_ms: float,
@@ -150,13 +157,17 @@ class SimPeripheral:
             raise InvalidConfig("advertising interval must be > 0 ms")
         self.advertising_interval_ms = float(advertising_interval_ms)
         self.connectable = bool(connectable)
-        self.services: dict = services or {}
+        self.services: Mapping = MappingProxyType(dict(services or {}))
         self.connected_by = None  # the SimTransport holding the single connection
         self._by_uri: dict[str, SimCharacteristic] = {
             GattUri(self.device_id, svc, char).text: chr_obj
             for svc, chars in self.services.items()
             for char, chr_obj in chars.items()
         }
+        self.gatt_tree = GattTree(services=MappingProxyType({
+            svc: tuple((char, chr_obj.allowed) for char, chr_obj in chars.items())
+            for svc, chars in self.services.items()
+        }))
 
     def characteristic(self, service: uuidlib.UUID, characteristic: uuidlib.UUID
                        ) -> SimCharacteristic:
@@ -167,12 +178,6 @@ class SimPeripheral:
                 f"{self.device_id} has no characteristic {characteristic} "
                 f"under service {service}"
             ) from None
-
-    def gatt_tree(self) -> GattTree:
-        return GattTree(services={
-            svc: tuple((char, chr_obj.allowed) for char, chr_obj in chars.items())
-            for svc, chars in self.services.items()
-        })
 
 
 class _Subscription:
@@ -484,7 +489,7 @@ class SimTransport(TransportContract):
         mac = normalize_mac(device_id)
         peripheral = self.network.linked(mac, self)
         self.trace.append(("discover_gatt", mac))
-        return peripheral.gatt_tree()
+        return peripheral.gatt_tree
 
     # -- attribute operations
 

@@ -170,6 +170,20 @@ def test_sim_serve_lists_devices(capsys):
     assert "BE:58:30:00:CC:11" in out
 
 
+@pytest.mark.parametrize("timeout_ms", ["nan", "inf", "0", "-5", "1e13"])
+def test_timeout_a_wait_cannot_honour_is_usage_error(capsys, timeout_ms):
+    # With `subscribe`, inf and 1e13 once ended in an OverflowError from
+    # queue.get, and nan in a wait that never ended. `read` is used here, so
+    # that an accepted value fails the test instead of hanging it.
+    with pytest.raises(SystemExit) as exit_info:
+        main(["read", str(SENSOR_TD), "moisture",
+              "--transport", SIM, f"--timeout-ms={timeout_ms}"])
+    captured = capsys.readouterr()
+    assert exit_info.value.code == 2 and captured.out == ""
+    assert "argument --timeout-ms:" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_global_flags_accepted_before_subcommand(capsys):
     code, out, _ = run(capsys, "--transport", SIM, "--output", "json",
                        "read", SENSOR_TD, "moisture")

@@ -1,4 +1,6 @@
+import cProfile
 import json
+import pstats
 import queue
 import sys
 import threading
@@ -19,7 +21,7 @@ from wotble import (
     parse_td,
     parse_td_file,
 )
-from wotble.codec import encode
+from wotble.codec import decode, encode
 from wotble.errors import (
     BadScheme,
     InvalidTd,
@@ -746,6 +748,77 @@ def test_concurrent_subscribers_leave_no_pin_behind():
         assert net.peripheral(BEACON_MAC).connected_by is None
 
 
+def test_unsubscribing_through_another_thing_ends_the_owners_pin():
+    with make_network(clock=VirtualClock(), auto_notify=False) as net:
+        owner, owner_link = beacon_reader(net, ConnectionPolicy.DISCONNECT_AFTER)
+        other, other_link = beacon_reader(net, ConnectionPolicy.KEEP_CONNECTED)
+        subscription = owner.subscribe_event("temperature", print)
+        other.unsubscribe_event(subscription)
+        assert not subscription.active and owner._subscriptions == []
+        assert net._subscriptions == {} and other_link.trace == []
+        assert owner.read_property("temperature") == pytest.approx(25.0)
+        assert not owner.connected  # unpinned: the policy dropped the link
+        assert [entry[0] for entry in owner_link.trace] == [
+            *CYCLE, "subscribe", "unsubscribe", "read", "disconnect"]
+
+
+class LinkCallLog(SimTransport):
+    """A transport that logs each link call a consumer makes of it."""
+
+    def __init__(self, net):
+        super().__init__(net, timeout_s=60.0)
+        self.calls = []
+
+    def connect(self, device_id):
+        self.calls.append("connect")
+        super().connect(device_id)
+
+    def disconnect(self, device_id):
+        self.calls.append("disconnect")
+        super().disconnect(device_id)
+
+    def is_connected(self, device_id):
+        self.calls.append("is_connected")
+        return super().is_connected(device_id)
+
+
+#: Link calls of a read, then an explicit disconnect(), on a fresh thing.
+#: Each teardown asks ``is_connected`` once and disconnects at most once.
+TEARDOWN_CALLS = {
+    ConnectionPolicy.KEEP_CONNECTED:
+        ("is_connected", "connect", "is_connected", "disconnect"),
+    ConnectionPolicy.RECONNECT_PER_OPERATION:
+        ("is_connected", "connect", "is_connected", "disconnect", "is_connected"),
+    ConnectionPolicy.DISCONNECT_AFTER:
+        ("is_connected", "connect", "is_connected", "disconnect", "is_connected"),
+}
+
+
+@pytest.mark.parametrize("policy", list(TEARDOWN_CALLS))
+def test_an_unpinned_teardown_asks_the_transport_once(policy):
+    with make_network(clock=VirtualClock()) as net:
+        transport = LinkCallLog(net)
+        thing = consume(parse_td_file(SENSOR_TD), transport, policy)
+        assert thing.read_property("moisture") == 42
+        thing.disconnect()
+        assert tuple(transport.calls) == TEARDOWN_CALLS[policy]
+
+
+def test_a_session_read_stays_within_its_call_budget():
+    td = parse_td_file(SENSOR_TD)
+    policy = ConnectionPolicy.RECONNECT_PER_OPERATION
+    with make_network(clock=VirtualClock(), auto_notify=False) as net:
+        consume(td, SimTransport(net), policy).read_property("moisture")  # warm caches
+        things = [consume(td, SimTransport(net), policy) for _ in range(100)]
+        profile = cProfile.Profile()
+        profile.enable()
+        for thing in things:
+            thing.read_property("moisture")
+        profile.disable()
+    # A connect, a GATT exploration, a read and a disconnect, through the binding.
+    assert pstats.Stats(profile).total_calls / len(things) <= 85
+
+
 # --- multi-property operations -----------------------------------------------------------
 
 def test_read_all_properties_in_declaration_order():
@@ -856,3 +929,29 @@ def test_listing_parity_raw_script_equals_consumed_thing():
 
     assert status == raw_status == 42
     net.close()
+
+
+def test_a_session_read_spends_the_radio_time_of_the_raw_calls():
+    """The binding adds library time only: radio time equals the raw sequence's."""
+    knobs = dict(processing_delay_ms=5.0, connect_setup_ms=30.0,
+                 read_latency_ms=7.5, disconnect_latency_ms=12.0)
+    moisture = parse_td_file(SENSOR_TD).properties["moisture"]
+    with make_network(clock=VirtualClock(), seed=11, **knobs) as bound_net, \
+            make_network(clock=VirtualClock(), seed=11, **knobs) as raw_net:
+        thing = consume(parse_td_file(SENSOR_TD), SimTransport(bound_net, timeout_s=60.0),
+                        ConnectionPolicy.RECONNECT_PER_OPERATION)
+        raw = SimTransport(raw_net, timeout_s=60.0)
+        for _ in range(5):
+            start = bound_net.clock.monotonic()
+            value = thing.read_property("moisture")
+            bound_s = bound_net.clock.monotonic() - start
+
+            start = raw_net.clock.monotonic()
+            raw.connect(SENSOR_MAC)
+            raw.discover_gatt(SENSOR_MAC)
+            buffer = raw.read(moisture.forms[0].uri)
+            raw.disconnect(SENSOR_MAC)
+            raw_s = raw_net.clock.monotonic() - start
+
+            assert bound_s == raw_s > sum(knobs.values()) / 1000.0
+            assert decode(buffer, moisture.bdo) == value == 42

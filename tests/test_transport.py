@@ -226,6 +226,28 @@ def test_gatt_tree_mirrors_definition():
     net.close()
 
 
+def test_every_exploration_returns_one_read_only_tree():
+    with virtual_network() as net:
+        t = SimTransport(net, timeout_s=1.0)
+        trees = []
+        for _ in range(2):
+            t.connect(LAMP_MAC)
+            trees.append(t.discover_gatt(LAMP_MAC))
+            t.disconnect(LAMP_MAC)
+        assert trees[0] is trees[1]
+        tree, service = trees[0], uuid.UUID(LAMP_SERVICE)
+        with pytest.raises(TypeError):
+            tree.services[service] = ()
+        with pytest.raises(TypeError):
+            net.peripheral(LAMP_MAC).services[service] = {}
+        assert set(tree.services) == {service}
+        t.connect(LAMP_MAC)
+        t.disconnect(LAMP_MAC)
+        with pytest.raises(NotConnected):  # exploration still checks the link
+            t.discover_gatt(LAMP_MAC)
+        assert [entry[0] for entry in t.trace].count("discover_gatt") == 2
+
+
 def test_discovery_latency_uniform_over_advertising_interval():
     # Mean of U(0, interval) converges to interval/2; +-10% at N=1000.
     interval_ms = 100.0
