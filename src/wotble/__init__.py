@@ -44,7 +44,6 @@ from .td import (
     validate_td,
 )
 from .transport import (
-    GattTree,
     SimCharacteristic,
     SimNetwork,
     SimPeripheral,
@@ -71,7 +70,6 @@ __all__ = [
     "Form",
     "GapRole",
     "GattMethod",
-    "GattTree",
     "GattUri",
     "RealClock",
     "ResolvedRequest",

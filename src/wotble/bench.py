@@ -27,7 +27,7 @@ from .clock import RealClock
 from .consumer import ConnectionPolicy, ConsumedThing, consume
 from .errors import AllSamplesFailed, NotConnected, PlanError, expect
 from .td import parse_td_file
-from .transport import open_transport
+from .transport import MAX_TIMEOUT_MS, open_transport
 
 BENCH_OPERATIONS = ("connect", "disconnect", "read")
 
@@ -87,8 +87,9 @@ class BenchPlan:
             expect(self.property, str, PlanError, "property")
         if "read" in self.operations and not self.property:
             raise PlanError("a 'read' benchmark needs a property name")
-        if expect(self.timeout_ms, float, PlanError, "timeoutMs") <= 0:
-            raise PlanError("timeoutMs must be > 0")
+        timeout_ms = expect(self.timeout_ms, float, PlanError, "timeoutMs")
+        if not 0 < timeout_ms <= MAX_TIMEOUT_MS:
+            raise PlanError(f"timeoutMs must be > 0 and at most {MAX_TIMEOUT_MS:g}")
 
 
 def load_bench_plan(path) -> BenchPlan:

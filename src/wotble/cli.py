@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: read, write, invoke, subscribe, validate, bench, sim serve.
+Subcommands: read, write, invoke, subscribe, validate, bench, sim list.
 Exit codes: 0 on success, 1 for interaction errors, 2 for usage or
 validation errors.
 """
@@ -12,8 +12,6 @@ import json
 import math
 import queue
 import sys
-import threading
-import time
 from contextlib import contextmanager
 
 from . import bench as benchmod
@@ -27,26 +25,22 @@ from .errors import (
     WotBleError,
 )
 from .td import Severity, parse_td_file, validate_td
-from .transport import load_sim_config, open_transport
+from .transport import MAX_TIMEOUT_MS, load_sim_config, open_transport
 
 USAGE_ERROR = 2
 INTERACTION_ERROR = 1
 
 
-#: The longest wait, in ms, that a thread can be given.
-_MAX_TIMEOUT_MS = threading.TIMEOUT_MAX * 1000.0
-
-
 def _timeout_ms(text: str) -> float:
     """Milliseconds that a wait can honour: finite, > 0 and at most
-    ``_MAX_TIMEOUT_MS``; anything else is a usage error."""
+    ``MAX_TIMEOUT_MS``; anything else is a usage error."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not (math.isfinite(value) and 0 < value <= _MAX_TIMEOUT_MS):
+    if not (math.isfinite(value) and 0 < value <= MAX_TIMEOUT_MS):
         raise argparse.ArgumentTypeError(
-            f"must be a finite number > 0 and at most {_MAX_TIMEOUT_MS:g}, got {text!r}")
+            f"must be a finite number > 0 and at most {MAX_TIMEOUT_MS:g}, got {text!r}")
     return value
 
 
@@ -111,11 +105,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sim", help="simulated network tools")
     sim_sub = p.add_subparsers(dest="sim_command", required=True)
-    serve = sim_sub.add_parser("serve", parents=[common],
-                               help="load a network and keep it running")
-    serve.add_argument("config")
-    serve.add_argument("--duration-s", type=float, default=None,
-                       help="stop after this many seconds (default: until Ctrl-C)")
+    p = sim_sub.add_parser("list", parents=[common],
+                           help="list the devices a network config defines")
+    p.add_argument("config")
 
     return parser
 
@@ -215,10 +207,10 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def cmd_sim_serve(args) -> int:
-    network = load_sim_config(args.config, seed=args.seed)
-    peripherals = network.peripherals()
-    print(f"simulated network up: {len(peripherals)} device(s)")
+def cmd_sim_list(args) -> int:
+    with load_sim_config(args.config, seed=args.seed) as network:
+        peripherals = network.peripherals()
+    print(f"simulated network: {len(peripherals)} device(s)")
     for peripheral in peripherals:
         flags = "connectable" if peripheral.connectable else "not connectable"
         print(f"  {peripheral.device_id}  advertising every "
@@ -227,14 +219,6 @@ def cmd_sim_serve(args) -> int:
             for char, obj in chars.items():
                 methods = " ".join(sorted(m.value for m in obj.allowed))
                 print(f"    {svc}/{char}  [{methods}]  value={obj.value.hex() or '-'}")
-    deadline = None if args.duration_s is None else time.monotonic() + args.duration_s
-    try:
-        while deadline is None or time.monotonic() < deadline:
-            time.sleep(0.1)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        network.close()
     return 0
 
 
@@ -252,6 +236,7 @@ _COMMANDS = {
     "subscribe": cmd_subscribe,
     "validate": cmd_validate,
     "bench": cmd_bench,
+    "sim": cmd_sim_list,  # list is the only sim command
 }
 
 
@@ -259,8 +244,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "sim":
-            return cmd_sim_serve(args)
         return _COMMANDS[args.command](args)
     except (TdError, InvalidTd, PlanError, InvalidConfig) as exc:
         print(f"error: {exc}", file=sys.stderr)

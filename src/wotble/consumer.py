@@ -13,7 +13,7 @@ A live event subscription pins the link against the policy's teardown.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Mapping
 
@@ -59,14 +59,18 @@ _WRITEPROPERTY = WotOperation.WRITEPROPERTY
 _WRITE = GattMethod.WRITE
 
 
-@dataclass
+@dataclass(eq=False)
 class Subscription:
+    """One event subscription of a thing; equal only to itself."""
+
     thing: "ConsumedThing"
     event: str
-    handle: object
-    active: bool = True
-    #: Calls of the listener now running; guarded by the thing's delivery lock.
-    _listening: int = field(default=0, init=False, repr=False, compare=False)
+    handle: object  # what the transport's ``subscribe`` returned
+
+    @property
+    def active(self) -> bool:
+        """Whether the transport still delivers to this subscription."""
+        return self.handle.active
 
 
 def consume(td: ThingDescription, transport: TransportContract,
@@ -99,11 +103,13 @@ class ConsumedThing:
     dropped for the thing too.
 
     The thing is disconnected, connected, or pinned: connected with at least
-    one live subscription, which no policy teardown ends. A subscription
-    ends through ``unsubscribe_event``, an explicit ``disconnect()``, which
-    ends all of the thing's subscriptions, or an operation that finds the
-    link dropped, which ends those that died with it; each sets its
-    ``active`` to False.
+    one live subscription, which no policy teardown ends. The transport's
+    subscription handle is the only record of whether a subscription is
+    live, and ``Subscription.active`` reads it. A subscription ends through
+    ``unsubscribe_event``, an explicit ``disconnect()``, which ends all of
+    the thing's subscriptions, or with its link, whoever dropped that; it
+    reads inactive as soon as the call that ended it returns. The thing
+    forgets an ended subscription at its next pin check.
 
     Each (affordance, operation) pair is resolved to its form, request and
     codec on first use and reused after that, so the TD must not be mutated
@@ -130,10 +136,8 @@ class ConsumedThing:
         self._lock = threading.RLock()
         self._device_id: str | None = None
         self._requests: dict = {}
-        self._subscriptions: list[Subscription] = []  # live ones; they pin the link
-        # Guards a subscription's active check in its sink against
-        # disconnect(); held only while reading or setting those fields.
-        self._delivery_lock = threading.Lock()
+        # Live ones pin the link; _live() forgets those the transport ended.
+        self._subscriptions: list[Subscription] = []
 
     # -- connection management
 
@@ -178,7 +182,7 @@ class ConsumedThing:
         device_id, transport = self.device_id, self.transport
         transport.connect(device_id)
         # Exploring the GATT structure is part of the connect time the paper
-        # measures, though nothing reads the tree afterwards.
+        # measures, though it yields nothing that the thing reads.
         try:
             transport.discover_gatt(device_id)
         except Exception:
@@ -191,33 +195,26 @@ class ConsumedThing:
         if transport.is_connected(device_id):
             transport.disconnect(device_id)
 
+    def _live(self) -> list[Subscription]:
+        """The subscriptions still live; forgets the ended ones. Under the lock."""
+        if self._subscriptions:
+            self._subscriptions = [s for s in self._subscriptions if s.handle.active]
+        return self._subscriptions
+
     def disconnect(self) -> None:
-        """Tear the session down and end the thing's subscriptions.
+        """End the thing's subscriptions, then tear the session down.
 
         A no-op when not connected. A link the transport already dropped
         counts as disconnected, so the next operation connects again. A
         running listener may call back into the thing meanwhile.
         """
-        with self._lock:
-            if not self._subscriptions:
-                self._drop()
-                return
-        # A subscription whose listener is running ends through _end, outside
-        # the thing's lock, as that listener may call back into the thing. The
-        # others end with the link, once no listener of theirs can start.
         while True:
             with self._lock:
-                with self._delivery_lock:
-                    running = [s for s in self._subscriptions if s._listening]
-                    if not running:
-                        for subscription in self._subscriptions:
-                            subscription.active = False  # no listener starts now
-                if not running:
-                    if self.connected:
-                        self.transport.disconnect(self.device_id)
-                    self._subscriptions.clear()
+                live = self._live()
+                if not live:
+                    self._drop()
                     return
-            for subscription in running:
+            for subscription in live:
                 self._end(subscription)
 
     # -- single-affordance interactions
@@ -244,27 +241,20 @@ class ConsumedThing:
         """
         _, request, codec = self._resolve("events", name, WotOperation.SUBSCRIBEEVENT)
         codec = _require_codec(request, codec)
-        subscription = Subscription(thing=self, event=name, handle=None)
 
         def sink(payload: bytes) -> None:
             try:
                 value = codec.decode(payload, request.spec)
             except Exception:
                 return
-            with self._delivery_lock:
-                if not subscription.active:
-                    return
-                subscription._listening += 1
             try:
                 listener(value)
             except Exception:
                 pass
-            finally:
-                with self._delivery_lock:
-                    subscription._listening -= 1
 
         def subscribe() -> Subscription:
-            subscription.handle = self.transport.subscribe(request.uri, sink)
+            handle = self.transport.subscribe(request.uri, sink)
+            subscription = Subscription(self, name, handle)
             self._subscriptions.append(subscription)
             return subscription
 
@@ -277,11 +267,10 @@ class ConsumedThing:
 
     def _end(self, subscription: Subscription) -> None:
         # Not under the thing's lock: this waits for an in-flight delivery,
-        # whose listener may call back into the thing.
+        # whose listener may call back into the thing. So disconnect() calls
+        # it outside the lock too.
         self.transport.unsubscribe(subscription.handle)
-        subscription.active = False
         with self._lock:
-            # By identity: Subscription equality compares fields.
             self._subscriptions = [s for s in self._subscriptions
                                    if s is not subscription]
 
@@ -395,25 +384,24 @@ class ConsumedThing:
 
         A call that raises ``NotConnected`` had no effect: the thing was
         never connected or lost its link, and with the link its
-        subscriptions. Those end, the thing connects, and the call is made
+        subscriptions. The thing forgets those, connects, and makes the call
         once more. Unless a live subscription pins the link,
         ``RECONNECT_PER_OPERATION`` replaces it with a fresh one first, and
         both teardown policies drop it afterwards, also when the call raises.
         """
         with self._lock:
-            if self.policy is _RECONNECT_PER_OPERATION and not self._subscriptions:
+            if self.policy is _RECONNECT_PER_OPERATION and not self._live():
                 self._drop()
                 self._open()  # the link is down: spare a call bound to fail
             try:
                 try:
                     return call(*args)
                 except NotConnected:
-                    if self._subscriptions:
-                        self.disconnect()
+                    self._live()  # forget the subscriptions the link took
                     self.connect()
                     return call(*args)
             finally:
-                if self.policy is not _KEEP_CONNECTED and not self._subscriptions:
+                if self.policy is not _KEEP_CONNECTED and not self._live():
                     self._drop()
 
 

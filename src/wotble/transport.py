@@ -57,20 +57,6 @@ _WRITE_WITHOUT_RESPONSE = GattMethod.WRITE_WITHOUT_RESPONSE
 _NOTIFY = GattMethod.NOTIFY
 
 
-@dataclass(frozen=True)
-class GattTree:
-    """Services and characteristics found while exploring a device.
-
-    ``services`` is a read-only mapping from service UUID to a tuple of
-    ``(characteristic UUID, allowed methods)`` pairs.
-    """
-
-    services: Mapping
-
-    def characteristics(self, service: uuidlib.UUID):
-        return self.services.get(service, ())
-
-
 class TransportContract(abc.ABC):
     """Abstract GATT central: exactly what a ``ConsumedThing`` calls.
 
@@ -81,7 +67,11 @@ class TransportContract(abc.ABC):
       before any effect when the link to the URI's device is down, so the
       call may be made again once connected;
     * nothing reaches a sink after ``unsubscribe`` or ``disconnect``
-      returns, and ``disconnect`` ends the link's subscriptions.
+      returns, and ``disconnect`` ends the link's subscriptions;
+    * the handle ``subscribe`` returns has an ``active`` attribute, which
+      is False once the subscription has ended, however it ended: through
+      ``unsubscribe``, or with its link, whoever dropped that. It is the
+      only record of whether a subscription is live that a consumer reads.
 
     A write with response completes only after the server confirms, without
     response on send.
@@ -97,7 +87,7 @@ class TransportContract(abc.ABC):
     def is_connected(self, device_id: str) -> bool: ...
 
     @abc.abstractmethod
-    def discover_gatt(self, device_id: str) -> GattTree: ...
+    def discover_gatt(self, device_id: str) -> None: ...
 
     @abc.abstractmethod
     def read(self, uri: GattUri) -> bytes: ...
@@ -144,10 +134,8 @@ class SimPeripheral:
 
     ``services`` is a read-only mapping from service UUID to characteristic
     UUID to :class:`SimCharacteristic`. It is fixed once the peripheral is
-    defined, so what is derived from it is built here once: an index by
-    canonical ``gatt://`` text, which serves the transport's per-call
-    lookup, and the :class:`GattTree` that every exploration returns. The
-    tree lists each characteristic's methods as they were defined.
+    defined, so the index by canonical ``gatt://`` text that serves the
+    transport's per-call lookup is built here once.
     """
 
     def __init__(self, device_id: str, advertising_interval_ms: float,
@@ -164,10 +152,6 @@ class SimPeripheral:
             for svc, chars in self.services.items()
             for char, chr_obj in chars.items()
         }
-        self.gatt_tree = GattTree(services=MappingProxyType({
-            svc: tuple((char, chr_obj.allowed) for char, chr_obj in chars.items())
-            for svc, chars in self.services.items()
-        }))
 
     def characteristic(self, service: uuidlib.UUID, characteristic: uuidlib.UUID
                        ) -> SimCharacteristic:
@@ -485,11 +469,11 @@ class SimTransport(TransportContract):
     def is_connected(self, device_id: str) -> bool:
         return self.network.is_linked(normalize_mac(device_id), self)
 
-    def discover_gatt(self, device_id: str) -> GattTree:
+    def discover_gatt(self, device_id: str) -> None:
+        """Explore the device's GATT structure; the link must be up."""
         mac = normalize_mac(device_id)
-        peripheral = self.network.linked(mac, self)
+        self.network.linked(mac, self)
         self.trace.append(("discover_gatt", mac))
-        return peripheral.gatt_tree
 
     # -- attribute operations
 
@@ -661,6 +645,11 @@ def _parse_characteristic(body, mac: str) -> SimCharacteristic:
 
 
 # --- transport specs ----------------------------------------------------------------
+
+
+#: The longest connect timeout, in ms, that a transport can honour: the
+#: longest wait a thread can be given.
+MAX_TIMEOUT_MS = threading.TIMEOUT_MAX * 1000.0
 
 
 def open_transport(spec: str, clock=None, seed: int | None = None,

@@ -163,8 +163,8 @@ def test_bench_wrong_typed_plan_is_usage_error(capsys, tmp_path):
     assert err.startswith("error:") and "timeoutMs" in err
 
 
-def test_sim_serve_lists_devices(capsys):
-    code, out, _ = run(capsys, "sim", "serve", NETWORK_CONFIG, "--duration-s", "0.05")
+def test_sim_list_lists_devices(capsys):
+    code, out, _ = run(capsys, "sim", "list", NETWORK_CONFIG)
     assert code == 0
     assert "3 device(s)" in out
     assert "BE:58:30:00:CC:11" in out

@@ -409,7 +409,7 @@ def test_an_operation_ends_the_subscriptions_a_dropped_link_took():
         thing, transport = beacon_reader(net, ConnectionPolicy.DISCONNECT_AFTER)
         subscription = thing.subscribe_event("temperature", print)
         transport.disconnect(BEACON_MAC)
-        assert subscription.active  # nothing has told the thing yet
+        assert not subscription.active  # it ended with the link
         entries = len(transport.trace)
         assert thing.read_property("temperature") == pytest.approx(25.0)
         assert not subscription.active and thing._subscriptions == []
@@ -572,8 +572,57 @@ def test_explicit_disconnect_ends_subscriptions_at_once():
         thing.disconnect()
         assert [s.active for s in subscriptions] == [False, False]
         assert live_subscriptions(net) == 0
+        entries = len(transport.trace)
         thing.unsubscribe_event(subscriptions[0])  # a no-op
-        assert not any(entry[0] == "unsubscribe" for entry in transport.trace)
+        assert len(transport.trace) == entries
+
+
+@pytest.mark.parametrize("listening", [False, True])
+def test_a_pinned_disconnect_ends_each_subscription_then_the_link(monkeypatch, listening):
+    net = make_network(clock=VirtualClock(), auto_notify=False)
+    thing, transport = beacon_reader(net, ConnectionPolicy.KEEP_CONNECTED)
+    in_listener, at_transport = threading.Event(), threading.Event()
+
+    def listener(value):
+        in_listener.set()
+        at_transport.wait(5.0)  # still running when disconnect() unsubscribes
+
+    unsubscribe = transport.unsubscribe
+
+    def spy(handle):
+        at_transport.set()
+        unsubscribe(handle)
+
+    monkeypatch.setattr(transport, "unsubscribe", spy)
+    subscriptions = [thing.subscribe_event("temperature", listener) for _ in range(2)]
+    if listening:
+        emit_beacon(net, 1)
+        assert in_listener.wait(5.0)
+    entries = len(transport.trace)
+    worker = threading.Thread(target=thing.disconnect, daemon=True)
+    worker.start()
+    worker.join(5.0)
+    assert not worker.is_alive(), "disconnect() and the listener deadlocked"
+    assert [entry[0] for entry in transport.trace[entries:]] == [
+        "unsubscribe", "unsubscribe", "disconnect"]
+    assert not any(s.active for s in subscriptions) and not thing.connected
+    assert thing._subscriptions == [] and live_subscriptions(net) == 0
+    # Not in a finally: close() would join a deadlocked delivery thread.
+    net.close()
+
+
+def test_a_subscription_reads_inactive_once_another_thing_drops_the_link():
+    with make_network(clock=VirtualClock(), auto_notify=False) as net:
+        transport = SimTransport(net, timeout_s=60.0)
+        owner, other = (consume(parse_td_file(BEACON_TD), transport) for _ in range(2))
+        received: queue.Queue = queue.Queue()
+        subscription = owner.subscribe_event("temperature", received.put)
+        other.connect()  # the link is up already: shared, not opened anew
+        other.disconnect()
+        assert not subscription.active and not owner.connected
+        emit_beacon(net, 1)
+        net.close()  # hands out whatever was queued before it
+        assert received.empty()
 
 
 def test_listener_may_call_back_while_disconnect_runs(monkeypatch):
@@ -643,7 +692,7 @@ def test_concurrent_disconnects_let_listeners_call_back():
         sys.setswitchinterval(interval)
     assert not any(worker.is_alive() for worker in workers), "deadlocked"
     assert errors == [] and thing._subscriptions == [] and net._subscriptions == {}
-    assert not any(s.active or s._listening for s in subscriptions)
+    assert not any(s.active for s in subscriptions)
     # Not in a finally: close() would join a deadlocked delivery thread.
     net.close()
 
@@ -911,12 +960,11 @@ def test_listing_parity_raw_script_equals_consumed_thing():
     raw.start_discovery()
     raw.connect(SENSOR_MAC)
     raw.stop_discovery()
-    tree = raw.discover_gatt(SENSOR_MAC)
+    raw.discover_gatt(SENSOR_MAC)
     uri = parse_gatt_uri(
         f"gatt://{SENSOR_MAC.replace(':', '-')}/00001204-0000-1000-8000-00805f9b34fb/"
         "00001a01-0000-1000-8000-00805f9b34fb"
     )
-    assert uri.service in tree.services
     buffer = raw.read(uri)
     raw_status = int.from_bytes(buffer[0:1], "little")
     raw.disconnect(SENSOR_MAC)

@@ -7,7 +7,6 @@ import pytest
 
 from wotble import (
     ConnectionPolicy,
-    GattMethod,
     GattUri,
     SimCharacteristic,
     SimNetwork,
@@ -213,39 +212,17 @@ def test_duplicate_device_definition():
     net.close()
 
 
-def test_gatt_tree_mirrors_definition():
-    net = virtual_network()
-    t = SimTransport(net, timeout_s=1.0)
-    t.connect(LAMP_MAC)
-    tree = t.discover_gatt(LAMP_MAC)
-    service = uuid.UUID(LAMP_SERVICE)
-    assert set(tree.services) == {service}
-    chars = tree.characteristics(service)
-    assert chars == ((uuid.UUID(LAMP_CHAR),
-                      frozenset({GattMethod.READ, GattMethod.WRITE})),)
-    net.close()
-
-
-def test_every_exploration_returns_one_read_only_tree():
+def test_exploration_checks_the_link_and_services_stay_read_only():
     with virtual_network() as net:
         t = SimTransport(net, timeout_s=1.0)
-        trees = []
-        for _ in range(2):
-            t.connect(LAMP_MAC)
-            trees.append(t.discover_gatt(LAMP_MAC))
-            t.disconnect(LAMP_MAC)
-        assert trees[0] is trees[1]
-        tree, service = trees[0], uuid.UUID(LAMP_SERVICE)
-        with pytest.raises(TypeError):
-            tree.services[service] = ()
-        with pytest.raises(TypeError):
-            net.peripheral(LAMP_MAC).services[service] = {}
-        assert set(tree.services) == {service}
         t.connect(LAMP_MAC)
+        assert t.discover_gatt(LAMP_MAC) is None
         t.disconnect(LAMP_MAC)
-        with pytest.raises(NotConnected):  # exploration still checks the link
+        with pytest.raises(NotConnected):
             t.discover_gatt(LAMP_MAC)
-        assert [entry[0] for entry in t.trace].count("discover_gatt") == 2
+        assert [entry[0] for entry in t.trace].count("discover_gatt") == 1
+        with pytest.raises(TypeError):
+            net.peripheral(LAMP_MAC).services[uuid.UUID(LAMP_SERVICE)] = {}
 
 
 def test_discovery_latency_uniform_over_advertising_interval():
@@ -544,7 +521,7 @@ def test_session_calls_accept_any_mac_spelling(spelling):
         t.connect(spelling)
         assert net.peripheral(LAMP_MAC).connected_by is t
         assert t.is_connected(spelling)
-        assert set(t.discover_gatt(spelling).services) == {uuid.UUID(LAMP_SERVICE)}
+        t.discover_gatt(spelling)
         t.disconnect(spelling)
         assert not t.is_connected(LAMP_MAC)
         assert net.peripheral(LAMP_MAC).connected_by is None
