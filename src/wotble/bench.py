@@ -20,8 +20,10 @@ import io
 import json
 import math
 import statistics
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Mapping
 
 from .clock import RealClock
 from .consumer import ConnectionPolicy, ConsumedThing, consume
@@ -36,7 +38,11 @@ CSV_HEADER = "operation,n,mean_ms,sem_ms"
 
 @dataclass(frozen=True)
 class BenchStats:
-    """Summary of N timed runs of one operation."""
+    """Summary of N timed runs of one operation.
+
+    ``failure_causes`` holds ``(exception class name, count)`` pairs of the
+    failed repetitions, sorted by name; their counts add up to ``failures``.
+    """
 
     operation: str
     n: int
@@ -44,16 +50,21 @@ class BenchStats:
     sem_ms: float
     samples: tuple[float, ...] = ()
     failures: int = 0
+    failure_causes: tuple[tuple[str, int], ...] = ()
 
     @classmethod
-    def from_samples(cls, operation: str, samples, failures: int = 0) -> "BenchStats":
+    def from_samples(cls, operation: str, samples,
+                     failure_causes: Mapping[str, int] | None = None) -> "BenchStats":
+        """Summarize ``samples``; ``failure_causes`` counts failures by class name."""
         samples = tuple(samples)
         if not samples:
             raise AllSamplesFailed(f"no successful {operation!r} samples")
         mean = statistics.fmean(samples)
         sem = statistics.stdev(samples) / math.sqrt(len(samples)) if len(samples) > 1 else 0.0
+        causes = tuple(sorted((failure_causes or {}).items()))
         return cls(operation=operation, n=len(samples), mean_ms=mean, sem_ms=sem,
-                   samples=samples, failures=failures)
+                   samples=samples, failures=sum(count for _, count in causes),
+                   failure_causes=causes)
 
 
 @dataclass(frozen=True)
@@ -162,7 +173,7 @@ def run_bench(plan: BenchPlan, clock=None, transport=None) -> list[BenchStats]:
 
     ``clock`` switches the simulated network (and the timers) onto virtual
     time; the default is the real monotonic clock. Failed repetitions are
-    excluded from the statistics and counted separately.
+    excluded from the statistics and counted separately, by exception class.
     """
     network = None
     if transport is None:
@@ -178,14 +189,14 @@ def run_bench(plan: BenchPlan, clock=None, transport=None) -> list[BenchStats]:
             if operation == "read" and plan.policy is ConnectionPolicy.KEEP_CONNECTED:
                 thing.connect()  # keep the timed window free of connection setup
             samples: list[float] = []
-            failures = 0
+            causes: Counter = Counter()
             for index in range(plan.warmup + plan.repetitions):
                 _prepare(operation, thing)
                 try:
                     elapsed = time_operation(operation, thing, timer, plan.property)
-                except Exception:
+                except Exception as exc:
                     if index >= plan.warmup:
-                        failures += 1
+                        causes[type(exc).__name__] += 1
                     continue
                 if index >= plan.warmup:
                     samples.append(elapsed)
@@ -193,7 +204,7 @@ def run_bench(plan: BenchPlan, clock=None, transport=None) -> list[BenchStats]:
                 raise AllSamplesFailed(
                     f"all {plan.repetitions} {operation!r} repetitions failed"
                 )
-            results.append(BenchStats.from_samples(operation, samples, failures))
+            results.append(BenchStats.from_samples(operation, samples, causes))
             thing.disconnect()
         return results
     finally:
@@ -221,9 +232,15 @@ def format_table(stats: list[BenchStats], device: str) -> str:
         " | ".join(c.ljust(w) for c, w in zip(cells, widths)),
     ]
     footnotes = [f"{s.operation}: N={s.n}" + (f", failures={s.failures}" if s.failures else "")
-                 for s in stats]
+                 + _causes_text(s) for s in stats]
     lines.append("(" + "; ".join(footnotes) + ")")
     return "\n".join(lines)
+
+
+def _causes_text(stats: BenchStats) -> str:
+    if not stats.failure_causes:
+        return ""
+    return " (" + ", ".join(f"{name} {count}" for name, count in stats.failure_causes) + ")"
 
 
 def to_csv(stats: list[BenchStats]) -> str:
@@ -255,6 +272,7 @@ def to_json(stats: list[BenchStats]) -> str:
             "mean_ms": s.mean_ms,
             "sem_ms": s.sem_ms,
             "failures": s.failures,
+            "failure_causes": dict(s.failure_causes),
             "samples_ms": list(s.samples),
         }
         for s in stats

@@ -13,7 +13,7 @@ A live event subscription pins the link against the policy's teardown.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Mapping
 
@@ -61,11 +61,18 @@ _WRITE = GattMethod.WRITE
 
 @dataclass(eq=False)
 class Subscription:
-    """One event subscription of a thing; equal only to itself."""
+    """One event subscription of a thing; equal only to itself.
+
+    ``decode_failures`` counts the notifications that did not decode, and
+    ``listener_failures`` the listener calls that raised. The delivery
+    thread swallows both and counts them here.
+    """
 
     thing: "ConsumedThing"
     event: str
     handle: object  # what the transport's ``subscribe`` returned
+    decode_failures: int = field(default=0, init=False)
+    listener_failures: int = field(default=0, init=False)
 
     @property
     def active(self) -> bool:
@@ -233,28 +240,31 @@ class ConsumedThing:
     def subscribe_event(self, name: str, listener: Listener) -> Subscription:
         """Register a listener for decoded notification values.
 
-        The listener runs on the transport's delivery thread and its
-        exceptions are swallowed so one bad callback cannot kill the
-        subscription. While the subscription is active it pins the
-        connection: reads and writes under a teardown policy leave the link
-        up, and a second subscription reuses it.
+        The listener runs on the transport's delivery thread. Its exceptions,
+        and values that fail to decode, are swallowed so one bad callback
+        cannot kill the subscription; the subscription counts both. While
+        the subscription is active it pins the connection: reads and writes
+        under a teardown policy leave the link up, and a second subscription
+        reuses it.
         """
         _, request, codec = self._resolve("events", name, WotOperation.SUBSCRIBEEVENT)
-        codec = _require_codec(request, codec)
-
-        def sink(payload: bytes) -> None:
-            try:
-                value = codec.decode(payload, request.spec)
-            except Exception:
-                return
-            try:
-                listener(value)
-            except Exception:
-                pass
+        decode, spec = _require_codec(request, codec).decode, request.spec
 
         def subscribe() -> Subscription:
-            handle = self.transport.subscribe(request.uri, sink)
-            subscription = Subscription(self, name, handle)
+            subscription = Subscription(self, name, None)
+
+            def sink(payload: bytes) -> None:
+                try:
+                    value = decode(payload, spec)
+                except Exception:
+                    subscription.decode_failures += 1
+                    return
+                try:
+                    listener(value)
+                except Exception:
+                    subscription.listener_failures += 1
+
+            subscription.handle = self.transport.subscribe(request.uri, sink)
             self._subscriptions.append(subscription)
             return subscription
 

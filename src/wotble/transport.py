@@ -30,6 +30,9 @@ from .binding import GattMethod
 from .clock import RealClock
 from .codec import MAX_PAYLOAD_OCTETS
 from .errors import (
+    BadDeviceId,
+    BadUuid,
+    BadValue,
     Busy,
     DuplicateDevice,
     InvalidConfig,
@@ -45,7 +48,7 @@ from .errors import (
     ValueTooLong,
     expect,
 )
-from .uris import GattUri, normalize_mac, parse_uuid
+from .uris import _CACHE_SIZE, GattUri, normalize_mac, parse_uuid
 
 Sink = Callable[[bytes], None]
 
@@ -165,9 +168,10 @@ class SimPeripheral:
 
 
 class _Subscription:
-    def __init__(self, uri: GattUri, sink: Sink, transport: "SimTransport"):
+    def __init__(self, uri: GattUri, sink: Sink, transport: "SimTransport",
+                 char: SimCharacteristic):
         self.uri = uri
-        self.key = (uri.device_id, uri.service, uri.characteristic)
+        self.char = char  # its key in the registry
         self.sink = sink
         self.transport = transport
         self.active = True
@@ -187,9 +191,12 @@ class SimNetwork:
       characteristic's value and write log, and the subscription registry:
       :meth:`attach`, :meth:`detach`, :meth:`store`, :meth:`subscribe` and
       :meth:`unsubscribe`.
-    * The subscription registry holds live subscriptions only: unsubscribing
-      removes the entry, and nothing is delivered to it after
-      ``unsubscribe`` returns, not even a value already queued.
+    * The subscription registry holds live subscriptions only, keyed by
+      their :class:`SimCharacteristic`: unsubscribing removes the entry,
+      and nothing is delivered to it after ``unsubscribe`` returns, not even
+      a value already queued.
+    * :meth:`emit` resolves each spelling of a characteristic's address
+      once; see its docstring.
     * With ``auto_notify`` a subscription's scripted values are queued in
       the same critical section that registers it, for that subscriber only.
     * Disconnecting a central cancels that central's subscriptions on the
@@ -198,6 +205,9 @@ class SimNetwork:
       delivery thread hand out what was queued before it, then stops and
       joins the thread. It is idempotent; later ``subscribe`` and
       :meth:`emit` calls raise :class:`TransportUnavailable`.
+
+    ``sink_failures`` counts the sink calls that raised; the delivery thread
+    swallows those, so that one failing sink does not stall the others.
     """
 
     def __init__(self, clock=None, seed: int | None = None, auto_notify: bool = True,
@@ -216,9 +226,13 @@ class SimNetwork:
         self._peripherals: dict[str, SimPeripheral] = {}
         self._lock = threading.RLock()
         self._cond = threading.Condition(self._lock)
-        self._subscriptions: dict[tuple, list[_Subscription]] = {}
+        self._waiters = 0  # unsubscribe calls waiting out a delivery; under the lock
+        self._subscriptions: dict[SimCharacteristic, list[_Subscription]] = {}
+        #: (device_id, service, characteristic) as emit's caller spelled them.
+        self._routes: dict[tuple, SimCharacteristic] = {}
         self._queue: SimpleQueue = SimpleQueue()
         self._closed = False
+        self.sink_failures = 0
         self._worker = threading.Thread(target=self._deliver_loop,
                                         name="wotble-sim-delivery", daemon=True)
         self._worker.start()
@@ -239,6 +253,8 @@ class SimNetwork:
         return peripheral
 
     def peripheral(self, device_id: str) -> SimPeripheral:
+        if not isinstance(device_id, str):
+            raise BadDeviceId(f"device id must be a string, got {device_id!r}")
         mac = normalize_mac(device_id)
         with self._lock:
             try:
@@ -340,73 +356,109 @@ class SimNetwork:
         With ``auto_notify`` the characteristic's script is queued in the
         same critical section, for this subscriber alone.
         """
-        sub = _Subscription(uri, sink, central)
+        sub = _Subscription(uri, sink, central, char)
         with self._lock:
             self._require_open()
-            self._subscriptions.setdefault(sub.key, []).append(sub)
+            self._subscriptions.setdefault(char, []).append(sub)
             if self.auto_notify:
                 for payload in char.notify_source:
                     self._queue.put((sub, payload))
         return sub
 
     def unsubscribe(self, sub: _Subscription) -> None:
-        """End ``sub``: nothing is delivered to it once this returns."""
+        """End ``sub``: nothing is delivered to it once this returns.
+
+        Waits out a delivery to ``sub`` that is running, unless called on
+        the delivery thread itself.
+        """
         on_worker = threading.get_ident() == self._worker.ident
-        with self._cond:
+        with self._lock:
             if sub.active:
                 sub.active = False
-                live = self._subscriptions[sub.key]
+                live = self._subscriptions[sub.char]
                 live.remove(sub)
                 if not live:
-                    del self._subscriptions[sub.key]
-            # Skip the wait for a running delivery when called from the
-            # delivery thread itself.
-            while sub.delivering and not on_worker:
-                self._cond.wait()
+                    del self._subscriptions[sub.char]
+            if sub.delivering and not on_worker:
+                self._waiters += 1  # so the delivery wakes this call
+                try:
+                    while sub.delivering:
+                        self._cond.wait()
+                finally:
+                    self._waiters -= 1
 
     def emit(self, device_id: str, service, characteristic, payload: bytes) -> None:
-        """Deliver one notification value to all active subscribers."""
-        svc, chr_ = _as_uuid(service), _as_uuid(characteristic)
-        peripheral = self.peripheral(device_id)
-        char = peripheral.characteristic(svc, chr_)
+        """Deliver one notification value to all active subscribers.
+
+        The address is resolved once per spelling: the network keeps the
+        characteristic each ``(device_id, service, characteristic)`` that
+        succeeded named, when all three are ``str`` or ``uuid.UUID``, and
+        empties that table when it is full. A failure is never kept, so it
+        is raised anew on every call, in this order: ``BadUuid``, then
+        ``BadDeviceId`` or ``NotFound``, then ``NoSuchAttribute``. The
+        characteristic's current ``allowed`` is checked on every call
+        (``MethodNotPermitted``), and so is the payload: ``bytes``,
+        ``bytearray`` or ``memoryview`` (else ``BadValue``) of at most
+        ``MAX_PAYLOAD_OCTETS`` (else ``ValueTooLong``), copied to ``bytes``.
+        """
+        try:
+            char = self._routes[device_id, service, characteristic]
+        except (KeyError, TypeError):  # not resolved yet, or unhashable
+            char = self._route(device_id, service, characteristic)
         if _NOTIFY not in char.allowed:
             raise MethodNotPermitted("characteristic does not allow notify")
-        payload = bytes(payload)
+        payload = _octets(payload)
         # Queued under the lock, so nothing lands behind close()'s stop marker.
         with self._lock:
             self._require_open()
-            for sub in self._subscriptions.get((peripheral.device_id, svc, chr_), ()):
+            for sub in self._subscriptions.get(char, ()):
                 self._queue.put((sub, payload))
 
+    def _route(self, device_id, service, characteristic) -> SimCharacteristic:
+        """Resolve an address for :meth:`emit`; keeps it when it succeeds."""
+        char = self.characteristic(device_id, service, characteristic)
+        if (device_id.__class__ is str and service.__class__ in _ROUTE_KEY_TYPES
+                and characteristic.__class__ in _ROUTE_KEY_TYPES):
+            if len(self._routes) >= _CACHE_SIZE:
+                self._routes.clear()
+            self._routes[device_id, service, characteristic] = char
+        return char
+
     def emit_next(self, device_id: str, service, characteristic) -> bytes | None:
-        """Deliver the next scripted value; None when the script is exhausted."""
+        """Deliver the next scripted value; None when the script is exhausted.
+
+        A value that :meth:`emit` refuses stays next in the script.
+        """
         char = self.characteristic(device_id, service, characteristic)
         with self._lock:
-            if char._notify_cursor >= len(char.notify_source):
+            cursor = char._notify_cursor
+            if cursor >= len(char.notify_source):
                 return None
-            payload = char.notify_source[char._notify_cursor]
-            char._notify_cursor += 1
-        self.emit(device_id, service, characteristic, payload)
+            payload = char.notify_source[cursor]
+            self.emit(device_id, service, characteristic, payload)
+            char._notify_cursor = cursor + 1
         return payload
 
     def _deliver_loop(self) -> None:
+        get, lock = self._queue.get, self._lock
         while True:
-            item = self._queue.get()
+            item = get()
             if item is None:
                 return
             sub, payload = item
-            with self._cond:
+            with lock:
                 if not sub.active:
                     continue
                 sub.delivering = True
             try:
                 sub.sink(payload)
             except Exception:
-                pass  # a failing sink must not stall delivery to others
+                self.sink_failures += 1  # must not stall delivery to others
             finally:
-                with self._cond:
+                with lock:
                     sub.delivering = False
-                    self._cond.notify_all()
+                    if self._waiters:
+                        self._cond.notify_all()
 
     def close(self) -> None:
         """Stop the delivery thread for good; a second call is a no-op.
@@ -486,11 +538,7 @@ class SimTransport(TransportContract):
 
     def write(self, uri: GattUri, payload: bytes, with_response: bool) -> None:
         char = self._attribute(uri, _WRITE if with_response else _WRITE_WITHOUT_RESPONSE)
-        payload = bytes(payload)
-        if len(payload) > MAX_PAYLOAD_OCTETS:
-            raise ValueTooLong(
-                f"payload is {len(payload)} octets, ATT allows at most {MAX_PAYLOAD_OCTETS}"
-            )
+        payload = _octets(payload)
         network = self.network
         if with_response:
             # Confirmation round trip; write-without-response completes on send.
@@ -524,8 +572,30 @@ class SimTransport(TransportContract):
         return char
 
 
+#: Argument types that :meth:`SimNetwork.emit` keeps a route for.
+_ROUTE_KEY_TYPES = (str, uuidlib.UUID)
+
+
 def _as_uuid(value) -> uuidlib.UUID:
-    return value if isinstance(value, uuidlib.UUID) else parse_uuid(str(value))
+    if isinstance(value, uuidlib.UUID):
+        return value
+    if not isinstance(value, str):
+        raise BadUuid(f"UUID must be a string or uuid.UUID, got {value!r}")
+    return parse_uuid(value)
+
+
+def _octets(payload) -> bytes:
+    """An attribute value as ``bytes``: only raw octets, at most the ATT cap."""
+    if payload.__class__ is not bytes:  # the common case costs this one check
+        if not isinstance(payload, (bytes, bytearray, memoryview)):
+            raise BadValue("a payload must be bytes, bytearray or memoryview, "
+                           f"got {type(payload).__name__}")
+        payload = bytes(payload)
+    if len(payload) > MAX_PAYLOAD_OCTETS:
+        raise ValueTooLong(
+            f"payload is {len(payload)} octets, ATT allows at most {MAX_PAYLOAD_OCTETS}"
+        )
+    return payload
 
 
 # --- simulated network config files ----------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from wotble import BenchStats, SimTransport, VirtualClock, load_bench_plan, run_bench
 from wotble.bench import BenchPlan, format_table, from_csv, time_operation, to_csv, to_json
 from wotble.consumer import consume
-from wotble.errors import AllSamplesFailed, NotConnected, PlanError
+from wotble.errors import AllSamplesFailed, NotConnected, PlanError, Timeout
 from wotble.td import parse_td_file
 from conftest import BENCH_PLAN, FIXTURES, SENSOR_TD, make_network
 
@@ -172,6 +172,32 @@ def test_run_bench_counts_failures_separately(tmp_path):
     }))
     with pytest.raises(AllSamplesFailed):
         run_bench(load_bench_plan(plan_file), clock=VirtualClock())
+
+
+class EveryOtherReadFails(SimTransport):
+    """A central whose second, fourth, ... read raises ``Timeout``."""
+
+    reads = 0
+
+    def read(self, uri):
+        self.reads += 1
+        if self.reads % 2 == 0:
+            raise Timeout("injected read failure")
+        return super().read(uri)
+
+
+def test_run_bench_records_why_repetitions_failed():
+    clock = VirtualClock()
+    plan = BenchPlan(td_path=SENSOR_TD, operations=("read",), repetitions=6, warmup=0,
+                     property="moisture")
+    with make_network(clock=clock, seed=7) as net:
+        [stats] = run_bench(plan, clock=clock,
+                            transport=EveryOtherReadFails(net, timeout_s=60.0))
+    assert (stats.n, stats.failures, stats.failure_causes) == (3, 3, (("Timeout", 3),))
+    assert json.loads(to_json([stats]))[0]["failure_causes"] == {"Timeout": 3}
+    assert format_table([stats], "sensor").splitlines()[-1] == \
+        "(read: N=3, failures=3 (Timeout 3))"
+    assert to_csv([stats]).splitlines()[1].count(",") == 3  # the columns stay
 
 
 def test_run_bench_stops_only_the_network_it_built():

@@ -490,8 +490,39 @@ def test_an_undecodable_notification_skips_only_the_listener():
         emit_beacon(net, 4)
         assert received.get(timeout=2.0) == pytest.approx(0.4)
         assert received.empty() and subscription.active
+        assert (subscription.decode_failures, subscription.listener_failures) == (1, 0)
         thing.unsubscribe_event(subscription)
         thing.disconnect()
+
+
+def test_undecodable_notifications_are_counted():
+    with make_network(clock=VirtualClock(), auto_notify=False) as net:
+        thing, _ = beacon_reader(net, ConnectionPolicy.KEEP_CONNECTED)
+        received = []
+        subscription = thing.subscribe_event("temperature", received.append)
+        for payload in (b"", b"\x01", b""):
+            net.emit(BEACON_MAC, BEACON_SERVICE, BEACON_CHAR, payload)
+    # Closing delivered what was queued.
+    assert received == [pytest.approx(0.1)]
+    assert (subscription.decode_failures, subscription.listener_failures) == (2, 0)
+    assert net.sink_failures == 0
+
+
+def test_listener_failures_are_counted():
+    with make_network(clock=VirtualClock(), auto_notify=False) as net:
+        thing, _ = beacon_reader(net, ConnectionPolicy.KEEP_CONNECTED)
+        calls = []
+
+        def listener(value):
+            calls.append(value)
+            raise RuntimeError("listener bug")
+
+        subscription = thing.subscribe_event("temperature", listener)
+        for octet in range(3):
+            emit_beacon(net, octet)
+    assert len(calls) == 3
+    assert (subscription.decode_failures, subscription.listener_failures) == (0, 3)
+    assert net.sink_failures == 0
 
 
 def test_subscribe_to_unknown_event():
@@ -866,6 +897,38 @@ def test_a_session_read_stays_within_its_call_budget():
         profile.disable()
     # A connect, a GATT exploration, a read and a disconnect, through the binding.
     assert pstats.Stats(profile).total_calls / len(things) <= 85
+
+
+def test_a_notification_stays_within_its_call_budget():
+    n = 100
+    caller, worker = cProfile.Profile(), cProfile.Profile()
+    delivered = threading.Event()
+    with make_network(clock=VirtualClock(), auto_notify=False) as net:
+        thing = consume(parse_td_file(BEACON_TD), SimTransport(net))
+        count = iter(range(n + 2))
+
+        def listener(value):
+            # Profiles the delivery thread from the first value's listener to
+            # the last one's: n deliveries.
+            k = next(count)
+            if k == 1:
+                worker.enable()
+            elif k == n + 1:
+                worker.disable()
+                delivered.set()
+
+        thing.subscribe_event("temperature", listener)
+        emit_beacon(net, 0)  # warm the route
+        caller.enable()
+        for octet in range(n + 1):
+            emit_beacon(net, octet)
+        caller.disable()
+        assert delivered.wait(5.0)
+    # emit_beacon, emit and its queue hand-off; on the delivery thread the
+    # sink, the decode and the listener.
+    calls = (pstats.Stats(caller).total_calls / (n + 1)
+             + pstats.Stats(worker).total_calls / n)
+    assert calls <= 22
 
 
 # --- multi-property operations -----------------------------------------------------------

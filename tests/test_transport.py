@@ -1,12 +1,16 @@
+import itertools
 import queue
 import statistics
+import sys
 import threading
+import time
 import uuid
 
 import pytest
 
 from wotble import (
     ConnectionPolicy,
+    GattMethod,
     GattUri,
     SimCharacteristic,
     SimNetwork,
@@ -19,7 +23,11 @@ from wotble import (
     parse_gatt_uri,
     parse_td_file,
 )
+from wotble.codec import MAX_PAYLOAD_OCTETS
 from wotble.errors import (
+    BadDeviceId,
+    BadUuid,
+    BadValue,
     Busy,
     DuplicateDevice,
     InvalidConfig,
@@ -32,6 +40,7 @@ from wotble.errors import (
     TransportUnavailable,
     ValueTooLong,
 )
+from wotble.uris import _CACHE_SIZE
 from conftest import (
     BEACON_CHAR,
     BEACON_MAC,
@@ -40,6 +49,7 @@ from conftest import (
     LAMP_CHAR,
     LAMP_MAC,
     LAMP_SERVICE,
+    LAMP_TD,
     WRONG_TYPED_CONFIGS,
     live_subscriptions,
     make_network,
@@ -372,6 +382,250 @@ def test_disconnect_cancels_subscriptions():
     with pytest.raises(queue.Empty):
         received.get(timeout=0.3)
     net.close()
+
+
+def test_sink_failures_are_counted():
+    with virtual_network(auto_notify=False) as net:
+        t = SimTransport(net, timeout_s=1.0)
+        t.connect(BEACON_MAC)
+        received = []
+
+        def bad_sink(payload):
+            raise RuntimeError("sink exploded")
+
+        t.subscribe(BEACON_URI, bad_sink)
+        t.subscribe(BEACON_URI, received.append)
+        for octet in range(3):
+            net.emit(BEACON_MAC, BEACON_SERVICE, BEACON_CHAR, bytes([octet]))
+    # Closing delivered what was queued.
+    assert received == [b"\x00", b"\x01", b"\x02"] and net.sink_failures == 3
+
+
+def test_a_refused_scripted_value_stays_next():
+    net = virtual_network(auto_notify=False)
+    char = net.characteristic(BEACON_MAC, BEACON_SERVICE, BEACON_CHAR)
+    notify = char.allowed
+    char.allowed = frozenset({GattMethod.READ})
+    with pytest.raises(MethodNotPermitted):
+        net.emit_next(BEACON_MAC, BEACON_SERVICE, BEACON_CHAR)
+    char.allowed = notify
+    assert net.emit_next(BEACON_MAC, BEACON_SERVICE, BEACON_CHAR) == b"\xfa"
+    net.close()
+    with pytest.raises(TransportUnavailable):
+        net.emit_next(BEACON_MAC, BEACON_SERVICE, BEACON_CHAR)
+    assert char._notify_cursor == 1
+
+
+# --- emit resolves each spelling of an address once ------------------------------------
+
+BEACON_SPELLINGS = [
+    (BEACON_MAC.replace(":", "-").lower(), "ffe0", "ffe1"),
+    (BEACON_MAC, BEACON_SERVICE, BEACON_CHAR),
+    (BEACON_MAC, BEACON_SERVICE.upper(), "FFE1"),
+    (BEACON_MAC, uuid.UUID(BEACON_SERVICE), uuid.UUID(BEACON_CHAR)),
+]
+
+
+def beacon_subscriber(net):
+    """A central subscribed to the beacon; returns the list it receives into."""
+    t = SimTransport(net, timeout_s=1.0)
+    t.connect(BEACON_MAC)
+    received = []
+    t.subscribe(BEACON_URI, received.append)
+    return received
+
+
+def test_every_spelling_of_an_address_reaches_its_subscriber_once():
+    with virtual_network(auto_notify=False) as net:
+        received = beacon_subscriber(net)
+        # Each spelling twice: resolved on the first emit, remembered after.
+        for octet, address in enumerate(BEACON_SPELLINGS * 2):
+            net.emit(*address, bytes([octet]))
+        assert len(net._routes) == len(BEACON_SPELLINGS)
+    assert received == [bytes([octet]) for octet in range(2 * len(BEACON_SPELLINGS))]
+
+
+@pytest.mark.parametrize("address, error", [
+    (("nope", "ffe0", "xyz"), BadUuid),  # checked before the device
+    (("nope", "ffe0", "ffe1"), BadDeviceId),
+    ((None, "ffe0", "ffe1"), BadDeviceId),
+    ((5, "ffe0", "ffe1"), BadDeviceId),
+    (([BEACON_MAC], "ffe0", "ffe1"), BadDeviceId),  # unhashable
+    ((BEACON_MAC, 0xFFE0, "ffe1"), BadUuid),
+    ((BEACON_MAC, "ffe0", None), BadUuid),
+    (("AA:BB:CC:DD:EE:01", "ffe0", "ffe1"), NotFound),
+    ((BEACON_MAC, "ffe0", "ffe9"), NoSuchAttribute),
+])
+def test_a_failed_emit_raises_anew_and_is_not_remembered(address, error):
+    with virtual_network(auto_notify=False) as net:
+        raised = []
+        for _ in range(2):
+            with pytest.raises(error) as info:
+                net.emit(*address, b"\x01")
+            raised.append(info.value)
+        assert raised[0] is not raised[1] and str(raised[0]) == str(raised[1])
+        assert net._routes == {}
+
+
+def test_a_device_defined_after_a_failed_emit_is_found():
+    address = ("aa-bb-cc-dd-ee-01", "180f", "2a19")
+    with virtual_network(auto_notify=False) as net:
+        with pytest.raises(NotFound):
+            net.emit(*address, b"\x01")
+        net.define_peripheral(SimPeripheral(address[0], 100.0, services={
+            expand_uuid(0x180F): {
+                expand_uuid(0x2A19): SimCharacteristic(allowed=[GattMethod.NOTIFY])}}))
+        t = SimTransport(net, timeout_s=1.0)
+        t.connect(address[0])
+        received = []
+        t.subscribe(parse_gatt_uri("gatt://{}/{}/{}".format(*address)), received.append)
+        net.emit(*address, b"\x02")
+    assert received == [b"\x02"]
+
+
+def test_emit_reads_the_allowed_methods_on_every_call():
+    with virtual_network(auto_notify=False) as net:
+        received = beacon_subscriber(net)
+        char = net.characteristic(BEACON_MAC, BEACON_SERVICE, BEACON_CHAR)
+        net.emit(BEACON_MAC, BEACON_SERVICE, BEACON_CHAR, b"\x01")
+        notify = char.allowed
+        char.allowed = frozenset({GattMethod.READ})
+        with pytest.raises(MethodNotPermitted):
+            net.emit(BEACON_MAC, BEACON_SERVICE, BEACON_CHAR, b"\x02")
+        char.allowed = notify
+        net.emit(BEACON_MAC, BEACON_SERVICE, BEACON_CHAR, b"\x03")
+    assert received == [b"\x01", b"\x03"]
+
+
+def case_spellings(text: str):
+    """``text`` with every choice of case for its letters."""
+    letters = [i for i, c in enumerate(text) if c.isalpha()]
+    for mask in range(2 ** len(letters)):
+        chars = list(text)
+        for bit, i in enumerate(letters):
+            if mask >> bit & 1:
+                chars[i] = chars[i].swapcase()
+        yield "".join(chars)
+
+
+def test_the_route_table_stays_within_its_bound():
+    macs = [*case_spellings(BEACON_MAC), *case_spellings(BEACON_MAC.replace(":", "-"))]
+    addresses = itertools.product(macs, case_spellings(BEACON_SERVICE), ["ffe1"])
+    with virtual_network(auto_notify=False) as net:
+        received = beacon_subscriber(net)
+        for k, address in enumerate(itertools.islice(addresses, 1000)):
+            net.emit(*address, bytes([k % 256]))
+            assert len(net._routes) <= _CACHE_SIZE
+    assert received == [bytes([k % 256]) for k in range(1000)]
+
+
+def test_unsubscribes_waiting_on_one_delivery_all_return():
+    net = virtual_network(auto_notify=False)
+    t = SimTransport(net, timeout_s=1.0)
+    t.connect(BEACON_MAC)
+    entered, release = threading.Event(), threading.Event()
+    received = []
+
+    def held_sink(payload):
+        received.append(payload)
+        entered.set()
+        release.wait(5.0)
+
+    handle = t.subscribe(BEACON_URI, held_sink)
+    callers = [threading.Thread(target=t.unsubscribe, args=(handle,)) for _ in range(2)]
+    try:
+        net.emit(BEACON_MAC, BEACON_SERVICE, BEACON_CHAR, b"\x01")
+        assert entered.wait(5.0)
+        for caller in callers:
+            caller.start()
+        deadline = time.monotonic() + 5.0
+        while net._waiters < 2 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        # Both wait for the held delivery, and nothing new reaches the sink.
+        assert net._waiters == 2 and all(c.is_alive() for c in callers)
+        net.emit(BEACON_MAC, BEACON_SERVICE, BEACON_CHAR, b"\x02")
+    finally:
+        release.set()
+    for caller in callers:
+        caller.join(5.0)
+    assert not any(c.is_alive() for c in callers)
+    net.emit(BEACON_MAC, BEACON_SERVICE, BEACON_CHAR, b"\x03")
+    net.close()
+    assert received == [b"\x01"] and net._waiters == 0
+
+
+def test_racing_emits_and_unsubscribes_keep_their_promises():
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with virtual_network(auto_notify=False) as net:
+            t = SimTransport(net, timeout_s=1.0)
+            t.connect(BEACON_MAC)
+            received, late = [], []
+            t.subscribe(BEACON_URI, received.append)
+
+            def emit_all(index, address):
+                for k in range(200):
+                    net.emit(*address, bytes([index, k]))
+
+            def churn():
+                for _ in range(50):
+                    ended = threading.Event()
+                    handle = t.subscribe(
+                        BEACON_URI, lambda p, ended=ended: ended.is_set() and late.append(p))
+                    t.unsubscribe(handle)
+                    ended.set()
+
+            workers = [threading.Thread(target=emit_all, args=(i, address))
+                       for i, address in enumerate(BEACON_SPELLINGS)]
+            workers += [threading.Thread(target=churn) for _ in range(2)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(30.0)
+            assert not any(w.is_alive() for w in workers)
+    finally:
+        sys.setswitchinterval(switch)
+    # Each emitter's values arrive once and in order; none reached a sink
+    # after its unsubscribe returned, and no unsubscribe is left waiting.
+    for index in range(len(BEACON_SPELLINGS)):
+        assert [p[1] for p in received if p[0] == index] == list(range(200))
+    assert len(received) == 200 * len(BEACON_SPELLINGS)
+    assert late == [] and net._waiters == 0
+
+
+# --- the payload boundary ----------------------------------------------------------------
+
+@pytest.mark.parametrize("payload, error", [
+    (3, BadValue),
+    ([1, 2], BadValue),
+    ("7e", BadValue),
+    (None, BadValue),
+    (2.5, BadValue),
+    pytest.param(bytes(MAX_PAYLOAD_OCTETS + 1), ValueTooLong, id="bytes-too-long"),
+    pytest.param(bytearray(MAX_PAYLOAD_OCTETS + 1), ValueTooLong, id="bytearray-too-long"),
+])
+def test_a_payload_must_be_raw_octets_within_the_att_cap(payload, error):
+    with virtual_network(auto_notify=False) as net:
+        thing = consume(parse_td_file(LAMP_TD), SimTransport(net, timeout_s=1.0))
+        with pytest.raises(error):
+            thing.write_raw("power", payload)
+        with pytest.raises(error):
+            net.emit(BEACON_MAC, BEACON_SERVICE, BEACON_CHAR, payload)
+        assert net.characteristic(LAMP_MAC, LAMP_SERVICE, LAMP_CHAR).write_log == []
+
+
+@pytest.mark.parametrize("kind", [bytes, bytearray, memoryview])
+def test_raw_octets_of_each_kind_are_copied_to_bytes(kind):
+    octets = bytes(MAX_PAYLOAD_OCTETS)
+    with virtual_network(auto_notify=False) as net:
+        received = beacon_subscriber(net)
+        thing = consume(parse_td_file(LAMP_TD), SimTransport(net, timeout_s=1.0))
+        thing.write_raw("power", kind(octets))
+        net.emit(BEACON_MAC, BEACON_SERVICE, BEACON_CHAR, kind(octets))
+        value = net.characteristic(LAMP_MAC, LAMP_SERVICE, LAMP_CHAR).value
+    assert type(value) is bytes and value == octets
+    assert [(type(p), p) for p in received] == [(bytes, octets)]
 
 
 # --- config loading -----------------------------------------------------------------------
