@@ -128,11 +128,6 @@ class ResolvedRequest:
     operation: WotOperation
     content_type: str
 
-    @property
-    def disables_notifications(self) -> bool:
-        """True for unsubscribe requests; both subscribe ops map to notify."""
-        return self.operation is WotOperation.UNSUBSCRIBEEVENT
-
 
 def resolve_form(affordance: "Affordance", op: WotOperation) -> ResolvedRequest:
     """Pick the first form listing ``op`` and resolve it into a request."""

@@ -58,6 +58,9 @@ _READPROPERTY = WotOperation.READPROPERTY
 _WRITEPROPERTY = WotOperation.WRITEPROPERTY
 _WRITE = GattMethod.WRITE
 
+#: The singular of each TD affordance category, for error messages.
+_SINGULAR = {"properties": "property", "actions": "action", "events": "event"}
+
 
 @dataclass(eq=False)
 class Subscription:
@@ -363,7 +366,7 @@ class ConsumedThing:
             affordance = getattr(self.td, category).get(name)
             if affordance is None:
                 raise UnknownAffordance(f"TD {self.td.title!r} has no "
-                                        f"{category[:-1]} named {name!r}")
+                                        f"{_SINGULAR[category]} named {name!r}")
             request = resolve_form(affordance, op)
             try:
                 codec = get_codec(request.content_type)

@@ -30,7 +30,6 @@ from .binding import GattMethod
 from .clock import RealClock
 from .codec import MAX_PAYLOAD_OCTETS
 from .errors import (
-    BadDeviceId,
     BadUuid,
     BadValue,
     Busy,
@@ -42,7 +41,6 @@ from .errors import (
     NotConnected,
     NotFound,
     Timeout,
-    TransportError,
     TransportUnavailable,
     UriError,
     ValueTooLong,
@@ -253,8 +251,6 @@ class SimNetwork:
         return peripheral
 
     def peripheral(self, device_id: str) -> SimPeripheral:
-        if not isinstance(device_id, str):
-            raise BadDeviceId(f"device id must be a string, got {device_id!r}")
         mac = normalize_mac(device_id)
         with self._lock:
             try:
@@ -480,52 +476,32 @@ class SimTransport(TransportContract):
 
     The central is connected to a device exactly when the device's
     ``connected_by`` is this transport; the link is recorded nowhere else,
-    and only the network's methods change it. Safe for concurrent use;
-    every public call is appended to ``trace`` as an ``(operation, detail)``
-    tuple for test inspection.
+    and only the network's methods change it. Safe for concurrent use. It
+    keeps no state of its own beyond its network and connect timeout.
     """
 
     def __init__(self, network: SimNetwork, timeout_s: float = 10.0):
         self.network = network
         self.timeout_s = timeout_s
-        self.trace: list[tuple] = []
 
     @property
     def clock(self):
         return self.network.clock
 
-    # -- discovery, as a bluetoothctl script drives it; no consumer calls it
-
-    def start_discovery(self) -> None:
-        self.trace.append(("start_discovery", None))
-
-    def stop_discovery(self) -> None:
-        self.trace.append(("stop_discovery", None))
-
     # -- connections
 
     def connect(self, device_id: str) -> None:
-        mac = normalize_mac(device_id)
-        try:
-            self.network.attach(mac, self, self.timeout_s)
-        except TransportError:
-            self.trace.append(("connect_failed", mac))
-            raise
-        self.trace.append(("connect", mac))
+        self.network.attach(normalize_mac(device_id), self, self.timeout_s)
 
     def disconnect(self, device_id: str) -> None:
-        mac = normalize_mac(device_id)
-        self.network.detach(mac, self)
-        self.trace.append(("disconnect", mac))
+        self.network.detach(normalize_mac(device_id), self)
 
     def is_connected(self, device_id: str) -> bool:
         return self.network.is_linked(normalize_mac(device_id), self)
 
     def discover_gatt(self, device_id: str) -> None:
         """Explore the device's GATT structure; the link must be up."""
-        mac = normalize_mac(device_id)
-        self.network.linked(mac, self)
-        self.trace.append(("discover_gatt", mac))
+        self.network.linked(normalize_mac(device_id), self)
 
     # -- attribute operations
 
@@ -533,7 +509,6 @@ class SimTransport(TransportContract):
         char = self._attribute(uri, _READ)
         network = self.network
         network.clock.sleep(network.read_latency_ms / 1000.0)
-        self.trace.append(("read", uri.text))
         return bytes(char.value)
 
     def write(self, uri: GattUri, payload: bytes, with_response: bool) -> None:
@@ -544,18 +519,14 @@ class SimTransport(TransportContract):
             # Confirmation round trip; write-without-response completes on send.
             network.clock.sleep(network.write_latency_ms / 1000.0)
         network.store(char, payload, with_response)
-        self.trace.append(("write", uri.text, payload.hex(), with_response))
 
     def subscribe(self, uri: GattUri, sink: Sink):
         char = self._attribute(uri, _NOTIFY)
-        sub = self.network.subscribe(uri, sink, self, char)
-        self.trace.append(("subscribe", uri.text))
-        return sub
+        return self.network.subscribe(uri, sink, self, char)
 
     def unsubscribe(self, handle) -> None:
         if isinstance(handle, _Subscription):
             self.network.unsubscribe(handle)
-            self.trace.append(("unsubscribe", handle.uri.text))
 
     # -- helpers
 

@@ -76,6 +76,8 @@ class GattUri:
 @_memoised
 def normalize_mac(text: str) -> str:
     """Return the canonical ``HH:HH:HH:HH:HH:HH`` uppercase form of a MAC."""
+    if not isinstance(text, str):
+        raise BadDeviceId(f"device id must be a string, got {text!r}")
     if not _MAC_RE.match(text):
         raise BadDeviceId(f"not a 6-octet MAC address: {text!r}")
     return text.replace("-", ":").upper()

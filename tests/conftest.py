@@ -4,6 +4,8 @@ from pathlib import Path
 import pytest
 
 from wotble import SimTransport, load_sim_config
+from wotble.transport import _Subscription
+from wotble.uris import normalize_mac
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -59,6 +61,51 @@ def no_leaked_delivery_threads():
 @pytest.fixture
 def fixtures_dir() -> Path:
     return FIXTURES
+
+
+class RecordingTransport(SimTransport):
+    """A SimTransport that logs each call that returns to ``trace``.
+
+    Entries are ``(operation, detail)`` tuples, appended after the call
+    returns; a write also logs its payload as hex and whether it asked for a
+    response. ``is_connected`` and an unsubscribe of a foreign handle are
+    not logged.
+    """
+
+    def __init__(self, network, timeout_s: float = 10.0):
+        super().__init__(network, timeout_s)
+        self.trace: list[tuple] = []
+
+    def connect(self, device_id):
+        super().connect(device_id)
+        self.trace.append(("connect", normalize_mac(device_id)))
+
+    def disconnect(self, device_id):
+        super().disconnect(device_id)
+        self.trace.append(("disconnect", normalize_mac(device_id)))
+
+    def discover_gatt(self, device_id):
+        super().discover_gatt(device_id)
+        self.trace.append(("discover_gatt", normalize_mac(device_id)))
+
+    def read(self, uri):
+        value = super().read(uri)
+        self.trace.append(("read", uri.text))
+        return value
+
+    def write(self, uri, payload, with_response):
+        super().write(uri, payload, with_response)
+        self.trace.append(("write", uri.text, payload.hex(), with_response))
+
+    def subscribe(self, uri, sink):
+        handle = super().subscribe(uri, sink)
+        self.trace.append(("subscribe", uri.text))
+        return handle
+
+    def unsubscribe(self, handle):
+        super().unsubscribe(handle)
+        if isinstance(handle, _Subscription):
+            self.trace.append(("unsubscribe", handle.uri.text))
 
 
 def live_subscriptions(net) -> int:

@@ -85,7 +85,6 @@ def test_resolve_form_on_lamp_power():
     assert request.spec.pattern == "7e0004{on}00000000ef"
     assert request.operation is WotOperation.WRITEPROPERTY
     assert request.content_type == "application/x.binary-data-stream"
-    assert not request.disables_notifications
 
 
 def test_resolve_form_without_matching_op():
@@ -101,9 +100,9 @@ def test_resolution_is_deterministic_first_match_wins():
     assert first == second
 
 
-def test_unsubscribe_resolution_carries_disable_flag():
+def test_unsubscribe_resolution_maps_to_notify():
     from conftest import BEACON_TD
     td = parse_td_file(BEACON_TD)
     request = resolve_form(td.events["temperature"], WotOperation.UNSUBSCRIBEEVENT)
     assert request.method is GattMethod.NOTIFY
-    assert request.disables_notifications
+    assert request.operation is WotOperation.UNSUBSCRIBEEVENT

@@ -4,6 +4,7 @@ import pstats
 import queue
 import sys
 import threading
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -17,7 +18,6 @@ from wotble import (
     SimTransport,
     VirtualClock,
     consume,
-    parse_gatt_uri,
     parse_td,
     parse_td_file,
 )
@@ -45,18 +45,19 @@ from conftest import (
     LAMP_TD,
     SENSOR_MAC,
     SENSOR_TD,
+    RecordingTransport,
     live_subscriptions,
     make_network,
 )
 
 
 def lamp_thing(net, **kw):
-    transport = SimTransport(net, timeout_s=10.0)
+    transport = RecordingTransport(net, timeout_s=10.0)
     return consume(parse_td_file(LAMP_TD), transport, **kw), transport
 
 
 def sensor_thing(net, **kw):
-    transport = SimTransport(net, timeout_s=60.0)
+    transport = RecordingTransport(net, timeout_s=60.0)
     return consume(parse_td_file(SENSOR_TD), transport, **kw), transport
 
 
@@ -231,7 +232,7 @@ def plain_text_form(form: dict) -> None:
 ])
 def test_failed_resolution_raises_again_on_every_call(edit, error):
     net = make_network(clock=VirtualClock())
-    transport = SimTransport(net, timeout_s=60.0)
+    transport = RecordingTransport(net, timeout_s=60.0)
     doc = json.loads(SENSOR_TD.read_text())
     forms = doc["properties"]["moisture"]["forms"]
     forms.insert(0, dict(forms[0]))
@@ -423,7 +424,7 @@ def test_an_operation_ends_the_subscriptions_a_dropped_link_took():
 
 def test_things_on_one_transport_share_their_device_link():
     with make_network(clock=VirtualClock()) as net:
-        transport = SimTransport(net, timeout_s=60.0)
+        transport = RecordingTransport(net, timeout_s=60.0)
         first, second = (consume(parse_td_file(SENSOR_TD), transport) for _ in range(2))
         assert first.read_property("moisture") == 42
         assert second.read_property("moisture") == 42  # no Busy
@@ -534,6 +535,19 @@ def test_subscribe_to_unknown_event():
     net.close()
 
 
+@pytest.mark.parametrize("category, call", [
+    ("property", lambda thing: thing.read_property("nope")),
+    ("action", lambda thing: thing.invoke_action("nope", 1)),
+    ("event", lambda thing: thing.subscribe_event("nope", print)),
+])
+def test_an_unknown_affordance_is_named_with_its_category(category, call):
+    with make_network(clock=VirtualClock()) as net:
+        thing, _ = sensor_thing(net)
+        with pytest.raises(UnknownAffordance) as exc_info:
+            call(thing)
+    assert str(exc_info.value) == f"TD 'Flower Care Sensor' has no {category} named 'nope'"
+
+
 # --- a live subscription pins the link -------------------------------------------------
 
 def beacon_reader(net, policy, **terms):
@@ -554,7 +568,7 @@ def beacon_reader(net, policy, **terms):
         "contentType": "application/x.binary-data-stream",
     }]
     doc["properties"]["temperature"].update(terms)
-    transport = SimTransport(net, timeout_s=10.0)
+    transport = RecordingTransport(net, timeout_s=10.0)
     return consume(parse_td(json.dumps(doc)), transport, policy), transport
 
 
@@ -899,6 +913,24 @@ def test_a_session_read_stays_within_its_call_budget():
     assert pstats.Stats(profile).total_calls / len(things) <= 85
 
 
+def test_kept_link_reads_leave_memory_flat():
+    """The transport keeps no record of the calls made of it."""
+    with make_network(clock=VirtualClock(), auto_notify=False) as net:
+        thing = consume(parse_td_file(SENSOR_TD), SimTransport(net, timeout_s=60.0))
+        tracemalloc.start()
+        try:
+            for _ in range(100):  # warm caches
+                thing.read_property("moisture")
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(20_000):
+                thing.read_property("moisture")
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        thing.disconnect()
+    assert grown < 64 * 1024
+
+
 def test_a_notification_stays_within_its_call_budget():
     n = 100
     caller, worker = cProfile.Profile(), cProfile.Profile()
@@ -1014,33 +1046,6 @@ def test_every_logged_payload_is_reproducible_from_public_inputs():
 
 
 # --- low-level/high-level parity ----------------------------------------------------------
-
-def test_listing_parity_raw_script_equals_consumed_thing():
-    net = make_network(clock=VirtualClock())
-
-    # Raw script: discovery, connect, explore, read, manual decode.
-    raw = SimTransport(net, timeout_s=60.0)
-    raw.start_discovery()
-    raw.connect(SENSOR_MAC)
-    raw.stop_discovery()
-    raw.discover_gatt(SENSOR_MAC)
-    uri = parse_gatt_uri(
-        f"gatt://{SENSOR_MAC.replace(':', '-')}/00001204-0000-1000-8000-00805f9b34fb/"
-        "00001a01-0000-1000-8000-00805f9b34fb"
-    )
-    buffer = raw.read(uri)
-    raw_status = int.from_bytes(buffer[0:1], "little")
-    raw.disconnect(SENSOR_MAC)
-
-    # High-level path over the same peripheral.
-    thing, _ = sensor_thing(net)
-    thing.connect()
-    status = thing.read_property("moisture")
-    thing.disconnect()
-
-    assert status == raw_status == 42
-    net.close()
-
 
 def test_a_session_read_spends_the_radio_time_of_the_raw_calls():
     """The binding adds library time only: radio time equals the raw sequence's."""

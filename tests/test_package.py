@@ -14,6 +14,14 @@ REMOVED = {
 }
 
 
+#: Attributes deleted from a public class: (class, name).
+REMOVED_ATTRIBUTES = [
+    (wotble.SimTransport, "start_discovery"),
+    (wotble.SimTransport, "stop_discovery"),
+    (wotble.ResolvedRequest, "disables_notifications"),
+]
+
+
 @pytest.mark.parametrize("name", wotble.__all__)
 def test_every_exported_name_resolves(name):
     assert getattr(wotble, name) is not None
@@ -24,3 +32,16 @@ def test_every_exported_name_resolves(name):
 def test_removed_names_are_gone(module, name):
     assert name not in getattr(importlib.import_module(module), "__all__", ())
     assert not hasattr(importlib.import_module(module), name)
+
+
+@pytest.mark.parametrize("cls, name", REMOVED_ATTRIBUTES,
+                         ids=[f"{cls.__name__}.{name}" for cls, name in REMOVED_ATTRIBUTES])
+def test_removed_class_attributes_are_gone(cls, name):
+    assert not hasattr(cls, name)
+
+
+def test_a_sim_transport_keeps_no_call_log():
+    with wotble.SimNetwork() as net:
+        transport = wotble.SimTransport(net)
+        assert not hasattr(transport, "trace")
+        assert set(vars(transport)) == {"network", "timeout_s"}

@@ -51,6 +51,7 @@ from conftest import (
     LAMP_SERVICE,
     LAMP_TD,
     WRONG_TYPED_CONFIGS,
+    RecordingTransport,
     live_subscriptions,
     make_network,
 )
@@ -107,6 +108,16 @@ def test_method_gating_leaves_state_unchanged():
         t.subscribe(sensor_uri, lambda p: None)
     assert char.value == before and char.write_log == []
     net.close()
+
+
+@pytest.mark.parametrize("method", ["connect", "disconnect", "is_connected",
+                                    "discover_gatt"])
+@pytest.mark.parametrize("device_id", [None, 5, ["x"]])
+def test_a_device_id_that_is_not_a_string_is_a_bad_device_id(method, device_id):
+    with virtual_network() as net:
+        t = SimTransport(net, timeout_s=1.0)
+        with pytest.raises(BadDeviceId, match="must be a string"):
+            getattr(t, method)(device_id)
 
 
 def test_unknown_attribute():
@@ -169,7 +180,7 @@ class InterleavingClock(VirtualClock):
 def test_connects_of_one_central_in_flight_together_both_succeed():
     clock = InterleavingClock()
     net = make_network(clock=clock)
-    t = SimTransport(net, timeout_s=1.0)
+    t = RecordingTransport(net, timeout_s=1.0)
     clock.then = lambda: t.connect(LAMP_MAC)  # inside the first discovery wait
     t.connect(LAMP_MAC)
     assert t.is_connected(LAMP_MAC)
@@ -224,7 +235,7 @@ def test_duplicate_device_definition():
 
 def test_exploration_checks_the_link_and_services_stay_read_only():
     with virtual_network() as net:
-        t = SimTransport(net, timeout_s=1.0)
+        t = RecordingTransport(net, timeout_s=1.0)
         t.connect(LAMP_MAC)
         assert t.discover_gatt(LAMP_MAC) is None
         t.disconnect(LAMP_MAC)

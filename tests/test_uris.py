@@ -130,7 +130,7 @@ def test_short_and_expanded_spellings_are_equivalent():
     (normalize_mac, "AA:BB:CC:DD:EE", BadDeviceId, "not a 6-octet MAC"),
     (parse_uuid, "fff", BadUuid, "not a 4-hex short UUID"),
     (parse_gatt_uri, "gatt://AA:BB:CC:DD:EE:FF/fff0/xyz", BadUuid, "not a 4-hex"),
-    (normalize_mac, ["AA:BB:CC:DD:EE:FF"], TypeError, "expected string"),
+    (normalize_mac, ["AA:BB:CC:DD:EE:FF"], BadDeviceId, "must be a string"),
 ])
 def test_invalid_input_raises_anew_on_every_call(parse, text, error, message):
     size = parse.cache_info().currsize
