@@ -27,7 +27,6 @@ from .codec import (
     decode,
     encode,
     get_codec,
-    register_codec,
 )
 from .consumer import ConnectionPolicy, ConsumedThing, Subscription, consume
 from .td import (
@@ -99,7 +98,6 @@ __all__ = [
     "parse_gatt_uri",
     "parse_td",
     "parse_td_file",
-    "register_codec",
     "resolve_form",
     "run_bench",
     "time_operation",

@@ -8,8 +8,9 @@ Converts between application values and octet payloads as described by a
 * pattern: a hex template such as ``"7e0004{on}00000000ef"`` whose ``{name}``
   placeholders stand for independently described variables.
 
-A small registry maps content-type strings to codecs. Unrecognized
-``application/*`` subtypes fall back to a plain octet passthrough.
+:func:`get_codec` maps a content-type string to one of two fixed codecs:
+this one, or, for any other ``application/*`` subtype, a plain octet
+passthrough.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .errors import (
     UnsupportedMediaType,
 )
 
-#: Media type string this codec registers under.
+#: Media type string of this codec.
 BINARY_DATA_STREAM = "application/x.binary-data-stream"
 
 #: ATT caps attribute values at 512 octets.
@@ -373,13 +374,11 @@ def _decode_pattern(payload: bytes, spec: BdoSpec) -> dict:
     return values
 
 
-# --- codec registry ----------------------------------------------------------
+# --- codec lookup ------------------------------------------------------------
 
 
 class BinaryDataStreamCodec:
     """Codec object for application/x.binary-data-stream."""
-
-    media_type = BINARY_DATA_STREAM
 
     def encode(self, value: Value, spec: BdoSpec) -> bytes:
         if spec is None:
@@ -394,8 +393,6 @@ class BinaryDataStreamCodec:
 
 class OctetStreamCodec:
     """Raw passthrough; the RFC 1521 fallback for unknown application subtypes."""
-
-    media_type = "application/octet-stream"
 
     def encode(self, value, spec=None) -> bytes:
         if not isinstance(value, (bytes, bytearray)):
@@ -412,10 +409,6 @@ _REGISTRY = {
     BINARY_DATA_STREAM: BinaryDataStreamCodec(),
     "application/octet-stream": OctetStreamCodec(),
 }
-
-
-def register_codec(media_type: str, codec) -> None:
-    _REGISTRY[media_type.lower()] = codec
 
 
 def get_codec(media_type: str):

@@ -20,7 +20,6 @@ import json
 import random
 import threading
 import uuid as uuidlib
-from dataclasses import dataclass
 from pathlib import Path
 from queue import SimpleQueue
 from types import MappingProxyType
@@ -106,15 +105,12 @@ class TransportContract(abc.ABC):
 # --- simulated peripherals ------------------------------------------------------
 
 
-@dataclass
-class WriteRecord:
-    timestamp_s: float
-    payload: bytes
-    with_response: bool
-
-
 class SimCharacteristic:
-    """One characteristic: a value, its allowed methods, and a write log."""
+    """One characteristic: its current value and its allowed methods.
+
+    Like a BlueZ characteristic's ``Value``, ``value`` is what the last
+    write left there; no history of writes is kept.
+    """
 
     def __init__(self, value: bytes = b"", allowed=(GattMethod.READ,),
                  notify_source: tuple[bytes, ...] = ()):
@@ -126,7 +122,6 @@ class SimCharacteristic:
         self.value = value
         self.allowed = frozenset(allowed)
         self.notify_source = tuple(bytes(v) for v in notify_source)
-        self.write_log: list[WriteRecord] = []
         self._notify_cursor = 0
 
 
@@ -173,7 +168,8 @@ class _Subscription:
         self.sink = sink
         self.transport = transport
         self.active = True
-        self.delivering = False
+        # Held while the sink runs, so unsubscribe can wait that call out.
+        self.delivery = threading.Lock()
 
 
 class SimNetwork:
@@ -186,7 +182,7 @@ class SimNetwork:
     Lifecycle:
 
     * Only the network's methods change a device's ``connected_by``, a
-      characteristic's value and write log, and the subscription registry:
+      characteristic's value, and the subscription registry:
       :meth:`attach`, :meth:`detach`, :meth:`store`, :meth:`subscribe` and
       :meth:`unsubscribe`.
     * The subscription registry holds live subscriptions only, keyed by
@@ -223,8 +219,6 @@ class SimNetwork:
         self._rng_lock = threading.Lock()
         self._peripherals: dict[str, SimPeripheral] = {}
         self._lock = threading.RLock()
-        self._cond = threading.Condition(self._lock)
-        self._waiters = 0  # unsubscribe calls waiting out a delivery; under the lock
         self._subscriptions: dict[SimCharacteristic, list[_Subscription]] = {}
         #: (device_id, service, characteristic) as emit's caller spelled them.
         self._routes: dict[tuple, SimCharacteristic] = {}
@@ -331,13 +325,13 @@ class SimNetwork:
             if peripheral.connected_by is central:
                 peripheral.connected_by = None
 
-    def store(self, char: SimCharacteristic, payload: bytes, with_response: bool) -> None:
-        """Commit a written value and append it to the write log."""
-        with self._lock:
-            char.value = payload
-            char.write_log.append(
-                WriteRecord(self.clock.monotonic(), payload, with_response)
-            )
+    def store(self, char: SimCharacteristic, payload: bytes) -> None:
+        """Commit a written value; the characteristic keeps only its latest.
+
+        Takes no lock: nothing else changes with the value, and a read
+        takes none either.
+        """
+        char.value = payload
 
     # -- notifications
 
@@ -365,9 +359,9 @@ class SimNetwork:
         """End ``sub``: nothing is delivered to it once this returns.
 
         Waits out a delivery to ``sub`` that is running, unless called on
-        the delivery thread itself.
+        the delivery thread itself: the sink runs under ``sub.delivery``,
+        which is not re-entrant. Must not be called holding the network lock.
         """
-        on_worker = threading.get_ident() == self._worker.ident
         with self._lock:
             if sub.active:
                 sub.active = False
@@ -375,13 +369,9 @@ class SimNetwork:
                 live.remove(sub)
                 if not live:
                     del self._subscriptions[sub.char]
-            if sub.delivering and not on_worker:
-                self._waiters += 1  # so the delivery wakes this call
-                try:
-                    while sub.delivering:
-                        self._cond.wait()
-                finally:
-                    self._waiters -= 1
+        if threading.get_ident() != self._worker.ident:
+            with sub.delivery:
+                pass
 
     def emit(self, device_id: str, service, characteristic, payload: bytes) -> None:
         """Deliver one notification value to all active subscribers.
@@ -436,25 +426,19 @@ class SimNetwork:
         return payload
 
     def _deliver_loop(self) -> None:
-        get, lock = self._queue.get, self._lock
+        get = self._queue.get
         while True:
             item = get()
             if item is None:
                 return
             sub, payload = item
-            with lock:
+            with sub.delivery:
                 if not sub.active:
                     continue
-                sub.delivering = True
-            try:
-                sub.sink(payload)
-            except Exception:
-                self.sink_failures += 1  # must not stall delivery to others
-            finally:
-                with lock:
-                    sub.delivering = False
-                    if self._waiters:
-                        self._cond.notify_all()
+                try:
+                    sub.sink(payload)
+                except Exception:
+                    self.sink_failures += 1  # must not stall delivery to others
 
     def close(self) -> None:
         """Stop the delivery thread for good; a second call is a no-op.
@@ -518,7 +502,7 @@ class SimTransport(TransportContract):
         if with_response:
             # Confirmation round trip; write-without-response completes on send.
             network.clock.sleep(network.write_latency_ms / 1000.0)
-        network.store(char, payload, with_response)
+        network.store(char, payload)
 
     def subscribe(self, uri: GattUri, sink: Sink):
         char = self._attribute(uri, _NOTIFY)
@@ -604,8 +588,7 @@ def load_sim_config(source, clock=None, seed: int | None = None,
     devices = expect(config.get("devices"), list, InvalidConfig, "config devices")
 
     network = SimNetwork(clock=clock, seed=seed, auto_notify=auto_notify, **{
-        name: float(expect(config.get(key, 0.0), float, InvalidConfig, key))
-        for key, name in _LATENCY_KNOBS.items()
+        name: _latency_knob(config, key) for key, name in _LATENCY_KNOBS.items()
     })
     try:
         for device in devices:
@@ -614,6 +597,13 @@ def load_sim_config(source, clock=None, seed: int | None = None,
         network.close()
         raise
     return network
+
+
+def _latency_knob(config: dict, key: str) -> float:
+    value = float(expect(config.get(key, 0.0), float, InvalidConfig, key))
+    if value < 0:
+        raise InvalidConfig(f"{key} must be >= 0, got {value}")
+    return value
 
 
 def _loads_config(text: str):

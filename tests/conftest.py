@@ -108,6 +108,12 @@ class RecordingTransport(SimTransport):
             self.trace.append(("unsubscribe", handle.uri.text))
 
 
+def writes(transport: RecordingTransport) -> list[tuple[bytes, bool]]:
+    """``(payload, with_response)`` of each write ``transport`` logged, in order."""
+    return [(bytes.fromhex(entry[2]), entry[3])
+            for entry in transport.trace if entry[0] == "write"]
+
+
 def live_subscriptions(net) -> int:
     return sum(len(subs) for subs in net._subscriptions.values())
 

@@ -47,7 +47,9 @@ from conftest import (
     NETWORK_CONFIG,
     SENSOR_MAC,
     SENSOR_TD,
+    RecordingTransport,
     make_network,
+    writes,
 )
 
 
@@ -75,13 +77,12 @@ def test_criterion_01_table_mapping_exhaustive():
 
 def test_criterion_02_golden_write_flow_is_bit_exact():
     net = make_network(clock=VirtualClock())
-    thing = consume(parse_td_file(LAMP_TD), SimTransport(net, timeout_s=10.0))
+    transport = RecordingTransport(net, timeout_s=10.0)
+    thing = consume(parse_td_file(LAMP_TD), transport)
     thing.write_property("power", {"on": 1})
-    char = net.characteristic(LAMP_MAC, LAMP_SERVICE, LAMP_CHAR)
-    assert len(char.write_log) == 1
-    record = char.write_log[0]
-    assert record.payload == bytes([0x7E, 0x00, 0x04, 0x01, 0x00, 0x00, 0x00, 0x00, 0xEF])
-    assert record.with_response is True
+    golden = bytes([0x7E, 0x00, 0x04, 0x01, 0x00, 0x00, 0x00, 0x00, 0xEF])
+    assert writes(transport) == [(golden, True)]
+    assert net.characteristic(LAMP_MAC, LAMP_SERVICE, LAMP_CHAR).value == golden
     net.close()
 
 

@@ -48,6 +48,7 @@ from conftest import (
     RecordingTransport,
     live_subscriptions,
     make_network,
+    writes,
 )
 
 
@@ -90,21 +91,22 @@ def test_consume_rejects_invalid_td():
 
 def test_lamp_write_property_golden_payload():
     net = make_network(clock=VirtualClock())
-    thing, _ = lamp_thing(net)
+    thing, transport = lamp_thing(net)
     thing.write_property("power", {"on": 1})
-    log = net.characteristic(LAMP_MAC, LAMP_SERVICE, LAMP_CHAR).write_log
-    assert len(log) == 1
-    assert log[0].payload == bytes.fromhex("7e00040100000000ef")
-    assert log[0].with_response is True
+    golden = bytes.fromhex("7e00040100000000ef")
+    assert writes(transport) == [(golden, True)]
+    assert net.characteristic(LAMP_MAC, LAMP_SERVICE, LAMP_CHAR).value == golden
     net.close()
 
 
 def test_write_out_of_range_variable():
     net = make_network(clock=VirtualClock())
-    thing, _ = lamp_thing(net)
+    char = net.characteristic(LAMP_MAC, LAMP_SERVICE, LAMP_CHAR)
+    before = char.value
+    thing, transport = lamp_thing(net)
     with pytest.raises(OutOfRange):
         thing.write_property("power", {"on": 2})
-    assert net.characteristic(LAMP_MAC, LAMP_SERVICE, LAMP_CHAR).write_log == []
+    assert writes(transport) == [] and char.value == before
     net.close()
 
 
@@ -155,18 +157,17 @@ def test_interactions_reuse_what_the_first_call_resolved(monkeypatch):
     monkeypatch.setattr("wotble.binding.parse_gatt_uri", recomputed)
     monkeypatch.setattr("wotble.codec.compile_pattern", recomputed)
     monkeypatch.setattr("wotble.consumer.resolve_form", recomputed)
-    log = net.characteristic(LAMP_MAC, LAMP_SERVICE, LAMP_CHAR).write_log
-    mixed_interactions(sensor, lamp, log)
+    mixed_interactions(sensor, lamp, net.characteristic(LAMP_MAC, LAMP_SERVICE, LAMP_CHAR))
     net.close()
 
 
-def mixed_interactions(sensor, lamp, log) -> None:
+def mixed_interactions(sensor, lamp, lamp_char) -> None:
     """100 sensor reads and lamp writes (1 in 5), checked against the fixture."""
     for i in range(100):
         if i % 5 == 4:
             on = i % 2
             lamp.write_property("power", {"on": on})
-            assert log[-1].payload == bytes.fromhex(f"7e0004{on:02x}00000000ef")
+            assert lamp_char.value == bytes.fromhex(f"7e0004{on:02x}00000000ef")
         else:
             name = ("moisture", "temperature")[i % 2]
             assert sensor.read_property(name) == pytest.approx(SENSOR_VALUES[name])
@@ -179,7 +180,7 @@ def test_a_kept_link_rederives_nothing(monkeypatch):
         for name, value in SENSOR_VALUES.items():
             assert sensor.read_property(name) == pytest.approx(value)
         lamp.write_property("power", {"on": 0})
-        log = net.characteristic(LAMP_MAC, LAMP_SERVICE, LAMP_CHAR).write_log
+        lamp_char = net.characteristic(LAMP_MAC, LAMP_SERVICE, LAMP_CHAR)
         entries = len(sensor_link.trace), len(lamp_link.trace)
 
         def rederived(*_args, **_kwargs):
@@ -189,7 +190,7 @@ def test_a_kept_link_rederives_nothing(monkeypatch):
         monkeypatch.setattr(SimTransport, "is_connected", rederived)
         monkeypatch.setattr(Endianess, "byteorder", property(rederived))
         monkeypatch.setattr(SimPeripheral, "characteristic", rederived)
-        mixed_interactions(sensor, lamp, log)
+        mixed_interactions(sensor, lamp, lamp_char)
         # One trace entry per interaction, and no connect among them.
         assert {entry[0] for entry in sensor_link.trace[entries[0]:]} == {"read"}
         assert {entry[0] for entry in lamp_link.trace[entries[1]:]} == {"write"}
@@ -269,7 +270,7 @@ def test_action_uses_write_without_response():
     net = make_network(clock=VirtualClock())
     lamp_char = net.characteristic(LAMP_MAC, LAMP_SERVICE, LAMP_CHAR)
     lamp_char.allowed = lamp_char.allowed | {GattMethod.WRITE_WITHOUT_RESPONSE}
-    transport = SimTransport(net, timeout_s=10.0)
+    transport = RecordingTransport(net, timeout_s=10.0)
     doc = json.loads(LAMP_TD.read_text())
     doc["actions"] = {
         "blink": {
@@ -285,8 +286,7 @@ def test_action_uses_write_without_response():
     }
     thing = consume(parse_td(json.dumps(doc)), transport)
     thing.invoke_action("blink", 3)
-    log = net.characteristic(LAMP_MAC, LAMP_SERVICE, LAMP_CHAR).write_log
-    assert log[-1].with_response is False
+    assert writes(transport)[-1][1] is False
 
     with pytest.raises(UnknownAffordance):
         thing.invoke_action("explode", 1)
@@ -622,6 +622,34 @@ def test_explicit_disconnect_ends_subscriptions_at_once():
         assert len(transport.trace) == entries
 
 
+def test_a_listener_may_unsubscribe_its_own_subscription():
+    """On the delivery thread, unsubscribe must not wait for its own delivery.
+
+    The scenario runs under a watchdog thread, so a deadlock fails the test
+    instead of hanging the run.
+    """
+    net = make_network(clock=VirtualClock(), auto_notify=False)
+    thing, _ = beacon_reader(net, ConnectionPolicy.KEEP_CONNECTED)
+    received, subscriptions = [], []
+
+    def listener(value):
+        received.append(value)
+        thing.unsubscribe_event(subscriptions[0])
+
+    subscriptions.append(thing.subscribe_event("temperature", listener))
+
+    def scenario():
+        emit_beacon(net, 1)
+        emit_beacon(net, 2)  # may be queued behind the delivery that unsubscribes
+        net.close()  # delivers what was queued, then joins the delivery thread
+
+    watchdog = threading.Thread(target=scenario, daemon=True)
+    watchdog.start()
+    watchdog.join(5.0)
+    assert not watchdog.is_alive(), "a listener's unsubscribe waited for itself"
+    assert received == [pytest.approx(0.1)] and not subscriptions[0].active
+
+
 @pytest.mark.parametrize("listening", [False, True])
 def test_a_pinned_disconnect_ends_each_subscription_then_the_link(monkeypatch, listening):
     net = make_network(clock=VirtualClock(), auto_notify=False)
@@ -913,17 +941,25 @@ def test_a_session_read_stays_within_its_call_budget():
     assert pstats.Stats(profile).total_calls / len(things) <= 85
 
 
-def test_kept_link_reads_leave_memory_flat():
-    """The transport keeps no record of the calls made of it."""
+KEPT_LINK_INTERACTIONS = {
+    "sensor-read": (SENSOR_TD, lambda thing, i: thing.read_property("moisture")),
+    "lamp-write": (LAMP_TD, lambda thing, i: thing.write_property("power", {"on": i % 2})),
+}
+
+
+@pytest.mark.parametrize("interaction", KEPT_LINK_INTERACTIONS)
+def test_kept_link_interactions_leave_memory_flat(interaction):
+    """Neither the transport nor the simulated device keeps a record of calls."""
+    td_path, interact = KEPT_LINK_INTERACTIONS[interaction]
     with make_network(clock=VirtualClock(), auto_notify=False) as net:
-        thing = consume(parse_td_file(SENSOR_TD), SimTransport(net, timeout_s=60.0))
+        thing = consume(parse_td_file(td_path), SimTransport(net, timeout_s=60.0))
         tracemalloc.start()
         try:
-            for _ in range(100):  # warm caches
-                thing.read_property("moisture")
+            for i in range(100):  # warm caches
+                interact(thing, i)
             before = tracemalloc.get_traced_memory()[0]
-            for _ in range(20_000):
-                thing.read_property("moisture")
+            for i in range(20_000):
+                interact(thing, i)
             grown = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
@@ -996,15 +1032,15 @@ def test_read_multiple_wraps_failures_with_partial_results():
 
 def test_write_multiple_bad_name_leaves_prior_writes_visible():
     net = make_network(clock=VirtualClock())
-    transport = SimTransport(net, timeout_s=60.0)
+    transport = RecordingTransport(net, timeout_s=60.0)
     moisture_char = net.characteristic(SENSOR_MAC, "1204", "1a01")
     moisture_char.allowed = moisture_char.allowed | {GattMethod.WRITE}
     thing = consume(parse_td(json.dumps(writable_sensor_doc())), transport)
     with pytest.raises(MultiPropertyError) as exc_info:
         thing.write_multiple_properties({"moisture": 9, "altitude": 1})
     assert exc_info.value.name == "altitude"
-    log = net.characteristic(SENSOR_MAC, "1204", "1a01").write_log
-    assert [r.payload for r in log] == [b"\x09"]
+    assert [payload for payload, _ in writes(transport)] == [b"\x09"]
+    assert moisture_char.value == b"\x09"
     net.close()
 
 
@@ -1035,13 +1071,12 @@ def test_raw_escape_hatch_round_trip():
 
 def test_every_logged_payload_is_reproducible_from_public_inputs():
     net = make_network(clock=VirtualClock())
-    thing, _ = lamp_thing(net)
+    thing, transport = lamp_thing(net)
     inputs = [{"on": 1}, {"on": 0}, {"on": 1}]
     for value in inputs:
         thing.write_property("power", value)
     spec = thing.td.properties["power"].bdo
-    log = net.characteristic(LAMP_MAC, LAMP_SERVICE, LAMP_CHAR).write_log
-    assert [r.payload for r in log] == [encode(v, spec) for v in inputs]
+    assert [payload for payload, _ in writes(transport)] == [encode(v, spec) for v in inputs]
     net.close()
 
 

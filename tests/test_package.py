@@ -6,9 +6,11 @@ import wotble
 
 #: Public names deleted with the features they served, by module.
 REMOVED = {
-    "wotble": ("Session", "expose", "register_host_backend", "create_host_transport"),
+    "wotble": ("Session", "expose", "register_host_backend", "create_host_transport",
+               "register_codec"),
     "wotble.transport": ("Session", "register_host_backend", "create_host_transport",
-                         "_host_backend_factory"),
+                         "_host_backend_factory", "WriteRecord"),
+    "wotble.codec": ("register_codec",),
     "wotble.consumer": ("expose",),
     "wotble.errors": ("NotSupported",),
 }
@@ -45,3 +47,7 @@ def test_a_sim_transport_keeps_no_call_log():
         transport = wotble.SimTransport(net)
         assert not hasattr(transport, "trace")
         assert set(vars(transport)) == {"network", "timeout_s"}
+
+
+def test_a_sim_characteristic_keeps_no_write_log():
+    assert not hasattr(wotble.SimCharacteristic(b"\x00"), "write_log")

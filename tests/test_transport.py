@@ -54,6 +54,7 @@ from conftest import (
     RecordingTransport,
     live_subscriptions,
     make_network,
+    writes,
 )
 
 LAMP_URI = parse_gatt_uri(f"gatt://{LAMP_MAC.replace(':', '-')}/{LAMP_SERVICE}/{LAMP_CHAR}")
@@ -68,13 +69,13 @@ def virtual_network(**kw):
 
 def test_write_then_read_returns_written_octets():
     net = virtual_network()
-    t = SimTransport(net, timeout_s=1.0)
+    t = RecordingTransport(net, timeout_s=1.0)
     t.connect(LAMP_MAC)
     payload = bytes([0x7E, 0x00, 0x04, 0x01, 0x00, 0x00, 0x00, 0x00, 0xEF])
     t.write(LAMP_URI, payload, with_response=True)
     assert t.read(LAMP_URI) == payload
-    log = net.characteristic(LAMP_MAC, LAMP_SERVICE, LAMP_CHAR).write_log
-    assert [(r.payload, r.with_response) for r in log] == [(payload, True)]
+    assert writes(t) == [(payload, True)]
+    assert net.characteristic(LAMP_MAC, LAMP_SERVICE, LAMP_CHAR).value == payload
     net.close()
 
 
@@ -94,7 +95,7 @@ def test_operations_require_connection():
 
 def test_method_gating_leaves_state_unchanged():
     net = virtual_network()
-    t = SimTransport(net, timeout_s=10.0)
+    t = RecordingTransport(net, timeout_s=10.0)
     sensor_uri = parse_gatt_uri(
         "gatt://C4-7C-8D-6A-10-2E/00001204-0000-1000-8000-00805f9b34fb/"
         "00001a01-0000-1000-8000-00805f9b34fb"
@@ -106,7 +107,7 @@ def test_method_gating_leaves_state_unchanged():
         t.write(sensor_uri, b"\x05", with_response=True)
     with pytest.raises(MethodNotPermitted):
         t.subscribe(sensor_uri, lambda p: None)
-    assert char.value == before and char.write_log == []
+    assert char.value == before and writes(t) == []
     net.close()
 
 
@@ -550,10 +551,10 @@ def test_unsubscribes_waiting_on_one_delivery_all_return():
         for caller in callers:
             caller.start()
         deadline = time.monotonic() + 5.0
-        while net._waiters < 2 and time.monotonic() < deadline:
+        while handle.active and time.monotonic() < deadline:
             time.sleep(0.001)
         # Both wait for the held delivery, and nothing new reaches the sink.
-        assert net._waiters == 2 and all(c.is_alive() for c in callers)
+        assert not handle.active and all(c.is_alive() for c in callers)
         net.emit(BEACON_MAC, BEACON_SERVICE, BEACON_CHAR, b"\x02")
     finally:
         release.set()
@@ -562,7 +563,7 @@ def test_unsubscribes_waiting_on_one_delivery_all_return():
     assert not any(c.is_alive() for c in callers)
     net.emit(BEACON_MAC, BEACON_SERVICE, BEACON_CHAR, b"\x03")
     net.close()
-    assert received == [b"\x01"] and net._waiters == 0
+    assert received == [b"\x01"]
 
 
 def test_racing_emits_and_unsubscribes_keep_their_promises():
@@ -597,12 +598,12 @@ def test_racing_emits_and_unsubscribes_keep_their_promises():
             assert not any(w.is_alive() for w in workers)
     finally:
         sys.setswitchinterval(switch)
-    # Each emitter's values arrive once and in order; none reached a sink
-    # after its unsubscribe returned, and no unsubscribe is left waiting.
+    # Each emitter's values arrive once and in order, and none reached a
+    # sink after its unsubscribe returned.
     for index in range(len(BEACON_SPELLINGS)):
         assert [p[1] for p in received if p[0] == index] == list(range(200))
     assert len(received) == 200 * len(BEACON_SPELLINGS)
-    assert late == [] and net._waiters == 0
+    assert late == []
 
 
 # --- the payload boundary ----------------------------------------------------------------
@@ -618,12 +619,15 @@ def test_racing_emits_and_unsubscribes_keep_their_promises():
 ])
 def test_a_payload_must_be_raw_octets_within_the_att_cap(payload, error):
     with virtual_network(auto_notify=False) as net:
-        thing = consume(parse_td_file(LAMP_TD), SimTransport(net, timeout_s=1.0))
+        char = net.characteristic(LAMP_MAC, LAMP_SERVICE, LAMP_CHAR)
+        before = char.value
+        transport = RecordingTransport(net, timeout_s=1.0)
+        thing = consume(parse_td_file(LAMP_TD), transport)
         with pytest.raises(error):
             thing.write_raw("power", payload)
         with pytest.raises(error):
             net.emit(BEACON_MAC, BEACON_SERVICE, BEACON_CHAR, payload)
-        assert net.characteristic(LAMP_MAC, LAMP_SERVICE, LAMP_CHAR).write_log == []
+        assert writes(transport) == [] and char.value == before
 
 
 @pytest.mark.parametrize("kind", [bytes, bytearray, memoryview])
@@ -677,6 +681,9 @@ def test_load_config_accepts_short_uuids_and_latency_knobs(tmp_path):
     {"devices": [], "connectSetupMs": 10**400},
     pytest.param('{"devices": [], "readLatencyMs": ' + "1" * 5000 + "}",
                  id="digits-past-the-limit"),
+    *(pytest.param({"devices": [], knob: -1}, id=f"negative-{knob}")
+      for knob in ("processingDelayMs", "connectSetupMs", "readLatencyMs",
+                   "writeLatencyMs", "disconnectLatencyMs")),
 ])
 def test_invalid_configs_are_rejected(config):
     with pytest.raises(InvalidConfig):
