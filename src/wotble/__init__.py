@@ -29,6 +29,7 @@ from .codec import (
     get_codec,
 )
 from .consumer import ConnectionPolicy, ConsumedThing, Subscription, consume
+from .errors import InvalidPolicy
 from .td import (
     Affordance,
     BleMetadata,
@@ -70,6 +71,7 @@ __all__ = [
     "GapRole",
     "GattMethod",
     "GattUri",
+    "InvalidPolicy",
     "RealClock",
     "ResolvedRequest",
     "Severity",

@@ -118,7 +118,7 @@ def map_operation(op: WotOperation, method_name: GattMethod | None = None) -> Ga
     return method_name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ResolvedRequest:
     """Everything needed to execute one interaction over the transport."""
 
@@ -127,6 +127,12 @@ class ResolvedRequest:
     spec: "BdoSpec | None"
     operation: WotOperation
     content_type: str
+
+    # Fills __dict__ in one update; the generated __init__ of a frozen
+    # dataclass makes one call per field to get past the frozen __setattr__.
+    def __init__(self, uri, method, spec, operation, content_type):
+        self.__dict__.update(uri=uri, method=method, spec=spec, operation=operation,
+                             content_type=content_type)
 
 
 def resolve_form(affordance: "Affordance", op: WotOperation) -> ResolvedRequest:

@@ -60,12 +60,14 @@ class VariableType(str, Enum):
 _STRING_HEX = VariableType.STRING_HEX
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class VariableSpec:
     """Description of one ``{name}`` placeholder inside a pattern.
 
     ``_byteorder`` is derived: ``endianess`` as ``int.to_bytes`` spells it,
-    set once at construction and left out of equality and repr.
+    computed in ``__init__`` and left out of equality and repr. A
+    ``bytelength`` that is not a number, or an ``endianess`` that is not an
+    ``Endianess``, raises ``BadValue``.
     """
 
     name: str
@@ -77,25 +79,35 @@ class VariableSpec:
     maximum: int | None = None
     _byteorder: str = field(default="little", init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        if not 1 <= self.bytelength <= MAX_PAYLOAD_OCTETS:
-            raise BadValue(f"variable {self.name!r}: bytelength must be 1 to "
-                           f"{MAX_PAYLOAD_OCTETS}")
-        object.__setattr__(self, "_byteorder", self.endianess.byteorder)
+    # Hand-written: the generated __init__ of a frozen dataclass makes one
+    # call per field to get past the frozen __setattr__, and takes twice as long.
+    def __init__(self, name, data_type=VariableType.INTEGER, bytelength=1, signed=False,
+                 endianess=Endianess.LITTLE, minimum=None, maximum=None):
+        try:
+            if not 1 <= bytelength <= MAX_PAYLOAD_OCTETS:
+                raise BadValue(f"variable {name!r}: bytelength must be 1 to "
+                               f"{MAX_PAYLOAD_OCTETS}")
+            byteorder = endianess.byteorder
+        except (TypeError, AttributeError) as exc:
+            raise BadValue(f"variable {name!r}: field of the wrong type ({exc})") from None
+        self.__dict__.update(name=name, data_type=data_type, bytelength=bytelength,
+                             signed=signed, endianess=endianess, minimum=minimum,
+                             maximum=maximum, _byteorder=byteorder)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BdoSpec:
     """Binary layout of a characteristic value.
 
     Defaults follow the binary-data vocabulary: unsigned, little-endian,
     offset 0, scale 1.0. ``bytelength`` is required unless a pattern supplies
     the layout; when a pattern is present every placeholder must have an
-    entry in ``variables``.
+    entry in ``variables`` (None stands for a fresh empty mapping). A field
+    of the wrong type raises ``BadValue``.
 
-    Three fields are derived once at construction, for every later encode
-    and decode, and take no part in equality or repr: ``_layout``, the
-    compiled pattern (None without one); ``_byteorder``, ``endianess`` as
+    Three fields are derived in ``__init__``, for every later encode and
+    decode, and take no part in equality or repr: ``_layout``, the compiled
+    pattern (None without one); ``_byteorder``, ``endianess`` as
     ``int.to_bytes`` spells it; and ``_end``, ``offset + bytelength``, where
     a scalar value's octets end (None without a bytelength).
     """
@@ -112,22 +124,30 @@ class BdoSpec:
     _byteorder: str = field(default="little", init=False, compare=False, repr=False)
     _end: int | None = field(default=None, init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        if self.pattern is None and self.bytelength is None:
+    # Hand-written for the reason VariableSpec's is.
+    def __init__(self, bytelength=None, signed=False, endianess=Endianess.LITTLE, offset=0,
+                 scale=1.0, pattern=None, variables=None):
+        variables = {} if variables is None else variables
+        if pattern is None and bytelength is None:
             raise BadValue("spec needs a bytelength or a pattern")
-        if self.bytelength is not None and not 1 <= self.bytelength <= MAX_PAYLOAD_OCTETS:
-            raise BadValue(f"bytelength must be 1 to {MAX_PAYLOAD_OCTETS}")
-        if self.offset < 0:
-            raise BadValue("offset must be >= 0")
-        if not math.isfinite(self.scale) or self.scale == 0:
-            raise BadValue("scale must be finite and nonzero")
-        if self.pattern is not None:
+        try:
+            if bytelength is not None and not 1 <= bytelength <= MAX_PAYLOAD_OCTETS:
+                raise BadValue(f"bytelength must be 1 to {MAX_PAYLOAD_OCTETS}")
+            if offset < 0:
+                raise BadValue("offset must be >= 0")
+            if not math.isfinite(scale) or scale == 0:
+                raise BadValue("scale must be finite and nonzero")
             # Validates placeholder coverage and literal runs up front, and
             # keeps the result for every later encode and decode.
-            object.__setattr__(self, "_layout", _shared_layout(self.pattern, self.variables))
-        object.__setattr__(self, "_byteorder", self.endianess.byteorder)
-        if self.bytelength is not None:
-            object.__setattr__(self, "_end", self.offset + self.bytelength)
+            layout = None if pattern is None else _layout_of(pattern, tuple(
+                [(name, var.bytelength) for name, var in variables.items()]))
+            byteorder = endianess.byteorder
+        except (TypeError, AttributeError) as exc:
+            raise BadValue(f"spec field of the wrong type ({exc})") from None
+        self.__dict__.update(bytelength=bytelength, signed=signed, endianess=endianess,
+                             offset=offset, scale=scale, pattern=pattern, variables=variables,
+                             _layout=layout, _byteorder=byteorder,
+                             _end=None if bytelength is None else offset + bytelength)
 
     def layout(self) -> "PatternLayout":
         if self._layout is None:
@@ -192,22 +212,14 @@ def compile_pattern(pattern: str, variables: Mapping[str, VariableSpec]) -> Patt
 _LAYOUT_CACHE_SIZE = 256
 
 
-def _shared_layout(pattern: str, variables: Mapping[str, VariableSpec]) -> PatternLayout:
-    """``compile_pattern``, run once per pattern text and variable sizes.
-
-    A layout depends only on the pattern and each variable's bytelength, so
-    specs that agree on those share one. Failures are not kept: they raise
-    anew on every call. A pattern that is not a ``str`` skips the cache, so
-    it fails exactly as ``compile_pattern`` makes it fail.
-    """
-    if type(pattern) is not str:
-        return compile_pattern(pattern, variables)
-    return _layout_of(pattern, tuple((name, var.bytelength)
-                                     for name, var in variables.items()))
-
-
 @lru_cache(maxsize=_LAYOUT_CACHE_SIZE)
 def _layout_of(pattern: str, sizes: tuple) -> PatternLayout:
+    """``compile_pattern``, run once per pattern text and variable sizes.
+
+    ``sizes`` holds each variable's ``(name, bytelength)``. A layout depends
+    only on those and the pattern, so specs that agree on them share one.
+    Failures are not kept: they raise anew on every call.
+    """
     return compile_pattern(pattern, {name: VariableSpec(name, bytelength=bytelength)
                                      for name, bytelength in sizes})
 

@@ -20,6 +20,7 @@ from typing import Callable, Iterable, Mapping
 from .binding import GattMethod, ResolvedRequest, WotOperation, resolve_form
 from .codec import get_codec
 from .errors import (
+    InvalidPolicy,
     InvalidTd,
     MixedDevices,
     MultiPropertyError,
@@ -136,13 +137,21 @@ class ConsumedThing:
     A teardown of an unpinned thing, by a policy or by ``disconnect()``,
     asks the transport once whether the link is up and drops it at most
     once.
+
+    ``policy`` is a ``ConnectionPolicy`` member or the value of one; any
+    other value raises ``InvalidPolicy``, which is also a ``ValueError``.
     """
 
     def __init__(self, td: ThingDescription, transport: TransportContract,
                  policy: ConnectionPolicy = ConnectionPolicy.KEEP_CONNECTED):
         self.td = td
         self.transport = transport
-        self.policy = ConnectionPolicy(policy)
+        if policy.__class__ is not ConnectionPolicy:
+            try:
+                policy = ConnectionPolicy(policy)
+            except ValueError:
+                raise InvalidPolicy(f"unknown connection policy {policy!r}") from None
+        self.policy = policy
         self._lock = threading.RLock()
         self._device_id: str | None = None
         self._requests: dict = {}

@@ -208,6 +208,10 @@ class InvalidTd(ConsumerError):
         self.diagnostics = list(diagnostics)
 
 
+class InvalidPolicy(ConsumerError, ValueError):
+    """A connection policy is neither a ConnectionPolicy member nor its value."""
+
+
 class UnknownAffordance(ConsumerError):
     pass
 

@@ -64,7 +64,13 @@ class GapRole(str, Enum):
     OBSERVER = "observer"
 
 
-@dataclass(frozen=True)
+# Each frozen value type below has a hand-written __init__ that fills
+# __dict__ in one update. The generated __init__ of a frozen dataclass makes
+# one call per field to get past the frozen __setattr__, which makes a parse
+# about a fifth slower.
+
+
+@dataclass(frozen=True, init=False)
 class BleMetadata:
     """Device-level Bluetooth capabilities; fields are None when undeclared."""
 
@@ -75,15 +81,22 @@ class BleMetadata:
     scan_window_ms: float | None = None
     scan_interval_ms: float | None = None
 
+    def __init__(self, gap_role=None, is_connectable=None, has_gatt_layer=None,
+                 advertising_interval_ms=None, scan_window_ms=None, scan_interval_ms=None):
+        self.__dict__.update(gap_role=gap_role, is_connectable=is_connectable,
+                             has_gatt_layer=has_gatt_layer,
+                             advertising_interval_ms=advertising_interval_ms,
+                             scan_window_ms=scan_window_ms, scan_interval_ms=scan_interval_ms)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class Form:
     """One way to perform an affordance's operations.
 
-    ``uri`` is ``href`` parsed once, when the form is built. It is None when
-    ``href`` is not a valid gatt:// URI; readers that need the reason parse
-    ``href`` again and get the error. It takes no part in equality. Forms
-    with the same ``href`` share one immutable ``GattUri``.
+    ``uri`` is ``href`` parsed once, in ``__init__``. It is None when
+    ``href`` is not a valid gatt:// URI, or not a ``str``; readers that need
+    the reason parse ``href`` again and get the error. It takes no part in
+    equality. Forms with the same ``href`` share one immutable ``GattUri``.
     """
 
     href: str
@@ -92,16 +105,21 @@ class Form:
     content_type: str = BINARY_DATA_STREAM
     uri: GattUri | None = field(default=None, init=False, compare=False, repr=False)
 
-    def __post_init__(self):
+    def __init__(self, href, op, method_name=None, content_type=BINARY_DATA_STREAM):
         try:
-            object.__setattr__(self, "uri", parse_gatt_uri(self.href))
+            uri = parse_gatt_uri(href)
         except UriError:
-            pass
+            uri = None
+        self.__dict__.update(href=href, op=op, method_name=method_name,
+                             content_type=content_type, uri=uri)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Affordance:
-    """One named interaction capability: a property, action, or event."""
+    """One named interaction capability: a property, action, or event.
+
+    ``extensions`` None stands for a fresh empty dict.
+    """
 
     name: str
     forms: tuple[Form, ...]
@@ -112,9 +130,17 @@ class Affordance:
     maximum: float | None = None
     extensions: dict = field(default_factory=dict)
 
+    def __init__(self, name, forms, data_type=None, format=None, bdo=None, minimum=None,
+                 maximum=None, extensions=None):
+        self.__dict__.update(name=name, forms=forms, data_type=data_type, format=format,
+                             bdo=bdo, minimum=minimum, maximum=maximum,
+                             extensions={} if extensions is None else extensions)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class ThingDescription:
+    """A parsed TD; ``extensions`` None stands for a fresh empty dict."""
+
     title: str
     context_prefixes: dict
     metadata: BleMetadata
@@ -122,6 +148,12 @@ class ThingDescription:
     actions: dict
     events: dict
     extensions: dict = field(default_factory=dict)
+
+    def __init__(self, title, context_prefixes, metadata, properties, actions, events,
+                 extensions=None):
+        self.__dict__.update(title=title, context_prefixes=context_prefixes, metadata=metadata,
+                             properties=properties, actions=actions, events=events,
+                             extensions={} if extensions is None else extensions)
 
 
 class Severity(str, Enum):

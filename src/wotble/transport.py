@@ -202,6 +202,10 @@ class SimNetwork:
 
     ``sink_failures`` counts the sink calls that raised; the delivery thread
     swallows those, so that one failing sink does not stall the others.
+
+    Each of the five latency knobs (milliseconds) must be a finite number
+    >= 0; any other value raises :class:`InvalidConfig` before the delivery
+    thread starts.
     """
 
     def __init__(self, clock=None, seed: int | None = None, auto_notify: bool = True,
@@ -210,11 +214,11 @@ class SimNetwork:
                  disconnect_latency_ms: float = 0.0):
         self.clock = clock if clock is not None else RealClock()
         self.auto_notify = auto_notify
-        self.processing_delay_ms = processing_delay_ms
-        self.connect_setup_ms = connect_setup_ms
-        self.read_latency_ms = read_latency_ms
-        self.write_latency_ms = write_latency_ms
-        self.disconnect_latency_ms = disconnect_latency_ms
+        self.processing_delay_ms = _latency(processing_delay_ms, "processing_delay_ms")
+        self.connect_setup_ms = _latency(connect_setup_ms, "connect_setup_ms")
+        self.read_latency_ms = _latency(read_latency_ms, "read_latency_ms")
+        self.write_latency_ms = _latency(write_latency_ms, "write_latency_ms")
+        self.disconnect_latency_ms = _latency(disconnect_latency_ms, "disconnect_latency_ms")
         self._rng = random.Random(seed)
         self._rng_lock = threading.Lock()
         self._peripherals: dict[str, SimPeripheral] = {}
@@ -556,13 +560,13 @@ def _octets(payload) -> bytes:
 # --- simulated network config files ----------------------------------------------
 
 
-#: Config key of each latency knob -> its ``SimNetwork`` parameter.
+#: ``SimNetwork`` parameter of each latency knob -> its config key.
 _LATENCY_KNOBS = {
-    "processingDelayMs": "processing_delay_ms",
-    "connectSetupMs": "connect_setup_ms",
-    "readLatencyMs": "read_latency_ms",
-    "writeLatencyMs": "write_latency_ms",
-    "disconnectLatencyMs": "disconnect_latency_ms",
+    "processing_delay_ms": "processingDelayMs",
+    "connect_setup_ms": "connectSetupMs",
+    "read_latency_ms": "readLatencyMs",
+    "write_latency_ms": "writeLatencyMs",
+    "disconnect_latency_ms": "disconnectLatencyMs",
 }
 
 
@@ -588,7 +592,7 @@ def load_sim_config(source, clock=None, seed: int | None = None,
     devices = expect(config.get("devices"), list, InvalidConfig, "config devices")
 
     network = SimNetwork(clock=clock, seed=seed, auto_notify=auto_notify, **{
-        name: _latency_knob(config, key) for key, name in _LATENCY_KNOBS.items()
+        name: config.get(key, 0.0) for name, key in _LATENCY_KNOBS.items()
     })
     try:
         for device in devices:
@@ -599,10 +603,14 @@ def load_sim_config(source, clock=None, seed: int | None = None,
     return network
 
 
-def _latency_knob(config: dict, key: str) -> float:
-    value = float(expect(config.get(key, 0.0), float, InvalidConfig, key))
+def _latency(value, name: str) -> float:
+    """``value`` as a float, if it is a finite number >= 0; else ``InvalidConfig``.
+
+    The message names the knob's config key, then its parameter ``name``.
+    """
+    value = float(expect(value, float, InvalidConfig, "%s (%s)", _LATENCY_KNOBS[name], name))
     if value < 0:
-        raise InvalidConfig(f"{key} must be >= 0, got {value}")
+        raise InvalidConfig(f"{_LATENCY_KNOBS[name]} ({name}) must be >= 0, got {value}")
     return value
 
 

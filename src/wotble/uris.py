@@ -93,6 +93,8 @@ def expand_uuid(short: int) -> uuid.UUID:
 @_memoised
 def parse_uuid(text: str) -> uuid.UUID:
     """Parse a UUID segment: canonical 128-bit form or 4-hex-digit short form."""
+    if not isinstance(text, str):
+        raise BadUuid(f"UUID must be a string, got {text!r}")
     if _UUID16_RE.match(text):
         return expand_uuid(int(text, 16))
     if _UUID128_RE.match(text):
@@ -103,6 +105,8 @@ def parse_uuid(text: str) -> uuid.UUID:
 @_memoised
 def parse_gatt_uri(text: str) -> GattUri:
     """Parse a gatt:// URI into its device, service, and characteristic."""
+    if not isinstance(text, str):
+        raise BadStructure(f"URI must be a string, got {text!r}")
     m = _SCHEME_RE.match(text)
     if m is None:
         raise BadStructure(f"no URI scheme in {text!r}")

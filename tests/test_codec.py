@@ -6,6 +6,7 @@ import wotble.codec as codec_module
 
 from wotble import BdoSpec, Endianess, VariableSpec, VariableType, compile_pattern
 from wotble.codec import (
+    MAX_PAYLOAD_OCTETS,
     LiteralSegment,
     VariableSegment,
     decode,
@@ -342,15 +343,39 @@ def test_att_cap_is_checked_before_the_offset_is_built(offset):
     dict(bytelength=1, scale=float("nan")),
     dict(bytelength=513),
     dict(pattern="00", bytelength=513),
+    # A field of the wrong type is a BadValue too, not a bare Python error.
+    dict(bytelength="2"),
+    dict(bytelength=2, offset="1"),
+    dict(bytelength=2, scale="x"),
+    dict(bytelength=1, endianess="bigEndian"),
+    dict(pattern=b"7e{on}ef", variables=LAMP_VARS),
+    dict(pattern="7e{on}ef", variables=[("on", LAMP_VARS["on"])]),
+    dict(pattern="7e{on}ef", variables={"on": 1}),
 ])
 def test_invalid_specs_are_rejected(kwargs):
     with pytest.raises(BadValue):
         BdoSpec(**kwargs)
 
 
+@pytest.mark.parametrize("kwargs", [
+    dict(bytelength=0),
+    dict(bytelength=MAX_PAYLOAD_OCTETS + 1),
+    dict(bytelength="1"),
+    dict(endianess="bigEndian"),
+])
+def test_invalid_variable_specs_are_rejected(kwargs):
+    with pytest.raises(BadValue, match="variable 'a'"):
+        VariableSpec("a", **kwargs)
+
+
 def test_pattern_spec_requires_variables():
     with pytest.raises(MissingVariable):
         BdoSpec(pattern="7e{on}ef", variables={})
+
+
+def test_absent_variables_are_an_empty_mapping_to_a_pattern():
+    with pytest.raises(MissingVariable):
+        BdoSpec(pattern="7e{on}ef", variables=None)
 
 
 # --- oracle equivalence and properties ---------------------------------------------

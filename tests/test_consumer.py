@@ -24,6 +24,7 @@ from wotble import (
 from wotble.codec import decode, encode
 from wotble.errors import (
     BadScheme,
+    InvalidPolicy,
     InvalidTd,
     MethodNotPermitted,
     MixedDevices,
@@ -79,6 +80,20 @@ def test_consume_twice_yields_independent_things():
     assert a is not b
     assert a.transport is b.transport
     net.close()
+
+
+def test_a_policy_is_a_member_or_the_value_of_one():
+    td = parse_td_file(LAMP_TD)
+    for policy in ConnectionPolicy:
+        assert consume(td, None, policy).policy is policy
+        assert consume(td, None, policy.value).policy is policy
+
+
+@pytest.mark.parametrize("policy", ["nope", None, 3])
+def test_an_unknown_policy_is_rejected(policy):
+    with pytest.raises(InvalidPolicy, match="unknown connection policy") as exc_info:
+        consume(parse_td_file(LAMP_TD), None, policy)
+    assert isinstance(exc_info.value, ValueError)
 
 
 def test_consume_rejects_invalid_td():

@@ -29,6 +29,20 @@ def test_every_exported_name_resolves(name):
     assert getattr(wotble, name) is not None
 
 
+#: Exported errors, each with the base classes a caller may catch it by.
+EXPORTED_ERRORS = {
+    "InvalidPolicy": (wotble.errors.ConsumerError, ValueError),
+}
+
+
+@pytest.mark.parametrize("name", EXPORTED_ERRORS)
+def test_exported_errors_keep_their_bases(name):
+    assert name in wotble.__all__
+    error = getattr(wotble, name)
+    assert error is getattr(wotble.errors, name)
+    assert issubclass(error, EXPORTED_ERRORS[name])
+
+
 @pytest.mark.parametrize("module, name",
                          [(m, n) for m, names in REMOVED.items() for n in names])
 def test_removed_names_are_gone(module, name):

@@ -3,6 +3,7 @@ import json
 import pstats
 import sys
 import threading
+from dataclasses import replace
 
 import pytest
 
@@ -13,6 +14,7 @@ from wotble import (
     BleMetadata,
     DiagnosticCode,
     Endianess,
+    Form,
     GapRole,
     GattMethod,
     Severity,
@@ -502,6 +504,19 @@ def test_non_gatt_href_is_flagged():
     diagnostics = validate_td(td)
     assert [d.code for d in diagnostics] == [DiagnosticCode.BAD_URI_SCHEME]
     assert diagnostics[0].severity is Severity.WARNING
+
+
+def test_a_href_that_is_not_text_has_no_uri_and_is_an_error():
+    assert Form(href=None, op=()).uri is None
+    td = parse_td(td_doc())
+    level = td.properties["level"]
+    form = replace(level.forms[0], href=5)
+    assert form.uri is None
+    td = replace(td, properties={"level": replace(level, forms=(form,))})
+    diagnostics = validate_td(td)
+    assert [d.code for d in diagnostics] == [DiagnosticCode.BAD_HREF]
+    assert diagnostics[0].severity is Severity.ERROR
+    assert "must be a string" in diagnostics[0].message
 
 
 def test_malformed_gatt_href_is_an_error():

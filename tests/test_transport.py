@@ -690,6 +690,17 @@ def test_invalid_configs_are_rejected(config):
         load_sim_config(config)
 
 
+@pytest.mark.parametrize("value", [-1, "5", float("nan"), True])
+@pytest.mark.parametrize("knob", ["processing_delay_ms", "connect_setup_ms",
+                                  "read_latency_ms", "write_latency_ms",
+                                  "disconnect_latency_ms"])
+def test_a_network_rejects_a_latency_that_is_not_a_number_from_zero(knob, value):
+    threads = threading.active_count()
+    with pytest.raises(InvalidConfig, match=knob):
+        SimNetwork(clock=VirtualClock(), **{knob: value})
+    assert threading.active_count() == threads  # no delivery thread was started
+
+
 def test_characteristic_value_cap():
     with pytest.raises(InvalidConfig):
         SimCharacteristic(value=bytes(513))

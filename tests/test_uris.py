@@ -131,6 +131,10 @@ def test_short_and_expanded_spellings_are_equivalent():
     (parse_uuid, "fff", BadUuid, "not a 4-hex short UUID"),
     (parse_gatt_uri, "gatt://AA:BB:CC:DD:EE:FF/fff0/xyz", BadUuid, "not a 4-hex"),
     (normalize_mac, ["AA:BB:CC:DD:EE:FF"], BadDeviceId, "must be a string"),
+    (parse_uuid, None, BadUuid, "must be a string"),
+    (parse_uuid, b"ffe1", BadUuid, "must be a string"),
+    (parse_gatt_uri, None, BadStructure, "must be a string"),
+    (parse_gatt_uri, 5, BadStructure, "must be a string"),
 ])
 def test_invalid_input_raises_anew_on_every_call(parse, text, error, message):
     size = parse.cache_info().currsize
