@@ -83,6 +83,8 @@ _METHOD_ALIASES = {
 @_memoised
 def parse_method(text: str) -> GattMethod:
     """Parse an sbo method name; accepts hyphenated or camelCase spellings."""
+    if not isinstance(text, str):
+        raise MethodOpConflict(f"GATT method name must be a string, got {text!r}")
     key = text.strip().lower().replace("_", "-")
     method = _METHOD_ALIASES.get(key) or _METHOD_ALIASES.get(key.replace("-", ""))
     if method is None:

@@ -8,6 +8,21 @@ Converts between application values and octet payloads as described by a
 * pattern: a hex template such as ``"7e0004{on}00000000ef"`` whose ``{name}``
   placeholders stand for independently described variables.
 
+Everything that depends only on a layout is worked out once, when the spec
+is built: a pattern's :class:`PatternLayout` with its flat ``_steps`` and
+``total_octets``, and the integer bounds ``_lo``/``_hi`` of each scalar spec
+and each variable. :func:`encode` and :func:`decode` walk those steps and
+make only the checks that depend on the value, in this order:
+
+* pattern encode: the mapping check (``BadValue``), then each placeholder in
+  pattern order (``MissingVariable``, then the variable's own ``BadValue`` or
+  ``OutOfRange``), then ``AttLengthExceeded``, once the payload is built;
+* scalar encode: the mapping check (``BadValue``), ``AttLengthExceeded`` on
+  ``offset + bytelength``, ``BadValue`` for a value that is not a number,
+  then ``OutOfRange``;
+* decode: ``BadValue`` for a payload that is not ``bytes``, ``bytearray`` or
+  ``memoryview``, then ``TooShort``, then (patterns) ``PatternMismatch``.
+
 :func:`get_codec` maps a content-type string to one of two fixed codecs:
 this one, or, for any other ``application/*`` subtype, a plain octet
 passthrough.
@@ -17,10 +32,11 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import Mapping, Union
+from typing import Union
 
 from .errors import (
     AttLengthExceeded,
@@ -64,10 +80,17 @@ _STRING_HEX = VariableType.STRING_HEX
 class VariableSpec:
     """Description of one ``{name}`` placeholder inside a pattern.
 
-    ``_byteorder`` is derived: ``endianess`` as ``int.to_bytes`` spells it,
-    computed in ``__init__`` and left out of equality and repr. A
-    ``bytelength`` that is not a number, or an ``endianess`` that is not an
-    ``Endianess``, raises ``BadValue``.
+    Three fields are derived in ``__init__``, for every later encode and
+    decode, and take no part in equality or repr: ``_byteorder``,
+    ``endianess`` as ``int.to_bytes`` spells it; and ``_lo`` and ``_hi``, the
+    least and greatest integer that ``bytelength`` octets hold, signed or
+    not. A ``bytelength`` that is not an integer, or an ``endianess`` that
+    is not an ``Endianess``, raises ``BadValue``.
+
+    Encoding an integer variable checks, in this order: the value's type
+    (``BadValue``), ``minimum`` and ``maximum``, then ``_lo``/``_hi`` (each
+    ``OutOfRange``). A string-hex variable checks the type and the hex text
+    (``BadValue``), then the octet count (``OutOfRange``).
     """
 
     name: str
@@ -78,6 +101,8 @@ class VariableSpec:
     minimum: int | None = None
     maximum: int | None = None
     _byteorder: str = field(default="little", init=False, compare=False, repr=False)
+    _lo: int = field(default=0, init=False, compare=False, repr=False)
+    _hi: int = field(default=0xFF, init=False, compare=False, repr=False)
 
     # Hand-written: the generated __init__ of a frozen dataclass makes one
     # call per field to get past the frozen __setattr__, and takes twice as long.
@@ -87,12 +112,13 @@ class VariableSpec:
             if not 1 <= bytelength <= MAX_PAYLOAD_OCTETS:
                 raise BadValue(f"variable {name!r}: bytelength must be 1 to "
                                f"{MAX_PAYLOAD_OCTETS}")
+            lo, hi = _int_bounds(bytelength, signed)  # a TypeError unless an integer
             byteorder = endianess.byteorder
         except (TypeError, AttributeError) as exc:
             raise BadValue(f"variable {name!r}: field of the wrong type ({exc})") from None
         self.__dict__.update(name=name, data_type=data_type, bytelength=bytelength,
                              signed=signed, endianess=endianess, minimum=minimum,
-                             maximum=maximum, _byteorder=byteorder)
+                             maximum=maximum, _byteorder=byteorder, _lo=lo, _hi=hi)
 
 
 @dataclass(frozen=True, init=False)
@@ -103,13 +129,16 @@ class BdoSpec:
     offset 0, scale 1.0. ``bytelength`` is required unless a pattern supplies
     the layout; when a pattern is present every placeholder must have an
     entry in ``variables`` (None stands for a fresh empty mapping). A field
-    of the wrong type raises ``BadValue``.
+    of the wrong type, such as a ``bytelength`` or ``offset`` that is not an
+    integer, raises ``BadValue``.
 
-    Three fields are derived in ``__init__``, for every later encode and
+    Five fields are derived in ``__init__``, for every later encode and
     decode, and take no part in equality or repr: ``_layout``, the compiled
     pattern (None without one); ``_byteorder``, ``endianess`` as
-    ``int.to_bytes`` spells it; and ``_end``, ``offset + bytelength``, where
-    a scalar value's octets end (None without a bytelength).
+    ``int.to_bytes`` spells it; ``_end``, ``offset + bytelength``, where a
+    scalar value's octets end; and ``_lo`` and ``_hi``, the least and
+    greatest raw integer that ``bytelength`` octets hold, signed or not. The
+    last three are None without a bytelength.
     """
 
     bytelength: int | None = None
@@ -123,6 +152,8 @@ class BdoSpec:
                                             repr=False)
     _byteorder: str = field(default="little", init=False, compare=False, repr=False)
     _end: int | None = field(default=None, init=False, compare=False, repr=False)
+    _lo: int | None = field(default=None, init=False, compare=False, repr=False)
+    _hi: int | None = field(default=None, init=False, compare=False, repr=False)
 
     # Hand-written for the reason VariableSpec's is.
     def __init__(self, bytelength=None, signed=False, endianess=Endianess.LITTLE, offset=0,
@@ -135,6 +166,10 @@ class BdoSpec:
                 raise BadValue(f"bytelength must be 1 to {MAX_PAYLOAD_OCTETS}")
             if offset < 0:
                 raise BadValue("offset must be >= 0")
+            if offset.__class__ is not int and not isinstance(offset, int):
+                raise BadValue(f"offset must be an integer, got {type(offset).__name__}")
+            # A TypeError unless bytelength is an integer.
+            lo, hi = (None, None) if bytelength is None else _int_bounds(bytelength, signed)
             if not math.isfinite(scale) or scale == 0:
                 raise BadValue("scale must be finite and nonzero")
             # Validates placeholder coverage and literal runs up front, and
@@ -147,7 +182,8 @@ class BdoSpec:
         self.__dict__.update(bytelength=bytelength, signed=signed, endianess=endianess,
                              offset=offset, scale=scale, pattern=pattern, variables=variables,
                              _layout=layout, _byteorder=byteorder,
-                             _end=None if bytelength is None else offset + bytelength)
+                             _end=None if bytelength is None else offset + bytelength,
+                             _lo=lo, _hi=hi)
 
     def layout(self) -> "PatternLayout":
         if self._layout is None:
@@ -166,18 +202,29 @@ class VariableSegment:
     bytelength: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PatternLayout:
-    """Ordered literal/variable segments compiled from a pattern string."""
+    """Ordered literal/variable segments compiled from a pattern string.
+
+    Two fields are derived in ``__init__`` and take no part in equality or
+    repr: ``total_octets``, the length of every payload the pattern
+    describes; and ``_steps``, what encode and decode walk, one per segment:
+    a literal segment's octets (``bytes``) or a variable segment's name
+    (``str``). Specs that agree on the pattern and the variable sizes share
+    one layout (see ``_layout_of``), and so these too.
+    """
 
     segments: tuple[LiteralSegment | VariableSegment, ...]
+    total_octets: int = field(default=0, init=False, compare=False, repr=False)
+    _steps: tuple[bytes | str, ...] = field(default=(), init=False, compare=False,
+                                           repr=False)
 
-    @property
-    def total_octets(self) -> int:
-        return sum(
-            len(s.octets) if isinstance(s, LiteralSegment) else s.bytelength
-            for s in self.segments
-        )
+    def __init__(self, segments):
+        steps = tuple([s.octets if isinstance(s, LiteralSegment) else s.name
+                       for s in segments])
+        total = sum([len(s.octets) if isinstance(s, LiteralSegment) else s.bytelength
+                     for s in segments])
+        self.__dict__.update(segments=segments, total_octets=total, _steps=steps)
 
 
 _PLACEHOLDER_RE = re.compile(r"\{([^{}]*)\}")
@@ -243,24 +290,21 @@ def _int_bounds(bytelength: int, signed: bool) -> tuple[int, int]:
     return 0, (1 << (8 * bytelength)) - 1
 
 
+def _out_of_range(raw: int, bytelength: int, signed: bool) -> OutOfRange:
+    return OutOfRange(f"{raw} not representable in {bytelength} octet(s) "
+                      f"({'signed' if signed else 'unsigned'})")
+
+
 def _to_raw_integer(value: Scalar, scale: float) -> int:
     """Apply the encode-side scale: divide and round half to even."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    kind = value.__class__  # an exact int or float makes no isinstance call
+    if kind is not int and kind is not float and (
+            isinstance(value, bool) or not isinstance(value, (int, float))):
         raise BadValue(f"expected a numeric value, got {type(value).__name__}")
     if scale == 1:
         # Integer fast path; keeps 8-octet values exact.
         return value if isinstance(value, int) else round(value)
     return round(value / scale)
-
-
-def _encode_integer(raw: int, bytelength: int, signed: bool, byteorder: str) -> bytes:
-    lo, hi = _int_bounds(bytelength, signed)
-    if not lo <= raw <= hi:
-        raise OutOfRange(
-            f"{raw} not representable in {bytelength} octet(s) "
-            f"({'signed' if signed else 'unsigned'})"
-        )
-    return raw.to_bytes(bytelength, byteorder, signed=signed)
 
 
 def _encode_variable(var: VariableSpec, value) -> bytes:
@@ -277,39 +321,39 @@ def _encode_variable(var: VariableSpec, value) -> bytes:
                 f"spec says {var.bytelength}"
             )
         return octets
-    if isinstance(value, bool) or not isinstance(value, int):
+    if value.__class__ is not int and (isinstance(value, bool) or not isinstance(value, int)):
         raise BadValue(f"variable {var.name!r} expects an integer")
     if var.minimum is not None and value < var.minimum:
         raise OutOfRange(f"variable {var.name!r}: {value} below minimum {var.minimum}")
     if var.maximum is not None and value > var.maximum:
         raise OutOfRange(f"variable {var.name!r}: {value} above maximum {var.maximum}")
-    return _encode_integer(value, var.bytelength, var.signed, var._byteorder)
-
-
-def _decode_variable(var: VariableSpec, octets: bytes):
-    if var.data_type is _STRING_HEX:
-        return octets.hex()
-    return int.from_bytes(octets, var._byteorder, signed=var.signed)
+    if not var._lo <= value <= var._hi:
+        raise _out_of_range(value, var.bytelength, var.signed)
+    return value.to_bytes(var.bytelength, var._byteorder, signed=var.signed)
 
 
 def encode(value: Value, spec: BdoSpec) -> bytes:
     """Encode an application value into an octet payload.
 
     Scalar specs take a number; pattern specs take a mapping that supplies
-    every variable. The result never exceeds 512 octets.
+    every variable. The result never exceeds 512 octets. The checks run in
+    the order the module docstring gives.
     """
-    if spec.pattern is not None:
-        if not isinstance(value, Mapping):
+    layout = spec._layout
+    if layout is not None:
+        if value.__class__ is not dict and not isinstance(value, Mapping):
             raise BadValue("pattern spec requires a mapping of variable values")
-        payload = _encode_pattern(value, spec)
+        payload = _encode_pattern(value, layout, spec.variables)
         _check_att_length(len(payload))
         return payload
-    if isinstance(value, Mapping):
+    if value.__class__ is dict or isinstance(value, Mapping):
         raise BadValue("scalar spec got a mapping; no pattern is defined")
     _check_att_length(spec._end)  # before the offset's zero octets are built
     raw = _to_raw_integer(value, spec.scale)
-    body = _encode_integer(raw, spec.bytelength, spec.signed, spec._byteorder)
-    return bytes(spec.offset) + body
+    if not spec._lo <= raw <= spec._hi:
+        raise _out_of_range(raw, spec.bytelength, spec.signed)
+    return bytes(spec.offset) + raw.to_bytes(spec.bytelength, spec._byteorder,
+                                             signed=spec.signed)
 
 
 def _check_att_length(octets: int) -> None:
@@ -319,27 +363,36 @@ def _check_att_length(octets: int) -> None:
         )
 
 
-def _encode_pattern(values: Mapping, spec: BdoSpec) -> bytes:
+def _encode_pattern(values: Mapping, layout: PatternLayout, variables: Mapping) -> bytes:
     out = bytearray()
-    for segment in spec.layout().segments:
-        if isinstance(segment, LiteralSegment):
-            out += segment.octets
-            continue
-        if segment.name not in values:
-            raise MissingVariable(f"no value supplied for variable {segment.name!r}")
-        out += _encode_variable(spec.variables[segment.name], values[segment.name])
+    for step in layout._steps:
+        if step.__class__ is bytes:
+            out += step
+        elif step in values:
+            out += _encode_variable(variables[step], values[step])
+        else:
+            raise MissingVariable(f"no value supplied for variable {step!r}")
     return bytes(out)
+
+
+_OCTET_TYPES = (bytes, bytearray, memoryview)
 
 
 def decode(payload: bytes, spec: BdoSpec) -> Value:
     """Decode an octet payload back into an application value.
 
-    Scalar specs return ``raw * scale`` (an int when scale is 1, a float
-    otherwise); pattern specs verify the literal octets and return a
-    name-to-value mapping. Hex-string variables decode to lowercase hex text.
+    The payload must be ``bytes``, ``bytearray`` or ``memoryview``. Scalar
+    specs return ``raw * scale`` (an int when scale is 1, a float
+    otherwise); pattern specs verify the length and the literal octets and
+    return a name-to-value mapping. Hex-string variables decode to lowercase
+    hex text.
     """
-    if spec.pattern is not None:
-        return _decode_pattern(payload, spec)
+    if payload.__class__ is not bytes and not isinstance(payload, _OCTET_TYPES):
+        raise BadValue("a payload must be bytes, bytearray or memoryview, "
+                       f"got {type(payload).__name__}")
+    layout = spec._layout
+    if layout is not None:
+        return _decode_pattern(payload, layout, spec.variables)
     end = spec._end
     if len(payload) < end:
         raise TooShort(
@@ -352,37 +405,36 @@ def decode(payload: bytes, spec: BdoSpec) -> Value:
     return raw * spec.scale
 
 
-def _decode_pattern(payload: bytes, spec: BdoSpec) -> dict:
-    layout = spec.layout()
-    if len(payload) < layout.total_octets:
-        raise TooShort(
-            f"payload has {len(payload)} octet(s), pattern needs {layout.total_octets}"
-        )
-    if len(payload) > layout.total_octets:
+def _decode_pattern(payload: bytes, layout: PatternLayout, variables: Mapping) -> dict:
+    size = len(payload)
+    if size < layout.total_octets:
+        raise TooShort(f"payload has {size} octet(s), pattern needs {layout.total_octets}")
+    if size > layout.total_octets:
         raise PatternMismatch(
-            f"payload has {len(payload)} octet(s), pattern describes exactly "
-            f"{layout.total_octets}"
+            f"payload has {size} octet(s), pattern describes exactly {layout.total_octets}"
         )
     values: dict = {}
     pos = 0
-    for segment in layout.segments:
-        if isinstance(segment, LiteralSegment):
-            span = payload[pos:pos + len(segment.octets)]
-            if span != segment.octets:
+    for step in layout._steps:
+        if step.__class__ is bytes:
+            end = pos + len(step)
+            if payload[pos:end] != step:
                 raise PatternMismatch(
                     f"literal octets differ at offset {pos}: expected "
-                    f"{segment.octets.hex()}, got {span.hex()}"
+                    f"{step.hex()}, got {payload[pos:end].hex()}"
                 )
-            pos += len(segment.octets)
+            pos = end
             continue
-        span = payload[pos:pos + segment.bytelength]
-        decoded = _decode_variable(spec.variables[segment.name], span)
-        if segment.name in values and values[segment.name] != decoded:
-            raise PatternMismatch(
-                f"repeated variable {segment.name!r} decodes to conflicting values"
-            )
-        values[segment.name] = decoded
-        pos += segment.bytelength
+        var = variables[step]
+        end = pos + var.bytelength
+        if var.data_type is _STRING_HEX:
+            decoded = payload[pos:end].hex()
+        else:
+            decoded = int.from_bytes(payload[pos:end], var._byteorder, signed=var.signed)
+        if step in values and values[step] != decoded:
+            raise PatternMismatch(f"repeated variable {step!r} decodes to conflicting values")
+        values[step] = decoded
+        pos = end
     return values
 
 
@@ -427,8 +479,10 @@ def get_codec(media_type: str):
     """Look up the codec for a content type.
 
     Unrecognized ``application/*`` subtypes are interpreted as octet-stream;
-    anything else is an error.
+    anything else, a value that is not a ``str`` included, is an error.
     """
+    if not isinstance(media_type, str):
+        raise UnsupportedMediaType(f"no codec for content type {media_type!r}")
     normalized = media_type.split(";")[0].strip().lower()
     codec = _REGISTRY.get(normalized)
     if codec is not None:

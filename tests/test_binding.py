@@ -75,6 +75,13 @@ def test_method_name_spellings(text, expected):
     assert parse_method(name) is expected
 
 
+@pytest.mark.parametrize("parse", [parse_operation, parse_method])
+@pytest.mark.parametrize("text", [5, None, ["read"], b"read"])
+def test_names_that_are_not_text_are_rejected(parse, text):
+    with pytest.raises(MethodOpConflict):
+        parse(text)
+
+
 def test_resolve_form_on_lamp_power():
     td = parse_td_file(LAMP_TD)
     request = resolve_form(td.properties["power"], WotOperation.WRITEPROPERTY)

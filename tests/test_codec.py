@@ -1,10 +1,20 @@
+import cProfile
+import pstats
 import random
+from types import MappingProxyType
 
 import pytest
 
 import wotble.codec as codec_module
 
-from wotble import BdoSpec, Endianess, VariableSpec, VariableType, compile_pattern
+from wotble import (
+    BdoSpec,
+    Endianess,
+    VariableSpec,
+    VariableType,
+    compile_pattern,
+    parse_td_file,
+)
 from wotble.codec import (
     MAX_PAYLOAD_OCTETS,
     LiteralSegment,
@@ -18,12 +28,14 @@ from wotble.errors import (
     AttLengthExceeded,
     BadHexPattern,
     BadValue,
+    CodecError,
     MissingVariable,
     OutOfRange,
     PatternMismatch,
     TooShort,
     UnsupportedMediaType,
 )
+from conftest import LAMP_TD, SENSOR_TD
 
 LAMP_PATTERN = "7e0004{on}00000000ef"
 LAMP_VARS = {"on": VariableSpec("on", bytelength=1, minimum=0, maximum=1)}
@@ -121,12 +133,15 @@ def test_lamp_pattern_layout():
         LiteralSegment(bytes([0x00, 0x00, 0x00, 0x00, 0xEF])),
     )
     assert layout.total_octets == 9
+    assert layout._steps == (bytes([0x7E, 0x00, 0x04]), "on",
+                             bytes([0x00, 0x00, 0x00, 0x00, 0xEF]))
 
 
 def test_single_variable_pattern_layout():
     layout = compile_pattern("{x}", {"x": VariableSpec("x", bytelength=2)})
     assert layout.segments == (VariableSegment("x", 2),)
     assert layout.total_octets == 2
+    assert layout._steps == ("x",)
 
 
 def test_odd_literal_run_is_rejected():
@@ -217,16 +232,20 @@ def test_scalar_codec_matches_int_bytes(endianess, signed, offset, scale):
 
 def test_derived_fields_take_no_part_in_equality_or_repr():
     spec = BdoSpec(bytelength=2, endianess=Endianess.BIG, offset=2)
-    var = VariableSpec("x", endianess=Endianess.BIG)
+    var = VariableSpec("x", endianess=Endianess.BIG, signed=True)
     assert (spec._byteorder, spec._end, var._byteorder) == ("big", 4, "big")
+    assert (spec._lo, spec._hi, var._lo, var._hi) == (0, 0xFFFF, -0x80, 0x7F)
+    assert (BdoSpec(pattern="00")._lo, BdoSpec(pattern="00")._hi) == (None, None)
     twin = BdoSpec(bytelength=2, endianess=Endianess.BIG, offset=2)
-    twin_var = VariableSpec("x", endianess=Endianess.BIG)
-    object.__setattr__(twin, "_byteorder", "little")
-    object.__setattr__(twin, "_end", None)
-    object.__setattr__(twin_var, "_byteorder", "little")
+    twin_var = VariableSpec("x", endianess=Endianess.BIG, signed=True)
+    for name in ("_byteorder", "_end", "_lo", "_hi"):
+        object.__setattr__(twin, name, None)
+    for name in ("_byteorder", "_lo", "_hi"):
+        object.__setattr__(twin_var, name, None)
     assert twin == spec and twin_var == var and hash(twin_var) == hash(var)
     for text in (repr(spec), repr(var)):
         assert "_byteorder" not in text and "_end" not in text
+        assert "_lo" not in text and "_hi" not in text
 
 
 def test_encode_substitutes_variable_into_pattern():
@@ -259,6 +278,24 @@ def test_pattern_requires_mapping_value():
         encode(1, lamp_spec())
     with pytest.raises(BadValue):
         encode({"on": 1}, BdoSpec(bytelength=1))
+    # Any Mapping will do, not only a dict; a scalar spec refuses one as well.
+    assert encode(MappingProxyType({"on": 1}), lamp_spec()) == encode({"on": 1}, lamp_spec())
+    with pytest.raises(BadValue):
+        encode(MappingProxyType({"on": 1}), BdoSpec(bytelength=1))
+
+
+@pytest.mark.parametrize("payload", ["ab", None, 5, [0x39, 0x30], 12.5])
+@pytest.mark.parametrize("spec", [BdoSpec(bytelength=2), lamp_spec()], ids=["scalar", "pattern"])
+def test_decode_rejects_payloads_that_are_not_octets(payload, spec):
+    with pytest.raises(BadValue, match="bytes, bytearray or memoryview"):
+        decode(payload, spec)
+
+
+@pytest.mark.parametrize("wrap", [bytes, bytearray, memoryview])
+def test_decode_takes_any_octet_buffer(wrap):
+    lamp = bytes([0x7E, 0x00, 0x04, 0x01, 0x00, 0x00, 0x00, 0x00, 0xEF])
+    assert decode(wrap(lamp), lamp_spec()) == {"on": 1}
+    assert decode(wrap(bytes([0x39, 0x30])), BdoSpec(bytelength=2)) == 12345
 
 
 def test_decode_rejects_literal_mismatch():
@@ -327,6 +364,28 @@ def test_att_cap_applies_to_patterns():
         encode({}, too_long)
 
 
+def test_pattern_encode_checks_every_variable_before_the_att_cap():
+    spec = BdoSpec(pattern="00" * 512 + "{on}", variables=LAMP_VARS)
+    with pytest.raises(MissingVariable):
+        encode({}, spec)
+    with pytest.raises(OutOfRange):
+        encode({"on": 2}, spec)
+    with pytest.raises(AttLengthExceeded, match="payload is 513 octets"):
+        encode({"on": 1}, spec)
+
+
+def test_scalar_encode_checks_mapping_then_att_cap_then_value_then_range():
+    too_long = BdoSpec(bytelength=1, offset=MAX_PAYLOAD_OCTETS)
+    with pytest.raises(BadValue, match="mapping"):
+        encode({"on": 1}, too_long)
+    with pytest.raises(AttLengthExceeded):
+        encode(True, too_long)
+    with pytest.raises(BadValue, match="numeric"):
+        encode(True, BdoSpec(bytelength=1))
+    with pytest.raises(OutOfRange, match="256 not representable in 1 octet"):
+        encode(256, BdoSpec(bytelength=1))
+
+
 @pytest.mark.parametrize("offset", [10**6, pytest.param(10**400, id="huge")])
 def test_att_cap_is_checked_before_the_offset_is_built(offset):
     with pytest.raises(AttLengthExceeded):
@@ -351,6 +410,13 @@ def test_att_cap_is_checked_before_the_offset_is_built(offset):
     dict(pattern=b"7e{on}ef", variables=LAMP_VARS),
     dict(pattern="7e{on}ef", variables=[("on", LAMP_VARS["on"])]),
     dict(pattern="7e{on}ef", variables={"on": 1}),
+    # A number that is not an integer would reach shifts and slices.
+    dict(bytelength=1.5),
+    dict(bytelength=2.0),
+    dict(pattern="7e{on}ef", variables=LAMP_VARS, bytelength=1.5),
+    dict(bytelength=1, offset=1.0),
+    dict(bytelength=1, offset=float("nan")),
+    dict(bytelength=1, offset=float("inf")),
 ])
 def test_invalid_specs_are_rejected(kwargs):
     with pytest.raises(BadValue):
@@ -362,6 +428,8 @@ def test_invalid_specs_are_rejected(kwargs):
     dict(bytelength=MAX_PAYLOAD_OCTETS + 1),
     dict(bytelength="1"),
     dict(endianess="bigEndian"),
+    dict(bytelength=1.5),
+    dict(bytelength=2.0),
 ])
 def test_invalid_variable_specs_are_rejected(kwargs):
     with pytest.raises(BadValue, match="variable 'a'"):
@@ -435,6 +503,174 @@ def test_payload_length_law():
         assert len(encode(0, spec)) == offset + bytelength
 
 
+# --- pattern oracle ------------------------------------------------------------------
+
+def oracle_hex(text: str) -> bytes:
+    return bytes(int(text[i:i + 2], 16) for i in range(0, len(text), 2))
+
+
+def random_hex(rng: random.Random, octets: int) -> str:
+    text = "".join(rng.choice("0123456789abcdef") for _ in range(2 * octets))
+    return text.upper() if rng.random() < 0.3 else text
+
+
+def random_pattern_case(rng: random.Random):
+    """Pieces of a random pattern, its variables and a valid value for each.
+
+    A piece is ``("hex", literal text)`` or ``("var", name)``; one of the one
+    to three variables has two placeholders.
+    """
+    names = rng.sample("abcdef", rng.randint(1, 3))
+    variables, values = {}, {}
+    for name in names:
+        bytelength = rng.randint(1, 4)
+        endianess = rng.choice(list(Endianess))
+        if rng.random() < 0.3:
+            variables[name] = VariableSpec(name, VariableType.STRING_HEX, bytelength,
+                                           endianess=endianess)
+            values[name] = random_hex(rng, bytelength)
+            continue
+        signed = rng.random() < 0.5
+        lo = -(256 ** bytelength // 2) if signed else 0
+        hi = lo + 256 ** bytelength - 1
+        minimum = rng.randint(lo, hi) if rng.random() < 0.3 else None
+        maximum = rng.randint(minimum or lo, hi) if rng.random() < 0.3 else None
+        variables[name] = VariableSpec(name, bytelength=bytelength, signed=signed,
+                                       endianess=endianess, minimum=minimum, maximum=maximum)
+        values[name] = rng.randint(lo if minimum is None else minimum,
+                                   hi if maximum is None else maximum)
+    order = names + [rng.choice(names)]
+    rng.shuffle(order)
+    pieces = []
+    for name in order:
+        pieces += [("hex", random_hex(rng, rng.randint(0, 3))), ("var", name)]
+    pieces.append(("hex", random_hex(rng, rng.randint(0, 3))))
+    return pieces, variables, values
+
+
+def oracle_pattern_payload(pieces, variables, values) -> bytes:
+    out = b""
+    for kind, text in pieces:
+        if kind == "hex":
+            out += oracle_hex(text)
+            continue
+        var, value = variables[text], values[text]
+        if var.data_type is VariableType.STRING_HEX:
+            out += oracle_hex(value)
+        else:
+            out += oracle_payload(value, var.bytelength, var.signed,
+                                  var.endianess is Endianess.LITTLE)
+    return out
+
+
+MISSING = object()
+
+
+def random_bad_value(rng: random.Random, var: VariableSpec):
+    """A value that ``var``'s placeholder refuses, and the error it raises."""
+    n = var.bytelength
+    if var.data_type is VariableType.STRING_HEX:
+        return rng.choice([(MISSING, MissingVariable), (1, BadValue), ("zz" * n, BadValue),
+                           ("abc", BadValue), ("ab" * (n + 1), OutOfRange)])
+    lo = -(256 ** n // 2) if var.signed else 0
+    hi = lo + 256 ** n - 1
+    choices = [(MISSING, MissingVariable), (True, BadValue), (1.0, BadValue),
+               ("1", BadValue), (lo - 1, OutOfRange), (hi + 1, OutOfRange)]
+    if var.minimum is not None and var.minimum > lo:
+        choices.append((var.minimum - 1, OutOfRange))
+    if var.maximum is not None and var.maximum < hi:
+        choices.append((var.maximum + 1, OutOfRange))
+    return rng.choice(choices)
+
+
+def test_pattern_codec_matches_oracle_on_random_patterns():
+    rng = random.Random(2211)
+    for _ in range(2000):
+        pieces, variables, values = random_pattern_case(rng)
+        pattern = "".join(text if kind == "hex" else f"{{{text}}}" for kind, text in pieces)
+        spec = BdoSpec(pattern=pattern, variables=variables)
+        expected = oracle_pattern_payload(pieces, variables, values)
+        given = values if rng.random() < 0.7 else MappingProxyType(values)
+        payload = encode(given, spec)
+        assert payload == expected, pattern
+        assert decode(payload, spec) == {
+            name: value.lower() if isinstance(value, str) else value
+            for name, value in values.items()
+        }
+
+        # Break up to two variables: the earliest placeholder of either decides.
+        broken = dict(values)
+        errors = {}
+        for name in rng.sample(list(variables), min(2, len(variables))):
+            bad, errors[name] = random_bad_value(rng, variables[name])
+            if bad is MISSING:
+                del broken[name]
+            else:
+                broken[name] = bad
+        first = next(text for kind, text in pieces if kind == "var" and text in errors)
+        with pytest.raises(CodecError) as raised:
+            encode(broken, spec)
+        assert type(raised.value) is errors[first], (pattern, broken)
+        if "variable" in str(raised.value):
+            assert repr(first) in str(raised.value)
+
+
+def test_pattern_decode_checks_literals_and_repeats_on_random_patterns():
+    rng = random.Random(2212)
+    for _ in range(500):
+        pieces, variables, values = random_pattern_case(rng)
+        pattern = "".join(text if kind == "hex" else f"{{{text}}}" for kind, text in pieces)
+        spec = BdoSpec(pattern=pattern, variables=variables)
+        payload = bytearray(oracle_pattern_payload(pieces, variables, values))
+        with pytest.raises(TooShort):
+            decode(bytes(payload[:-1]), spec)
+        with pytest.raises(PatternMismatch):
+            decode(bytes(payload) + b"\x00", spec)
+        # Flip one octet: in a literal, or in the second span of the repeated variable.
+        spans, pos = [], 0
+        for kind, text in pieces:
+            size = len(text) // 2 if kind == "hex" else variables[text].bytelength
+            spans.append((kind, text, pos, size))
+            pos += size
+        seen, targets = set(), []
+        for kind, text, start, size in spans:
+            if kind == "hex" and size or text in seen:
+                targets.append(start + rng.randrange(size))
+            if kind == "var":
+                seen.add(text)
+        at = rng.choice(targets)
+        payload[at] ^= 1 << rng.randrange(8)
+        with pytest.raises(PatternMismatch):
+            decode(bytes(payload), spec)
+
+
+# --- call budget -----------------------------------------------------------------------
+
+LAMP_POWER = parse_td_file(LAMP_TD).properties["power"].bdo
+SENSOR_TEMPERATURE = parse_td_file(SENSOR_TD).properties["temperature"].bdo
+
+#: One codec call per fixture spec, with the most Python calls it may make.
+CODEC_CALL_BUDGETS = {
+    "lamp-encode": (encode, {"on": 1}, LAMP_POWER, 11),
+    "lamp-decode": (decode, bytes.fromhex("7e00040100000000ef"), LAMP_POWER, 19),
+    "temperature-encode": (encode, 21.5, SENSOR_TEMPERATURE, 9),
+    "temperature-decode": (decode, bytes([0xD7, 0x00]), SENSOR_TEMPERATURE, 4),
+}
+
+
+@pytest.mark.parametrize("case", CODEC_CALL_BUDGETS)
+def test_codec_stays_within_its_call_budget(case):
+    """Per-layout work happens once, when the spec is built, not on each call."""
+    call, value, spec, budget = CODEC_CALL_BUDGETS[case]
+    call(value, spec)  # fill the ABC caches first
+    profile = cProfile.Profile()
+    profile.enable()
+    for _ in range(100):
+        call(value, spec)
+    profile.disable()
+    assert pstats.Stats(profile).total_calls / 100 <= budget
+
+
 # --- codec registry ------------------------------------------------------------------
 
 def test_registry_returns_binary_data_stream_codec():
@@ -457,3 +693,9 @@ def test_octet_stream_passthrough_enforces_att_cap():
 def test_non_application_types_are_rejected():
     with pytest.raises(UnsupportedMediaType):
         get_codec("text/plain")
+
+
+@pytest.mark.parametrize("media_type", [5, None, b"application/octet-stream"])
+def test_content_types_that_are_not_text_are_rejected(media_type):
+    with pytest.raises(UnsupportedMediaType):
+        get_codec(media_type)

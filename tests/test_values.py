@@ -181,6 +181,8 @@ def test_replace_recomputes_the_spec_derived_fields():
     assert (spec._byteorder, spec._end) == ("little", 2)
     assert replace(spec, endianess=Endianess.BIG)._byteorder == "big"
     assert replace(spec, offset=3)._end == 5
+    assert (spec._lo, spec._hi) == (-0x8000, 0x7FFF)
+    assert (replace(spec, signed=False)._lo, replace(spec, bytelength=1)._hi) == (0, 0x7F)
     assert replace(spec, bytelength=None, pattern="00{on}",
                    variables=POWER.bdo.variables)._end is None
     pattern = POWER.bdo
@@ -189,6 +191,8 @@ def test_replace_recomputes_the_spec_derived_fields():
     assert pattern._layout == compile_pattern(pattern.pattern, pattern.variables)
     var = pattern.variables["on"]
     assert replace(var, endianess=Endianess.BIG)._byteorder == "big"
+    assert (replace(var, signed=True)._lo, replace(var, bytelength=2)._hi) == (-0x80, 0xFFFF)
+    assert other._layout._steps == (b"\xff", "on")
 
 
 def test_replace_reparses_a_form_href():
