@@ -32,7 +32,10 @@ class VirtualClock:
             return self._now
 
     def sleep(self, seconds: float) -> None:
-        if seconds < 0:
+        if not seconds > 0:  # NaN too, which would stick to the clock for good
             return
-        with self._lock:
+        self._lock.acquire()  # cheaper than ``with``: every simulated read and write sleeps
+        try:
             self._now += seconds
+        finally:
+            self._lock.release()

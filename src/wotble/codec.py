@@ -12,7 +12,9 @@ Everything that depends only on a layout is worked out once, when the spec
 is built: a pattern's :class:`PatternLayout` with its flat ``_steps`` and
 ``total_octets``, and the integer bounds ``_lo``/``_hi`` of each scalar spec
 and each variable. :func:`encode` and :func:`decode` walk those steps and
-make only the checks that depend on the value, in this order:
+make only the checks that depend on the value. Each first raises
+``BadValue`` for a spec of None (no layout declared), then checks, in this
+order:
 
 * pattern encode: the mapping check (``BadValue``), then each placeholder in
   pattern order (``MissingVariable``, then the variable's own ``BadValue`` or
@@ -24,7 +26,8 @@ make only the checks that depend on the value, in this order:
   ``memoryview``, then ``TooShort``, then (patterns) ``PatternMismatch``.
 
 :func:`get_codec` maps a content-type string to one of two fixed codecs:
-this one, or, for any other ``application/*`` subtype, a plain octet
+this module itself, whose :func:`encode` and :func:`decode` a caller then
+calls directly, or, for any other ``application/*`` subtype, a plain octet
 passthrough.
 """
 
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
@@ -332,13 +336,15 @@ def _encode_variable(var: VariableSpec, value) -> bytes:
     return value.to_bytes(var.bytelength, var._byteorder, signed=var.signed)
 
 
-def encode(value: Value, spec: BdoSpec) -> bytes:
+def encode(value: Value, spec: BdoSpec | None) -> bytes:
     """Encode an application value into an octet payload.
 
     Scalar specs take a number; pattern specs take a mapping that supplies
     every variable. The result never exceeds 512 octets. The checks run in
     the order the module docstring gives.
     """
+    if spec is None:
+        raise BadValue("no binary layout declared for this affordance")
     layout = spec._layout
     if layout is not None:
         if value.__class__ is not dict and not isinstance(value, Mapping):
@@ -378,7 +384,7 @@ def _encode_pattern(values: Mapping, layout: PatternLayout, variables: Mapping) 
 _OCTET_TYPES = (bytes, bytearray, memoryview)
 
 
-def decode(payload: bytes, spec: BdoSpec) -> Value:
+def decode(payload: bytes, spec: BdoSpec | None) -> Value:
     """Decode an octet payload back into an application value.
 
     The payload must be ``bytes``, ``bytearray`` or ``memoryview``. Scalar
@@ -387,6 +393,8 @@ def decode(payload: bytes, spec: BdoSpec) -> Value:
     return a name-to-value mapping. Hex-string variables decode to lowercase
     hex text.
     """
+    if spec is None:
+        raise BadValue("no binary layout declared for this affordance")
     if payload.__class__ is not bytes and not isinstance(payload, _OCTET_TYPES):
         raise BadValue("a payload must be bytes, bytearray or memoryview, "
                        f"got {type(payload).__name__}")
@@ -441,20 +449,6 @@ def _decode_pattern(payload: bytes, layout: PatternLayout, variables: Mapping) -
 # --- codec lookup ------------------------------------------------------------
 
 
-class BinaryDataStreamCodec:
-    """Codec object for application/x.binary-data-stream."""
-
-    def encode(self, value: Value, spec: BdoSpec) -> bytes:
-        if spec is None:
-            raise BadValue("no binary layout declared for this affordance")
-        return encode(value, spec)
-
-    def decode(self, payload: bytes, spec: BdoSpec) -> Value:
-        if spec is None:
-            raise BadValue("no binary layout declared for this affordance")
-        return decode(payload, spec)
-
-
 class OctetStreamCodec:
     """Raw passthrough; the RFC 1521 fallback for unknown application subtypes."""
 
@@ -470,7 +464,7 @@ class OctetStreamCodec:
 
 
 _REGISTRY = {
-    BINARY_DATA_STREAM: BinaryDataStreamCodec(),
+    BINARY_DATA_STREAM: sys.modules[__name__],  # this module's encode and decode
     "application/octet-stream": OctetStreamCodec(),
 }
 

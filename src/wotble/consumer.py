@@ -13,13 +13,14 @@ A live event subscription pins the link against the policy's teardown.
 from __future__ import annotations
 
 import threading
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Mapping
 
-from .binding import GattMethod, ResolvedRequest, WotOperation, resolve_form
+from .binding import GattMethod, WotOperation, resolve_form
 from .codec import get_codec
 from .errors import (
+    BadArgument,
     InvalidPolicy,
     InvalidTd,
     MixedDevices,
@@ -89,9 +90,12 @@ def consume(td: ThingDescription, transport: TransportContract,
             ) -> "ConsumedThing":
     """Create a ConsumedThing; performs no I/O.
 
-    The TD must validate cleanly: error-severity diagnostics raise
-    ``InvalidTd``, warnings are tolerated.
+    The TD must be a parsed ``ThingDescription`` that validates cleanly:
+    anything else, and error-severity diagnostics, raise ``InvalidTd``;
+    warnings are tolerated.
     """
+    if not isinstance(td, ThingDescription):
+        raise InvalidTd(f"consume takes a parsed ThingDescription, got {type(td).__name__}")
     errors = [d for d in validate_td(td) if d.severity is Severity.ERROR]
     if errors:
         raise InvalidTd(
@@ -104,9 +108,9 @@ def consume(td: ThingDescription, transport: TransportContract,
 class ConsumedThing:
     """Client-side handle over one Bluetooth LE Thing.
 
-    All forms of the TD must point at a single device; operations on the
-    thing are serialized so the connection policy stays coherent under
-    concurrent callers.
+    All forms of the TD must point at a single device; link and
+    subscription changes are serialized so the connection policy stays
+    coherent under concurrent callers.
 
     The transport's link is the only record of whether the thing is
     connected; the thing keeps no copy. Things on one transport that target
@@ -127,12 +131,14 @@ class ConsumedThing:
     after ``consume``. Failed resolutions are not kept: they raise again on
     every call.
 
-    An operation makes its call first, so on a link that is already up it
-    takes the thing's lock once and asks the transport nothing else. Only
-    when the call raises ``NotConnected`` does it connect and make the call
-    once more: connecting on first use and recovering a dropped link are
-    one path. ``RECONNECT_PER_OPERATION`` alone, while unpinned, opens a
-    fresh link before the call.
+    An operation makes its call first and asks the transport nothing else
+    while the link is up. Under ``KEEP_CONNECTED`` a read or write on a link
+    that is already up takes no lock at all; the teardown policies and
+    ``subscribe_event`` make the call under the thing's lock. Only when the
+    call raises ``NotConnected`` does the operation take the lock, connect
+    and make the call once more: connecting on first use and recovering a
+    dropped link are one path. ``RECONNECT_PER_OPERATION`` alone, while
+    unpinned, opens a fresh link before the call.
 
     A teardown of an unpinned thing, by a policy or by ``disconnect()``,
     asks the transport once whether the link is up and drops it at most
@@ -240,7 +246,8 @@ class ConsumedThing:
 
     def read_property(self, name: str):
         _, request, codec = self._resolve("properties", name, _READPROPERTY)
-        codec = _require_codec(request, codec)
+        if codec is None:
+            codec = get_codec(request.content_type)  # raises UnsupportedMediaType
         return codec.decode(self._run(self.transport.read, request.uri), request.spec)
 
     def write_property(self, name: str, value) -> None:
@@ -260,7 +267,9 @@ class ConsumedThing:
         reuses it.
         """
         _, request, codec = self._resolve("events", name, WotOperation.SUBSCRIBEEVENT)
-        decode, spec = _require_codec(request, codec).decode, request.spec
+        if codec is None:
+            codec = get_codec(request.content_type)  # raises UnsupportedMediaType
+        decode, spec = codec.decode, request.spec
 
         def subscribe() -> Subscription:
             subscription = Subscription(self, name, None)
@@ -280,10 +289,12 @@ class ConsumedThing:
             self._subscriptions.append(subscription)
             return subscription
 
-        return self._run(subscribe)
+        with self._lock:  # subscribe() records the pin: locked under every policy
+            return self._run(subscribe)
 
     def unsubscribe_event(self, subscription: Subscription) -> None:
         """End ``subscription`` on its own thing, whichever thing is called."""
+        _check_argument(subscription, Subscription, "unsubscribe_event", "a Subscription")
         if subscription.active:
             subscription.thing._end(subscription)
 
@@ -302,12 +313,15 @@ class ConsumedThing:
         return self._read_sequence(self.td.properties.keys())
 
     def read_multiple_properties(self, names: Iterable[str]) -> dict:
+        _check_argument(names, Iterable, "read_multiple_properties", "an iterable")
         return self._read_sequence(names)
 
     def write_multiple_properties(self, values: Mapping[str, object]) -> None:
+        _check_argument(values, Mapping, "write_multiple_properties", "a mapping")
         self._write_sequence(values.items())
 
     def write_all_properties(self, values: Mapping[str, object]) -> None:
+        _check_argument(values, Mapping, "write_all_properties", "a mapping")
         done: dict = {}
         for name in self.td.properties:  # TD declaration order
             if name not in values:
@@ -370,12 +384,14 @@ class ConsumedThing:
         raw escape hatch still works, and decoding paths raise on each call.
         """
         key = (category, name, op)
-        entry = self._requests.get(key)
+        try:
+            entry = self._requests.get(key)
+        except TypeError:  # an unhashable name, which no affordance has
+            raise self._unknown(category, name) from None
         if entry is None:
             affordance = getattr(self.td, category).get(name)
             if affordance is None:
-                raise UnknownAffordance(f"TD {self.td.title!r} has no "
-                                        f"{_SINGULAR[category]} named {name!r}")
+                raise self._unknown(category, name)
             request = resolve_form(affordance, op)
             try:
                 codec = get_codec(request.content_type)
@@ -385,10 +401,16 @@ class ConsumedThing:
             entry = self._requests.setdefault(key, (affordance, request, codec))
         return entry
 
+    def _unknown(self, category: str, name) -> UnknownAffordance:
+        return UnknownAffordance(f"TD {self.td.title!r} has no "
+                                 f"{_SINGULAR[category]} named {name!r}")
+
     def _write_value(self, category: str, name: str, op: WotOperation, value) -> None:
         affordance, request, codec = self._resolve(category, name, op)
         self._check_bounds(affordance, value)
-        payload = _require_codec(request, codec).encode(value, request.spec)
+        if codec is None:
+            codec = get_codec(request.content_type)  # raises UnsupportedMediaType
+        payload = codec.encode(value, request.spec)
         self._run(self.transport.write, request.uri, payload, request.method is _WRITE)
 
     def _check_bounds(self, affordance: Affordance, value) -> None:
@@ -407,11 +429,21 @@ class ConsumedThing:
         A call that raises ``NotConnected`` had no effect: the thing was
         never connected or lost its link, and with the link its
         subscriptions. The thing forgets those, connects, and makes the call
-        once more. Unless a live subscription pins the link,
-        ``RECONNECT_PER_OPERATION`` replaces it with a fresh one first, and
-        both teardown policies drop it afterwards, also when the call raises.
+        once more. ``KEEP_CONNECTED`` makes the first call without the
+        thing's lock and takes the lock only for that recovery. Unless a live
+        subscription pins the link, ``RECONNECT_PER_OPERATION`` replaces it
+        with a fresh one first, and both teardown policies drop it
+        afterwards, also when the call raises.
         """
-        with self._lock:
+        if self.policy is _KEEP_CONNECTED:
+            try:
+                return call(*args)
+            except NotConnected:
+                with self._lock:
+                    self._live()  # forget the subscriptions the link took
+                    self.connect()
+                    return call(*args)
+        with self._lock:  # a teardown policy
             if self.policy is _RECONNECT_PER_OPERATION and not self._live():
                 self._drop()
                 self._open()  # the link is down: spare a call bound to fail
@@ -423,10 +455,10 @@ class ConsumedThing:
                     self.connect()
                     return call(*args)
             finally:
-                if self.policy is not _KEEP_CONNECTED and not self._live():
+                if not self._live():
                     self._drop()
 
 
-def _require_codec(request: ResolvedRequest, codec):
-    """The resolved codec, or ``UnsupportedMediaType`` raised anew."""
-    return codec if codec is not None else get_codec(request.content_type)
+def _check_argument(value, kind: type, call: str, what: str) -> None:
+    if not isinstance(value, kind):
+        raise BadArgument(f"{call} takes {what}, got {type(value).__name__}")

@@ -216,6 +216,10 @@ class UnknownAffordance(ConsumerError):
     pass
 
 
+class BadArgument(ConsumerError, TypeError):
+    """An argument to a ConsumedThing call is not of the kind it takes."""
+
+
 class MixedDevices(ConsumerError):
     """Forms of one TD reference more than one device MAC."""
 

@@ -304,7 +304,8 @@ class SimNetwork:
     def linked(self, mac: str, central) -> SimPeripheral:
         """The peripheral ``central`` holds the link to; ``mac`` is canonical.
 
-        Takes no lock, as it runs on every read and write.
+        Takes no lock. ``SimTransport._attribute`` makes the same check
+        inline, as it runs on every read and write.
         """
         peripheral = self._peripherals.get(mac)
         if peripheral is None or peripheral.connected_by is not central:
@@ -466,10 +467,17 @@ class SimTransport(TransportContract):
     ``connected_by`` is this transport; the link is recorded nowhere else,
     and only the network's methods change it. Safe for concurrent use. It
     keeps no state of its own beyond its network and connect timeout.
+
+    ``timeout_s`` must be a finite number > 0 and at most
+    ``MAX_TIMEOUT_MS / 1000``; any other value raises :class:`InvalidConfig`.
     """
 
     def __init__(self, network: SimNetwork, timeout_s: float = 10.0):
         self.network = network
+        expect(timeout_s, float, InvalidConfig, "timeout_s")
+        if not 0 < timeout_s <= MAX_TIMEOUT_MS / 1000.0:
+            raise InvalidConfig(f"timeout_s must be > 0 and at most "
+                                f"{MAX_TIMEOUT_MS / 1000.0:g}, got {timeout_s!r}")
         self.timeout_s = timeout_s
 
     @property
@@ -519,7 +527,10 @@ class SimTransport(TransportContract):
     # -- helpers
 
     def _attribute(self, uri: GattUri, method: GattMethod) -> SimCharacteristic:
-        peripheral = self.network.linked(uri.device_id, self)
+        # SimNetwork.linked, inlined: a frame less on every read and write.
+        peripheral = self.network._peripherals.get(uri.device_id)
+        if peripheral is None or peripheral.connected_by is not self:
+            raise NotConnected(f"not connected to {uri.device_id}")
         char = peripheral._by_uri.get(uri.text)
         if char is None:  # not in the index: raises NoSuchAttribute
             char = peripheral.characteristic(uri.service, uri.characteristic)
@@ -699,5 +710,9 @@ def open_transport(spec: str, clock=None, seed: int | None = None,
     """
     if not spec.startswith("sim:"):
         raise InvalidConfig(f"unknown transport {spec!r}; use 'sim:<config path>'")
-    return SimTransport(load_sim_config(spec[4:], clock=clock, seed=seed),
-                        timeout_s=timeout_s)
+    network = load_sim_config(spec[4:], clock=clock, seed=seed)
+    try:
+        return SimTransport(network, timeout_s=timeout_s)
+    except InvalidConfig:  # a bad timeout_s: stop the network's delivery thread
+        network.close()
+        raise

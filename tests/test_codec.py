@@ -676,6 +676,19 @@ def test_codec_stays_within_its_call_budget(case):
 def test_registry_returns_binary_data_stream_codec():
     codec = get_codec(BINARY_DATA_STREAM)
     assert codec.encode(1, BdoSpec(bytelength=1)) == bytes([0x01])
+    # The codec's calls are the module's functions: no wrapper frame.
+    assert (codec.encode, codec.decode) == (encode, decode)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: encode("not a number", None),
+    lambda: encode({"on": 1}, None),
+    lambda: decode("not octets", None),
+    lambda: decode(b"", None),
+], ids=["encode-bad-value", "encode-mapping", "decode-bad-payload", "decode-empty"])
+def test_a_missing_layout_is_the_first_error_of_the_codec(call):
+    with pytest.raises(BadValue, match="no binary layout declared"):
+        call()
 
 
 def test_unknown_application_subtype_falls_back_to_octet_stream():

@@ -2,6 +2,7 @@ import cProfile
 import json
 import pstats
 import queue
+import re
 import sys
 import threading
 import tracemalloc
@@ -23,12 +24,15 @@ from wotble import (
 )
 from wotble.codec import decode, encode
 from wotble.errors import (
+    BadArgument,
     BadScheme,
+    ConsumerError,
     InvalidPolicy,
     InvalidTd,
     MethodNotPermitted,
     MixedDevices,
     MultiPropertyError,
+    NotConnected,
     OutOfRange,
     Timeout,
     UnknownAffordance,
@@ -563,6 +567,50 @@ def test_an_unknown_affordance_is_named_with_its_category(category, call):
     assert str(exc_info.value) == f"TD 'Flower Care Sensor' has no {category} named 'nope'"
 
 
+#: Each single-affordance entry point, called with an affordance ``name``.
+ENTRY_POINTS = {
+    "read_property": lambda thing, name: thing.read_property(name),
+    "write_property": lambda thing, name: thing.write_property(name, 1),
+    "invoke_action": lambda thing, name: thing.invoke_action(name, 1),
+    "subscribe_event": lambda thing, name: thing.subscribe_event(name, print),
+    "read_raw": lambda thing, name: thing.read_raw(name),
+    "write_raw": lambda thing, name: thing.write_raw(name, b"\x01"),
+}
+
+
+@pytest.mark.parametrize("name", [["x"], {"x": 1}], ids=["list", "dict"])
+@pytest.mark.parametrize("entry_point", ENTRY_POINTS)
+def test_an_unhashable_name_is_an_unknown_affordance(entry_point, name):
+    with make_network(clock=VirtualClock()) as net:
+        thing, transport = lamp_thing(net)
+        with pytest.raises(UnknownAffordance, match=re.escape(f"named {name!r}")):
+            ENTRY_POINTS[entry_point](thing, name)
+        assert transport.trace == []
+
+
+#: Misuse of consume or a thing: (the error, the call).
+MISUSE = {
+    "consume-a-dict": (InvalidTd, lambda thing: consume({"title": "x"}, thing.transport)),
+    "unsubscribe-an-object": (BadArgument, lambda thing: thing.unsubscribe_event(object())),
+    "read-multiple-of-a-number": (BadArgument,
+                                  lambda thing: thing.read_multiple_properties(5)),
+    "write-all-of-a-number": (BadArgument, lambda thing: thing.write_all_properties(5)),
+    "write-multiple-of-pairs": (BadArgument, lambda thing: thing.write_multiple_properties(
+        [("power", {"on": 1})])),
+}
+
+
+@pytest.mark.parametrize("case", MISUSE)
+def test_misuse_raises_a_consumer_error_before_any_transport_call(case):
+    error, call = MISUSE[case]
+    with make_network(clock=VirtualClock()) as net:
+        thing, transport = lamp_thing(net)
+        with pytest.raises(error) as exc_info:
+            call(thing)
+        assert transport.trace == []
+    assert isinstance(exc_info.value, ConsumerError)
+
+
 # --- a live subscription pins the link -------------------------------------------------
 
 def beacon_reader(net, policy, **terms):
@@ -982,6 +1030,31 @@ def test_kept_link_interactions_leave_memory_flat(interaction):
     assert grown < 64 * 1024
 
 
+#: Calls per kept-link interaction, on the ATT latencies of the benchmark, so
+#: that the virtual clock's sleep is profiled too.
+KEPT_LINK_CALL_BUDGETS = {"sensor-read": 15, "lamp-write": 24}
+
+
+@pytest.mark.parametrize("interaction", KEPT_LINK_CALL_BUDGETS)
+def test_a_kept_link_interaction_stays_within_its_call_budget(interaction):
+    td_path, interact = KEPT_LINK_INTERACTIONS[interaction]
+    n = 100
+    with make_network(clock=VirtualClock(), auto_notify=False,
+                      read_latency_ms=8.0, write_latency_ms=12.0) as net:
+        thing = consume(parse_td_file(td_path), SimTransport(net, timeout_s=60.0))
+        for i in range(10):  # connect and warm caches
+            interact(thing, i)
+        profile = cProfile.Profile()
+        profile.enable()
+        for i in range(n):
+            interact(thing, i)
+        profile.disable()
+        thing.disconnect()
+    # The binding, the codec, the transport and the clock's sleep, and no lock
+    # of the thing's. The one call left over is the profiler's disable().
+    assert pstats.Stats(profile).total_calls <= KEPT_LINK_CALL_BUDGETS[interaction] * n + 1
+
+
 def test_a_notification_stays_within_its_call_budget():
     n = 100
     caller, worker = cProfile.Profile(), cProfile.Profile()
@@ -1012,6 +1085,154 @@ def test_a_notification_stays_within_its_call_budget():
     calls = (pstats.Stats(caller).total_calls / (n + 1)
              + pstats.Stats(worker).total_calls / n)
     assert calls <= 22
+
+
+# --- a kept link takes no lock of the thing's --------------------------------------------
+
+def test_kept_link_reads_and_writes_run_while_another_thread_holds_the_lock():
+    with make_network(clock=VirtualClock(), auto_notify=False) as net:
+        sensor, _ = sensor_thing(net)
+        lamp, lamp_link = lamp_thing(net)
+        assert sensor.read_property("moisture") == 42
+        lamp.write_property("power", {"on": 0})  # both links are up
+        done = []
+
+        def interact():
+            done.append(sensor.read_property("moisture"))
+            lamp.write_property("power", {"on": 1})
+            done.append(writes(lamp_link)[-1][0])
+
+        worker = threading.Thread(target=interact, daemon=True)
+        with sensor._lock, lamp._lock:
+            worker.start()
+            worker.join(5.0)
+            finished = not worker.is_alive()
+        worker.join(5.0)  # released: a waiting worker ends now
+        assert finished, "a kept-link operation waited for the thing's lock"
+        assert done == [42, bytes.fromhex("7e00040100000000ef")]
+        sensor.disconnect()
+        lamp.disconnect()
+
+
+class LockWitness(RecordingTransport):
+    """Records, per call after a ``NotConnected`` on the same thread, and per
+    connect, whether the calling thread held ``thing``'s lock."""
+
+    def __init__(self, net):
+        super().__init__(net, timeout_s=60.0)
+        self.thing = None
+        self.retries: list[bool] = []
+        self.connects: list[bool] = []
+        self._failed = threading.local()
+
+    def connect(self, device_id):
+        self.connects.append(self.thing._lock._is_owned())
+        super().connect(device_id)
+
+    def read(self, uri):
+        if getattr(self._failed, "value", False):
+            self.retries.append(self.thing._lock._is_owned())
+        try:
+            value = super().read(uri)
+        except NotConnected:
+            self._failed.value = True
+            raise
+        self._failed.value = False
+        return value
+
+
+def test_kept_link_reads_recover_under_the_lock_from_a_disconnect_loop():
+    with make_network(clock=VirtualClock(), auto_notify=False) as net:
+        transport = LockWitness(net)
+        thing = transport.thing = consume(parse_td_file(SENSOR_TD), transport)
+        values, errors = [], []
+        stop = threading.Event()
+
+        def read():
+            try:
+                for _ in range(200):
+                    values.append(thing.read_property("moisture"))
+            except Exception as exc:
+                errors.append(exc)
+
+        def disconnect_loop():
+            try:
+                while not stop.is_set():
+                    thing.disconnect()
+            except Exception as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            readers = [threading.Thread(target=read, daemon=True) for _ in range(4)]
+            churn = threading.Thread(target=disconnect_loop, daemon=True)
+            for worker in (*readers, churn):
+                worker.start()
+            for worker in readers:
+                worker.join(30.0)
+            stop.set()
+            churn.join(30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in (*readers, churn)), "deadlocked"
+        assert errors == [] and values == [42] * 800
+        # The fresh thing's first read raises NotConnected, so there is a retry.
+        assert transport.retries and all(transport.retries)
+        assert transport.connects and all(transport.connects)
+        thing.disconnect()
+
+
+def test_racing_first_reads_of_a_fresh_thing_connect_once():
+    meet = threading.Barrier(4, timeout=5.0)
+    met = threading.local()
+
+    class FirstReadsMeet(RecordingTransport):
+        def read(self, uri):
+            if not getattr(met, "value", False):  # all four reach the transport
+                met.value = True
+                meet.wait()
+            return super().read(uri)
+
+    with make_network(clock=VirtualClock(), auto_notify=False) as net:
+        transport = FirstReadsMeet(net, timeout_s=60.0)
+        thing = consume(parse_td_file(SENSOR_TD), transport)
+        values, errors = [], []
+
+        def read():
+            try:
+                values.append(thing.read_property("moisture"))
+            except Exception as exc:
+                errors.append(exc)
+
+        readers = [threading.Thread(target=read, daemon=True) for _ in range(4)]
+        for worker in readers:
+            worker.start()
+        for worker in readers:
+            worker.join(30.0)
+        assert not any(worker.is_alive() for worker in readers), "deadlocked"
+        assert errors == [] and values == [42] * 4
+        assert [entry[0] for entry in transport.trace].count("connect") == 1
+        thing.disconnect()
+
+
+def test_a_kept_link_subscribe_waits_for_the_things_lock():
+    with make_network(clock=VirtualClock(), auto_notify=False) as net:
+        thing, transport = beacon_reader(net, ConnectionPolicy.KEEP_CONNECTED)
+        thing.connect()
+        subscribed = []
+        worker = threading.Thread(
+            target=lambda: subscribed.append(thing.subscribe_event("temperature", print)),
+            daemon=True)
+        with thing._lock:
+            worker.start()
+            worker.join(0.2)
+            waited = worker.is_alive() and not subscribed
+        worker.join(5.0)
+        assert waited, "subscribe_event did not wait for the thing's lock"
+        assert not worker.is_alive() and subscribed[0].active
+        assert [entry[0] for entry in transport.trace] == [*CYCLE, "subscribe"]
+        thing.disconnect()
 
 
 # --- multi-property operations -----------------------------------------------------------

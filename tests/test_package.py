@@ -10,7 +10,7 @@ REMOVED = {
                "register_codec"),
     "wotble.transport": ("Session", "register_host_backend", "create_host_transport",
                          "_host_backend_factory", "WriteRecord"),
-    "wotble.codec": ("register_codec",),
+    "wotble.codec": ("register_codec", "BinaryDataStreamCodec"),
     "wotble.consumer": ("expose",),
     "wotble.errors": ("NotSupported",),
 }

@@ -23,6 +23,7 @@ from wotble import (
     parse_gatt_uri,
     parse_td_file,
 )
+from wotble.transport import MAX_TIMEOUT_MS, open_transport
 from wotble.codec import MAX_PAYLOAD_OCTETS
 from wotble.errors import (
     BadDeviceId,
@@ -50,6 +51,7 @@ from conftest import (
     LAMP_MAC,
     LAMP_SERVICE,
     LAMP_TD,
+    NETWORK_CONFIG,
     WRONG_TYPED_CONFIGS,
     RecordingTransport,
     live_subscriptions,
@@ -699,6 +701,31 @@ def test_a_network_rejects_a_latency_that_is_not_a_number_from_zero(knob, value)
     with pytest.raises(InvalidConfig, match=knob):
         SimNetwork(clock=VirtualClock(), **{knob: value})
     assert threading.active_count() == threads  # no delivery thread was started
+
+
+@pytest.mark.parametrize("timeout_s", ["x", float("nan"), -1.0, 0, True,
+                                       MAX_TIMEOUT_MS / 1000.0 * 2])
+def test_a_transport_rejects_a_timeout_that_is_not_a_number_in_range(timeout_s):
+    with virtual_network() as net:
+        with pytest.raises(InvalidConfig, match="timeout_s"):
+            SimTransport(net, timeout_s=timeout_s)
+        assert SimTransport(net, timeout_s=MAX_TIMEOUT_MS / 1000.0).timeout_s > 0
+
+
+def test_opening_a_transport_with_a_bad_timeout_stops_its_network():
+    threads = threading.active_count()
+    with pytest.raises(InvalidConfig, match="timeout_s"):
+        open_transport(f"sim:{NETWORK_CONFIG}", timeout_s="x")
+    assert threading.active_count() == threads  # the delivery thread was joined
+
+
+@pytest.mark.parametrize("seconds", [float("nan"), 0, 0.0, -1.0])
+def test_a_virtual_sleep_of_no_positive_length_leaves_the_time(seconds):
+    clock = VirtualClock(5.0)
+    clock.sleep(seconds)
+    assert clock.monotonic() == 5.0
+    clock.sleep(0.25)
+    assert clock.monotonic() == 5.25
 
 
 def test_characteristic_value_cap():
