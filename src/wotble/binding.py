@@ -60,6 +60,15 @@ SUBSCRIBE_OPERATIONS = frozenset({
 })
 
 
+#: Each operation's default GATT method, and the methods its category allows.
+_METHODS_OF = {
+    **{op: (GattMethod.READ, frozenset({GattMethod.READ})) for op in READ_OPERATIONS},
+    **{op: (GattMethod.WRITE, frozenset({GattMethod.WRITE, GattMethod.WRITE_WITHOUT_RESPONSE}))
+       for op in WRITE_OPERATIONS},
+    **{op: (GattMethod.NOTIFY, frozenset({GattMethod.NOTIFY})) for op in SUBSCRIBE_OPERATIONS},
+}
+
+
 @_memoised
 def parse_operation(text: str) -> WotOperation:
     """Map an op string from a TD form onto the closed operation vocabulary."""
@@ -100,17 +109,10 @@ def map_operation(op: WotOperation, method_name: GattMethod | None = None) -> Ga
     and both subscribe operations use ``notify``. An explicit method name must
     belong to the operation's category.
     """
-    if op in READ_OPERATIONS:
-        allowed = {GattMethod.READ}
-        default = GattMethod.READ
-    elif op in WRITE_OPERATIONS:
-        allowed = {GattMethod.WRITE, GattMethod.WRITE_WITHOUT_RESPONSE}
-        default = GattMethod.WRITE
-    elif op in SUBSCRIBE_OPERATIONS:
-        allowed = {GattMethod.NOTIFY}
-        default = GattMethod.NOTIFY
-    else:  # pragma: no cover - closed enum
-        raise MethodOpConflict(f"unmapped operation {op!r}")
+    try:
+        default, allowed = _METHODS_OF[op]
+    except KeyError:  # pragma: no cover - closed enum
+        raise MethodOpConflict(f"unmapped operation {op!r}") from None
     if method_name is None:
         return default
     if method_name not in allowed:

@@ -21,7 +21,9 @@ order:
   ``OutOfRange``), then ``AttLengthExceeded``, once the payload is built;
 * scalar encode: the mapping check (``BadValue``), ``AttLengthExceeded`` on
   ``offset + bytelength``, ``BadValue`` for a value that is not a number,
-  then ``OutOfRange``;
+  then ``BadValue`` for NaN, then ``OutOfRange`` for an infinity or an int
+  that a scale other than 1 turns into a float too large, then
+  ``OutOfRange`` for a raw integer that ``bytelength`` octets do not hold;
 * decode: ``BadValue`` for a payload that is not ``bytes``, ``bytearray`` or
   ``memoryview``, then ``TooShort``, then (patterns) ``PatternMismatch``.
 
@@ -78,6 +80,13 @@ class VariableType(str, Enum):
 
 
 _STRING_HEX = VariableType.STRING_HEX
+_LITTLE = Endianess.LITTLE
+_BIG = Endianess.BIG
+
+#: A finite float lies in [-_FLOAT_MAX, _FLOAT_MAX], and so does an int that
+#: a float holds, but for a sliver just past it. A range test costs no call,
+#: so it passes the common number, and one outside goes to the full check.
+_FLOAT_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True, init=False)
@@ -116,8 +125,12 @@ class VariableSpec:
             if not 1 <= bytelength <= MAX_PAYLOAD_OCTETS:
                 raise BadValue(f"variable {name!r}: bytelength must be 1 to "
                                f"{MAX_PAYLOAD_OCTETS}")
-            lo, hi = _int_bounds(bytelength, signed)  # a TypeError unless an integer
-            byteorder = endianess.byteorder
+            # The bounds and Endianess.byteorder, worked out inline: this runs
+            # for every variable of every TD parsed.
+            half = 1 << (8 * bytelength - 1)  # a TypeError unless an integer
+            lo, hi = (-half, half - 1) if signed else (0, 2 * half - 1)
+            byteorder = ("little" if endianess is _LITTLE else "big" if endianess is _BIG
+                         else endianess.byteorder)  # an AttributeError unless an Endianess
         except (TypeError, AttributeError) as exc:
             raise BadValue(f"variable {name!r}: field of the wrong type ({exc})") from None
         self.__dict__.update(name=name, data_type=data_type, bytelength=bytelength,
@@ -172,15 +185,25 @@ class BdoSpec:
                 raise BadValue("offset must be >= 0")
             if offset.__class__ is not int and not isinstance(offset, int):
                 raise BadValue(f"offset must be an integer, got {type(offset).__name__}")
-            # A TypeError unless bytelength is an integer.
-            lo, hi = (None, None) if bytelength is None else _int_bounds(bytelength, signed)
-            if not math.isfinite(scale) or scale == 0:
+            # Bounds, math.isfinite and Endianess.byteorder inline, as in
+            # VariableSpec.
+            if bytelength is None:
+                lo = hi = None
+            else:
+                half = 1 << (8 * bytelength - 1)  # a TypeError unless an integer
+                lo, hi = (-half, half - 1) if signed else (0, 2 * half - 1)
+            if scale.__class__ is float:
+                finite = -_FLOAT_MAX <= scale <= _FLOAT_MAX
+            else:
+                finite = math.isfinite(scale)
+            if not finite or scale == 0:
                 raise BadValue("scale must be finite and nonzero")
             # Validates placeholder coverage and literal runs up front, and
             # keeps the result for every later encode and decode.
             layout = None if pattern is None else _layout_of(pattern, tuple(
                 [(name, var.bytelength) for name, var in variables.items()]))
-            byteorder = endianess.byteorder
+            byteorder = ("little" if endianess is _LITTLE else "big" if endianess is _BIG
+                         else endianess.byteorder)
         except (TypeError, AttributeError) as exc:
             raise BadValue(f"spec field of the wrong type ({exc})") from None
         self.__dict__.update(bytelength=bytelength, signed=signed, endianess=endianess,
@@ -287,13 +310,6 @@ def _append_literal(segments: list, run: str) -> None:
     segments.append(LiteralSegment(bytes.fromhex(run)))
 
 
-def _int_bounds(bytelength: int, signed: bool) -> tuple[int, int]:
-    if signed:
-        half = 1 << (8 * bytelength - 1)
-        return -half, half - 1
-    return 0, (1 << (8 * bytelength)) - 1
-
-
 def _out_of_range(raw: int, bytelength: int, signed: bool) -> OutOfRange:
     return OutOfRange(f"{raw} not representable in {bytelength} octet(s) "
                       f"({'signed' if signed else 'unsigned'})")
@@ -355,7 +371,13 @@ def encode(value: Value, spec: BdoSpec | None) -> bytes:
     if value.__class__ is dict or isinstance(value, Mapping):
         raise BadValue("scalar spec got a mapping; no pattern is defined")
     _check_att_length(spec._end)  # before the offset's zero octets are built
-    raw = _to_raw_integer(value, spec.scale)
+    try:
+        raw = _to_raw_integer(value, spec.scale)
+    except ValueError:  # round() of a NaN
+        raise BadValue("expected a number, got NaN") from None
+    except OverflowError:  # round() of an infinity, or an int past a float
+        raise OutOfRange(f"value is infinite or too large for a float; not representable "
+                         f"in {spec.bytelength} octet(s) at scale {spec.scale}") from None
     if not spec._lo <= raw <= spec._hi:
         raise _out_of_range(raw, spec.bytelength, spec.signed)
     return bytes(spec.offset) + raw.to_bytes(spec.bytelength, spec._byteorder,
@@ -475,7 +497,11 @@ def get_codec(media_type: str):
     Unrecognized ``application/*`` subtypes are interpreted as octet-stream;
     anything else, a value that is not a ``str`` included, is an error.
     """
-    if not isinstance(media_type, str):
+    if media_type.__class__ is str:
+        codec = _REGISTRY.get(media_type)  # a registered type, spelled as registered
+        if codec is not None:
+            return codec
+    elif not isinstance(media_type, str):
         raise UnsupportedMediaType(f"no codec for content type {media_type!r}")
     normalized = media_type.split(";")[0].strip().lower()
     codec = _REGISTRY.get(normalized)

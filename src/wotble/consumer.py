@@ -264,8 +264,12 @@ class ConsumedThing:
         cannot kill the subscription; the subscription counts both. While
         the subscription is active it pins the connection: reads and writes
         under a teardown policy leave the link up, and a second subscription
-        reuses it.
+        reuses it. A listener that is not callable raises ``BadArgument``
+        before any transport call.
         """
+        if not callable(listener):
+            raise BadArgument(f"subscribe_event takes a callable listener, "
+                              f"got {type(listener).__name__}")
         _, request, codec = self._resolve("events", name, WotOperation.SUBSCRIBEEVENT)
         if codec is None:
             codec = get_codec(request.content_type)  # raises UnsupportedMediaType
@@ -313,6 +317,14 @@ class ConsumedThing:
         return self._read_sequence(self.td.properties.keys())
 
     def read_multiple_properties(self, names: Iterable[str]) -> dict:
+        """Read each named property, in order; ``names`` is a collection of names.
+
+        A single name, a ``str``, raises ``BadArgument``, as does anything
+        that is not iterable.
+        """
+        if isinstance(names, str):
+            raise BadArgument("read_multiple_properties takes a collection of names, "
+                              f"got the single name {names!r}")
         _check_argument(names, Iterable, "read_multiple_properties", "an iterable")
         return self._read_sequence(names)
 

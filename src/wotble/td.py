@@ -16,6 +16,15 @@ document declaring the same binding shares. The tables are few and each is
 bounded; an undeclared prefix raises ``UnknownPrefix`` anew on every lookup,
 as failures are never kept. Nothing is cached per document text, so each
 call still reads and checks the whole document.
+
+Each field's JSON kind is checked where the field is read, in the parsing
+function itself: an exact-class test (``value.__class__ is dict``), plus a
+range test for a number, passes the common case without a call, and only a
+value that fails it goes to ``errors.expect``, which accepts it or raises
+with the message. GAP roles, ``op`` strings and ``sbo:methodName`` values
+are looked up in module dicts by their exact text, and ``parse_operation``
+or ``parse_method`` runs only for a text that misses, so every error stays
+as they raise it.
 """
 
 from __future__ import annotations
@@ -29,13 +38,21 @@ from functools import lru_cache
 from pathlib import Path
 
 from .binding import (
+    _METHOD_ALIASES,
     GattMethod,
     WotOperation,
     WRITE_OPERATIONS,
     parse_method,
     parse_operation,
 )
-from .codec import BINARY_DATA_STREAM, BdoSpec, Endianess, VariableSpec, VariableType
+from .codec import (
+    _FLOAT_MAX,
+    BINARY_DATA_STREAM,
+    BdoSpec,
+    Endianess,
+    VariableSpec,
+    VariableType,
+)
 from .errors import (
     BadScheme,
     CodecError,
@@ -255,7 +272,7 @@ def _duration_ms(value, ctx: _Context, term: str) -> float:
     ``{"rdf:value": n, "qudt:unit": "qudt:MilliSEC"}``. Only MilliSEC and SEC
     are recognized, bare or as a CURIE in the qudt vocabulary.
     """
-    if type(value) is dict:
+    if value.__class__ is dict:
         number = None
         unit = None
         for key, val in value.items():
@@ -266,8 +283,13 @@ def _duration_ms(value, ctx: _Context, term: str) -> float:
                 number = val
             elif local == "unit":
                 unit = val
-        ms = float(expect(number, float, MalformedDocument, "%s: rdf:value", term))
-        vocab, unit_name = ctx[expect(unit, str, UnsupportedUnit, "%s: qudt:unit", term)]
+        if (number.__class__ is not int and number.__class__ is not float
+                or not -_FLOAT_MAX <= number <= _FLOAT_MAX):
+            expect(number, float, MalformedDocument, "%s: rdf:value", term)
+        ms = float(number)
+        if unit.__class__ is not str:
+            expect(unit, str, UnsupportedUnit, "%s: qudt:unit", term)
+        vocab, unit_name = ctx[unit]
         if vocab is not QUDT_IRI:  # a bare name, or a CURIE outside qudt
             unit_name = unit
         if unit_name == "SEC":
@@ -275,34 +297,31 @@ def _duration_ms(value, ctx: _Context, term: str) -> float:
         elif unit_name != "MilliSEC":
             raise UnsupportedUnit(f"{term}: unit {unit!r} is not MilliSEC or SEC")
     else:
-        ms = float(expect(value, float, MalformedDocument, term))
+        if (value.__class__ is not int and value.__class__ is not float
+                or not -_FLOAT_MAX <= value <= _FLOAT_MAX):
+            expect(value, float, MalformedDocument, term)
+        ms = float(value)
     if not 0 < ms < math.inf:  # SEC can overflow a finite value
         raise MalformedDocument(f"{term}: duration must be finite and > 0, got {ms}")
     return ms
 
 
-def _gap_role(value, ctx: _Context, term: str) -> GapRole:
-    try:
-        return GapRole(ctx[expect(value, str, MalformedDocument, term)][1])
-    except ValueError:
-        raise MalformedDocument(f"unknown GAP role {value!r}") from None
-
-
-def _boolean(value, ctx: _Context, term: str) -> bool:
-    return expect(value, bool, MalformedDocument, term)
-
-
-#: sbo device metadata term -> (``BleMetadata`` field, reader of its value).
+#: sbo device metadata term -> (``BleMetadata`` field, JSON kind of its value):
+#: ``bool``, ``float`` for a duration, or ``GapRole``.
 _METADATA = {
-    "hasGAPRole": ("gap_role", _gap_role),
-    "isConnectable": ("is_connectable", _boolean),
-    "hasGATTLayer": ("has_gatt_layer", _boolean),
-    "hasAdvertisingInterval": ("advertising_interval_ms", _duration_ms),
-    "hasScanWindow": ("scan_window_ms", _duration_ms),
-    "scanWindow": ("scan_window_ms", _duration_ms),
-    "hasScanInterval": ("scan_interval_ms", _duration_ms),
-    "scanInterval": ("scan_interval_ms", _duration_ms),
+    "hasGAPRole": ("gap_role", GapRole),
+    "isConnectable": ("is_connectable", bool),
+    "hasGATTLayer": ("has_gatt_layer", bool),
+    "hasAdvertisingInterval": ("advertising_interval_ms", float),
+    "hasScanWindow": ("scan_window_ms", float),
+    "scanWindow": ("scan_window_ms", float),
+    "hasScanInterval": ("scan_interval_ms", float),
+    "scanInterval": ("scan_interval_ms", float),
 }
+
+#: GAP roles and operations by value, to look one up without calling the Enum.
+_GAP_ROLES = {role.value: role for role in GapRole}
+_OPERATIONS = {op.value: op for op in WotOperation}
 
 #: JSON kind of each binary-layout term, on an affordance or a pattern
 #: variable; ``minimum`` and ``maximum`` bound an affordance's value too.
@@ -320,18 +339,6 @@ _VARIABLE_TERMS = ("bytelength", "signed", "minimum", "maximum")
 _BOUNDS = ("minimum", "maximum")
 
 
-def _layout_fields(terms: dict, names: tuple, what: str, owner: str) -> dict:
-    """The terms in ``names`` that ``terms`` declares, each checked for its kind.
-
-    ``what`` names a field in a message, formatted with ``owner`` and the term.
-    """
-    fields = {}
-    for term in names:
-        if term in terms:
-            fields[term] = expect(terms[term], _LAYOUT_KINDS[term], MalformedDocument,
-                                  what, owner, term)
-    return fields
-
 
 # --- document parsing ----------------------------------------------------------
 
@@ -347,13 +354,16 @@ def parse_td(document: str) -> ThingDescription:
         doc = json.loads(document)
     except ValueError as exc:  # not JSON, or an integer with too many digits
         raise MalformedDocument(f"document is not JSON: {exc}") from exc
-    expect(doc, dict, MalformedDocument, "top-level JSON value")
+    if doc.__class__ is not dict:
+        expect(doc, dict, MalformedDocument, "top-level JSON value")
 
     prefixes = _parse_context(doc.get("@context"))
     ctx = _context(frozenset(prefixes.items()))
 
     title = doc.get("title")
-    if not expect(title, str, MissingRequired, "title"):
+    if title.__class__ is not str:
+        expect(title, str, MissingRequired, "title")
+    if not title:
         raise MissingRequired("TD has no title")
 
     meta: dict = {}
@@ -362,18 +372,32 @@ def parse_td(document: str) -> ThingDescription:
 
     for key, value in doc.items():
         if key in categories:
+            if value.__class__ is not dict:
+                expect(value, dict, MalformedDocument, key)
             affordances = categories[key]
-            for name, body in expect(value, dict, MalformedDocument, key).items():
+            for name, body in value.items():
                 affordances[name] = _parse_affordance(name, body, ctx, key)
             continue
         if key == "@context" or key == "title":
             continue
         vocab, term = ctx[key]
-        if vocab is SBO_IRI and term in _METADATA:
-            field_name, read = _METADATA[term]
-            meta[field_name] = read(value, ctx, key)
-        else:
+        if vocab is not SBO_IRI or term not in _METADATA:
             extensions[key] = value
+            continue
+        field_name, kind = _METADATA[term]
+        if kind is bool:
+            if value.__class__ is not bool:
+                expect(value, bool, MalformedDocument, key)
+        elif kind is float:
+            value = _duration_ms(value, ctx, key)
+        else:
+            if value.__class__ is not str:
+                expect(value, str, MalformedDocument, key)
+            role = _GAP_ROLES.get(ctx[value][1])
+            if role is None:
+                raise MalformedDocument(f"unknown GAP role {value!r}")
+            value = role
+        meta[field_name] = value
 
     return ThingDescription(
         title=title,
@@ -402,7 +426,8 @@ _DEFAULT_OPS = {
 
 
 def _parse_affordance(name: str, body, ctx: _Context, category: str) -> Affordance:
-    expect(body, dict, MalformedDocument, "affordance %r", name)
+    if body.__class__ is not dict:
+        expect(body, dict, MalformedDocument, "affordance %r", name)
     bdo_terms: dict = {}
     bounds: dict = {}
     extensions: dict = {}
@@ -419,19 +444,27 @@ def _parse_affordance(name: str, body, ctx: _Context, category: str) -> Affordan
         elif key == "type" and value in ("integer", "number", "string"):
             data_type = value
         elif key == "format":
-            fmt = expect(value, str, MalformedDocument, "%r: format", name)
+            if value.__class__ is not str:
+                expect(value, str, MalformedDocument, "%r: format", name)
+            fmt = value
         elif key in _BOUNDS:  # checked below
             bounds[key] = value
         else:
             extensions[key] = value
 
-    if not expect(forms_raw, list, MissingRequired, "affordance %r: forms", name):
+    if forms_raw.__class__ is not list:
+        expect(forms_raw, list, MissingRequired, "affordance %r: forms", name)
+    if not forms_raw:
         raise MissingRequired(f"affordance {name!r} has no forms")
     forms = tuple([_parse_form(f, ctx, category, name) for f in forms_raw])
 
     bdo = _build_bdo_spec(bdo_terms, ctx, name) if bdo_terms else None
-    if bounds:
-        bounds = _layout_fields(bounds, _BOUNDS, "%r: %s", name)
+    for term in _BOUNDS:
+        if term in bounds:
+            value = bounds[term]
+            if (value.__class__ is not int and value.__class__ is not float
+                    or not -_FLOAT_MAX <= value <= _FLOAT_MAX):
+                expect(value, float, MalformedDocument, "%r: %s", name, term)
     return Affordance(
         name=name,
         forms=forms,
@@ -444,18 +477,25 @@ def _parse_affordance(name: str, body, ctx: _Context, category: str) -> Affordan
 
 
 def _parse_form(body, ctx: _Context, category: str, name: str) -> Form:
-    expect(body, dict, MalformedDocument, "form of %r", name)
+    if body.__class__ is not dict:
+        expect(body, dict, MalformedDocument, "form of %r", name)
     href = body.get("href")
-    if not expect(href, str, MissingRequired, "form of %r: href", name):
+    if href.__class__ is not str:
+        expect(href, str, MissingRequired, "form of %r: href", name)
+    if not href:
         raise MissingRequired(f"form of {name!r} has no href")
 
     op_raw = body.get("op")
     if op_raw is None:
         ops = _DEFAULT_OPS[category]
-    elif type(op_raw) is not list:
-        ops = (parse_operation(op_raw),)
+    elif op_raw.__class__ is not list:
+        op = _OPERATIONS.get(op_raw) if op_raw.__class__ is str else None
+        ops = (op if op is not None else parse_operation(op_raw),)
     elif op_raw:
-        ops = tuple([parse_operation(item) for item in op_raw])
+        ops = tuple([_OPERATIONS.get(item) if item.__class__ is str else None
+                     for item in op_raw])
+        if None in ops:  # parse_operation raises for the first that is not an op
+            ops = tuple([parse_operation(item) for item in op_raw])
     else:
         raise MissingRequired(f"form of {name!r} has an empty op list")
 
@@ -463,11 +503,14 @@ def _parse_form(body, ctx: _Context, category: str, name: str) -> Form:
     for key, value in body.items():
         vocab, term = ctx[key]
         if term == "methodName" and vocab is SBO_IRI:
-            method_name = parse_method(ctx[expect(
-                value, str, MalformedDocument, "form of %r: sbo:methodName", name)][1])
+            if value.__class__ is not str:
+                expect(value, str, MalformedDocument, "form of %r: sbo:methodName", name)
+            local = ctx[value][1]
+            method_name = _METHOD_ALIASES.get(local) or parse_method(local)
 
-    content_type = expect(body.get("contentType", BINARY_DATA_STREAM), str,
-                          MalformedDocument, "form of %r: contentType", name)
+    content_type = body.get("contentType", BINARY_DATA_STREAM)
+    if content_type.__class__ is not str:
+        expect(content_type, str, MalformedDocument, "form of %r: contentType", name)
     return Form(href=href, op=ops, method_name=method_name, content_type=content_type)
 
 
@@ -475,7 +518,9 @@ def _build_bdo_spec(terms: dict, ctx: _Context, name: str) -> BdoSpec:
     """Assemble a BdoSpec from the affordance's bdo:* terms, with defaults."""
     variables = {}
     if "variable" in terms:
-        raw_vars = expect(terms["variable"], dict, MalformedDocument, "%r: bdo:variable", name)
+        raw_vars = terms["variable"]
+        if raw_vars.__class__ is not dict:
+            expect(raw_vars, dict, MalformedDocument, "%r: bdo:variable", name)
         for var_name, var_body in raw_vars.items():
             variables[var_name] = _parse_variable(var_name, var_body, ctx)
     pattern = terms.get("pattern")
@@ -485,7 +530,16 @@ def _build_bdo_spec(terms: dict, ctx: _Context, name: str) -> BdoSpec:
         )
     if pattern is None and terms.get("bytelength") is None:
         raise MissingRequired(f"{name!r}: bdo:bytelength is required")
-    fields = _layout_fields(terms, _SPEC_TERMS, "%r: bdo:%s", name)
+    fields = {}
+    for term in _SPEC_TERMS:
+        if term in terms:
+            value = fields[term] = terms[term]
+            kind = _LAYOUT_KINDS[term]
+            # The exact class, or for a number an int or a float in range,
+            # passes; anything else goes to expect, which decides.
+            if (value.__class__ is not kind and not (kind is float and value.__class__ is int)
+                    or kind is float and not -_FLOAT_MAX <= value <= _FLOAT_MAX):
+                expect(value, kind, MalformedDocument, "%r: bdo:%s", name, term)
     if "endianess" in terms:
         fields["endianess"] = _parse_endianess(terms["endianess"], ctx, name)
     try:
@@ -497,8 +551,10 @@ def _build_bdo_spec(terms: dict, ctx: _Context, name: str) -> BdoSpec:
 
 
 def _parse_variable(var_name: str, body, ctx: _Context) -> VariableSpec:
+    if body.__class__ is not dict:
+        expect(body, dict, MalformedDocument, "variable %r", var_name)
     terms: dict = {}
-    for key, value in expect(body, dict, MalformedDocument, "variable %r", var_name).items():
+    for key, value in body.items():
         vocab, term = ctx[key]
         terms[term if vocab is BDO_IRI else key] = value
     fields: dict = {}
@@ -511,7 +567,13 @@ def _parse_variable(var_name: str, body, ctx: _Context) -> VariableSpec:
         fields["endianess"] = _parse_endianess(terms["endianess"], ctx, var_name)
     if "bytelength" not in terms:
         raise MissingRequired(f"variable {var_name!r} has no bdo:bytelength")
-    fields.update(_layout_fields(terms, _VARIABLE_TERMS, "variable %r: %s", var_name))
+    for term in _VARIABLE_TERMS:
+        if term in terms:
+            value = fields[term] = terms[term]
+            kind = _LAYOUT_KINDS[term]
+            if (value.__class__ is not kind and not (kind is float and value.__class__ is int)
+                    or kind is float and not -_FLOAT_MAX <= value <= _FLOAT_MAX):
+                expect(value, kind, MalformedDocument, "variable %r: %s", var_name, term)
     try:
         return VariableSpec(name=var_name, **fields)
     except CodecError as exc:  # its message names the variable

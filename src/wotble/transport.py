@@ -318,13 +318,18 @@ class SimNetwork:
         return peripheral is not None and peripheral.connected_by is central
 
     def detach(self, mac: str, central) -> None:
-        """End ``central``'s link to ``mac`` and its subscriptions there."""
+        """End ``central``'s link to ``mac`` and its subscriptions there.
+
+        ``mac`` is canonical. With no live subscription on the network, there
+        is nothing to end, and the registry is not scanned.
+        """
         peripheral = self.linked(mac, central)
-        with self._lock:
-            subs = [s for lst in self._subscriptions.values() for s in lst
-                    if s.transport is central and s.uri.device_id == mac]
-        for sub in subs:
-            self.unsubscribe(sub)
+        if self._subscriptions:
+            with self._lock:
+                subs = [s for lst in self._subscriptions.values() for s in lst
+                        if s.transport is central and s.uri.device_id == mac]
+            for sub in subs:
+                self.unsubscribe(sub)
         self.clock.sleep(self.disconnect_latency_ms / 1000.0)
         with self._lock:
             if peripheral.connected_by is central:
@@ -468,6 +473,12 @@ class SimTransport(TransportContract):
     and only the network's methods change it. Safe for concurrent use. It
     keeps no state of its own beyond its network and connect timeout.
 
+    ``connect``, ``disconnect``, ``is_connected`` and ``discover_gatt`` use a
+    device id as is when it is a canonical MAC of a device on the network
+    (a ``str`` key of its peripherals). Any other id is normalized with
+    ``normalize_mac`` first, so a dashed or lowercase MAC works as before,
+    and an id that is not a MAC raises ``BadDeviceId`` as before.
+
     ``timeout_s`` must be a finite number > 0 and at most
     ``MAX_TIMEOUT_MS / 1000``; any other value raises :class:`InvalidConfig`.
     """
@@ -487,17 +498,29 @@ class SimTransport(TransportContract):
     # -- connections
 
     def connect(self, device_id: str) -> None:
-        self.network.attach(normalize_mac(device_id), self, self.timeout_s)
+        network = self.network
+        if device_id.__class__ is not str or device_id not in network._peripherals:
+            device_id = normalize_mac(device_id)
+        network.attach(device_id, self, self.timeout_s)
 
     def disconnect(self, device_id: str) -> None:
-        self.network.detach(normalize_mac(device_id), self)
+        network = self.network
+        if device_id.__class__ is not str or device_id not in network._peripherals:
+            device_id = normalize_mac(device_id)
+        network.detach(device_id, self)
 
     def is_connected(self, device_id: str) -> bool:
-        return self.network.is_linked(normalize_mac(device_id), self)
+        network = self.network
+        if device_id.__class__ is not str or device_id not in network._peripherals:
+            device_id = normalize_mac(device_id)
+        return network.is_linked(device_id, self)
 
     def discover_gatt(self, device_id: str) -> None:
         """Explore the device's GATT structure; the link must be up."""
-        self.network.linked(normalize_mac(device_id), self)
+        network = self.network
+        if device_id.__class__ is not str or device_id not in network._peripherals:
+            device_id = normalize_mac(device_id)
+        network.linked(device_id, self)
 
     # -- attribute operations
 

@@ -1,3 +1,6 @@
+import cProfile
+import gc
+import pstats
 import threading
 from pathlib import Path
 
@@ -112,6 +115,29 @@ def writes(transport: RecordingTransport) -> list[tuple[bytes, bool]]:
     """``(payload, with_response)`` of each write ``transport`` logged, in order."""
     return [(bytes.fromhex(entry[2]), entry[3])
             for entry in transport.trace if entry[0] == "write"]
+
+
+def calls_per(fn, n: int) -> float:
+    """The Python calls that one ``fn(i)`` makes, averaged over ``i`` in ``range(n)``.
+
+    Counted by ``cProfile``, so a call to a builtin counts as one, and a
+    call to a class does not. ``fn`` is a Python function: its own frames,
+    and the profiler's ``disable()``, are left out, so a lambda that wraps
+    the call under test costs nothing. The garbage collector is paused
+    meanwhile, after a collection: a callback it fires, such as a
+    ``WeakSet``'s for a thread object an earlier test left, would count.
+    """
+    gc.collect()
+    gc.disable()
+    profile = cProfile.Profile()
+    try:
+        profile.enable()
+        for i in range(n):
+            fn(i)
+        profile.disable()
+    finally:
+        gc.enable()
+    return (pstats.Stats(profile).total_calls - n - 1) / n
 
 
 def live_subscriptions(net) -> int:

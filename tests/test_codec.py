@@ -1,5 +1,3 @@
-import cProfile
-import pstats
 import random
 from types import MappingProxyType
 
@@ -35,7 +33,7 @@ from wotble.errors import (
     TooShort,
     UnsupportedMediaType,
 )
-from conftest import LAMP_TD, SENSOR_TD
+from conftest import LAMP_TD, SENSOR_TD, calls_per
 
 LAMP_PATTERN = "7e0004{on}00000000ef"
 LAMP_VARS = {"on": VariableSpec("on", bytelength=1, minimum=0, maximum=1)}
@@ -386,6 +384,22 @@ def test_scalar_encode_checks_mapping_then_att_cap_then_value_then_range():
         encode(256, BdoSpec(bytelength=1))
 
 
+@pytest.mark.parametrize("value,scale,error,match", [
+    (float("nan"), 0.1, BadValue, "got NaN"),
+    (float("nan"), 1, BadValue, "got NaN"),
+    (float("inf"), 0.1, OutOfRange, "infinite or too large"),
+    (float("-inf"), 1, OutOfRange, "infinite or too large"),
+    (10**400, 0.1, OutOfRange, "too large for a float; .* in 2 octet.* at scale 0.1"),
+    (1e308, 0.1, OutOfRange, "too large for a float"),  # finite until scaled
+], ids=["nan", "nan-unscaled", "inf", "minus-inf-unscaled", "huge-int", "finite-until-scaled"])
+def test_scalar_encode_of_a_value_no_integer_holds_is_a_codec_error(value, scale, error, match):
+    spec = BdoSpec(bytelength=2, signed=True, scale=scale)
+    with pytest.raises(error, match=match):
+        encode(value, spec)
+    with pytest.raises(BadValue, match="numeric"):  # the type is checked first
+        encode("nan", spec)
+
+
 @pytest.mark.parametrize("offset", [10**6, pytest.param(10**400, id="huge")])
 def test_att_cap_is_checked_before_the_offset_is_built(offset):
     with pytest.raises(AttLengthExceeded):
@@ -663,12 +677,7 @@ def test_codec_stays_within_its_call_budget(case):
     """Per-layout work happens once, when the spec is built, not on each call."""
     call, value, spec, budget = CODEC_CALL_BUDGETS[case]
     call(value, spec)  # fill the ABC caches first
-    profile = cProfile.Profile()
-    profile.enable()
-    for _ in range(100):
-        call(value, spec)
-    profile.disable()
-    assert pstats.Stats(profile).total_calls / 100 <= budget
+    assert calls_per(lambda i: call(value, spec), 100) <= budget
 
 
 # --- codec registry ------------------------------------------------------------------

@@ -26,6 +26,7 @@ from wotble.codec import decode, encode
 from wotble.errors import (
     BadArgument,
     BadScheme,
+    BadValue,
     ConsumerError,
     InvalidPolicy,
     InvalidTd,
@@ -51,6 +52,7 @@ from conftest import (
     SENSOR_MAC,
     SENSOR_TD,
     RecordingTransport,
+    calls_per,
     live_subscriptions,
     make_network,
     writes,
@@ -594,6 +596,9 @@ MISUSE = {
     "unsubscribe-an-object": (BadArgument, lambda thing: thing.unsubscribe_event(object())),
     "read-multiple-of-a-number": (BadArgument,
                                   lambda thing: thing.read_multiple_properties(5)),
+    "read-multiple-of-a-name": (BadArgument,
+                                lambda thing: thing.read_multiple_properties("power")),
+    "subscribe-a-non-callable": (BadArgument, lambda thing: thing.subscribe_event("power", 5)),
     "write-all-of-a-number": (BadArgument, lambda thing: thing.write_all_properties(5)),
     "write-multiple-of-pairs": (BadArgument, lambda thing: thing.write_multiple_properties(
         [("power", {"on": 1})])),
@@ -609,6 +614,35 @@ def test_misuse_raises_a_consumer_error_before_any_transport_call(case):
             call(thing)
         assert transport.trace == []
     assert isinstance(exc_info.value, ConsumerError)
+
+
+def test_a_listener_that_is_not_callable_is_refused_at_subscribe_time():
+    with make_network(clock=VirtualClock()) as net:
+        transport = RecordingTransport(net)
+        beacon = consume(parse_td_file(BEACON_TD), transport)
+        with pytest.raises(BadArgument, match="callable listener, got int"):
+            beacon.subscribe_event("temperature", 5)
+        assert transport.trace == [] and live_subscriptions(net) == 0
+
+
+def test_a_single_name_is_not_a_collection_of_names():
+    with make_network(clock=VirtualClock()) as net:
+        sensor, transport = sensor_thing(net)
+        with pytest.raises(BadArgument, match="collection of names.*'moisture'"):
+            sensor.read_multiple_properties("moisture")
+        assert sensor.read_multiple_properties(("moisture",)) == {"moisture": 42}
+        assert [entry[0] for entry in transport.trace] == ["connect", "discover_gatt", "read"]
+
+
+@pytest.mark.parametrize("value,error", [
+    (float("nan"), BadValue), (float("inf"), OutOfRange), (10**400, OutOfRange)],
+    ids=["nan", "inf", "huge-int"])
+def test_writing_a_value_no_integer_holds_is_a_codec_error(value, error):
+    with make_network(clock=VirtualClock(), auto_notify=False) as net:
+        thing, transport = beacon_reader(net, ConnectionPolicy.KEEP_CONNECTED)
+        with pytest.raises(error):
+            thing.write_property("temperature", value)
+        assert transport.trace == []
 
 
 # --- a live subscription pins the link -------------------------------------------------
@@ -989,19 +1023,54 @@ def test_an_unpinned_teardown_asks_the_transport_once(policy):
         assert tuple(transport.calls) == TEARDOWN_CALLS[policy]
 
 
+#: Calls of a fresh thing's first read under ``RECONNECT_PER_OPERATION``: a
+#: connect, a GATT exploration, a read and a disconnect, through the binding.
+#: A canonical MAC reaches the network as is, so a normalization put back fails.
+SESSION_READ_CALL_BUDGET = 65
+
+
 def test_a_session_read_stays_within_its_call_budget():
     td = parse_td_file(SENSOR_TD)
     policy = ConnectionPolicy.RECONNECT_PER_OPERATION
     with make_network(clock=VirtualClock(), auto_notify=False) as net:
         consume(td, SimTransport(net), policy).read_property("moisture")  # warm caches
         things = [consume(td, SimTransport(net), policy) for _ in range(100)]
-        profile = cProfile.Profile()
-        profile.enable()
-        for thing in things:
-            thing.read_property("moisture")
-        profile.disable()
-    # A connect, a GATT exploration, a read and a disconnect, through the binding.
-    assert pstats.Stats(profile).total_calls / len(things) <= 85
+        calls = calls_per(lambda i: things[i].read_property("moisture"), len(things))
+    assert calls <= SESSION_READ_CALL_BUDGET
+
+
+#: One interaction per fixture kind, as a whole session runs it.
+SESSION_INTERACTIONS = {
+    "sensor-read": (SENSOR_TD, lambda thing: thing.read_property("moisture")),
+    "lamp-write": (LAMP_TD, lambda thing: thing.write_property("power", {"on": 1})),
+    "beacon-subscribe": (BEACON_TD, lambda thing: thing.unsubscribe_event(
+        thing.subscribe_event("temperature", lambda value: None))),
+}
+
+#: Calls of a whole session per fixture kind, on the radio latencies of the
+#: benchmark: parse the TD, consume it, one interaction, then disconnect.
+SESSION_CALL_BUDGETS = {"sensor-read": 157, "lamp-write": 157, "beacon-subscribe": 160}
+
+
+@pytest.mark.parametrize("kind", SESSION_CALL_BUDGETS)
+def test_a_whole_session_stays_within_its_call_budget(kind):
+    td_path, interact = SESSION_INTERACTIONS[kind]
+    text = td_path.read_text()
+    policy = ConnectionPolicy.RECONNECT_PER_OPERATION
+    with make_network(clock=VirtualClock(), auto_notify=False, processing_delay_ms=5.0,
+                      connect_setup_ms=30.0, read_latency_ms=8.0, write_latency_ms=12.0,
+                      disconnect_latency_ms=4.0) as net:
+        transport = SimTransport(net)
+
+        def session(i):
+            thing = consume(parse_td(text), transport, policy)
+            interact(thing)
+            thing.disconnect()
+
+        session(0)  # warm caches
+        calls = calls_per(session, 50)
+        assert live_subscriptions(net) == 0
+    assert calls <= SESSION_CALL_BUDGETS[kind]
 
 
 KEPT_LINK_INTERACTIONS = {
@@ -1044,15 +1113,11 @@ def test_a_kept_link_interaction_stays_within_its_call_budget(interaction):
         thing = consume(parse_td_file(td_path), SimTransport(net, timeout_s=60.0))
         for i in range(10):  # connect and warm caches
             interact(thing, i)
-        profile = cProfile.Profile()
-        profile.enable()
-        for i in range(n):
-            interact(thing, i)
-        profile.disable()
+        calls = calls_per(lambda i: interact(thing, i), n)
         thing.disconnect()
     # The binding, the codec, the transport and the clock's sleep, and no lock
-    # of the thing's. The one call left over is the profiler's disable().
-    assert pstats.Stats(profile).total_calls <= KEPT_LINK_CALL_BUDGETS[interaction] * n + 1
+    # of the thing's; the interaction's own lambda counts as one.
+    assert calls <= KEPT_LINK_CALL_BUDGETS[interaction]
 
 
 def test_a_notification_stays_within_its_call_budget():

@@ -1,6 +1,4 @@
-import cProfile
 import json
-import pstats
 import sys
 import threading
 from dataclasses import replace
@@ -33,7 +31,7 @@ from wotble.errors import (
     UnknownPrefix,
     UnsupportedUnit,
 )
-from conftest import LAMP_TD, SENSOR_TD, BEACON_TD
+from conftest import LAMP_TD, SENSOR_TD, BEACON_TD, calls_per
 
 CONTEXT = [
     "https://www.w3.org/2022/wot/td/v1",
@@ -453,16 +451,16 @@ def test_threads_sharing_a_term_table_parse_alike():
     assert not mismatches
 
 
+#: Calls per fixture parse, on average: the checks of each field run inline,
+#: so a helper frame or an ``expect`` call put back on the common path fails.
+PARSE_CALL_BUDGET = 58
+
+
 def test_fixture_parse_stays_within_its_call_budget():
     texts = [path.read_text() for path in (LAMP_TD, SENSOR_TD, BEACON_TD)]
     for text in texts:  # fill the term tables and the other caches first
         parse_td(text)
-    profile = cProfile.Profile()
-    profile.enable()
-    for text in texts:
-        parse_td(text)
-    profile.disable()
-    assert pstats.Stats(profile).total_calls / len(texts) <= 130
+    assert calls_per(lambda i: parse_td(texts[i]), len(texts)) <= PARSE_CALL_BUDGET
 
 
 def test_method_name_resolution():
