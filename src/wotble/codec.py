@@ -9,7 +9,7 @@ Converts between application values and octet payloads as described by a
   placeholders stand for independently described variables.
 
 Everything that depends only on a layout is worked out once, when the spec
-is built: a pattern's :class:`PatternLayout` with its flat ``_steps`` and
+is built: a pattern's :class:`PatternLayout` with its flat ``steps`` and
 ``total_octets``, and the integer bounds ``_lo``/``_hi`` of each scalar spec
 and each variable. :func:`encode` and :func:`decode` walk those steps and
 make only the checks that depend on the value. Each first raises
@@ -53,6 +53,7 @@ from .errors import (
     PatternMismatch,
     TooShort,
     UnsupportedMediaType,
+    shown,
 )
 
 #: Media type string of this codec.
@@ -219,39 +220,18 @@ class BdoSpec:
 
 
 @dataclass(frozen=True)
-class LiteralSegment:
-    octets: bytes
-
-
-@dataclass(frozen=True)
-class VariableSegment:
-    name: str
-    bytelength: int
-
-
-@dataclass(frozen=True, init=False)
 class PatternLayout:
-    """Ordered literal/variable segments compiled from a pattern string.
+    """A pattern string compiled for encode and decode to walk.
 
-    Two fields are derived in ``__init__`` and take no part in equality or
-    repr: ``total_octets``, the length of every payload the pattern
-    describes; and ``_steps``, what encode and decode walk, one per segment:
-    a literal segment's octets (``bytes``) or a variable segment's name
-    (``str``). Specs that agree on the pattern and the variable sizes share
-    one layout (see ``_layout_of``), and so these too.
+    ``steps`` has one entry per literal run or placeholder, in pattern
+    order: a literal run's octets (``bytes``) or a placeholder's variable
+    name (``str``). ``total_octets`` is the length of every payload the
+    pattern describes. Specs that agree on the pattern and the variable
+    sizes share one layout (see ``_layout_of``).
     """
 
-    segments: tuple[LiteralSegment | VariableSegment, ...]
-    total_octets: int = field(default=0, init=False, compare=False, repr=False)
-    _steps: tuple[bytes | str, ...] = field(default=(), init=False, compare=False,
-                                           repr=False)
-
-    def __init__(self, segments):
-        steps = tuple([s.octets if isinstance(s, LiteralSegment) else s.name
-                       for s in segments])
-        total = sum([len(s.octets) if isinstance(s, LiteralSegment) else s.bytelength
-                     for s in segments])
-        self.__dict__.update(segments=segments, total_octets=total, _steps=steps)
+    steps: tuple[bytes | str, ...]
+    total_octets: int
 
 
 _PLACEHOLDER_RE = re.compile(r"\{([^{}]*)\}")
@@ -259,27 +239,29 @@ _HEX_RUN_RE = re.compile(r"^[0-9A-Fa-f]*$")
 
 
 def compile_pattern(pattern: str, variables: Mapping[str, VariableSpec]) -> PatternLayout:
-    """Split a hex template into literal and variable segments.
+    """Split a hex template into literal octets and variable names.
 
     Literal runs must contain an even number of hex digits. A placeholder may
     repeat, in which case both spans carry the same variable.
     """
-    segments: list[LiteralSegment | VariableSegment] = []
+    steps: list[bytes | str] = []
     pos = 0
     for m in _PLACEHOLDER_RE.finditer(pattern):
-        _append_literal(segments, pattern[pos:m.start()])
+        _append_literal(steps, pattern[pos:m.start()])
         name = m.group(1)
         if not name:
             raise BadHexPattern("empty placeholder {} in pattern")
         if name not in variables:
             raise MissingVariable(f"pattern placeholder {{{name}}} has no variable spec")
-        segments.append(VariableSegment(name, variables[name].bytelength))
+        steps.append(name)
         pos = m.end()
     tail = pattern[pos:]
     if "{" in tail or "}" in tail:
         raise BadHexPattern(f"unbalanced braces in pattern {pattern!r}")
-    _append_literal(segments, tail)
-    return PatternLayout(tuple(segments))
+    _append_literal(steps, tail)
+    total = sum([len(step) if step.__class__ is bytes else variables[step].bytelength
+                 for step in steps])
+    return PatternLayout(tuple(steps), total)
 
 
 #: Distinct (pattern, variable sizes) pairs whose layout is kept.
@@ -298,7 +280,7 @@ def _layout_of(pattern: str, sizes: tuple) -> PatternLayout:
                                      for name, bytelength in sizes})
 
 
-def _append_literal(segments: list, run: str) -> None:
+def _append_literal(steps: list, run: str) -> None:
     if not run:
         return
     if "{" in run or "}" in run:
@@ -307,11 +289,11 @@ def _append_literal(segments: list, run: str) -> None:
         raise BadHexPattern(f"non-hex characters in pattern literal {run!r}")
     if len(run) % 2 != 0:
         raise BadHexPattern(f"odd-length hex literal {run!r}")
-    segments.append(LiteralSegment(bytes.fromhex(run)))
+    steps.append(bytes.fromhex(run))
 
 
 def _out_of_range(raw: int, bytelength: int, signed: bool) -> OutOfRange:
-    return OutOfRange(f"{raw} not representable in {bytelength} octet(s) "
+    return OutOfRange(f"{shown(raw)} not representable in {bytelength} octet(s) "
                       f"({'signed' if signed else 'unsigned'})")
 
 
@@ -344,9 +326,9 @@ def _encode_variable(var: VariableSpec, value) -> bytes:
     if value.__class__ is not int and (isinstance(value, bool) or not isinstance(value, int)):
         raise BadValue(f"variable {var.name!r} expects an integer")
     if var.minimum is not None and value < var.minimum:
-        raise OutOfRange(f"variable {var.name!r}: {value} below minimum {var.minimum}")
+        raise OutOfRange(f"variable {var.name!r}: {shown(value)} below minimum {var.minimum}")
     if var.maximum is not None and value > var.maximum:
-        raise OutOfRange(f"variable {var.name!r}: {value} above maximum {var.maximum}")
+        raise OutOfRange(f"variable {var.name!r}: {shown(value)} above maximum {var.maximum}")
     if not var._lo <= value <= var._hi:
         raise _out_of_range(value, var.bytelength, var.signed)
     return value.to_bytes(var.bytelength, var._byteorder, signed=var.signed)
@@ -393,7 +375,7 @@ def _check_att_length(octets: int) -> None:
 
 def _encode_pattern(values: Mapping, layout: PatternLayout, variables: Mapping) -> bytes:
     out = bytearray()
-    for step in layout._steps:
+    for step in layout.steps:
         if step.__class__ is bytes:
             out += step
         elif step in values:
@@ -445,7 +427,7 @@ def _decode_pattern(payload: bytes, layout: PatternLayout, variables: Mapping) -
         )
     values: dict = {}
     pos = 0
-    for step in layout._steps:
+    for step in layout.steps:
         if step.__class__ is bytes:
             end = pos + len(step)
             if payload[pos:end] != step:

@@ -29,6 +29,7 @@ from .errors import (
     OutOfRange,
     UnknownAffordance,
     UnsupportedMediaType,
+    shown,
 )
 from .td import Affordance, Severity, ThingDescription, validate_td
 from .transport import TransportContract
@@ -333,26 +334,21 @@ class ConsumedThing:
         self._write_sequence(values.items())
 
     def write_all_properties(self, values: Mapping[str, object]) -> None:
+        """Write every property, in TD order, once every name is checked.
+
+        A property with no value, then a value for a property the TD lacks,
+        raises ``MultiPropertyError`` before the first write.
+        """
         _check_argument(values, Mapping, "write_all_properties", "a mapping")
-        done: dict = {}
-        for name in self.td.properties:  # TD declaration order
+        properties = self.td.properties
+        for name in properties:  # TD declaration order
             if name not in values:
-                raise MultiPropertyError(
-                    name, done,
-                    UnknownAffordance(f"no value supplied for property {name!r}"),
-                )
-            try:
-                self.write_property(name, values[name])
-            except Exception as exc:
-                raise MultiPropertyError(name, done, exc) from exc
-            done[name] = values[name]
+                raise MultiPropertyError(name, {}, UnknownAffordance(
+                    f"no value supplied for property {name!r}"))
         for extra in values:
-            if extra not in self.td.properties:
-                raise MultiPropertyError(
-                    extra, done,
-                    UnknownAffordance(f"TD {self.td.title!r} has no property "
-                                      f"named {extra!r}"),
-                )
+            if extra not in properties:
+                raise MultiPropertyError(extra, {}, self._unknown("properties", extra))
+        self._write_sequence([(name, values[name]) for name in properties])
 
     def _read_sequence(self, names: Iterable[str]) -> dict:
         results: dict = {}
@@ -429,10 +425,10 @@ class ConsumedThing:
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             return
         if affordance.minimum is not None and value < affordance.minimum:
-            raise OutOfRange(f"{affordance.name!r}: {value} below minimum "
+            raise OutOfRange(f"{affordance.name!r}: {shown(value)} below minimum "
                              f"{affordance.minimum}")
         if affordance.maximum is not None and value > affordance.maximum:
-            raise OutOfRange(f"{affordance.name!r}: {value} above maximum "
+            raise OutOfRange(f"{affordance.name!r}: {shown(value)} above maximum "
                              f"{affordance.maximum}")
 
     def _run(self, call, *args):

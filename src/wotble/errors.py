@@ -41,6 +41,15 @@ def expect(value, kind: type, error: type, what: str, *args):
     raise error(f"{what % args if args else what} must be {name}, got {value!r}")
 
 
+def shown(value) -> str:
+    """``value`` as a message shows it: an int too long for CPython to
+    convert to text (past 4 300 digits) is named by its size instead."""
+    try:
+        return f"{value}"
+    except ValueError:
+        return f"an integer of {value.bit_length()} bits"
+
+
 def _finite(number) -> bool:
     try:
         return math.isfinite(number)

@@ -272,9 +272,10 @@ def _duration_ms(value, ctx: _Context, term: str) -> float:
     ``{"rdf:value": n, "qudt:unit": "qudt:MilliSEC"}``. Only MilliSEC and SEC
     are recognized, bare or as a CURIE in the qudt vocabulary.
     """
+    number, unit, what = value, "MilliSEC", "%s"
     if value.__class__ is dict:
-        number = None
-        unit = None
+        number = unit = None
+        what = "%s: rdf:value"
         for key, val in value.items():
             vocab, local = ctx[key]
             if vocab is None:
@@ -283,33 +284,26 @@ def _duration_ms(value, ctx: _Context, term: str) -> float:
                 number = val
             elif local == "unit":
                 unit = val
-        if (number.__class__ is not int and number.__class__ is not float
-                or not -_FLOAT_MAX <= number <= _FLOAT_MAX):
-            expect(number, float, MalformedDocument, "%s: rdf:value", term)
-        ms = float(number)
-        if unit.__class__ is not str:
-            expect(unit, str, UnsupportedUnit, "%s: qudt:unit", term)
-        vocab, unit_name = ctx[unit]
-        if vocab is not QUDT_IRI:  # a bare name, or a CURIE outside qudt
-            unit_name = unit
-        if unit_name == "SEC":
-            ms *= 1000.0
-        elif unit_name != "MilliSEC":
-            raise UnsupportedUnit(f"{term}: unit {unit!r} is not MilliSEC or SEC")
-    else:
-        if (value.__class__ is not int and value.__class__ is not float
-                or not -_FLOAT_MAX <= value <= _FLOAT_MAX):
-            expect(value, float, MalformedDocument, term)
-        ms = float(value)
+    if (number.__class__ is not int and number.__class__ is not float
+            or not -_FLOAT_MAX <= number <= _FLOAT_MAX):
+        expect(number, float, MalformedDocument, what, term)
+    if unit.__class__ is not str:
+        expect(unit, str, UnsupportedUnit, "%s: qudt:unit", term)
+    vocab, unit_name = ctx[unit]
+    if vocab is not QUDT_IRI:  # a bare name, or a CURIE outside qudt
+        unit_name = unit
+    if unit_name not in ("MilliSEC", "SEC"):
+        raise UnsupportedUnit(f"{term}: unit {unit!r} is not MilliSEC or SEC")
+    ms = float(number) * 1000.0 if unit_name == "SEC" else float(number)
     if not 0 < ms < math.inf:  # SEC can overflow a finite value
         raise MalformedDocument(f"{term}: duration must be finite and > 0, got {ms}")
     return ms
 
 
 #: sbo device metadata term -> (``BleMetadata`` field, JSON kind of its value):
-#: ``bool``, ``float`` for a duration, or ``GapRole``.
+#: ``bool``, ``float`` for a duration, or ``str`` for a GAP role.
 _METADATA = {
-    "hasGAPRole": ("gap_role", GapRole),
+    "hasGAPRole": ("gap_role", str),
     "isConnectable": ("is_connectable", bool),
     "hasGATTLayer": ("has_gatt_layer", bool),
     "hasAdvertisingInterval": ("advertising_interval_ms", float),
@@ -385,18 +379,16 @@ def parse_td(document: str) -> ThingDescription:
             extensions[key] = value
             continue
         field_name, kind = _METADATA[term]
-        if kind is bool:
-            if value.__class__ is not bool:
-                expect(value, bool, MalformedDocument, key)
-        elif kind is float:
+        if kind is float:
             value = _duration_ms(value, ctx, key)
         else:
-            if value.__class__ is not str:
-                expect(value, str, MalformedDocument, key)
-            role = _GAP_ROLES.get(ctx[value][1])
-            if role is None:
-                raise MalformedDocument(f"unknown GAP role {value!r}")
-            value = role
+            if value.__class__ is not kind:
+                expect(value, kind, MalformedDocument, key)
+            if kind is str:
+                role = _GAP_ROLES.get(ctx[value][1])
+                if role is None:
+                    raise MalformedDocument(f"unknown GAP role {value!r}")
+                value = role
         meta[field_name] = value
 
     return ThingDescription(
@@ -598,8 +590,13 @@ def validate_td(td: ThingDescription) -> list[Diagnostic]:
     list means the TD is fully usable with this binding.
     """
     diagnostics: list[Diagnostic] = []
-    # The common form has nothing to report, so a path is formatted only for
-    # a diagnostic.
+
+    def report(severity: Severity, code: DiagnosticCode, message: str) -> None:
+        # The common form has nothing to report, so the path of the form
+        # being checked is formatted only here.
+        diagnostics.append(Diagnostic(severity, code, message,
+                                      f"{category}/{name}/forms/{index}"))
+
     for category in ("properties", "actions", "events"):
         for name, affordance in getattr(td, category).items():
             for index, form in enumerate(affordance.forms):
@@ -607,35 +604,19 @@ def validate_td(td: ThingDescription) -> list[Diagnostic]:
                     if form.uri is None:
                         parse_gatt_uri(form.href)  # raises, saying why
                 except BadScheme:
-                    diagnostics.append(Diagnostic(
-                        Severity.WARNING,
-                        DiagnosticCode.BAD_URI_SCHEME,
-                        f"href {form.href!r} is not a gatt:// URI; "
-                        "this binding will not use it",
-                        f"{category}/{name}/forms/{index}",
-                    ))
+                    report(Severity.WARNING, DiagnosticCode.BAD_URI_SCHEME,
+                           f"href {form.href!r} is not a gatt:// URI; "
+                           "this binding will not use it")
                 except UriError as exc:
-                    diagnostics.append(Diagnostic(
-                        Severity.ERROR,
-                        DiagnosticCode.BAD_HREF,
-                        f"href {form.href!r}: {exc}",
-                        f"{category}/{name}/forms/{index}",
-                    ))
+                    report(Severity.ERROR, DiagnosticCode.BAD_HREF,
+                           f"href {form.href!r}: {exc}")
                 else:
                     if td.metadata.is_connectable is False:
-                        diagnostics.append(Diagnostic(
-                            Severity.ERROR,
-                            DiagnosticCode.CONNECTABILITY_CONFLICT,
-                            "device is not connectable but the form requires "
-                            "a GATT connection",
-                            f"{category}/{name}/forms/{index}",
-                        ))
+                        report(Severity.ERROR, DiagnosticCode.CONNECTABILITY_CONFLICT,
+                               "device is not connectable but the form requires "
+                               "a GATT connection")
                 if affordance.bdo is None and not WRITE_OPERATIONS.isdisjoint(form.op):
-                    diagnostics.append(Diagnostic(
-                        Severity.WARNING,
-                        DiagnosticCode.NOT_ENCODABLE,
-                        f"affordance {name!r} allows writes but declares no "
-                        "binary layout",
-                        f"{category}/{name}/forms/{index}",
-                    ))
+                    report(Severity.WARNING, DiagnosticCode.NOT_ENCODABLE,
+                           f"affordance {name!r} allows writes but declares no "
+                           "binary layout")
     return diagnostics

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from wotble import SimTransport
 from wotble.cli import main
 from conftest import (
     BEACON_TD,
@@ -65,6 +66,35 @@ def test_subscribe_collects_notifications(capsys):
                        "--count", "3", "--transport", SIM)
     assert code == 0
     assert out.split() == ["25.0", "0.0", "10.0"]
+
+
+def test_subscribe_without_a_further_notification_is_an_interaction_error(capsys):
+    # The beacon's script has three values; the fourth wait times out. Seed 1
+    # draws a discovery delay inside the 50 ms connect timeout.
+    code, out, err = run(capsys, "subscribe", BEACON_TD, "temperature", "--count", "4",
+                         "--timeout-ms", "50", "--seed", "1", "--transport", SIM)
+    assert code == 1
+    assert out.split() == ["25.0", "0.0", "10.0"]
+    assert "no notification within 50 ms" in err
+
+
+def test_invoke_writes_the_encoded_action_input(capsys, tmp_path, monkeypatch):
+    doc = json.loads(LAMP_TD.read_text())
+    power = doc["properties"]["power"]
+    doc["actions"] = {"switch": {**power, "forms": [{**power["forms"][0], "op": "invokeaction"}]}}
+    td_file = tmp_path / "lamp-action.td.json"
+    td_file.write_text(json.dumps(doc))
+    written = []
+    write = SimTransport.write
+
+    def recording_write(self, uri, payload, with_response):
+        write(self, uri, payload, with_response)  # a write that raises is not logged
+        written.append(payload)
+
+    monkeypatch.setattr(SimTransport, "write", recording_write)
+    code, out, _ = run(capsys, "invoke", td_file, "switch", '{"on": 1}', "--transport", SIM)
+    assert code == 0 and out.strip() == "ok"
+    assert written == [bytes.fromhex("7e00040100000000ef")]
 
 
 def test_validate_ok(capsys):

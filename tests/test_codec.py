@@ -15,8 +15,6 @@ from wotble import (
 )
 from wotble.codec import (
     MAX_PAYLOAD_OCTETS,
-    LiteralSegment,
-    VariableSegment,
     decode,
     encode,
     get_codec,
@@ -114,6 +112,21 @@ def test_out_of_range_values_are_rejected():
         encode(-1, BdoSpec(bytelength=1))
 
 
+#: An int past CPython's 4 300-digit limit on int-to-text conversion.
+HUGE = 10**5000
+
+
+@pytest.mark.parametrize("value, bound", [(HUGE, "above maximum 1"), (-HUGE, "below minimum 0")],
+                         ids=["huge", "huge-negative"])
+def test_a_variable_value_past_the_digit_limit_is_out_of_range_by_its_size(value, bound):
+    spec = BdoSpec(pattern=LAMP_PATTERN, variables=LAMP_VARS)
+    with pytest.raises(OutOfRange, match=f"'on': an integer of 16610 bits {bound}"):
+        encode({"on": value}, spec)
+    unbounded = BdoSpec(pattern="{on}", variables={"on": VariableSpec("on")})
+    with pytest.raises(OutOfRange, match="an integer of 16610 bits not representable"):
+        encode({"on": value}, unbounded)
+
+
 def test_decode_too_short_payload():
     with pytest.raises(TooShort):
         decode(bytes([0x01]), BdoSpec(bytelength=2))
@@ -125,21 +138,15 @@ def test_decode_too_short_payload():
 
 def test_lamp_pattern_layout():
     layout = compile_pattern(LAMP_PATTERN, LAMP_VARS)
-    assert layout.segments == (
-        LiteralSegment(bytes([0x7E, 0x00, 0x04])),
-        VariableSegment("on", 1),
-        LiteralSegment(bytes([0x00, 0x00, 0x00, 0x00, 0xEF])),
-    )
     assert layout.total_octets == 9
-    assert layout._steps == (bytes([0x7E, 0x00, 0x04]), "on",
-                             bytes([0x00, 0x00, 0x00, 0x00, 0xEF]))
+    assert layout.steps == (bytes([0x7E, 0x00, 0x04]), "on",
+                            bytes([0x00, 0x00, 0x00, 0x00, 0xEF]))
 
 
 def test_single_variable_pattern_layout():
     layout = compile_pattern("{x}", {"x": VariableSpec("x", bytelength=2)})
-    assert layout.segments == (VariableSegment("x", 2),)
     assert layout.total_octets == 2
-    assert layout._steps == ("x",)
+    assert layout.steps == ("x",)
 
 
 def test_odd_literal_run_is_rejected():
@@ -391,7 +398,9 @@ def test_scalar_encode_checks_mapping_then_att_cap_then_value_then_range():
     (float("-inf"), 1, OutOfRange, "infinite or too large"),
     (10**400, 0.1, OutOfRange, "too large for a float; .* in 2 octet.* at scale 0.1"),
     (1e308, 0.1, OutOfRange, "too large for a float"),  # finite until scaled
-], ids=["nan", "nan-unscaled", "inf", "minus-inf-unscaled", "huge-int", "finite-until-scaled"])
+    (HUGE, 1, OutOfRange, "an integer of 16610 bits not representable in 2 octet"),
+], ids=["nan", "nan-unscaled", "inf", "minus-inf-unscaled", "huge-int", "finite-until-scaled",
+        "past-the-digit-limit"])
 def test_scalar_encode_of_a_value_no_integer_holds_is_a_codec_error(value, scale, error, match):
     spec = BdoSpec(bytelength=2, signed=True, scale=scale)
     with pytest.raises(error, match=match):

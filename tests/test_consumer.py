@@ -131,12 +131,18 @@ def test_write_out_of_range_variable():
     net.close()
 
 
-@pytest.mark.parametrize("value", [-0.1, 10.1])
-def test_write_outside_the_affordance_bounds_is_out_of_range(value):
+# CPython refuses to turn an int of more than 4 300 digits into text, so the
+# message names such a value by its size.
+@pytest.mark.parametrize("value, match", [
+    (-0.1, "-0.1 below minimum 0"), (10.1, "10.1 above maximum 10"),
+    (10**5000, "an integer of 16610 bits above maximum 10"),
+    (-10**5000, "an integer of 16610 bits below minimum 0")],
+    ids=["-0.1", "10.1", "past-the-digit-limit", "past-the-digit-limit-negative"])
+def test_write_outside_the_affordance_bounds_is_out_of_range(value, match):
     with make_network(clock=VirtualClock(), auto_notify=False) as net:
         thing, transport = beacon_reader(net, ConnectionPolicy.KEEP_CONNECTED,
                                          minimum=0, maximum=10)
-        with pytest.raises(OutOfRange):
+        with pytest.raises(OutOfRange, match=match):
             thing.write_property("temperature", value)
         thing.write_property("temperature", 10)
         writes = [entry[2] for entry in transport.trace if entry[0] == "write"]
@@ -1343,6 +1349,25 @@ def test_write_multiple_bad_name_leaves_prior_writes_visible():
     assert [payload for payload, _ in writes(transport)] == [b"\x09"]
     assert moisture_char.value == b"\x09"
     net.close()
+
+
+@pytest.mark.parametrize("values, name, cause", [
+    ({"bogus": 1}, "power", "no value supplied for property 'power'"),
+    ({"power": {"on": 1}, "bogus": 1}, "bogus",
+     "TD 'BLE RGB Controller' has no property named 'bogus'"),
+], ids=["missing-name", "extra-name"])
+def test_write_all_checks_every_name_before_its_first_write(values, name, cause):
+    with make_network(clock=VirtualClock()) as net:
+        thing, transport = lamp_thing(net)
+        char = net.characteristic(LAMP_MAC, LAMP_SERVICE, LAMP_CHAR)
+        before = char.value
+        with pytest.raises(MultiPropertyError) as exc_info:
+            thing.write_all_properties(values)
+        assert (exc_info.value.name, str(exc_info.value.cause)) == (name, cause)
+        assert exc_info.value.partial == {}
+        assert writes(transport) == [] and char.value == before
+        thing.write_all_properties({"power": {"on": 1}})
+        assert writes(transport) == [(bytes.fromhex("7e00040100000000ef"), True)]
 
 
 def test_write_all_requires_values_for_every_property():

@@ -10,7 +10,8 @@ REMOVED = {
                "register_codec"),
     "wotble.transport": ("Session", "register_host_backend", "create_host_transport",
                          "_host_backend_factory", "WriteRecord"),
-    "wotble.codec": ("register_codec", "BinaryDataStreamCodec"),
+    "wotble.codec": ("register_codec", "BinaryDataStreamCodec", "LiteralSegment",
+                     "VariableSegment"),
     "wotble.consumer": ("expose",),
     "wotble.errors": ("NotSupported",),
 }

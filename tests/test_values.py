@@ -192,7 +192,7 @@ def test_replace_recomputes_the_spec_derived_fields():
     var = pattern.variables["on"]
     assert replace(var, endianess=Endianess.BIG)._byteorder == "big"
     assert (replace(var, signed=True)._lo, replace(var, bytelength=2)._hi) == (-0x80, 0xFFFF)
-    assert other._layout._steps == (b"\xff", "on")
+    assert other._layout.steps == (b"\xff", "on")
 
 
 def test_replace_reparses_a_form_href():
