@@ -106,6 +106,35 @@ def consume(td: ThingDescription, transport: TransportContract,
     return ConsumedThing(td, transport, policy)
 
 
+def _value_writer(category: str, op: WotOperation):
+    """The method that encodes a value and writes it to an affordance.
+
+    Built once per category, so that ``write_property`` and ``invoke_action``
+    share one body and neither pays a helper frame per call. Checks the
+    value's bounds first, and runs the write as ``read_property`` runs its
+    read.
+    """
+    def write(self, name: str, value) -> None:
+        try:
+            entry = self._requests.get((category, name, op))
+        except TypeError:  # an unhashable name: _resolve raises
+            entry = None
+        affordance, request, codec = entry or self._resolve(category, name, op)
+        if affordance.minimum is not None or affordance.maximum is not None:
+            self._check_bounds(affordance, value)
+        if codec is None:
+            codec = get_codec(request.content_type)  # raises UnsupportedMediaType
+        uri, payload = request.uri, codec.encode(value, request.spec)
+        with_response = request.method is _WRITE
+        if self.policy is not _KEEP_CONNECTED:
+            return self._run(self.transport.write, uri, payload, with_response)
+        try:
+            self.transport.write(uri, payload, with_response)
+        except NotConnected:
+            self._recover(self.transport.write, uri, payload, with_response)
+    return write
+
+
 class ConsumedThing:
     """Client-side handle over one Bluetooth LE Thing.
 
@@ -133,11 +162,15 @@ class ConsumedThing:
     every call.
 
     An operation makes its call first and asks the transport nothing else
-    while the link is up. Under ``KEEP_CONNECTED`` a read or write on a link
-    that is already up takes no lock at all; the teardown policies and
-    ``subscribe_event`` make the call under the thing's lock. Only when the
-    call raises ``NotConnected`` does the operation take the lock, connect
-    and make the call once more: connecting on first use and recovering a
+    while the link is up. Under ``KEEP_CONNECTED``, ``read_property``,
+    ``write_property`` and ``invoke_action`` take their resolved entry
+    straight from the table and call the transport's ``read`` or ``write``
+    themselves, with no lock of the thing's. The raw escape hatch makes the
+    same lock-free call through the policy's helper. The teardown policies,
+    and ``subscribe_event`` under every policy, make the call under the
+    thing's lock. Only when the call raises ``NotConnected`` does the
+    operation take the lock, connect and make the call once more, on one
+    path under every policy: connecting on first use and recovering a
     dropped link are one path. ``RECONNECT_PER_OPERATION`` alone, while
     unpinned, opens a fresh link before the call.
 
@@ -246,16 +279,23 @@ class ConsumedThing:
     # -- single-affordance interactions
 
     def read_property(self, name: str):
-        _, request, codec = self._resolve("properties", name, _READPROPERTY)
+        try:
+            entry = self._requests.get(("properties", name, _READPROPERTY))
+        except TypeError:  # an unhashable name: _resolve raises
+            entry = None
+        _, request, codec = entry or self._resolve("properties", name, _READPROPERTY)
         if codec is None:
             codec = get_codec(request.content_type)  # raises UnsupportedMediaType
-        return codec.decode(self._run(self.transport.read, request.uri), request.spec)
+        if self.policy is not _KEEP_CONNECTED:
+            return codec.decode(self._run(self.transport.read, request.uri), request.spec)
+        try:
+            payload = self.transport.read(request.uri)
+        except NotConnected:
+            payload = self._recover(self.transport.read, request.uri)
+        return codec.decode(payload, request.spec)
 
-    def write_property(self, name: str, value) -> None:
-        self._write_value("properties", name, _WRITEPROPERTY, value)
-
-    def invoke_action(self, name: str, value) -> None:
-        self._write_value("actions", name, WotOperation.INVOKEACTION, value)
+    write_property = _value_writer("properties", _WRITEPROPERTY)
+    invoke_action = _value_writer("actions", WotOperation.INVOKEACTION)
 
     def subscribe_event(self, name: str, listener: Listener) -> Subscription:
         """Register a listener for decoded notification values.
@@ -413,14 +453,6 @@ class ConsumedThing:
         return UnknownAffordance(f"TD {self.td.title!r} has no "
                                  f"{_SINGULAR[category]} named {name!r}")
 
-    def _write_value(self, category: str, name: str, op: WotOperation, value) -> None:
-        affordance, request, codec = self._resolve(category, name, op)
-        self._check_bounds(affordance, value)
-        if codec is None:
-            codec = get_codec(request.content_type)  # raises UnsupportedMediaType
-        payload = codec.encode(value, request.spec)
-        self._run(self.transport.write, request.uri, payload, request.method is _WRITE)
-
     def _check_bounds(self, affordance: Affordance, value) -> None:
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             return
@@ -447,10 +479,7 @@ class ConsumedThing:
             try:
                 return call(*args)
             except NotConnected:
-                with self._lock:
-                    self._live()  # forget the subscriptions the link took
-                    self.connect()
-                    return call(*args)
+                return self._recover(call, *args)
         with self._lock:  # a teardown policy
             if self.policy is _RECONNECT_PER_OPERATION and not self._live():
                 self._drop()
@@ -459,12 +488,21 @@ class ConsumedThing:
                 try:
                     return call(*args)
                 except NotConnected:
-                    self._live()  # forget the subscriptions the link took
-                    self.connect()
-                    return call(*args)
+                    return self._recover(call, *args)
             finally:
                 if not self._live():
                     self._drop()
+
+    def _recover(self, call, *args):
+        """Connect under the thing's lock and make ``call(*args)`` once more.
+
+        For a call that raised ``NotConnected``: the thing was never
+        connected or lost its link, and with the link its subscriptions.
+        """
+        with self._lock:
+            self._live()  # forget the subscriptions the link took
+            self.connect()
+            return call(*args)
 
 
 def _check_argument(value, kind: type, call: str, what: str) -> None:

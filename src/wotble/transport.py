@@ -304,8 +304,8 @@ class SimNetwork:
     def linked(self, mac: str, central) -> SimPeripheral:
         """The peripheral ``central`` holds the link to; ``mac`` is canonical.
 
-        Takes no lock. ``SimTransport._attribute`` makes the same check
-        inline, as it runs on every read and write.
+        Takes no lock. ``SimTransport`` makes the same check inline in
+        ``read``, ``write`` and ``_attribute``, which run on every interaction.
         """
         peripheral = self._peripherals.get(mac)
         if peripheral is None or peripheral.connected_by is not central:
@@ -525,15 +525,24 @@ class SimTransport(TransportContract):
     # -- attribute operations
 
     def read(self, uri: GattUri) -> bytes:
-        char = self._attribute(uri, _READ)
         network = self.network
+        peripheral = network._peripherals.get(uri.device_id)
+        char = (peripheral._by_uri.get(uri.text)
+                if peripheral is not None and peripheral.connected_by is self else None)
+        if char is None or _READ not in char.allowed:
+            char = self._attribute(uri, _READ)
         network.clock.sleep(network.read_latency_ms / 1000.0)
         return bytes(char.value)
 
     def write(self, uri: GattUri, payload: bytes, with_response: bool) -> None:
-        char = self._attribute(uri, _WRITE if with_response else _WRITE_WITHOUT_RESPONSE)
-        payload = _octets(payload)
+        method = _WRITE if with_response else _WRITE_WITHOUT_RESPONSE
         network = self.network
+        peripheral = network._peripherals.get(uri.device_id)
+        char = (peripheral._by_uri.get(uri.text)
+                if peripheral is not None and peripheral.connected_by is self else None)
+        if char is None or method not in char.allowed:
+            char = self._attribute(uri, method)
+        payload = _octets(payload)
         if with_response:
             # Confirmation round trip; write-without-response completes on send.
             network.clock.sleep(network.write_latency_ms / 1000.0)
@@ -550,7 +559,13 @@ class SimTransport(TransportContract):
     # -- helpers
 
     def _attribute(self, uri: GattUri, method: GattMethod) -> SimCharacteristic:
-        # SimNetwork.linked, inlined: a frame less on every read and write.
+        """The characteristic ``uri`` names, if linked and ``method`` is allowed.
+
+        Raises ``NotConnected``, ``NoSuchAttribute`` or ``MethodNotPermitted``,
+        checked in that order. ``subscribe`` calls it on every call; ``read``
+        and ``write`` only when their inline checks fail.
+        """
+        # SimNetwork.linked, inlined.
         peripheral = self.network._peripherals.get(uri.device_id)
         if peripheral is None or peripheral.connected_by is not self:
             raise NotConnected(f"not connected to {uri.device_id}")

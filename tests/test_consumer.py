@@ -214,6 +214,11 @@ def test_a_kept_link_rederives_nothing(monkeypatch):
             raise AssertionError("re-derived on a kept link")
 
         monkeypatch.setattr(ConsumedThing, "connect", rederived)
+        # A kept link's call goes from the public method straight to the
+        # transport, and the transport finds the characteristic inline.
+        monkeypatch.setattr(ConsumedThing, "_resolve", rederived)
+        monkeypatch.setattr(ConsumedThing, "_run", rederived)
+        monkeypatch.setattr(SimTransport, "_attribute", rederived)
         monkeypatch.setattr(SimTransport, "is_connected", rederived)
         monkeypatch.setattr(Endianess, "byteorder", property(rederived))
         monkeypatch.setattr(SimPeripheral, "characteristic", rederived)
@@ -1107,7 +1112,7 @@ def test_kept_link_interactions_leave_memory_flat(interaction):
 
 #: Calls per kept-link interaction, on the ATT latencies of the benchmark, so
 #: that the virtual clock's sleep is profiled too.
-KEPT_LINK_CALL_BUDGETS = {"sensor-read": 15, "lamp-write": 24}
+KEPT_LINK_CALL_BUDGETS = {"sensor-read": 12, "lamp-write": 18}
 
 
 @pytest.mark.parametrize("interaction", KEPT_LINK_CALL_BUDGETS)
@@ -1201,15 +1206,21 @@ class LockWitness(RecordingTransport):
         super().connect(device_id)
 
     def read(self, uri):
+        return self._witness(super().read, uri)
+
+    def write(self, uri, payload, with_response):
+        return self._witness(super().write, uri, payload, with_response)
+
+    def _witness(self, call, *args):
         if getattr(self._failed, "value", False):
             self.retries.append(self.thing._lock._is_owned())
         try:
-            value = super().read(uri)
+            result = call(*args)
         except NotConnected:
             self._failed.value = True
             raise
         self._failed.value = False
-        return value
+        return result
 
 
 def test_kept_link_reads_recover_under_the_lock_from_a_disconnect_loop():
@@ -1249,6 +1260,53 @@ def test_kept_link_reads_recover_under_the_lock_from_a_disconnect_loop():
         assert not any(worker.is_alive() for worker in (*readers, churn)), "deadlocked"
         assert errors == [] and values == [42] * 800
         # The fresh thing's first read raises NotConnected, so there is a retry.
+        assert transport.retries and all(transport.retries)
+        assert transport.connects and all(transport.connects)
+        thing.disconnect()
+
+
+def test_kept_link_writes_recover_under_the_lock_from_a_disconnect_loop():
+    with make_network(clock=VirtualClock(), auto_notify=False) as net:
+        transport = LockWitness(net)
+        thing = transport.thing = consume(parse_td_file(LAMP_TD), transport)
+        lamp_char = net.characteristic(LAMP_MAC, LAMP_SERVICE, LAMP_CHAR)
+        done, errors = [], []
+        stop = threading.Event()
+
+        def write():
+            try:
+                for i in range(200):  # each writer's last write turns the lamp on
+                    thing.write_property("power", {"on": i % 2})
+                    done.append(i)
+            except Exception as exc:
+                errors.append(exc)
+
+        def disconnect_loop():
+            try:
+                while not stop.is_set():
+                    thing.disconnect()
+            except Exception as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            writers = [threading.Thread(target=write, daemon=True) for _ in range(4)]
+            churn = threading.Thread(target=disconnect_loop, daemon=True)
+            for worker in (*writers, churn):
+                worker.start()
+            for worker in writers:
+                worker.join(30.0)
+            stop.set()
+            churn.join(30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in (*writers, churn)), "deadlocked"
+        assert errors == [] and len(done) == 800
+        # Each write reached the lamp once: a retry follows only a failed call.
+        assert len(writes(transport)) == 800
+        assert lamp_char.value == bytes.fromhex("7e00040100000000ef")
+        # The fresh thing's first write raises NotConnected, so there is a retry.
         assert transport.retries and all(transport.retries)
         assert transport.connects and all(transport.connects)
         thing.disconnect()

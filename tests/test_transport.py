@@ -511,6 +511,48 @@ def test_emit_reads_the_allowed_methods_on_every_call():
     assert received == [b"\x01", b"\x03"]
 
 
+def test_read_and_write_check_the_link_the_attribute_and_its_allowed_methods():
+    unknown = parse_gatt_uri(f"gatt://{LAMP_MAC}/{LAMP_SERVICE}/fff9")
+    calls = {"read": lambda t, uri: t.read(uri),
+             "write": lambda t, uri: t.write(uri, b"\x01", with_response=True),
+             "write-without-response":
+                 lambda t, uri: t.write(uri, b"\x02", with_response=False)}
+
+    def message(call, t, uri, error) -> str:
+        """The text of the ``error`` that ``calls[call]`` raises; pinned word for word."""
+        with pytest.raises(error) as raised:
+            calls[call](t, uri)
+        return str(raised.value)
+
+    with virtual_network(auto_notify=False) as net:
+        t = SimTransport(net, timeout_s=1.0)
+        char = net.characteristic(LAMP_MAC, LAMP_SERVICE, LAMP_CHAR)
+        for call in calls:
+            assert message(call, t, LAMP_URI, NotConnected) == \
+                "not connected to BE:58:30:00:CC:11"
+        t.connect(LAMP_MAC)
+        for call in calls:
+            assert message(call, t, unknown, NoSuchAttribute) == (
+                "BE:58:30:00:CC:11 has no characteristic "
+                "0000fff9-0000-1000-8000-00805f9b34fb "
+                "under service 0000fff0-0000-1000-8000-00805f9b34fb")
+        assert message("write-without-response", t, LAMP_URI, MethodNotPermitted) == (
+            "write-without-response not permitted on "
+            "0000fff3-0000-1000-8000-00805f9b34fb; allowed: ['read', 'write']")
+        t.write(LAMP_URI, b"\x03", with_response=True)
+        assert t.read(LAMP_URI) == b"\x03"
+        # The allowed methods are read anew on every call.
+        char.allowed = frozenset({GattMethod.NOTIFY})
+        for call in calls:
+            assert message(call, t, LAMP_URI, MethodNotPermitted) == (
+                f"{call} not permitted on 0000fff3-0000-1000-8000-00805f9b34fb; "
+                "allowed: ['notify']")
+        char.allowed = frozenset(GattMethod)
+        for call in calls.values():
+            call(t, LAMP_URI)
+        assert char.value == b"\x02"
+
+
 def case_spellings(text: str):
     """``text`` with every choice of case for its letters."""
     letters = [i for i, c in enumerate(text) if c.isalpha()]
