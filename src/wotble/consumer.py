@@ -31,7 +31,13 @@ from .errors import (
     UnsupportedMediaType,
     shown,
 )
-from .td import Affordance, Severity, ThingDescription, validate_td
+from .td import (
+    Affordance,
+    Severity,
+    ThingDescription,
+    _not_well_formed,
+    validate_td,
+)
 from .transport import TransportContract
 
 Listener = Callable[[object], None]
@@ -93,17 +99,48 @@ def consume(td: ThingDescription, transport: TransportContract,
 
     The TD must be a parsed ``ThingDescription`` that validates cleanly:
     anything else, and error-severity diagnostics, raise ``InvalidTd``;
-    warnings are tolerated.
+    warnings are tolerated. One walk over the forms finds the device MACs.
+    ``validate_td`` runs only when that walk meets a form whose href is not
+    a gatt:// URI, or when the TD says the device is not connectable, the
+    two sources of an error diagnostic. When every gatt:// form names one
+    device, the thing starts with that device id; otherwise its first
+    connect raises ``MixedDevices`` or ``InvalidTd``.
     """
     if not isinstance(td, ThingDescription):
         raise InvalidTd(f"consume takes a parsed ThingDescription, got {type(td).__name__}")
-    errors = [d for d in validate_td(td) if d.severity is Severity.ERROR]
-    if errors:
-        raise InvalidTd(
-            f"TD {td.title!r} failed validation: " + "; ".join(str(d) for d in errors),
-            diagnostics=errors,
-        )
-    return ConsumedThing(td, transport, policy)
+    macs = _device_macs(td)
+    try:
+        connectable = td.metadata.is_connectable
+    except AttributeError as exc:
+        raise _not_well_formed(td, exc) from None
+    if None in macs or connectable is False:
+        errors = [d for d in validate_td(td) if d.severity is Severity.ERROR]
+        if errors:
+            raise InvalidTd(
+                f"TD {td.title!r} failed validation: " + "; ".join(str(d) for d in errors),
+                diagnostics=errors,
+            )
+        macs.discard(None)
+    thing = ConsumedThing(td, transport, policy)
+    if len(macs) == 1:
+        thing._device_id = macs.pop()
+    return thing
+
+
+def _device_macs(td: ThingDescription) -> set:
+    """The device MAC of each of ``td``'s forms, and None for a form with none.
+
+    The one walk over a TD's forms: ``consume`` makes it, and so does a
+    directly built thing at its first connect. A TD whose fields are not of
+    the kinds a parsed one has raises ``InvalidTd``.
+    """
+    try:
+        return {None if form.uri is None else form.uri.device_id
+                for category in (td.properties, td.actions, td.events)
+                for affordance in category.values()
+                for form in affordance.forms}
+    except (AttributeError, TypeError) as exc:
+        raise _not_well_formed(td, exc) from None
 
 
 def _value_writer(category: str, op: WotOperation):
@@ -140,7 +177,12 @@ class ConsumedThing:
 
     All forms of the TD must point at a single device; link and
     subscription changes are serialized so the connection policy stays
-    coherent under concurrent callers.
+    coherent under concurrent callers. ``consume`` finds that device in the
+    one walk over the forms it makes anyway, and runs ``validate_td`` only
+    when the walk or the TD's metadata shows an error is possible. A thing
+    built directly makes the same walk, under its lock, at its first
+    connect, and no validation. The walk raises ``MixedDevices`` when the
+    forms name several devices and ``InvalidTd`` when they name none.
 
     The transport's link is the only record of whether the thing is
     connected; the thing keeps no copy. Things on one transport that target
@@ -202,7 +244,10 @@ class ConsumedThing:
 
     @property
     def device_id(self) -> str:
-        """The single MAC all gatt:// forms of this TD agree on."""
+        """The single MAC all gatt:// forms of this TD agree on.
+
+        Set by ``consume``, or found at first use, under the lock.
+        """
         device_id = self._device_id
         if device_id is None:  # resolved once, under the lock; read freely after
             with self._lock:
@@ -212,11 +257,8 @@ class ConsumedThing:
         return device_id
 
     def _resolve_device_id(self) -> str:
-        macs = {form.uri.device_id
-                for category in (self.td.properties, self.td.actions, self.td.events)
-                for affordance in category.values()
-                for form in affordance.forms
-                if form.uri is not None}  # validate_td reported the others
+        macs = _device_macs(self.td)
+        macs.discard(None)  # validate_td reported the others
         if len(macs) > 1:
             raise MixedDevices(
                 f"TD {self.td.title!r} references several devices: "
@@ -238,7 +280,7 @@ class ConsumedThing:
                 self._open()
 
     def _open(self) -> None:
-        device_id, transport = self.device_id, self.transport
+        device_id, transport = self._device_id or self.device_id, self.transport
         transport.connect(device_id)
         # Exploring the GATT structure is part of the connect time the paper
         # measures, though it yields nothing that the thing reads.
@@ -250,7 +292,7 @@ class ConsumedThing:
 
     def _drop(self) -> None:
         """Drop the link of a thing with no live subscription; under the lock."""
-        device_id, transport = self.device_id, self.transport
+        device_id, transport = self._device_id or self.device_id, self.transport
         if transport.is_connected(device_id):
             transport.disconnect(device_id)
 
@@ -269,7 +311,7 @@ class ConsumedThing:
         """
         while True:
             with self._lock:
-                live = self._live()
+                live = self._subscriptions and self._live()
                 if not live:
                     self._drop()
                     return
@@ -480,8 +522,9 @@ class ConsumedThing:
                 return call(*args)
             except NotConnected:
                 return self._recover(call, *args)
-        with self._lock:  # a teardown policy
-            if self.policy is _RECONNECT_PER_OPERATION and not self._live():
+        with self._lock:  # a teardown policy; with no subscription, nothing pins
+            if self.policy is _RECONNECT_PER_OPERATION and not (
+                    self._subscriptions and self._live()):
                 self._drop()
                 self._open()  # the link is down: spare a call bound to fail
             try:
@@ -490,7 +533,7 @@ class ConsumedThing:
                 except NotConnected:
                     return self._recover(call, *args)
             finally:
-                if not self._live():
+                if not (self._subscriptions and self._live()):
                     self._drop()
 
     def _recover(self, call, *args):

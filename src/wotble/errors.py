@@ -210,7 +210,8 @@ class ConsumerError(WotBleError):
 
 
 class InvalidTd(ConsumerError):
-    """validate_td reported error-severity diagnostics."""
+    """validate_td reported error-severity diagnostics, a TD's fields are not
+    of the kinds a parsed one has, or its forms name no device."""
 
     def __init__(self, message: str, diagnostics=()):
         super().__init__(message)

@@ -56,6 +56,7 @@ from .codec import (
 from .errors import (
     BadScheme,
     CodecError,
+    InvalidTd,
     MalformedDocument,
     MissingRequired,
     MissingVariable,
@@ -348,6 +349,9 @@ def parse_td(document: str) -> ThingDescription:
         doc = json.loads(document)
     except ValueError as exc:  # not JSON, or an integer with too many digits
         raise MalformedDocument(f"document is not JSON: {exc}") from exc
+    except TypeError:  # not text: a dict, a list, a number, None
+        raise MalformedDocument(f"document must be JSON text (str, bytes or bytearray), "
+                                f"got {type(document).__name__}") from None
     if doc.__class__ is not dict:
         expect(doc, dict, MalformedDocument, "top-level JSON value")
 
@@ -587,8 +591,13 @@ def validate_td(td: ThingDescription) -> list[Diagnostic]:
     """Check a parsed TD for problems the parser tolerates.
 
     Error-severity diagnostics block consumption; warnings do not. An empty
-    list means the TD is fully usable with this binding.
+    list means the TD is fully usable with this binding. Anything but a
+    ``ThingDescription``, and one whose fields are not of the kinds a parsed
+    one has, such as a list for ``properties``, raises ``InvalidTd``.
     """
+    if not isinstance(td, ThingDescription):
+        raise InvalidTd(f"validate_td takes a parsed ThingDescription, "
+                        f"got {type(td).__name__}")
     diagnostics: list[Diagnostic] = []
 
     def report(severity: Severity, code: DiagnosticCode, message: str) -> None:
@@ -597,26 +606,39 @@ def validate_td(td: ThingDescription) -> list[Diagnostic]:
         diagnostics.append(Diagnostic(severity, code, message,
                                       f"{category}/{name}/forms/{index}"))
 
-    for category in ("properties", "actions", "events"):
-        for name, affordance in getattr(td, category).items():
-            for index, form in enumerate(affordance.forms):
-                try:
-                    if form.uri is None:
-                        parse_gatt_uri(form.href)  # raises, saying why
-                except BadScheme:
-                    report(Severity.WARNING, DiagnosticCode.BAD_URI_SCHEME,
-                           f"href {form.href!r} is not a gatt:// URI; "
-                           "this binding will not use it")
-                except UriError as exc:
-                    report(Severity.ERROR, DiagnosticCode.BAD_HREF,
-                           f"href {form.href!r}: {exc}")
-                else:
-                    if td.metadata.is_connectable is False:
-                        report(Severity.ERROR, DiagnosticCode.CONNECTABILITY_CONFLICT,
-                               "device is not connectable but the form requires "
-                               "a GATT connection")
-                if affordance.bdo is None and not WRITE_OPERATIONS.isdisjoint(form.op):
-                    report(Severity.WARNING, DiagnosticCode.NOT_ENCODABLE,
-                           f"affordance {name!r} allows writes but declares no "
-                           "binary layout")
+    try:
+        connectable = td.metadata.is_connectable
+        for category in ("properties", "actions", "events"):
+            for name, affordance in getattr(td, category).items():
+                for index, form in enumerate(affordance.forms):
+                    try:
+                        if form.uri is None:
+                            parse_gatt_uri(form.href)  # raises, saying why
+                    except BadScheme:
+                        report(Severity.WARNING, DiagnosticCode.BAD_URI_SCHEME,
+                               f"href {form.href!r} is not a gatt:// URI; "
+                               "this binding will not use it")
+                    except UriError as exc:
+                        report(Severity.ERROR, DiagnosticCode.BAD_HREF,
+                               f"href {form.href!r}: {exc}")
+                    else:
+                        if connectable is False:
+                            report(Severity.ERROR, DiagnosticCode.CONNECTABILITY_CONFLICT,
+                                   "device is not connectable but the form requires "
+                                   "a GATT connection")
+                    if affordance.bdo is None and not WRITE_OPERATIONS.isdisjoint(form.op):
+                        report(Severity.WARNING, DiagnosticCode.NOT_ENCODABLE,
+                               f"affordance {name!r} allows writes but declares no "
+                               "binary layout")
+    except (AttributeError, TypeError) as exc:
+        raise _not_well_formed(td, exc) from None
     return diagnostics
+
+
+def _not_well_formed(td: ThingDescription, exc: Exception) -> InvalidTd:
+    """The error for a TD whose fields are not of the kinds a parsed one has.
+
+    ``td`` may be any object: a thing built directly checks nothing else.
+    """
+    title = getattr(td, "title", None)
+    return InvalidTd(f"TD {title!r} is not a well-formed ThingDescription: {exc}")

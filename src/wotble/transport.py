@@ -510,10 +510,18 @@ class SimTransport(TransportContract):
         network.detach(device_id, self)
 
     def is_connected(self, device_id: str) -> bool:
+        """Whether this central holds the link to ``device_id``.
+
+        A canonical MAC of a device on the network is answered from its
+        peripheral here, as ``read`` and ``write`` check the link; any other
+        id goes through ``normalize_mac`` and the network's ``is_linked``.
+        """
         network = self.network
-        if device_id.__class__ is not str or device_id not in network._peripherals:
-            device_id = normalize_mac(device_id)
-        return network.is_linked(device_id, self)
+        if device_id.__class__ is str:
+            peripheral = network._peripherals.get(device_id)
+            if peripheral is not None:
+                return peripheral.connected_by is self
+        return network.is_linked(normalize_mac(device_id), self)
 
     def discover_gatt(self, device_id: str) -> None:
         """Explore the device's GATT structure; the link must be up."""

@@ -84,7 +84,13 @@ def normalize_mac(text: str) -> str:
 
 
 def expand_uuid(short: int) -> uuid.UUID:
-    """Expand a 16-bit short UUID into the Bluetooth Base UUID."""
+    """Expand a 16-bit short UUID into the Bluetooth Base UUID.
+
+    ``short`` is an ``int`` (not a ``bool``) from 0 to 0xFFFF; anything else
+    raises ``BadUuid``.
+    """
+    if short.__class__ is not int:
+        raise BadUuid(f"short UUID must be an int, got {short!r}")
     if not 0 <= short <= 0xFFFF:
         raise BadUuid(f"short UUID out of 16-bit range: {short:#x}")
     return uuid.UUID(f"0000{short:04x}-0000-1000-8000-00805f9b34fb")

@@ -686,7 +686,8 @@ def test_codec_stays_within_its_call_budget(case):
     """Per-layout work happens once, when the spec is built, not on each call."""
     call, value, spec, budget = CODEC_CALL_BUDGETS[case]
     call(value, spec)  # fill the ABC caches first
-    assert calls_per(lambda i: call(value, spec), 100) <= budget
+    calls = calls_per(lambda i: call(value, spec), 100)
+    assert calls <= budget, f"{calls} calls per {case}"
 
 
 # --- codec registry ------------------------------------------------------------------

@@ -156,6 +156,19 @@ def test_non_object_document_is_malformed():
         parse_td("[1, 2, 3]")
 
 
+@pytest.mark.parametrize("document", [{"title": "t"}, None, 5, ["x"]], ids=repr)
+def test_a_document_that_is_not_text_is_malformed(document):
+    with pytest.raises(MalformedDocument,
+                       match=f"must be JSON text .*got {type(document).__name__}$"):
+        parse_td(document)
+
+
+@pytest.mark.parametrize("encode", [bytes, bytearray], ids=lambda kind: kind.__name__)
+def test_a_document_in_octets_parses_as_its_text(encode):
+    text = td_doc()
+    assert parse_td(encode(text.encode())) == parse_td(text)
+
+
 def test_affordance_without_forms_is_missing_required():
     doc = json.loads(td_doc())
     del doc["properties"]["level"]["forms"]
@@ -460,7 +473,8 @@ def test_fixture_parse_stays_within_its_call_budget():
     texts = [path.read_text() for path in (LAMP_TD, SENSOR_TD, BEACON_TD)]
     for text in texts:  # fill the term tables and the other caches first
         parse_td(text)
-    assert calls_per(lambda i: parse_td(texts[i]), len(texts)) <= PARSE_CALL_BUDGET
+    calls = calls_per(lambda i: parse_td(texts[i]), len(texts))
+    assert calls <= PARSE_CALL_BUDGET, f"{calls} calls per parse"
 
 
 def test_method_name_resolution():

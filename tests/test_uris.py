@@ -76,6 +76,12 @@ def test_expand_uuid_range_check():
         expand_uuid(-1)
 
 
+@pytest.mark.parametrize("short", [None, "ff", 1.5, True], ids=repr)
+def test_expand_uuid_of_anything_but_an_int_is_a_bad_uuid(short):
+    with pytest.raises(BadUuid, match="short UUID must be an int"):
+        expand_uuid(short)
+
+
 def test_format_emits_canonical_dash_form():
     uri = GattUri("BE:58:30:00:CC:11", expand_uuid(0xFFF0), expand_uuid(0xFFF3))
     assert format_gatt_uri(uri) == (
