@@ -10,8 +10,10 @@ Converts between application values and octet payloads as described by a
 
 Everything that depends only on a layout is worked out once, when the spec
 is built: a pattern's :class:`PatternLayout` with its flat ``steps`` and
-``total_octets``, and the integer bounds ``_lo``/``_hi`` of each scalar spec
-and each variable. :func:`encode` and :func:`decode` walk those steps and
+``total_octets``; a scalar spec's ``_scalar`` tuple of ``(offset, end,
+byteorder, signed, scale)``, with ``scale`` None when it is 1; and the
+integer bounds ``_lo``/``_hi`` of each scalar spec and each variable.
+:func:`encode` and :func:`decode` walk those steps or unpack that tuple, and
 make only the checks that depend on the value. Each first raises
 ``BadValue`` for a spec of None (no layout declared), then checks, in this
 order:
@@ -150,13 +152,15 @@ class BdoSpec:
     of the wrong type, such as a ``bytelength`` or ``offset`` that is not an
     integer, raises ``BadValue``.
 
-    Five fields are derived in ``__init__``, for every later encode and
+    Three fields are derived in ``__init__``, for every later encode and
     decode, and take no part in equality or repr: ``_layout``, the compiled
-    pattern (None without one); ``_byteorder``, ``endianess`` as
-    ``int.to_bytes`` spells it; ``_end``, ``offset + bytelength``, where a
-    scalar value's octets end; and ``_lo`` and ``_hi``, the least and
-    greatest raw integer that ``bytelength`` octets hold, signed or not. The
-    last three are None without a bytelength.
+    pattern (None without one); ``_scalar``, the scalar layout as the plain
+    tuple ``(offset, end, byteorder, signed, scale)``, where ``end`` is
+    ``offset + bytelength``, ``byteorder`` is ``endianess`` as
+    ``int.to_bytes`` spells it, and ``scale`` is None when it equals 1; and
+    ``_lo`` and ``_hi``, the least and greatest raw integer that
+    ``bytelength`` octets hold, signed or not. The last two, and
+    ``_scalar``, are None without a bytelength.
     """
 
     bytelength: int | None = None
@@ -168,8 +172,7 @@ class BdoSpec:
     variables: Mapping[str, VariableSpec] = field(default_factory=dict)
     _layout: "PatternLayout | None" = field(default=None, init=False, compare=False,
                                             repr=False)
-    _byteorder: str = field(default="little", init=False, compare=False, repr=False)
-    _end: int | None = field(default=None, init=False, compare=False, repr=False)
+    _scalar: tuple | None = field(default=None, init=False, compare=False, repr=False)
     _lo: int | None = field(default=None, init=False, compare=False, repr=False)
     _hi: int | None = field(default=None, init=False, compare=False, repr=False)
 
@@ -207,11 +210,11 @@ class BdoSpec:
                          else endianess.byteorder)
         except (TypeError, AttributeError) as exc:
             raise BadValue(f"spec field of the wrong type ({exc})") from None
+        scalar = None if bytelength is None else (
+            offset, offset + bytelength, byteorder, signed, None if scale == 1 else scale)
         self.__dict__.update(bytelength=bytelength, signed=signed, endianess=endianess,
                              offset=offset, scale=scale, pattern=pattern, variables=variables,
-                             _layout=layout, _byteorder=byteorder,
-                             _end=None if bytelength is None else offset + bytelength,
-                             _lo=lo, _hi=hi)
+                             _layout=layout, _scalar=scalar, _lo=lo, _hi=hi)
 
     def layout(self) -> "PatternLayout":
         if self._layout is None:
@@ -297,13 +300,13 @@ def _out_of_range(raw: int, bytelength: int, signed: bool) -> OutOfRange:
                       f"({'signed' if signed else 'unsigned'})")
 
 
-def _to_raw_integer(value: Scalar, scale: float) -> int:
-    """Apply the encode-side scale: divide and round half to even."""
+def _to_raw_integer(value: Scalar, scale: float | None) -> int:
+    """Apply the encode-side scale, None for 1: divide and round half to even."""
     kind = value.__class__  # an exact int or float makes no isinstance call
     if kind is not int and kind is not float and (
             isinstance(value, bool) or not isinstance(value, (int, float))):
         raise BadValue(f"expected a numeric value, got {type(value).__name__}")
-    if scale == 1:
+    if scale is None:
         # Integer fast path; keeps 8-octet values exact.
         return value if isinstance(value, int) else round(value)
     return round(value / scale)
@@ -348,29 +351,30 @@ def encode(value: Value, spec: BdoSpec | None) -> bytes:
         if value.__class__ is not dict and not isinstance(value, Mapping):
             raise BadValue("pattern spec requires a mapping of variable values")
         payload = _encode_pattern(value, layout, spec.variables)
-        _check_att_length(len(payload))
+        if layout.total_octets > MAX_PAYLOAD_OCTETS:  # the payload's length
+            raise _too_long(layout.total_octets)
         return payload
     if value.__class__ is dict or isinstance(value, Mapping):
         raise BadValue("scalar spec got a mapping; no pattern is defined")
-    _check_att_length(spec._end)  # before the offset's zero octets are built
+    offset, end, byteorder, signed, scale = spec._scalar
+    if end > MAX_PAYLOAD_OCTETS:  # before the offset's zero octets are built
+        raise _too_long(end)
     try:
-        raw = _to_raw_integer(value, spec.scale)
+        raw = _to_raw_integer(value, scale)
     except ValueError:  # round() of a NaN
         raise BadValue("expected a number, got NaN") from None
     except OverflowError:  # round() of an infinity, or an int past a float
         raise OutOfRange(f"value is infinite or too large for a float; not representable "
                          f"in {spec.bytelength} octet(s) at scale {spec.scale}") from None
     if not spec._lo <= raw <= spec._hi:
-        raise _out_of_range(raw, spec.bytelength, spec.signed)
-    return bytes(spec.offset) + raw.to_bytes(spec.bytelength, spec._byteorder,
-                                             signed=spec.signed)
+        raise _out_of_range(raw, spec.bytelength, signed)
+    return bytes(offset) + raw.to_bytes(end - offset, byteorder, signed=signed)
 
 
-def _check_att_length(octets: int) -> None:
-    if octets > MAX_PAYLOAD_OCTETS:
-        raise AttLengthExceeded(
-            f"payload is {octets} octets, ATT allows at most {MAX_PAYLOAD_OCTETS}"
-        )
+def _too_long(octets: int) -> AttLengthExceeded:
+    return AttLengthExceeded(
+        f"payload is {octets} octets, ATT allows at most {MAX_PAYLOAD_OCTETS}"
+    )
 
 
 def _encode_pattern(values: Mapping, layout: PatternLayout, variables: Mapping) -> bytes:
@@ -405,16 +409,14 @@ def decode(payload: bytes, spec: BdoSpec | None) -> Value:
     layout = spec._layout
     if layout is not None:
         return _decode_pattern(payload, layout, spec.variables)
-    end = spec._end
-    if len(payload) < end:
-        raise TooShort(
-            f"payload has {len(payload)} octet(s), spec reads octets "
-            f"[{spec.offset}, {end})"
-        )
-    raw = int.from_bytes(payload[spec.offset:end], spec._byteorder, signed=spec.signed)
-    if spec.scale == 1:
-        return raw
-    return raw * spec.scale
+    offset, end, byteorder, signed, scale = spec._scalar
+    size = len(payload)
+    if size < end:
+        raise TooShort(f"payload has {size} octet(s), spec reads octets [{offset}, {end})")
+    # A payload that is exactly the value's octets is read as it is, unsliced.
+    raw = int.from_bytes(payload if size == end and not offset else payload[offset:end],
+                         byteorder, signed=signed)
+    return raw if scale is None else raw * scale
 
 
 def _decode_pattern(payload: bytes, layout: PatternLayout, variables: Mapping) -> dict:
@@ -460,7 +462,8 @@ class OctetStreamCodec:
         if not isinstance(value, (bytes, bytearray)):
             raise BadValue("octet-stream passthrough takes raw bytes")
         payload = bytes(value)
-        _check_att_length(len(payload))
+        if len(payload) > MAX_PAYLOAD_OCTETS:
+            raise _too_long(len(payload))
         return payload
 
     def decode(self, payload: bytes, spec=None) -> bytes:

@@ -152,23 +152,31 @@ def _value_writer(category: str, op: WotOperation):
     read.
     """
     def write(self, name: str, value) -> None:
+        # The operation's table, picked with no getattr call: reading
+        # ``self.__dict__`` would build the instance's dict on each new thing.
+        requests = self._writes if op is _WRITEPROPERTY else self._invokes
         try:
-            entry = self._requests.get((category, name, op))
+            entry = requests.get(name)
         except TypeError:  # an unhashable name: _resolve raises
             entry = None
-        affordance, request, codec = entry or self._resolve(category, name, op)
+        affordance, request, codec = entry or self._resolve(requests, category, name, op)
         if affordance.minimum is not None or affordance.maximum is not None:
             self._check_bounds(affordance, value)
         if codec is None:
             codec = get_codec(request.content_type)  # raises UnsupportedMediaType
         uri, payload = request.uri, codec.encode(value, request.spec)
         with_response = request.method is _WRITE
-        if self.policy is not _KEEP_CONNECTED:
-            return self._run(self.transport.write, uri, payload, with_response)
+        transport = self.transport
         try:
-            self.transport.write(uri, payload, with_response)
-        except NotConnected:
-            self._recover(self.transport.write, uri, payload, with_response)
+            if self.policy is not _KEEP_CONNECTED:
+                return self._run(transport.write, uri, payload, with_response)
+            try:
+                transport.write(uri, payload, with_response)
+            except NotConnected:
+                self._recover(transport.write, uri, payload, with_response)
+        except AttributeError as exc:
+            _check_transport(transport, exc)
+            raise
     return write
 
 
@@ -200,17 +208,18 @@ class ConsumedThing:
 
     Each (affordance, operation) pair is resolved to its form, request and
     codec on first use and reused after that, so the TD must not be mutated
-    after ``consume``. Failed resolutions are not kept: they raise again on
-    every call.
+    after ``consume``. The thing keeps one table per operation (read, write,
+    invoke, subscribe), keyed by the affordance's name. Failed resolutions
+    are not kept: they raise again on every call.
 
     An operation makes its call first and asks the transport nothing else
     while the link is up. Under ``KEEP_CONNECTED``, ``read_property``,
     ``write_property`` and ``invoke_action`` take their resolved entry
-    straight from the table and call the transport's ``read`` or ``write``
-    themselves, with no lock of the thing's. The raw escape hatch makes the
-    same lock-free call through the policy's helper. The teardown policies,
-    and ``subscribe_event`` under every policy, make the call under the
-    thing's lock. Only when the call raises ``NotConnected`` does the
+    straight from their operation's table with one lookup by name, and call
+    the transport's ``read`` or ``write`` themselves, with no lock of the
+    thing's. The raw escape hatch makes the same lock-free call through the
+    policy's helper. The teardown policies, and ``subscribe_event`` under
+    every policy, make the call under the thing's lock. Only when the call raises ``NotConnected`` does the
     operation take the lock, connect and make the call once more, on one
     path under every policy: connecting on first use and recovering a
     dropped link are one path. ``RECONNECT_PER_OPERATION`` alone, while
@@ -219,6 +228,13 @@ class ConsumedThing:
     A teardown of an unpinned thing, by a policy or by ``disconnect()``,
     asks the transport once whether the link is up and drops it at most
     once.
+
+    ``consume`` accepts any transport and calls none of its methods. When
+    ``read_property``, ``write_property``, ``invoke_action``,
+    ``subscribe_event`` or ``connect`` needs a ``TransportContract`` method
+    that the transport lacks, it raises ``BadArgument`` naming the
+    transport's type; an ``AttributeError`` raised inside a transport method
+    passes through as it is.
 
     ``policy`` is a ``ConnectionPolicy`` member or the value of one; any
     other value raises ``InvalidPolicy``, which is also a ``ValueError``.
@@ -236,7 +252,11 @@ class ConsumedThing:
         self.policy = policy
         self._lock = threading.RLock()
         self._device_id: str | None = None
-        self._requests: dict = {}
+        # One request table per operation, keyed by affordance name.
+        self._reads: dict = {}
+        self._writes: dict = {}
+        self._invokes: dict = {}
+        self._subscribes: dict = {}
         # Live ones pin the link; _live() forgets those the transport ended.
         self._subscriptions: list[Subscription] = []
 
@@ -276,8 +296,12 @@ class ConsumedThing:
     def connect(self) -> None:
         """Connect to the TD's device and explore its GATT structure."""
         with self._lock:
-            if not self.connected:
-                self._open()
+            try:
+                if not self.connected:
+                    self._open()
+            except AttributeError as exc:
+                _check_transport(self.transport, exc)
+                raise
 
     def _open(self) -> None:
         device_id, transport = self._device_id or self.device_id, self.transport
@@ -322,18 +346,25 @@ class ConsumedThing:
 
     def read_property(self, name: str):
         try:
-            entry = self._requests.get(("properties", name, _READPROPERTY))
+            entry = self._reads.get(name)
         except TypeError:  # an unhashable name: _resolve raises
             entry = None
-        _, request, codec = entry or self._resolve("properties", name, _READPROPERTY)
+        _, request, codec = entry or self._resolve(self._reads, "properties", name,
+                                                   _READPROPERTY)
         if codec is None:
             codec = get_codec(request.content_type)  # raises UnsupportedMediaType
-        if self.policy is not _KEEP_CONNECTED:
-            return codec.decode(self._run(self.transport.read, request.uri), request.spec)
+        transport = self.transport
         try:
-            payload = self.transport.read(request.uri)
-        except NotConnected:
-            payload = self._recover(self.transport.read, request.uri)
+            if self.policy is not _KEEP_CONNECTED:
+                payload = self._run(transport.read, request.uri)
+            else:
+                try:
+                    payload = transport.read(request.uri)
+                except NotConnected:
+                    payload = self._recover(transport.read, request.uri)
+        except AttributeError as exc:
+            _check_transport(transport, exc)
+            raise
         return codec.decode(payload, request.spec)
 
     write_property = _value_writer("properties", _WRITEPROPERTY)
@@ -353,7 +384,8 @@ class ConsumedThing:
         if not callable(listener):
             raise BadArgument(f"subscribe_event takes a callable listener, "
                               f"got {type(listener).__name__}")
-        _, request, codec = self._resolve("events", name, WotOperation.SUBSCRIBEEVENT)
+        _, request, codec = self._resolve(self._subscribes, "events", name,
+                                          WotOperation.SUBSCRIBEEVENT)
         if codec is None:
             codec = get_codec(request.content_type)  # raises UnsupportedMediaType
         decode, spec = codec.decode, request.spec
@@ -377,7 +409,11 @@ class ConsumedThing:
             return subscription
 
         with self._lock:  # subscribe() records the pin: locked under every policy
-            return self._run(subscribe)
+            try:
+                return self._run(subscribe)
+            except AttributeError as exc:
+                _check_transport(self.transport, exc)
+                raise
 
     def unsubscribe_event(self, subscription: Subscription) -> None:
         """End ``subscription`` on its own thing, whichever thing is called."""
@@ -454,28 +490,28 @@ class ConsumedThing:
 
     def read_raw(self, name: str) -> bytes:
         """Escape hatch: read a property's octets without decoding."""
-        _, request, _ = self._resolve("properties", name, _READPROPERTY)
+        _, request, _ = self._resolve(self._reads, "properties", name, _READPROPERTY)
         return self._run(self.transport.read, request.uri)
 
     def write_raw(self, name: str, payload: bytes,
                   with_response: bool | None = None) -> None:
         """Escape hatch: write raw octets, bypassing the codec."""
-        _, request, _ = self._resolve("properties", name, _WRITEPROPERTY)
+        _, request, _ = self._resolve(self._writes, "properties", name, _WRITEPROPERTY)
         if with_response is None:
             with_response = request.method is _WRITE
         self._run(self.transport.write, request.uri, payload, with_response)
 
     # -- internals
 
-    def _resolve(self, category: str, name: str, op: WotOperation):
+    def _resolve(self, requests: dict, category: str, name: str, op: WotOperation):
         """Return ``(affordance, request, codec)``, resolved on first use.
 
+        ``requests`` is the thing's table for ``op``, which keeps the entry.
         The codec is None when no codec handles the form's content type: the
         raw escape hatch still works, and decoding paths raise on each call.
         """
-        key = (category, name, op)
         try:
-            entry = self._requests.get(key)
+            entry = requests.get(name)
         except TypeError:  # an unhashable name, which no affordance has
             raise self._unknown(category, name) from None
         if entry is None:
@@ -488,7 +524,7 @@ class ConsumedThing:
             except UnsupportedMediaType:
                 codec = None
             # Callers racing on a first use all get the entry stored first.
-            entry = self._requests.setdefault(key, (affordance, request, codec))
+            entry = requests.setdefault(name, (affordance, request, codec))
         return entry
 
     def _unknown(self, category: str, name) -> UnknownAffordance:
@@ -546,6 +582,22 @@ class ConsumedThing:
             self._live()  # forget the subscriptions the link took
             self.connect()
             return call(*args)
+
+
+#: The methods of ``TransportContract``, which a thing calls on its transport.
+_TRANSPORT_METHODS = frozenset(TransportContract.__abstractmethods__)
+
+
+def _check_transport(transport, exc: AttributeError) -> None:
+    """Raise ``BadArgument`` if ``exc`` is the lookup of a contract method
+    that ``transport`` lacks; return otherwise, for the caller to re-raise.
+
+    An ``AttributeError`` raised inside a transport method names another
+    attribute or object, so it passes through.
+    """
+    if exc.obj is transport and exc.name in _TRANSPORT_METHODS:
+        raise BadArgument(f"the transport, a {type(transport).__name__}, has no "
+                          f"{exc.name} method") from None
 
 
 def _check_argument(value, kind: type, call: str, what: str) -> None:

@@ -90,7 +90,8 @@ class TransportContract(abc.ABC):
     def discover_gatt(self, device_id: str) -> None: ...
 
     @abc.abstractmethod
-    def read(self, uri: GattUri) -> bytes: ...
+    def read(self, uri: GattUri) -> bytes:
+        """The characteristic's value as ``bytes``, which the caller may keep."""
 
     @abc.abstractmethod
     def write(self, uri: GattUri, payload: bytes, with_response: bool) -> None: ...
@@ -533,6 +534,12 @@ class SimTransport(TransportContract):
     # -- attribute operations
 
     def read(self, uri: GattUri) -> bytes:
+        """The characteristic's current value, as ``bytes``.
+
+        A value that is exactly ``bytes`` is returned as it is: it cannot
+        change under the caller. Any other value, such as a ``bytearray``
+        assigned to ``value`` directly, is copied.
+        """
         network = self.network
         peripheral = network._peripherals.get(uri.device_id)
         char = (peripheral._by_uri.get(uri.text)
@@ -540,7 +547,8 @@ class SimTransport(TransportContract):
         if char is None or _READ not in char.allowed:
             char = self._attribute(uri, _READ)
         network.clock.sleep(network.read_latency_ms / 1000.0)
-        return bytes(char.value)
+        value = char.value
+        return value if value.__class__ is bytes else bytes(value)
 
     def write(self, uri: GattUri, payload: bytes, with_response: bool) -> None:
         method = _WRITE if with_response else _WRITE_WITHOUT_RESPONSE
@@ -550,7 +558,8 @@ class SimTransport(TransportContract):
                 if peripheral is not None and peripheral.connected_by is self else None)
         if char is None or method not in char.allowed:
             char = self._attribute(uri, method)
-        payload = _octets(payload)
+        if payload.__class__ is not bytes or len(payload) > MAX_PAYLOAD_OCTETS:
+            payload = _octets(payload)  # copies raw octets, or raises
         if with_response:
             # Confirmation round trip; write-without-response completes on send.
             network.clock.sleep(network.write_latency_ms / 1000.0)

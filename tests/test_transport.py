@@ -660,18 +660,23 @@ def test_racing_emits_and_unsubscribes_keep_their_promises():
     (2.5, BadValue),
     pytest.param(bytes(MAX_PAYLOAD_OCTETS + 1), ValueTooLong, id="bytes-too-long"),
     pytest.param(bytearray(MAX_PAYLOAD_OCTETS + 1), ValueTooLong, id="bytearray-too-long"),
+    pytest.param(memoryview(bytes(MAX_PAYLOAD_OCTETS + 1)), ValueTooLong,
+                 id="memoryview-too-long"),
 ])
 def test_a_payload_must_be_raw_octets_within_the_att_cap(payload, error):
+    message = ("payload is 513 octets, ATT allows at most 512" if error is ValueTooLong else
+               f"a payload must be bytes, bytearray or memoryview, got {type(payload).__name__}")
     with virtual_network(auto_notify=False) as net:
         char = net.characteristic(LAMP_MAC, LAMP_SERVICE, LAMP_CHAR)
         before = char.value
         transport = RecordingTransport(net, timeout_s=1.0)
         thing = consume(parse_td_file(LAMP_TD), transport)
-        with pytest.raises(error):
-            thing.write_raw("power", payload)
-        with pytest.raises(error):
-            net.emit(BEACON_MAC, BEACON_SERVICE, BEACON_CHAR, payload)
-        assert writes(transport) == [] and char.value == before
+        for call in (lambda: thing.write_raw("power", payload),
+                     lambda: net.emit(BEACON_MAC, BEACON_SERVICE, BEACON_CHAR, payload)):
+            with pytest.raises(error) as exc_info:
+                call()
+            assert type(exc_info.value) is error and str(exc_info.value) == message
+        assert writes(transport) == [] and char.value is before
 
 
 @pytest.mark.parametrize("kind", [bytes, bytearray, memoryview])
@@ -684,7 +689,21 @@ def test_raw_octets_of_each_kind_are_copied_to_bytes(kind):
         net.emit(BEACON_MAC, BEACON_SERVICE, BEACON_CHAR, kind(octets))
         value = net.characteristic(LAMP_MAC, LAMP_SERVICE, LAMP_CHAR).value
     assert type(value) is bytes and value == octets
+    assert (value is octets) == (kind is bytes)  # exact bytes are stored as they are
     assert [(type(p), p) for p in received] == [(bytes, octets)]
+
+
+def test_a_read_returns_bytes_that_a_later_change_to_the_value_does_not_reach():
+    with virtual_network(auto_notify=False) as net:
+        transport = SimTransport(net, timeout_s=1.0)
+        transport.connect(LAMP_MAC)
+        char = net.characteristic(LAMP_MAC, LAMP_SERVICE, LAMP_CHAR)
+        char.value = bytearray(b"\x7e\x01")  # assigned directly, not through a write
+        value = transport.read(LAMP_URI)
+        char.value[1] = 0xFF
+        assert type(value) is bytes and value == b"\x7e\x01"
+        char.value = b"\x7e\x02"
+        assert transport.read(LAMP_URI) is char.value  # bytes cannot change: no copy
 
 
 # --- config loading -----------------------------------------------------------------------

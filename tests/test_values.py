@@ -178,13 +178,14 @@ def test_values_with_a_dict_field_stay_unhashable(value):
 
 def test_replace_recomputes_the_spec_derived_fields():
     spec = TEMPERATURE.bdo
-    assert (spec._byteorder, spec._end) == ("little", 2)
-    assert replace(spec, endianess=Endianess.BIG)._byteorder == "big"
-    assert replace(spec, offset=3)._end == 5
+    assert spec._scalar == (0, 2, "little", True, 0.1)
+    assert replace(spec, endianess=Endianess.BIG)._scalar[2] == "big"
+    assert replace(spec, offset=3)._scalar[:2] == (3, 5)
+    assert replace(spec, scale=1)._scalar[4] is None
     assert (spec._lo, spec._hi) == (-0x8000, 0x7FFF)
     assert (replace(spec, signed=False)._lo, replace(spec, bytelength=1)._hi) == (0, 0x7F)
     assert replace(spec, bytelength=None, pattern="00{on}",
-                   variables=POWER.bdo.variables)._end is None
+                   variables=POWER.bdo.variables)._scalar is None
     pattern = POWER.bdo
     other = replace(pattern, pattern="ff{on}")
     assert other._layout == compile_pattern("ff{on}", pattern.variables)
