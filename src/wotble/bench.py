@@ -55,16 +55,21 @@ class BenchStats:
     @classmethod
     def from_samples(cls, operation: str, samples,
                      failure_causes: Mapping[str, int] | None = None) -> "BenchStats":
-        """Summarize ``samples``; ``failure_causes`` counts failures by class name."""
+        """Summarize ``samples``; ``failure_causes`` counts failures by class name.
+
+        With no samples it raises ``AllSamplesFailed``, which names the
+        failed repetitions and each cause with its count.
+        """
         samples = tuple(samples)
+        causes = tuple(sorted((failure_causes or {}).items()))
+        failures = sum(count for _, count in causes)
         if not samples:
-            raise AllSamplesFailed(f"no successful {operation!r} samples")
+            raise AllSamplesFailed(f"all {failures} {operation!r} repetitions failed"
+                                   + _causes_text(causes))
         mean = statistics.fmean(samples)
         sem = statistics.stdev(samples) / math.sqrt(len(samples)) if len(samples) > 1 else 0.0
-        causes = tuple(sorted((failure_causes or {}).items()))
         return cls(operation=operation, n=len(samples), mean_ms=mean, sem_ms=sem,
-                   samples=samples, failures=sum(count for _, count in causes),
-                   failure_causes=causes)
+                   samples=samples, failures=failures, failure_causes=causes)
 
 
 @dataclass(frozen=True)
@@ -173,7 +178,8 @@ def run_bench(plan: BenchPlan, clock=None, transport=None) -> list[BenchStats]:
 
     ``clock`` switches the simulated network (and the timers) onto virtual
     time; the default is the real monotonic clock. Failed repetitions are
-    excluded from the statistics and counted separately, by exception class.
+    excluded from the statistics and counted separately, by exception class;
+    an operation whose every repetition failed raises ``AllSamplesFailed``.
     """
     network = None
     if transport is None:
@@ -200,10 +206,6 @@ def run_bench(plan: BenchPlan, clock=None, transport=None) -> list[BenchStats]:
                     continue
                 if index >= plan.warmup:
                     samples.append(elapsed)
-            if not samples:
-                raise AllSamplesFailed(
-                    f"all {plan.repetitions} {operation!r} repetitions failed"
-                )
             results.append(BenchStats.from_samples(operation, samples, causes))
             thing.disconnect()
         return results
@@ -232,15 +234,15 @@ def format_table(stats: list[BenchStats], device: str) -> str:
         " | ".join(c.ljust(w) for c, w in zip(cells, widths)),
     ]
     footnotes = [f"{s.operation}: N={s.n}" + (f", failures={s.failures}" if s.failures else "")
-                 + _causes_text(s) for s in stats]
+                 + _causes_text(s.failure_causes) for s in stats]
     lines.append("(" + "; ".join(footnotes) + ")")
     return "\n".join(lines)
 
 
-def _causes_text(stats: BenchStats) -> str:
-    if not stats.failure_causes:
+def _causes_text(causes: tuple[tuple[str, int], ...]) -> str:
+    if not causes:
         return ""
-    return " (" + ", ".join(f"{name} {count}" for name, count in stats.failure_causes) + ")"
+    return " (" + ", ".join(f"{name} {count}" for name, count in causes) + ")"
 
 
 def to_csv(stats: list[BenchStats]) -> str:

@@ -2,8 +2,8 @@
 
 ``consume`` turns a parsed TD plus a transport into a handle exposing
 read/write/invoke/subscribe calls. Every interaction runs through form
-resolution and the content-type codec; raw octets only cross the public API
-via the explicit ``read_raw``/``write_raw`` escape hatch.
+resolution and the codec of the form's content type; raw octets travel
+through a form whose ``contentType`` is ``application/octet-stream``.
 
 A connection policy governs session lifetime per device: stay connected,
 reconnect around every operation, or drop the link after each operation.
@@ -13,6 +13,7 @@ A live event subscription pins the link against the policy's teardown.
 from __future__ import annotations
 
 import threading
+import traceback
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
@@ -28,7 +29,6 @@ from .errors import (
     NotConnected,
     OutOfRange,
     UnknownAffordance,
-    UnsupportedMediaType,
     shown,
 )
 from .td import (
@@ -116,10 +116,8 @@ def consume(td: ThingDescription, transport: TransportContract,
     if None in macs or connectable is False:
         errors = [d for d in validate_td(td) if d.severity is Severity.ERROR]
         if errors:
-            raise InvalidTd(
-                f"TD {td.title!r} failed validation: " + "; ".join(str(d) for d in errors),
-                diagnostics=errors,
-            )
+            raise InvalidTd(f"TD {td.title!r} failed validation: "
+                            + "; ".join(str(d) for d in errors), diagnostics=errors)
         macs.discard(None)
     thing = ConsumedThing(td, transport, policy)
     if len(macs) == 1:
@@ -147,9 +145,9 @@ def _value_writer(category: str, op: WotOperation):
     """The method that encodes a value and writes it to an affordance.
 
     Built once per category, so that ``write_property`` and ``invoke_action``
-    share one body and neither pays a helper frame per call. Checks the
-    value's bounds first, and runs the write as ``read_property`` runs its
-    read.
+    share one body and neither pays a helper frame per call. Resolves the
+    form and its codec, checks the value's bounds, and runs the write as
+    ``read_property`` runs its read.
     """
     def write(self, name: str, value) -> None:
         # The operation's table, picked with no getattr call: reading
@@ -162,8 +160,6 @@ def _value_writer(category: str, op: WotOperation):
         affordance, request, codec = entry or self._resolve(requests, category, name, op)
         if affordance.minimum is not None or affordance.maximum is not None:
             self._check_bounds(affordance, value)
-        if codec is None:
-            codec = get_codec(request.content_type)  # raises UnsupportedMediaType
         uri, payload = request.uri, codec.encode(value, request.spec)
         with_response = request.method is _WRITE
         transport = self.transport
@@ -174,7 +170,7 @@ def _value_writer(category: str, op: WotOperation):
                 transport.write(uri, payload, with_response)
             except NotConnected:
                 self._recover(transport.write, uri, payload, with_response)
-        except AttributeError as exc:
+        except (AttributeError, TypeError) as exc:
             _check_transport(transport, exc)
             raise
     return write
@@ -210,30 +206,32 @@ class ConsumedThing:
     codec on first use and reused after that, so the TD must not be mutated
     after ``consume``. The thing keeps one table per operation (read, write,
     invoke, subscribe), keyed by the affordance's name. Failed resolutions
-    are not kept: they raise again on every call.
+    are not kept: they raise again on every call. A form whose content type
+    no codec handles is one: it raises ``UnsupportedMediaType`` before any
+    bounds check or transport call.
 
     An operation makes its call first and asks the transport nothing else
     while the link is up. Under ``KEEP_CONNECTED``, ``read_property``,
     ``write_property`` and ``invoke_action`` take their resolved entry
     straight from their operation's table with one lookup by name, and call
     the transport's ``read`` or ``write`` themselves, with no lock of the
-    thing's. The raw escape hatch makes the same lock-free call through the
-    policy's helper. The teardown policies, and ``subscribe_event`` under
-    every policy, make the call under the thing's lock. Only when the call raises ``NotConnected`` does the
-    operation take the lock, connect and make the call once more, on one
-    path under every policy: connecting on first use and recovering a
-    dropped link are one path. ``RECONNECT_PER_OPERATION`` alone, while
-    unpinned, opens a fresh link before the call.
+    thing's. The teardown policies, and ``subscribe_event`` under every
+    policy, make the call under the thing's lock. Only when the call raises
+    ``NotConnected`` does the operation take the lock, connect and make the
+    call once more, on one path under every policy: connecting on first use
+    and recovering a dropped link are one path. ``RECONNECT_PER_OPERATION``
+    alone, while unpinned, opens a fresh link before the call.
 
     A teardown of an unpinned thing, by a policy or by ``disconnect()``,
     asks the transport once whether the link is up and drops it at most
     once.
 
-    ``consume`` accepts any transport and calls none of its methods. When
-    ``read_property``, ``write_property``, ``invoke_action``,
-    ``subscribe_event`` or ``connect`` needs a ``TransportContract`` method
-    that the transport lacks, it raises ``BadArgument`` naming the
-    transport's type; an ``AttributeError`` raised inside a transport method
+    ``consume`` accepts any transport and calls none of its methods. When an
+    operation, ``connect``, ``connected``, ``disconnect`` or
+    ``unsubscribe_event`` needs a ``TransportContract`` method that the
+    transport lacks or holds as something not callable, it raises
+    ``BadArgument`` naming the transport's type and the method; an
+    ``AttributeError`` or ``TypeError`` raised inside a transport method
     passes through as it is.
 
     ``policy`` is a ``ConnectionPolicy`` member or the value of one; any
@@ -268,22 +266,18 @@ class ConsumedThing:
 
         Set by ``consume``, or found at first use, under the lock.
         """
-        device_id = self._device_id
-        if device_id is None:  # resolved once, under the lock; read freely after
+        if self._device_id is None:  # resolved once, under the lock; read freely after
             with self._lock:
                 if self._device_id is None:
                     self._device_id = self._resolve_device_id()
-                device_id = self._device_id
-        return device_id
+        return self._device_id
 
     def _resolve_device_id(self) -> str:
         macs = _device_macs(self.td)
         macs.discard(None)  # validate_td reported the others
         if len(macs) > 1:
-            raise MixedDevices(
-                f"TD {self.td.title!r} references several devices: "
-                + ", ".join(sorted(macs))
-            )
+            raise MixedDevices(f"TD {self.td.title!r} references several devices: "
+                               + ", ".join(sorted(macs)))
         if not macs:
             raise InvalidTd(f"TD {self.td.title!r} declares no gatt:// forms")
         return macs.pop()
@@ -291,7 +285,11 @@ class ConsumedThing:
     @property
     def connected(self) -> bool:
         """Whether the transport holds a link to the TD's device."""
-        return self.transport.is_connected(self.device_id)
+        try:
+            return self.transport.is_connected(self.device_id)
+        except (AttributeError, TypeError) as exc:
+            _check_transport(self.transport, exc)
+            raise
 
     def connect(self) -> None:
         """Connect to the TD's device and explore its GATT structure."""
@@ -299,7 +297,7 @@ class ConsumedThing:
             try:
                 if not self.connected:
                     self._open()
-            except AttributeError as exc:
+            except (AttributeError, TypeError) as exc:
                 _check_transport(self.transport, exc)
                 raise
 
@@ -333,14 +331,18 @@ class ConsumedThing:
         counts as disconnected, so the next operation connects again. A
         running listener may call back into the thing meanwhile.
         """
-        while True:
-            with self._lock:
-                live = self._subscriptions and self._live()
-                if not live:
-                    self._drop()
-                    return
-            for subscription in live:
-                self._end(subscription)
+        try:
+            while True:
+                with self._lock:
+                    live = self._subscriptions and self._live()
+                    if not live:
+                        self._drop()
+                        return
+                for subscription in live:
+                    self._end(subscription)
+        except (AttributeError, TypeError) as exc:
+            _check_transport(self.transport, exc)
+            raise
 
     # -- single-affordance interactions
 
@@ -351,8 +353,6 @@ class ConsumedThing:
             entry = None
         _, request, codec = entry or self._resolve(self._reads, "properties", name,
                                                    _READPROPERTY)
-        if codec is None:
-            codec = get_codec(request.content_type)  # raises UnsupportedMediaType
         transport = self.transport
         try:
             if self.policy is not _KEEP_CONNECTED:
@@ -362,7 +362,7 @@ class ConsumedThing:
                     payload = transport.read(request.uri)
                 except NotConnected:
                     payload = self._recover(transport.read, request.uri)
-        except AttributeError as exc:
+        except (AttributeError, TypeError) as exc:
             _check_transport(transport, exc)
             raise
         return codec.decode(payload, request.spec)
@@ -386,8 +386,6 @@ class ConsumedThing:
                               f"got {type(listener).__name__}")
         _, request, codec = self._resolve(self._subscribes, "events", name,
                                           WotOperation.SUBSCRIBEEVENT)
-        if codec is None:
-            codec = get_codec(request.content_type)  # raises UnsupportedMediaType
         decode, spec = codec.decode, request.spec
 
         def subscribe() -> Subscription:
@@ -408,12 +406,11 @@ class ConsumedThing:
             self._subscriptions.append(subscription)
             return subscription
 
-        with self._lock:  # subscribe() records the pin: locked under every policy
-            try:
-                return self._run(subscribe)
-            except AttributeError as exc:
-                _check_transport(self.transport, exc)
-                raise
+        try:
+            return self._run(subscribe)  # under the lock, so subscribe() records the pin
+        except (AttributeError, TypeError) as exc:
+            _check_transport(self.transport, exc)
+            raise
 
     def unsubscribe_event(self, subscription: Subscription) -> None:
         """End ``subscription`` on its own thing, whichever thing is called."""
@@ -425,10 +422,13 @@ class ConsumedThing:
         # Not under the thing's lock: this waits for an in-flight delivery,
         # whose listener may call back into the thing. So disconnect() calls
         # it outside the lock too.
-        self.transport.unsubscribe(subscription.handle)
+        try:
+            self.transport.unsubscribe(subscription.handle)
+        except (AttributeError, TypeError) as exc:
+            _check_transport(self.transport, exc)
+            raise
         with self._lock:
-            self._subscriptions = [s for s in self._subscriptions
-                                   if s is not subscription]
+            self._subscriptions = [s for s in self._subscriptions if s is not subscription]
 
     # -- multi-property interactions
 
@@ -486,29 +486,14 @@ class ConsumedThing:
                 raise MultiPropertyError(name, done, exc) from exc
             done[name] = value
 
-    # -- raw escape hatch
-
-    def read_raw(self, name: str) -> bytes:
-        """Escape hatch: read a property's octets without decoding."""
-        _, request, _ = self._resolve(self._reads, "properties", name, _READPROPERTY)
-        return self._run(self.transport.read, request.uri)
-
-    def write_raw(self, name: str, payload: bytes,
-                  with_response: bool | None = None) -> None:
-        """Escape hatch: write raw octets, bypassing the codec."""
-        _, request, _ = self._resolve(self._writes, "properties", name, _WRITEPROPERTY)
-        if with_response is None:
-            with_response = request.method is _WRITE
-        self._run(self.transport.write, request.uri, payload, with_response)
-
     # -- internals
 
     def _resolve(self, requests: dict, category: str, name: str, op: WotOperation):
         """Return ``(affordance, request, codec)``, resolved on first use.
 
         ``requests`` is the thing's table for ``op``, which keeps the entry.
-        The codec is None when no codec handles the form's content type: the
-        raw escape hatch still works, and decoding paths raise on each call.
+        A form whose content type no codec handles raises
+        ``UnsupportedMediaType`` and is not kept.
         """
         try:
             entry = requests.get(name)
@@ -519,12 +504,10 @@ class ConsumedThing:
             if affordance is None:
                 raise self._unknown(category, name)
             request = resolve_form(affordance, op)
-            try:
-                codec = get_codec(request.content_type)
-            except UnsupportedMediaType:
-                codec = None
-            # Callers racing on a first use all get the entry stored first.
-            entry = requests.setdefault(name, (affordance, request, codec))
+            # Callers racing on a first use all get the entry stored first; a
+            # content type that no codec handles raises UnsupportedMediaType.
+            entry = requests.setdefault(
+                name, (affordance, request, get_codec(request.content_type)))
         return entry
 
     def _unknown(self, category: str, name) -> UnknownAffordance:
@@ -534,33 +517,25 @@ class ConsumedThing:
     def _check_bounds(self, affordance: Affordance, value) -> None:
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             return
-        if affordance.minimum is not None and value < affordance.minimum:
-            raise OutOfRange(f"{affordance.name!r}: {shown(value)} below minimum "
-                             f"{affordance.minimum}")
-        if affordance.maximum is not None and value > affordance.maximum:
-            raise OutOfRange(f"{affordance.name!r}: {shown(value)} above maximum "
-                             f"{affordance.maximum}")
+        minimum, maximum = affordance.minimum, affordance.maximum
+        if minimum is not None and value < minimum:
+            raise OutOfRange(f"{affordance.name!r}: {shown(value)} below minimum {minimum}")
+        if maximum is not None and value > maximum:
+            raise OutOfRange(f"{affordance.name!r}: {shown(value)} above maximum {maximum}")
 
     def _run(self, call, *args):
-        """Return ``call(*args)``, made under the connection policy.
+        """Return ``call(*args)``, made under the thing's lock and its policy.
 
-        A call that raises ``NotConnected`` had no effect: the thing was
-        never connected or lost its link, and with the link its
-        subscriptions. The thing forgets those, connects, and makes the call
-        once more. ``KEEP_CONNECTED`` makes the first call without the
-        thing's lock and takes the lock only for that recovery. Unless a live
-        subscription pins the link, ``RECONNECT_PER_OPERATION`` replaces it
-        with a fresh one first, and both teardown policies drop it
-        afterwards, also when the call raises.
+        Unless a live subscription pins the link, ``RECONNECT_PER_OPERATION``
+        replaces it with a fresh one first, and both teardown policies drop
+        it afterwards, also when the call raises. A call that raises
+        ``NotConnected`` goes to ``_recover``. ``subscribe_event`` runs here
+        under every policy; ``read_property`` and the writers only under a
+        teardown policy, as they make a kept-link call themselves.
         """
-        if self.policy is _KEEP_CONNECTED:
-            try:
-                return call(*args)
-            except NotConnected:
-                return self._recover(call, *args)
-        with self._lock:  # a teardown policy; with no subscription, nothing pins
-            if self.policy is _RECONNECT_PER_OPERATION and not (
-                    self._subscriptions and self._live()):
+        with self._lock:
+            policy = self.policy
+            if policy is _RECONNECT_PER_OPERATION and not (self._subscriptions and self._live()):
                 self._drop()
                 self._open()  # the link is down: spare a call bound to fail
             try:
@@ -569,7 +544,7 @@ class ConsumedThing:
                 except NotConnected:
                     return self._recover(call, *args)
             finally:
-                if not (self._subscriptions and self._live()):
+                if policy is not _KEEP_CONNECTED and not (self._subscriptions and self._live()):
                     self._drop()
 
     def _recover(self, call, *args):
@@ -588,16 +563,26 @@ class ConsumedThing:
 _TRANSPORT_METHODS = frozenset(TransportContract.__abstractmethods__)
 
 
-def _check_transport(transport, exc: AttributeError) -> None:
-    """Raise ``BadArgument`` if ``exc`` is the lookup of a contract method
-    that ``transport`` lacks; return otherwise, for the caller to re-raise.
+def _check_transport(transport, exc: Exception) -> None:
+    """Raise ``BadArgument`` if ``exc`` comes from a contract method that
+    ``transport`` lacks or holds as something not callable; return
+    otherwise, for the caller to re-raise.
 
-    An ``AttributeError`` raised inside a transport method names another
-    attribute or object, so it passes through.
+    Looking up a missing method raises an ``AttributeError`` on the transport
+    itself, and calling a non-callable one a ``TypeError`` in this module's
+    own frame. One raised inside a transport method names another attribute
+    or object, or comes from a deeper frame, so it passes through.
     """
-    if exc.obj is transport and exc.name in _TRANSPORT_METHODS:
+    if exc.__class__ is TypeError:  # not a BadArgument, which is one too
+        *_, (frame, _) = traceback.walk_tb(exc.__traceback__)
+        names = frame.f_globals is globals() and sorted(
+            name for name in _TRANSPORT_METHODS if not callable(getattr(transport, name, None)))
+    else:
+        names = (isinstance(exc, AttributeError) and exc.obj is transport
+                 and {exc.name} & _TRANSPORT_METHODS)
+    if names:
         raise BadArgument(f"the transport, a {type(transport).__name__}, has no "
-                          f"{exc.name} method") from None
+                          f"{' or '.join(names)} method") from None
 
 
 def _check_argument(value, kind: type, call: str, what: str) -> None:

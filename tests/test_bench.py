@@ -51,9 +51,12 @@ def test_stats_match_oracle_on_random_sample_sets():
         assert stats.sem_ms == pytest.approx(sem, rel=1e-9)
 
 
-def test_empty_samples_raise():
-    with pytest.raises(AllSamplesFailed):
+def test_empty_samples_raise_naming_each_cause():
+    with pytest.raises(AllSamplesFailed, match=r"^all 0 'read' repetitions failed$"):
         BenchStats.from_samples("read", [])
+    with pytest.raises(AllSamplesFailed) as exc_info:
+        BenchStats.from_samples("read", [], {"Timeout": 2, "BadValue": 1})
+    assert str(exc_info.value) == "all 3 'read' repetitions failed (BadValue 1, Timeout 2)"
 
 
 # --- plan loading --------------------------------------------------------------------
@@ -170,8 +173,9 @@ def test_run_bench_counts_failures_separately(tmp_path):
         "property": "moisture",
         "timeoutMs": 60000,
     }))
-    with pytest.raises(AllSamplesFailed):
+    with pytest.raises(AllSamplesFailed) as exc_info:
         run_bench(load_bench_plan(plan_file), clock=VirtualClock())
+    assert str(exc_info.value) == "all 3 'read' repetitions failed (NoSuchAttribute 3)"
 
 
 class EveryOtherReadFails(SimTransport):

@@ -193,6 +193,17 @@ def test_bench_wrong_typed_plan_is_usage_error(capsys, tmp_path):
     assert err.startswith("error:") and "timeoutMs" in err
 
 
+def test_bench_whose_every_repetition_fails_names_the_cause(capsys, tmp_path):
+    raw = json.loads(BENCH_PLAN.read_text())
+    raw.update(td=str(SENSOR_TD), transport=f"sim:{NETWORK_CONFIG}", operations=["read"],
+               repetitions=3, property="nope")
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(raw))
+    code, out, err = run(capsys, "bench", plan, "--virtual-clock")
+    assert (code, out) == (1, "")
+    assert err == "error: all 3 'read' repetitions failed (UnknownAffordance 3)\n"
+
+
 def test_sim_list_lists_devices(capsys):
     code, out, _ = run(capsys, "sim", "list", NETWORK_CONFIG)
     assert code == 0

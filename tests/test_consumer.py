@@ -20,6 +20,8 @@ from wotble import (
     Severity,
     SimPeripheral,
     SimTransport,
+    Subscription,
+    TransportContract,
     VirtualClock,
     consume,
     parse_td,
@@ -28,6 +30,7 @@ from wotble import (
 )
 from wotble.codec import decode, encode
 from wotble.errors import (
+    AttLengthExceeded,
     BadArgument,
     BadScheme,
     BadValue,
@@ -42,7 +45,6 @@ from wotble.errors import (
     Timeout,
     UnknownAffordance,
     UnsupportedMediaType,
-    ValueTooLong,
     WotBleError,
 )
 from test_mutation import mutants
@@ -414,9 +416,34 @@ def test_failed_resolution_raises_again_on_every_call(edit, error):
         with pytest.raises(error):
             thing.read_property("moisture")
     assert transport.trace == []  # both fail before connecting
-    if error is UnsupportedMediaType:
-        assert thing.read_raw("moisture") == bytes([42])  # no codec needed
     net.close()
+
+
+def text_plain_sensor_td():
+    """The sensor with a writable, bounded moisture and an action, each on a
+    ``text/plain`` form, which no codec handles."""
+    doc = writable_sensor_doc()
+    moisture = doc["properties"]["moisture"]
+    moisture.update(minimum=0, maximum=100)
+    moisture["forms"][0]["contentType"] = "text/plain"
+    doc["actions"] = {"water": {
+        key: value for key, value in moisture.items() if key != "forms"}}
+    doc["actions"]["water"]["forms"] = [dict(moisture["forms"][0], op="invokeaction")]
+    return parse_td(json.dumps(doc))
+
+
+@pytest.mark.parametrize("value", [7, 1000], ids=["in-range", "out-of-range"])
+@pytest.mark.parametrize("call", [
+    lambda thing, value: thing.write_property("moisture", value),
+    lambda thing, value: thing.invoke_action("water", value),
+], ids=["write_property", "invoke_action"])
+def test_a_form_no_codec_handles_refuses_every_write_first(call, value):
+    # No transport at all: a transport call would raise BadArgument instead.
+    thing = consume(text_plain_sensor_td(), None)
+    for _ in range(2):
+        with pytest.raises(UnsupportedMediaType, match="text/plain"):
+            call(thing, value)
+    assert thing._writes == {} and thing._invokes == {}  # nothing kept
 
 
 def writable_sensor_doc() -> dict:
@@ -461,8 +488,6 @@ def test_action_uses_write_without_response():
 
     with pytest.raises(UnknownAffordance):
         thing.invoke_action("explode", 1)
-    with pytest.raises(ValueTooLong):
-        thing.write_raw("power", bytes(513))
     net.close()
 
 
@@ -725,8 +750,6 @@ ENTRY_POINTS = {
     "write_property": lambda thing, name: thing.write_property(name, 1),
     "invoke_action": lambda thing, name: thing.invoke_action(name, 1),
     "subscribe_event": lambda thing, name: thing.subscribe_event(name, print),
-    "read_raw": lambda thing, name: thing.read_raw(name),
-    "write_raw": lambda thing, name: thing.write_raw(name, b"\x01"),
 }
 
 
@@ -781,7 +804,11 @@ FIRST_CALLS = {
     "write_property": (LAMP_TD, lambda thing: thing.write_property("power", {"on": 1})),
     "subscribe_event": (BEACON_TD, lambda thing: thing.subscribe_event(
         "temperature", lambda value: None)),
+    "unsubscribe_event": (BEACON_TD, lambda thing: thing.unsubscribe_event(
+        Subscription(thing, "temperature", SimpleNamespace(active=True)))),
     "connect": (SENSOR_TD, lambda thing: thing.connect()),
+    "connected": (SENSOR_TD, lambda thing: thing.connected),
+    "disconnect": (SENSOR_TD, lambda thing: thing.disconnect()),
 }
 
 
@@ -810,29 +837,77 @@ def test_a_transport_method_missing_behind_a_recovery_is_named():
         thing.read_property("moisture")
 
 
-class BrokenRead(SimTransport):
-    """A transport whose ``read`` fails on a lookup of its own, ``failing(self)``."""
+#: Each ``TransportContract`` method and a call on a fresh thing that reaches it:
+#: (the TD, the call).
+CONTRACT_CALLS = {
+    "read": (SENSOR_TD, lambda thing: thing.read_property("moisture")),
+    "write": (LAMP_TD, lambda thing: thing.write_property("power", {"on": 1})),
+    "is_connected": (SENSOR_TD, lambda thing: thing.connected),
+    "connect": (SENSOR_TD, lambda thing: thing.connect()),
+    "discover_gatt": (SENSOR_TD, lambda thing: thing.connect()),
+    "disconnect": (SENSOR_TD, lambda thing: (thing.connect(), thing.disconnect())),
+    "subscribe": (BEACON_TD, lambda thing: thing.subscribe_event("temperature", print)),
+    "unsubscribe": (BEACON_TD, lambda thing: thing.unsubscribe_event(
+        thing.subscribe_event("temperature", print))),
+}
 
-    def __init__(self, net, failing):
-        super().__init__(net, timeout_s=60.0)
-        self.failing = failing
 
-    def read(self, uri):
-        return self.failing(self)
+def test_the_contract_calls_cover_every_transport_method():
+    assert set(CONTRACT_CALLS) == TransportContract.__abstractmethods__
 
 
-@pytest.mark.parametrize("failing, message", [
-    (lambda transport: transport.missing_attribute,
-     "'BrokenRead' object has no attribute 'missing_attribute'"),
-    (lambda transport: transport.network.read, "'SimNetwork' object has no attribute 'read'"),
-], ids=["own-attribute", "contract-name-on-another-object"])
+def replaced(method: str, replacement):
+    """A ``SimTransport`` subclass whose ``method`` is ``replacement``."""
+    return type(f"{method.title().replace('_', '')}Replaced", (SimTransport,),
+                {method: replacement})
+
+
 @pytest.mark.parametrize("policy", list(ConnectionPolicy))
-def test_an_attribute_error_inside_a_transport_method_passes_through(policy, failing, message):
+@pytest.mark.parametrize("method", CONTRACT_CALLS)
+def test_a_transport_method_that_is_not_callable_is_a_bad_argument(method, policy):
+    td_path, call = CONTRACT_CALLS[method]
+    transport_class = replaced(method, None)
     with make_network(clock=VirtualClock()) as net:
-        thing = consume(parse_td_file(SENSOR_TD), BrokenRead(net, failing), policy)
-        with pytest.raises(AttributeError) as exc_info:
+        thing = consume(parse_td_file(td_path), transport_class(net, timeout_s=60.0), policy)
+        with pytest.raises(BadArgument) as exc_info:
+            call(thing)
+    assert str(exc_info.value) == (
+        f"the transport, a {transport_class.__name__}, has no {method} method")
+    assert exc_info.value.__suppress_context__
+
+
+@pytest.mark.parametrize("failing, error, message", [
+    (lambda transport: transport.missing_attribute, AttributeError,
+     "'{cls}' object has no attribute 'missing_attribute'"),
+    (lambda transport: transport.network.read, AttributeError,
+     "'SimNetwork' object has no attribute 'read'"),
+    (lambda transport: transport.timeout_s(), TypeError, "'float' object is not callable"),
+    (lambda transport: len(transport), TypeError, "object of type '{cls}' has no len()"),
+], ids=["own-attribute", "contract-name-on-another-object", "not-callable-inside",
+        "type-error-inside"])
+@pytest.mark.parametrize("policy", list(ConnectionPolicy))
+@pytest.mark.parametrize("method", CONTRACT_CALLS)
+def test_an_error_inside_a_transport_method_passes_through(method, policy, failing, error,
+                                                           message):
+    td_path, call = CONTRACT_CALLS[method]
+    transport_class = replaced(method, lambda self, *args: failing(self))
+    with make_network(clock=VirtualClock()) as net:
+        thing = consume(parse_td_file(td_path), transport_class(net, timeout_s=60.0), policy)
+        with pytest.raises(error) as exc_info:
+            call(thing)
+    assert type(exc_info.value) is error
+    assert str(exc_info.value) == message.format(cls=transport_class.__name__)
+
+
+def test_a_type_error_inside_a_method_is_not_blamed_on_another_uncallable_one():
+    transport_class = type("Lopsided", (SimTransport,),
+                           {"unsubscribe": None, "read": lambda self, uri: len(self)})
+    with make_network(clock=VirtualClock()) as net:
+        thing = consume(parse_td_file(SENSOR_TD), transport_class(net, timeout_s=60.0))
+        with pytest.raises(TypeError) as exc_info:
             thing.read_property("moisture")
-    assert type(exc_info.value) is AttributeError and str(exc_info.value) == message
+    assert type(exc_info.value) is TypeError
+    assert str(exc_info.value) == "object of type 'Lopsided' has no len()"
 
 
 def test_a_single_name_is_not_a_collection_of_names():
@@ -892,7 +967,7 @@ def test_subscription_survives_reads_and_writes_under_teardown_policies(policy):
         subscription = thing.subscribe_event("temperature", received.put)
         assert thing.read_property("temperature") == pytest.approx(25.0)
         thing.write_property("temperature", 3.0)
-        assert thing.read_raw("temperature") == bytes([30])
+        assert thing.read_property("temperature") == pytest.approx(3.0)
         emit_beacon(net, 1)
         emit_beacon(net, 2)
         assert [received.get(timeout=2.0) for _ in range(2)] == [
@@ -1113,7 +1188,7 @@ def test_last_unsubscribe_restores_the_policy(policy, cycles):
 
 
 CYCLE = ("connect", "discover_gatt")
-#: Trace operations of a read, a write and a raw read under each policy.
+#: Trace operations of a read, a write and a second read under each policy.
 POLICY_TRACES = {
     (ConnectionPolicy.KEEP_CONNECTED, False):
         CYCLE + ("read", "write", "read"),
@@ -1140,7 +1215,7 @@ def test_each_policy_gives_its_connect_sequence(policy, pinned):
             thing.subscribe_event("temperature", print)
         assert thing.read_property("temperature") == pytest.approx(25.0)
         thing.write_property("temperature", 3.0)
-        assert thing.read_raw("temperature") == bytes([30])
+        assert thing.read_property("temperature") == pytest.approx(3.0)
         assert tuple(entry[0] for entry in transport.trace) == POLICY_TRACES[policy, pinned]
         thing.disconnect()
 
@@ -1636,20 +1711,29 @@ def test_write_all_requires_values_for_every_property():
     net.close()
 
 
-# --- raw escape hatch and no-leakage property ------------------------------------------------
+# --- raw octets and no-leakage property ------------------------------------------------
 
-def test_raw_escape_hatch_round_trip():
-    net = make_network(clock=VirtualClock())
-    transport = SimTransport(net, timeout_s=10.0)
+def test_an_octet_stream_form_carries_raw_octets_both_ways():
     doc = json.loads(LAMP_TD.read_text())
     form = doc["properties"]["power"]["forms"][0]
     form["op"] = ["readproperty", "writeproperty"]
+    form["contentType"] = "application/octet-stream"
     del form["sbo:methodName"]
-    thing = consume(parse_td(json.dumps(doc)), transport)
-    payload = bytes.fromhex("7e00040100000000ef")
-    thing.write_raw("power", payload)
-    assert thing.read_raw("power") == payload
-    net.close()
+    sensor_doc = json.loads(SENSOR_TD.read_text())
+    sensor_doc["properties"]["moisture"]["forms"][0]["contentType"] = "application/octet-stream"
+    with make_network(clock=VirtualClock()) as net:
+        transport = RecordingTransport(net, timeout_s=10.0)
+        lamp = consume(parse_td(json.dumps(doc)), transport)
+        payload = bytes.fromhex("7e00040100000000ef")
+        lamp.write_property("power", payload)
+        assert writes(transport) == [(payload, True)]
+        value = lamp.read_property("power")
+        assert type(value) is bytes and value == payload
+        with pytest.raises(AttLengthExceeded):  # the codec's cap, before the transport's
+            lamp.write_property("power", bytes(513))
+        assert len(writes(transport)) == 1
+        sensor = consume(parse_td(json.dumps(sensor_doc)), transport)
+        assert sensor.read_property("moisture") == bytes([42])
 
 
 def test_every_logged_payload_is_reproducible_from_public_inputs():

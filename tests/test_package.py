@@ -22,6 +22,8 @@ REMOVED_ATTRIBUTES = [
     (wotble.SimTransport, "start_discovery"),
     (wotble.SimTransport, "stop_discovery"),
     (wotble.ResolvedRequest, "disables_notifications"),
+    (wotble.ConsumedThing, "read_raw"),
+    (wotble.ConsumedThing, "write_raw"),
 ]
 
 
@@ -55,6 +57,21 @@ def test_removed_names_are_gone(module, name):
                          ids=[f"{cls.__name__}.{name}" for cls, name in REMOVED_ATTRIBUTES])
 def test_removed_class_attributes_are_gone(cls, name):
     assert not hasattr(cls, name)
+
+
+#: The public methods and properties of ``ConsumedThing``: an addition or a
+#: removal shows up here.
+CONSUMED_THING_API = {
+    "connect", "connected", "device_id", "disconnect", "invoke_action",
+    "read_all_properties", "read_multiple_properties", "read_property", "subscribe_event",
+    "unsubscribe_event", "write_all_properties", "write_multiple_properties",
+    "write_property",
+}
+
+
+def test_consumed_thing_keeps_its_public_api():
+    assert {name for name in dir(wotble.ConsumedThing)
+            if not name.startswith("_")} == CONSUMED_THING_API
 
 
 def test_a_sim_transport_keeps_no_call_log():

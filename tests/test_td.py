@@ -471,7 +471,10 @@ PARSE_CALL_BUDGET = 58
 
 def test_fixture_parse_stays_within_its_call_budget():
     texts = [path.read_text() for path in (LAMP_TD, SENSOR_TD, BEACON_TD)]
-    for text in texts:  # fill the term tables and the other caches first
+    # Fill the term tables and the other caches first, twice: a term table
+    # that earlier tests left nearly full empties itself during the first
+    # pass, and the second pass puts back what that dropped.
+    for text in texts * 2:
         parse_td(text)
     calls = calls_per(lambda i: parse_td(texts[i]), len(texts))
     assert calls <= PARSE_CALL_BUDGET, f"{calls} calls per parse"

@@ -50,7 +50,6 @@ from conftest import (
     LAMP_CHAR,
     LAMP_MAC,
     LAMP_SERVICE,
-    LAMP_TD,
     NETWORK_CONFIG,
     WRONG_TYPED_CONFIGS,
     RecordingTransport,
@@ -670,8 +669,8 @@ def test_a_payload_must_be_raw_octets_within_the_att_cap(payload, error):
         char = net.characteristic(LAMP_MAC, LAMP_SERVICE, LAMP_CHAR)
         before = char.value
         transport = RecordingTransport(net, timeout_s=1.0)
-        thing = consume(parse_td_file(LAMP_TD), transport)
-        for call in (lambda: thing.write_raw("power", payload),
+        transport.connect(LAMP_MAC)
+        for call in (lambda: transport.write(LAMP_URI, payload, True),
                      lambda: net.emit(BEACON_MAC, BEACON_SERVICE, BEACON_CHAR, payload)):
             with pytest.raises(error) as exc_info:
                 call()
@@ -684,8 +683,9 @@ def test_raw_octets_of_each_kind_are_copied_to_bytes(kind):
     octets = bytes(MAX_PAYLOAD_OCTETS)
     with virtual_network(auto_notify=False) as net:
         received = beacon_subscriber(net)
-        thing = consume(parse_td_file(LAMP_TD), SimTransport(net, timeout_s=1.0))
-        thing.write_raw("power", kind(octets))
+        transport = SimTransport(net, timeout_s=1.0)
+        transport.connect(LAMP_MAC)
+        transport.write(LAMP_URI, kind(octets), True)
         net.emit(BEACON_MAC, BEACON_SERVICE, BEACON_CHAR, kind(octets))
         value = net.characteristic(LAMP_MAC, LAMP_SERVICE, LAMP_CHAR).value
     assert type(value) is bytes and value == octets
