@@ -456,11 +456,16 @@ def _decode_pattern(payload: bytes, layout: PatternLayout, variables: Mapping) -
 
 
 class OctetStreamCodec:
-    """Raw passthrough; the RFC 1521 fallback for unknown application subtypes."""
+    """Raw passthrough; the RFC 1521 fallback for unknown application subtypes.
+
+    ``encode`` takes ``bytes``, ``bytearray`` or ``memoryview``, as a
+    transport's ``write`` does, and returns ``bytes``.
+    """
 
     def encode(self, value, spec=None) -> bytes:
-        if not isinstance(value, (bytes, bytearray)):
-            raise BadValue("octet-stream passthrough takes raw bytes")
+        if not isinstance(value, _OCTET_TYPES):
+            raise BadValue("octet-stream passthrough takes bytes, bytearray or memoryview, "
+                           f"got {type(value).__name__}")
         payload = bytes(value)
         if len(payload) > MAX_PAYLOAD_OCTETS:
             raise _too_long(len(payload))

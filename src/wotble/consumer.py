@@ -12,8 +12,8 @@ A live event subscription pins the link against the policy's teardown.
 
 from __future__ import annotations
 
+import operator
 import threading
-import traceback
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
@@ -70,6 +70,11 @@ _WRITE = GattMethod.WRITE
 #: The singular of each TD affordance category, for error messages.
 _SINGULAR = {"properties": "property", "actions": "action", "events": "event"}
 
+#: The methods of ``TransportContract``, which a thing calls on its transport,
+#: and a getter that fetches all of them from a transport in one call.
+_CONTRACT_NAMES = sorted(TransportContract.__abstractmethods__)
+_contract_methods = operator.attrgetter(*_CONTRACT_NAMES)
+
 
 @dataclass(eq=False)
 class Subscription:
@@ -104,7 +109,10 @@ def consume(td: ThingDescription, transport: TransportContract,
     a gatt:// URI, or when the TD says the device is not connectable, the
     two sources of an error diagnostic. When every gatt:// form names one
     device, the thing starts with that device id; otherwise its first
-    connect raises ``MixedDevices`` or ``InvalidTd``.
+    connect raises ``MixedDevices`` or ``InvalidTd``. Then the thing checks
+    the policy and the transport, as :class:`ConsumedThing` says: a
+    transport that lacks a ``TransportContract`` method, or cannot call one,
+    raises ``BadArgument``, and none of its methods is called.
     """
     if not isinstance(td, ThingDescription):
         raise InvalidTd(f"consume takes a parsed ThingDescription, got {type(td).__name__}")
@@ -163,16 +171,12 @@ def _value_writer(category: str, op: WotOperation):
         uri, payload = request.uri, codec.encode(value, request.spec)
         with_response = request.method is _WRITE
         transport = self.transport
+        if self.policy is not _KEEP_CONNECTED:
+            return self._run(transport.write, uri, payload, with_response)
         try:
-            if self.policy is not _KEEP_CONNECTED:
-                return self._run(transport.write, uri, payload, with_response)
-            try:
-                transport.write(uri, payload, with_response)
-            except NotConnected:
-                self._recover(transport.write, uri, payload, with_response)
-        except (AttributeError, TypeError) as exc:
-            _check_transport(transport, exc)
-            raise
+            transport.write(uri, payload, with_response)
+        except NotConnected:
+            self._recover(transport.write, uri, payload, with_response)
     return write
 
 
@@ -226,16 +230,16 @@ class ConsumedThing:
     asks the transport once whether the link is up and drops it at most
     once.
 
-    ``consume`` accepts any transport and calls none of its methods. When an
-    operation, ``connect``, ``connected``, ``disconnect`` or
-    ``unsubscribe_event`` needs a ``TransportContract`` method that the
-    transport lacks or holds as something not callable, it raises
-    ``BadArgument`` naming the transport's type and the method; an
-    ``AttributeError`` or ``TypeError`` raised inside a transport method
-    passes through as it is.
+    The transport is checked once, when the thing is built: a transport
+    that lacks a ``TransportContract`` method, or holds one as something not
+    callable, raises ``BadArgument`` naming the transport's type and every
+    such method, before any transport call. So the transport's methods must
+    not change after that. An ``AttributeError`` or ``TypeError`` raised
+    inside a transport method passes through as it is.
 
     ``policy`` is a ``ConnectionPolicy`` member or the value of one; any
-    other value raises ``InvalidPolicy``, which is also a ``ValueError``.
+    other value raises ``InvalidPolicy``, which is also a ``ValueError``,
+    before the transport is checked.
     """
 
     def __init__(self, td: ThingDescription, transport: TransportContract,
@@ -247,6 +251,12 @@ class ConsumedThing:
                 policy = ConnectionPolicy(policy)
             except ValueError:
                 raise InvalidPolicy(f"unknown connection policy {policy!r}") from None
+        try:
+            usable = all(map(callable, _contract_methods(transport)))
+        except AttributeError:  # a method is missing
+            usable = False
+        if not usable:
+            raise BadArgument(_transport_fault(transport))
         self.policy = policy
         self._lock = threading.RLock()
         self._device_id: str | None = None
@@ -285,21 +295,13 @@ class ConsumedThing:
     @property
     def connected(self) -> bool:
         """Whether the transport holds a link to the TD's device."""
-        try:
-            return self.transport.is_connected(self.device_id)
-        except (AttributeError, TypeError) as exc:
-            _check_transport(self.transport, exc)
-            raise
+        return self.transport.is_connected(self.device_id)
 
     def connect(self) -> None:
         """Connect to the TD's device and explore its GATT structure."""
         with self._lock:
-            try:
-                if not self.connected:
-                    self._open()
-            except (AttributeError, TypeError) as exc:
-                _check_transport(self.transport, exc)
-                raise
+            if not self.connected:
+                self._open()
 
     def _open(self) -> None:
         device_id, transport = self._device_id or self.device_id, self.transport
@@ -331,18 +333,14 @@ class ConsumedThing:
         counts as disconnected, so the next operation connects again. A
         running listener may call back into the thing meanwhile.
         """
-        try:
-            while True:
-                with self._lock:
-                    live = self._subscriptions and self._live()
-                    if not live:
-                        self._drop()
-                        return
-                for subscription in live:
-                    self._end(subscription)
-        except (AttributeError, TypeError) as exc:
-            _check_transport(self.transport, exc)
-            raise
+        while True:
+            with self._lock:
+                live = self._subscriptions and self._live()
+                if not live:
+                    self._drop()
+                    return
+            for subscription in live:
+                self._end(subscription)
 
     # -- single-affordance interactions
 
@@ -354,17 +352,13 @@ class ConsumedThing:
         _, request, codec = entry or self._resolve(self._reads, "properties", name,
                                                    _READPROPERTY)
         transport = self.transport
-        try:
-            if self.policy is not _KEEP_CONNECTED:
-                payload = self._run(transport.read, request.uri)
-            else:
-                try:
-                    payload = transport.read(request.uri)
-                except NotConnected:
-                    payload = self._recover(transport.read, request.uri)
-        except (AttributeError, TypeError) as exc:
-            _check_transport(transport, exc)
-            raise
+        if self.policy is not _KEEP_CONNECTED:
+            payload = self._run(transport.read, request.uri)
+        else:
+            try:
+                payload = transport.read(request.uri)
+            except NotConnected:
+                payload = self._recover(transport.read, request.uri)
         return codec.decode(payload, request.spec)
 
     write_property = _value_writer("properties", _WRITEPROPERTY)
@@ -406,11 +400,7 @@ class ConsumedThing:
             self._subscriptions.append(subscription)
             return subscription
 
-        try:
-            return self._run(subscribe)  # under the lock, so subscribe() records the pin
-        except (AttributeError, TypeError) as exc:
-            _check_transport(self.transport, exc)
-            raise
+        return self._run(subscribe)  # under the lock, so subscribe() records the pin
 
     def unsubscribe_event(self, subscription: Subscription) -> None:
         """End ``subscription`` on its own thing, whichever thing is called."""
@@ -422,11 +412,7 @@ class ConsumedThing:
         # Not under the thing's lock: this waits for an in-flight delivery,
         # whose listener may call back into the thing. So disconnect() calls
         # it outside the lock too.
-        try:
-            self.transport.unsubscribe(subscription.handle)
-        except (AttributeError, TypeError) as exc:
-            _check_transport(self.transport, exc)
-            raise
+        self.transport.unsubscribe(subscription.handle)
         with self._lock:
             self._subscriptions = [s for s in self._subscriptions if s is not subscription]
 
@@ -559,30 +545,12 @@ class ConsumedThing:
             return call(*args)
 
 
-#: The methods of ``TransportContract``, which a thing calls on its transport.
-_TRANSPORT_METHODS = frozenset(TransportContract.__abstractmethods__)
-
-
-def _check_transport(transport, exc: Exception) -> None:
-    """Raise ``BadArgument`` if ``exc`` comes from a contract method that
-    ``transport`` lacks or holds as something not callable; return
-    otherwise, for the caller to re-raise.
-
-    Looking up a missing method raises an ``AttributeError`` on the transport
-    itself, and calling a non-callable one a ``TypeError`` in this module's
-    own frame. One raised inside a transport method names another attribute
-    or object, or comes from a deeper frame, so it passes through.
-    """
-    if exc.__class__ is TypeError:  # not a BadArgument, which is one too
-        *_, (frame, _) = traceback.walk_tb(exc.__traceback__)
-        names = frame.f_globals is globals() and sorted(
-            name for name in _TRANSPORT_METHODS if not callable(getattr(transport, name, None)))
-    else:
-        names = (isinstance(exc, AttributeError) and exc.obj is transport
-                 and {exc.name} & _TRANSPORT_METHODS)
-    if names:
-        raise BadArgument(f"the transport, a {type(transport).__name__}, has no "
-                          f"{' or '.join(names)} method") from None
+def _transport_fault(transport) -> str:
+    """Name each contract method that ``transport`` lacks or holds as
+    something not callable."""
+    names = [name for name in _CONTRACT_NAMES if not callable(getattr(transport, name, None))]
+    return (f"the transport, a {type(transport).__name__}, has no "
+            f"{' or '.join(names)} method")
 
 
 def _check_argument(value, kind: type, call: str, what: str) -> None:

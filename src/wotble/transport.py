@@ -74,7 +74,8 @@ class TransportContract(abc.ABC):
       only record of whether a subscription is live that a consumer reads.
 
     A write with response completes only after the server confirms, without
-    response on send.
+    response on send. A ``ConsumedThing`` checks when it is built that each
+    of these methods is there and callable.
     """
 
     @abc.abstractmethod

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from wotble import SimTransport, load_sim_config
+from wotble import SimTransport, TransportContract, load_sim_config
 from wotble.transport import _Subscription
 from wotble.uris import normalize_mac
 
@@ -109,6 +109,19 @@ class RecordingTransport(SimTransport):
         super().unsubscribe(handle)
         if isinstance(handle, _Subscription):
             self.trace.append(("unsubscribe", handle.uri.text))
+
+
+def _uncalled(name: str):
+    def method(self, *args):
+        pytest.fail(f"the transport's {name} was called", pytrace=False)
+    method.__name__ = name
+    return method
+
+
+#: A transport for tests that build a thing and make no transport call: it
+#: has every ``TransportContract`` method, and each one fails the test.
+UncalledTransport = type("UncalledTransport", (TransportContract,), {
+    name: _uncalled(name) for name in TransportContract.__abstractmethods__})
 
 
 def writes(transport: RecordingTransport) -> list[tuple[bytes, bool]]:

@@ -107,39 +107,36 @@ def test_invalid_plans_are_rejected(tmp_path, overrides):
 
 def test_time_operation_windows_on_virtual_clock():
     clock = VirtualClock()
-    net = make_network(clock=clock, seed=11, read_latency_ms=5.0,
-                       disconnect_latency_ms=2.0)
-    thing = consume(parse_td_file(SENSOR_TD), SimTransport(net, timeout_s=60.0))
+    with make_network(clock=clock, seed=11, read_latency_ms=5.0,
+                      disconnect_latency_ms=2.0) as net:
+        thing = consume(parse_td_file(SENSOR_TD), SimTransport(net, timeout_s=60.0))
 
-    connect_ms = time_operation("connect", thing, clock)
-    assert 0.0 <= connect_ms <= 2000.0  # discovery phase within one interval
+        connect_ms = time_operation("connect", thing, clock)
+        assert 0.0 <= connect_ms <= 2000.0  # discovery phase within one interval
 
-    read_ms = time_operation("read", thing, clock, "moisture")
-    assert read_ms == pytest.approx(5.0)
+        read_ms = time_operation("read", thing, clock, "moisture")
+        assert read_ms == pytest.approx(5.0)
 
-    disconnect_ms = time_operation("disconnect", thing, clock)
-    assert disconnect_ms == pytest.approx(2.0)
-    net.close()
+        disconnect_ms = time_operation("disconnect", thing, clock)
+        assert disconnect_ms == pytest.approx(2.0)
 
 
 def test_read_duration_bounded_by_configured_latency_real_clock():
-    net = make_network(seed=11, read_latency_ms=5.0)
-    thing = consume(parse_td_file(SENSOR_TD), SimTransport(net, timeout_s=60.0))
-    net.processing_delay_ms = 0.0
-    thing.connect()
     from wotble.clock import RealClock
-    elapsed = time_operation("read", thing, RealClock(), "moisture")
+    with make_network(seed=11, read_latency_ms=5.0) as net:
+        thing = consume(parse_td_file(SENSOR_TD), SimTransport(net, timeout_s=60.0))
+        net.processing_delay_ms = 0.0
+        thing.connect()
+        elapsed = time_operation("read", thing, RealClock(), "moisture")
     assert 0.0 < elapsed < 5.0 + 10.0
-    net.close()
 
 
 def test_disconnect_while_disconnected_is_a_failed_sample():
     clock = VirtualClock()
-    net = make_network(clock=clock, seed=11)
-    thing = consume(parse_td_file(SENSOR_TD), SimTransport(net, timeout_s=60.0))
-    with pytest.raises(NotConnected):
-        time_operation("disconnect", thing, clock)
-    net.close()
+    with make_network(clock=clock, seed=11) as net:
+        thing = consume(parse_td_file(SENSOR_TD), SimTransport(net, timeout_s=60.0))
+        with pytest.raises(NotConnected):
+            time_operation("disconnect", thing, clock)
 
 
 # --- run_bench -------------------------------------------------------------------------

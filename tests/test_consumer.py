@@ -20,7 +20,6 @@ from wotble import (
     Severity,
     SimPeripheral,
     SimTransport,
-    Subscription,
     TransportContract,
     VirtualClock,
     consume,
@@ -60,6 +59,7 @@ from conftest import (
     SENSOR_MAC,
     SENSOR_TD,
     RecordingTransport,
+    UncalledTransport,
     calls_per,
     live_subscriptions,
     make_network,
@@ -99,12 +99,13 @@ def test_consume_twice_yields_independent_things():
 def test_a_policy_is_a_member_or_the_value_of_one():
     td = parse_td_file(LAMP_TD)
     for policy in ConnectionPolicy:
-        assert consume(td, None, policy).policy is policy
-        assert consume(td, None, policy.value).policy is policy
+        assert consume(td, UncalledTransport(), policy).policy is policy
+        assert consume(td, UncalledTransport(), policy.value).policy is policy
 
 
 @pytest.mark.parametrize("policy", ["nope", None, 3])
 def test_an_unknown_policy_is_rejected(policy):
+    # No transport at all: the policy is checked first.
     with pytest.raises(InvalidPolicy, match="unknown connection policy") as exc_info:
         consume(parse_td_file(LAMP_TD), None, policy)
     assert isinstance(exc_info.value, ValueError)
@@ -114,7 +115,7 @@ def test_consume_rejects_invalid_td():
     doc = json.loads(LAMP_TD.read_text())
     doc["sbo:isConnectable"] = False
     with pytest.raises(InvalidTd) as exc_info:
-        consume(parse_td(json.dumps(doc)), None)
+        consume(parse_td(json.dumps(doc)), UncalledTransport())
     assert exc_info.value.diagnostics
 
 
@@ -150,7 +151,7 @@ def test_consume_agrees_with_validate_td_on_every_parsed_mutant(fixture):
             continue
         invalid = any(d.severity is Severity.ERROR for d in validate_td(td))
         try:
-            thing = consume(td, None)
+            thing = consume(td, UncalledTransport())
         except InvalidTd:
             assert invalid, label
             outcomes.add("invalid")
@@ -235,12 +236,12 @@ def _wrong_kind_tds():
 @pytest.mark.parametrize("case", list(_wrong_kind_tds()))
 def test_a_td_with_wrong_kind_fields_is_an_invalid_td(case):
     td = _wrong_kind_tds()[case]
-    for call in (validate_td, lambda td: consume(td, None)):
+    for call in (validate_td, lambda td: consume(td, UncalledTransport())):
         with pytest.raises(InvalidTd, match="not a well-formed ThingDescription"):
             call(td)
     if case != "metadata-none":  # a thing built directly reads no metadata
         with pytest.raises(InvalidTd, match="not a well-formed ThingDescription"):
-            ConsumedThing(td, None).device_id
+            ConsumedThing(td, UncalledTransport()).device_id
 
 
 @pytest.mark.parametrize("td", [{"title": "x"}, None], ids=repr)
@@ -248,7 +249,7 @@ def test_anything_but_a_td_is_an_invalid_td(td):
     with pytest.raises(InvalidTd, match="takes a parsed ThingDescription"):
         validate_td(td)
     with pytest.raises(InvalidTd, match="not a well-formed ThingDescription"):
-        ConsumedThing(td, None).device_id
+        ConsumedThing(td, UncalledTransport()).device_id
 
 
 def test_lamp_write_property_golden_payload():
@@ -438,8 +439,8 @@ def text_plain_sensor_td():
     lambda thing, value: thing.invoke_action("water", value),
 ], ids=["write_property", "invoke_action"])
 def test_a_form_no_codec_handles_refuses_every_write_first(call, value):
-    # No transport at all: a transport call would raise BadArgument instead.
-    thing = consume(text_plain_sensor_td(), None)
+    # A transport call would fail the test.
+    thing = consume(text_plain_sensor_td(), UncalledTransport())
     for _ in range(2):
         with pytest.raises(UnsupportedMediaType, match="text/plain"):
             call(thing, value)
@@ -798,43 +799,47 @@ def test_a_listener_that_is_not_callable_is_refused_at_subscribe_time():
         assert transport.trace == [] and live_subscriptions(net) == 0
 
 
-#: Each entry point that names a transport lacking the method it calls: (the TD, the call).
-FIRST_CALLS = {
-    "read_property": (SENSOR_TD, lambda thing: thing.read_property("moisture")),
-    "write_property": (LAMP_TD, lambda thing: thing.write_property("power", {"on": 1})),
-    "subscribe_event": (BEACON_TD, lambda thing: thing.subscribe_event(
-        "temperature", lambda value: None)),
-    "unsubscribe_event": (BEACON_TD, lambda thing: thing.unsubscribe_event(
-        Subscription(thing, "temperature", SimpleNamespace(active=True)))),
-    "connect": (SENSOR_TD, lambda thing: thing.connect()),
-    "connected": (SENSOR_TD, lambda thing: thing.connected),
-    "disconnect": (SENSOR_TD, lambda thing: thing.disconnect()),
-}
+CONTRACT_METHODS = sorted(TransportContract.__abstractmethods__)
 
 
-@pytest.mark.parametrize("policy", list(ConnectionPolicy))
-@pytest.mark.parametrize("entry_point", FIRST_CALLS)
-def test_a_transport_without_the_method_called_is_a_bad_argument(entry_point, policy):
-    td_path, call = FIRST_CALLS[entry_point]
-    td = parse_td_file(td_path)
-    for transport in (None, object()):
-        with pytest.raises(BadArgument, match=rf"the transport, a {type(transport).__name__}, "
-                                              r"has no \w+ method$") as exc_info:
-            call(consume(td, transport, policy))
-        assert exc_info.value.__suppress_context__
+def faulty(method: str, fault: str) -> type:
+    """An ``UncalledTransport`` whose ``method`` is missing or not callable."""
+    methods = {name: getattr(UncalledTransport, name) for name in CONTRACT_METHODS}
+    if fault == "missing":
+        del methods[method]
+    else:
+        methods[method] = None
+    return type(f"{fault.title().replace('-', '')}{method.title().replace('_', '')}",
+                (), methods)
 
 
-class OnlyReads:
-    """A transport with a ``read`` whose link is always down, and no other method."""
+@pytest.mark.parametrize("build", [consume, ConsumedThing], ids=["consume", "ConsumedThing"])
+@pytest.mark.parametrize("fault", ["missing", "not-callable"])
+@pytest.mark.parametrize("method", CONTRACT_METHODS)
+def test_a_transport_without_a_callable_contract_method_is_refused_when_built(
+        method, fault, build):
+    transport_class = faulty(method, fault)
+    with pytest.raises(BadArgument) as exc_info:
+        build(parse_td_file(SENSOR_TD), transport_class())  # any call fails the test
+    assert str(exc_info.value) == (
+        f"the transport, a {transport_class.__name__}, has no {method} method")
 
-    def read(self, uri):
-        raise NotConnected(f"not connected to {uri.device_id}")
 
-
-def test_a_transport_method_missing_behind_a_recovery_is_named():
-    thing = consume(parse_td_file(SENSOR_TD), OnlyReads())
-    with pytest.raises(BadArgument, match="a OnlyReads, has no is_connected method$"):
-        thing.read_property("moisture")
+@pytest.mark.parametrize("transport, named", [
+    (None, CONTRACT_METHODS),
+    (object(), CONTRACT_METHODS),
+    (type("OnlyReads", (), {"read": UncalledTransport.read})(),
+     [name for name in CONTRACT_METHODS if name != "read"]),
+    (type("Lopsided", (UncalledTransport,), {"unsubscribe": None, "read": "read"})(),
+     ["read", "unsubscribe"]),
+], ids=["none", "object", "only-reads", "lopsided"])
+@pytest.mark.parametrize("build", [consume, ConsumedThing], ids=["consume", "ConsumedThing"])
+def test_a_refused_transport_is_named_with_every_method_it_cannot_call(build, transport,
+                                                                       named):
+    with pytest.raises(BadArgument) as exc_info:
+        build(parse_td_file(SENSOR_TD), transport)
+    assert str(exc_info.value) == (f"the transport, a {type(transport).__name__}, "
+                                   f"has no {' or '.join(named)} method")
 
 
 #: Each ``TransportContract`` method and a call on a fresh thing that reaches it:
@@ -862,20 +867,6 @@ def replaced(method: str, replacement):
                 {method: replacement})
 
 
-@pytest.mark.parametrize("policy", list(ConnectionPolicy))
-@pytest.mark.parametrize("method", CONTRACT_CALLS)
-def test_a_transport_method_that_is_not_callable_is_a_bad_argument(method, policy):
-    td_path, call = CONTRACT_CALLS[method]
-    transport_class = replaced(method, None)
-    with make_network(clock=VirtualClock()) as net:
-        thing = consume(parse_td_file(td_path), transport_class(net, timeout_s=60.0), policy)
-        with pytest.raises(BadArgument) as exc_info:
-            call(thing)
-    assert str(exc_info.value) == (
-        f"the transport, a {transport_class.__name__}, has no {method} method")
-    assert exc_info.value.__suppress_context__
-
-
 @pytest.mark.parametrize("failing, error, message", [
     (lambda transport: transport.missing_attribute, AttributeError,
      "'{cls}' object has no attribute 'missing_attribute'"),
@@ -897,17 +888,6 @@ def test_an_error_inside_a_transport_method_passes_through(method, policy, faili
             call(thing)
     assert type(exc_info.value) is error
     assert str(exc_info.value) == message.format(cls=transport_class.__name__)
-
-
-def test_a_type_error_inside_a_method_is_not_blamed_on_another_uncallable_one():
-    transport_class = type("Lopsided", (SimTransport,),
-                           {"unsubscribe": None, "read": lambda self, uri: len(self)})
-    with make_network(clock=VirtualClock()) as net:
-        thing = consume(parse_td_file(SENSOR_TD), transport_class(net, timeout_s=60.0))
-        with pytest.raises(TypeError) as exc_info:
-            thing.read_property("moisture")
-    assert type(exc_info.value) is TypeError
-    assert str(exc_info.value) == "object of type 'Lopsided' has no len()"
 
 
 def test_a_single_name_is_not_a_collection_of_names():
@@ -1334,7 +1314,9 @@ SESSION_INTERACTIONS = {
 
 #: Calls of a whole session per fixture kind, on the radio latencies of the
 #: benchmark: parse the TD, consume it, one interaction, then disconnect.
-SESSION_CALL_BUDGETS = {"sensor-read": 138, "lamp-write": 132, "beacon-subscribe": 144}
+#: Measured 139.0, 133.0 and 144.0: one of them is the ``all`` of the
+#: transport check at construction.
+SESSION_CALL_BUDGETS = {"sensor-read": 139, "lamp-write": 133, "beacon-subscribe": 144}
 
 
 @pytest.mark.parametrize("kind", SESSION_CALL_BUDGETS)
@@ -1713,7 +1695,8 @@ def test_write_all_requires_values_for_every_property():
 
 # --- raw octets and no-leakage property ------------------------------------------------
 
-def test_an_octet_stream_form_carries_raw_octets_both_ways():
+@pytest.mark.parametrize("octets", [bytes, bytearray, memoryview])
+def test_an_octet_stream_form_carries_raw_octets_both_ways(octets):
     doc = json.loads(LAMP_TD.read_text())
     form = doc["properties"]["power"]["forms"][0]
     form["op"] = ["readproperty", "writeproperty"]
@@ -1725,12 +1708,12 @@ def test_an_octet_stream_form_carries_raw_octets_both_ways():
         transport = RecordingTransport(net, timeout_s=10.0)
         lamp = consume(parse_td(json.dumps(doc)), transport)
         payload = bytes.fromhex("7e00040100000000ef")
-        lamp.write_property("power", payload)
+        lamp.write_property("power", octets(payload))
         assert writes(transport) == [(payload, True)]
         value = lamp.read_property("power")
         assert type(value) is bytes and value == payload
         with pytest.raises(AttLengthExceeded):  # the codec's cap, before the transport's
-            lamp.write_property("power", bytes(513))
+            lamp.write_property("power", octets(bytes(513)))
         assert len(writes(transport)) == 1
         sensor = consume(parse_td(json.dumps(sensor_doc)), transport)
         assert sensor.read_property("moisture") == bytes([42])
