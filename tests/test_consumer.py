@@ -825,6 +825,13 @@ def test_a_transport_without_a_callable_contract_method_is_refused_when_built(
         f"the transport, a {transport_class.__name__}, has no {method} method")
 
 
+def shadowed() -> UncalledTransport:
+    """An ``UncalledTransport`` whose own ``read`` attribute hides its class's method."""
+    transport = UncalledTransport()
+    transport.read = None
+    return transport
+
+
 @pytest.mark.parametrize("transport, named", [
     (None, CONTRACT_METHODS),
     (object(), CONTRACT_METHODS),
@@ -832,7 +839,8 @@ def test_a_transport_without_a_callable_contract_method_is_refused_when_built(
      [name for name in CONTRACT_METHODS if name != "read"]),
     (type("Lopsided", (UncalledTransport,), {"unsubscribe": None, "read": "read"})(),
      ["read", "unsubscribe"]),
-], ids=["none", "object", "only-reads", "lopsided"])
+    (shadowed(), ["read"]),
+], ids=["none", "object", "only-reads", "lopsided", "shadowed"])
 @pytest.mark.parametrize("build", [consume, ConsumedThing], ids=["consume", "ConsumedThing"])
 def test_a_refused_transport_is_named_with_every_method_it_cannot_call(build, transport,
                                                                        named):
@@ -840,6 +848,41 @@ def test_a_refused_transport_is_named_with_every_method_it_cannot_call(build, tr
         build(parse_td_file(SENSOR_TD), transport)
     assert str(exc_info.value) == (f"the transport, a {type(transport).__name__}, "
                                    f"has no {' or '.join(named)} method")
+
+
+@pytest.mark.parametrize("build", [consume, ConsumedThing], ids=["consume", "ConsumedThing"])
+@pytest.mark.parametrize("policy", list(ConnectionPolicy))
+def test_a_transport_is_refused_before_any_link_under_every_policy(policy, build):
+    transport_class = type("UnsubscribeLess", (RecordingTransport,), {"unsubscribe": None})
+    with make_network(clock=VirtualClock()) as net:
+        transport = transport_class(net, timeout_s=60.0)
+        with pytest.raises(BadArgument, match="a UnsubscribeLess, has no unsubscribe method$"
+                           ) as exc_info:
+            build(parse_td_file(BEACON_TD), transport, policy.value)
+        assert exc_info.value.__context__ is None
+        assert transport.trace == [] and live_subscriptions(net) == 0
+
+
+@pytest.mark.parametrize("build", [consume, ConsumedThing], ids=["consume", "ConsumedThing"])
+def test_a_duck_typed_transport_with_every_method_is_accepted(build):
+    with make_network(clock=VirtualClock()) as net:
+        recording = RecordingTransport(net, timeout_s=60.0)
+        # Not a TransportContract: the contract's methods are instance attributes.
+        transport = SimpleNamespace(**{name: getattr(recording, name)
+                                       for name in CONTRACT_METHODS})
+        sensor = build(parse_td_file(SENSOR_TD), transport)
+        assert sensor.read_property("moisture") == 42
+        sensor.disconnect()
+    assert [entry[0] for entry in recording.trace] == [
+        "connect", "discover_gatt", "read", "disconnect"]
+
+
+def test_an_invalid_td_is_reported_before_a_refused_transport():
+    doc = json.loads(LAMP_TD.read_text())
+    doc["sbo:isConnectable"] = False
+    with pytest.raises(InvalidTd) as exc_info:
+        consume(parse_td(json.dumps(doc)), None)
+    assert exc_info.value.diagnostics
 
 
 #: Each ``TransportContract`` method and a call on a fresh thing that reaches it:
