@@ -144,13 +144,13 @@ def resolve_form(affordance: "Affordance", op: WotOperation) -> ResolvedRequest:
     for form in affordance.forms:
         if op not in form.op:
             continue
+        method = form.method_name
+        # No method name: the operation's default, as map_operation gives it
+        # but with no frame. A named method is checked by map_operation.
         return ResolvedRequest(
-            uri=form.uri if form.uri is not None else parse_gatt_uri(form.href),
-            method=map_operation(op, form.method_name),
-            spec=affordance.bdo,
-            operation=op,
-            content_type=form.content_type,
-        )
+            form.uri if form.uri is not None else parse_gatt_uri(form.href),
+            _METHODS_OF[op][0] if method is None else map_operation(op, method),
+            affordance.bdo, op, form.content_type)
     raise NoMatchingForm(
         f"affordance {affordance.name!r} has no form for operation {op.value!r}"
     )

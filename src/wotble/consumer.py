@@ -300,11 +300,19 @@ class ConsumedThing:
     def connect(self) -> None:
         """Connect to the TD's device and explore its GATT structure."""
         with self._lock:
-            if not self.connected:
-                self._open()
+            self._open()
 
-    def _open(self) -> None:
+    def _open(self, fresh: bool = False) -> None:
+        """Connect and explore GATT unless the link is up; under the lock.
+
+        With ``fresh``, a link that is up is dropped and opened again. Either
+        way the transport is asked once whether the link is up.
+        """
         device_id, transport = self._device_id or self.device_id, self.transport
+        if transport.is_connected(device_id):
+            if not fresh:
+                return
+            transport.disconnect(device_id)
         transport.connect(device_id)
         # Exploring the GATT structure is part of the connect time the paper
         # measures, though it yields nothing that the thing reads.
@@ -378,8 +386,12 @@ class ConsumedThing:
         if not callable(listener):
             raise BadArgument(f"subscribe_event takes a callable listener, "
                               f"got {type(listener).__name__}")
-        _, request, codec = self._resolve(self._subscribes, "events", name,
-                                          WotOperation.SUBSCRIBEEVENT)
+        try:
+            entry = self._subscribes.get(name)
+        except TypeError:  # an unhashable name: _resolve raises
+            entry = None
+        _, request, codec = entry or self._resolve(self._subscribes, "events", name,
+                                                   WotOperation.SUBSCRIBEEVENT)
         decode, spec = codec.decode, request.spec
 
         def subscribe() -> Subscription:
@@ -475,26 +487,23 @@ class ConsumedThing:
     # -- internals
 
     def _resolve(self, requests: dict, category: str, name: str, op: WotOperation):
-        """Return ``(affordance, request, codec)``, resolved on first use.
+        """Return ``(affordance, request, codec)`` for a name ``requests`` lacks.
 
-        ``requests`` is the thing's table for ``op``, which keeps the entry.
-        A form whose content type no codec handles raises
-        ``UnsupportedMediaType`` and is not kept.
+        ``requests`` is the thing's table for ``op``, which keeps the entry;
+        callers look there first and come here on a miss only. A form whose
+        content type no codec handles raises ``UnsupportedMediaType`` and is
+        not kept.
         """
         try:
-            entry = requests.get(name)
-        except TypeError:  # an unhashable name, which no affordance has
-            raise self._unknown(category, name) from None
-        if entry is None:
             affordance = getattr(self.td, category).get(name)
-            if affordance is None:
-                raise self._unknown(category, name)
-            request = resolve_form(affordance, op)
-            # Callers racing on a first use all get the entry stored first; a
-            # content type that no codec handles raises UnsupportedMediaType.
-            entry = requests.setdefault(
-                name, (affordance, request, get_codec(request.content_type)))
-        return entry
+        except TypeError:  # an unhashable name, which no affordance has
+            affordance = None
+        if affordance is None:
+            raise self._unknown(category, name)
+        request = resolve_form(affordance, op)
+        # Callers racing on a first use all get the entry stored first; a
+        # content type that no codec handles raises UnsupportedMediaType.
+        return requests.setdefault(name, (affordance, request, get_codec(request.content_type)))
 
     def _unknown(self, category: str, name) -> UnknownAffordance:
         return UnknownAffordance(f"TD {self.td.title!r} has no "
@@ -513,8 +522,11 @@ class ConsumedThing:
         """Return ``call(*args)``, made under the thing's lock and its policy.
 
         Unless a live subscription pins the link, ``RECONNECT_PER_OPERATION``
-        replaces it with a fresh one first, and both teardown policies drop
-        it afterwards, also when the call raises. A call that raises
+        replaces it with a fresh one first, in a single pass: one ``_open``
+        frame asks the transport once whether the link is up, drops it if
+        so, connects and explores GATT, so the call is not made on a link
+        bound to fail. Both teardown policies drop the link afterwards, also
+        when the call raises, from this frame. A call that raises
         ``NotConnected`` goes to ``_recover``. ``subscribe_event`` runs here
         under every policy; ``read_property`` and the writers only under a
         teardown policy, as they make a kept-link call themselves.
@@ -522,8 +534,7 @@ class ConsumedThing:
         with self._lock:
             policy = self.policy
             if policy is _RECONNECT_PER_OPERATION and not (self._subscriptions and self._live()):
-                self._drop()
-                self._open()  # the link is down: spare a call bound to fail
+                self._open(fresh=True)
             try:
                 try:
                     return call(*args)
@@ -531,7 +542,10 @@ class ConsumedThing:
                     return self._recover(call, *args)
             finally:
                 if policy is not _KEEP_CONNECTED and not (self._subscriptions and self._live()):
-                    self._drop()
+                    # _drop, inlined: every teardown-policy operation runs it.
+                    device_id, transport = self._device_id or self.device_id, self.transport
+                    if transport.is_connected(device_id):
+                        transport.disconnect(device_id)
 
     def _recover(self, call, *args):
         """Connect under the thing's lock and make ``call(*args)`` once more.
@@ -541,7 +555,7 @@ class ConsumedThing:
         """
         with self._lock:
             self._live()  # forget the subscriptions the link took
-            self.connect()
+            self._open()
             return call(*args)
 
 

@@ -197,6 +197,9 @@ class SimNetwork:
       the same critical section that registers it, for that subscriber only.
     * Disconnecting a central cancels that central's subscriptions on the
       device; unsubscribing one of them afterwards is a no-op.
+    * :meth:`discovery_delay_s` is the one draw from the seeded RNG, made
+      once per discovery. It takes no lock: the draw is a single C call,
+      atomic under the GIL, so concurrent connects never share or skip one.
     * :meth:`close` (also called on leaving a ``with`` block) lets the
       delivery thread hand out what was queued before it, then stops and
       joins the thread. It is idempotent; later ``subscribe`` and
@@ -222,7 +225,6 @@ class SimNetwork:
         self.write_latency_ms = _latency(write_latency_ms, "write_latency_ms")
         self.disconnect_latency_ms = _latency(disconnect_latency_ms, "disconnect_latency_ms")
         self._rng = random.Random(seed)
-        self._rng_lock = threading.Lock()
         self._peripherals: dict[str, SimPeripheral] = {}
         self._lock = threading.RLock()
         self._subscriptions: dict[SimCharacteristic, list[_Subscription]] = {}
@@ -269,8 +271,13 @@ class SimNetwork:
     # -- discovery latency model
 
     def discovery_delay_s(self, peripheral: SimPeripheral) -> float:
-        with self._rng_lock:
-            phase_ms = self._rng.uniform(0.0, peripheral.advertising_interval_ms)
+        """The wait before a scan sees ``peripheral``: one draw, in seconds.
+
+        The phase is ``interval * random()``, bit for bit what
+        ``uniform(0.0, interval)`` returns. Its one C call is atomic under
+        the GIL, so concurrent connects need no lock to take each draw once.
+        """
+        phase_ms = peripheral.advertising_interval_ms * self._rng.random()
         return (phase_ms + self.processing_delay_ms) / 1000.0
 
     # -- links
@@ -307,7 +314,8 @@ class SimNetwork:
         """The peripheral ``central`` holds the link to; ``mac`` is canonical.
 
         Takes no lock. ``SimTransport`` makes the same check inline in
-        ``read``, ``write`` and ``_attribute``, which run on every interaction.
+        ``read``, ``write`` and ``_attribute``, which run on every interaction,
+        and so does :meth:`detach`, which runs on every teardown.
         """
         peripheral = self._peripherals.get(mac)
         if peripheral is None or peripheral.connected_by is not central:
@@ -325,7 +333,9 @@ class SimNetwork:
         ``mac`` is canonical. With no live subscription on the network, there
         is nothing to end, and the registry is not scanned.
         """
-        peripheral = self.linked(mac, central)
+        peripheral = self._peripherals.get(mac)  # SimNetwork.linked, inlined
+        if peripheral is None or peripheral.connected_by is not central:
+            raise NotConnected(f"not connected to {mac}")
         if self._subscriptions:
             with self._lock:
                 subs = [s for lst in self._subscriptions.values() for s in lst

@@ -575,16 +575,33 @@ class FirstExplorationTimesOut(SimTransport):
         return super().discover_gatt(device_id)
 
 
-def test_failed_gatt_exploration_releases_the_link():
+@pytest.mark.parametrize("policy", list(ConnectionPolicy))
+def test_failed_gatt_exploration_releases_the_link(policy):
     with make_network(clock=VirtualClock()) as net:
         transport = FirstExplorationTimesOut(net, timeout_s=60.0)
-        thing = consume(parse_td_file(SENSOR_TD), transport)
+        thing = consume(parse_td_file(SENSOR_TD), transport, policy)
         with pytest.raises(Timeout):
             thing.read_property("moisture")
         assert not thing.connected and not transport.is_connected(SENSOR_MAC)
         assert thing.read_property("moisture") == 42  # no Busy on the retry
         thing.disconnect()
         assert net.peripheral(SENSOR_MAC).connected_by is None
+
+
+@pytest.mark.parametrize("call, op", [
+    (lambda thing: thing.read_property("temperature"), "read"),
+    (lambda thing: thing.write_property("temperature", 3.0), "write"),
+])
+def test_a_fresh_link_replaces_one_a_sibling_thing_holds(call, op):
+    with make_network(clock=VirtualClock(), auto_notify=False) as net:
+        thing, transport = beacon_reader(net, ConnectionPolicy.RECONNECT_PER_OPERATION)
+        sibling = consume(thing.td, transport)
+        sibling.connect()
+        entries = len(transport.trace)
+        call(thing)
+        assert [entry[0] for entry in transport.trace[entries:]] == [
+            "disconnect", *CYCLE, op, "disconnect"]
+        assert not sibling.connected
 
 
 # --- the transport's link is the thing's only record of it ---------------------------
@@ -1334,7 +1351,9 @@ def test_an_unpinned_teardown_asks_the_transport_once(policy):
 #: Calls of a fresh thing's first read under ``RECONNECT_PER_OPERATION``: a
 #: connect, a GATT exploration, a read and a disconnect, through the binding.
 #: A canonical MAC reaches the network as is, so a normalization put back fails.
-SESSION_READ_CALL_BUDGET = 50
+#: Measured 44.0: one frame drops and reopens the link, and one draws the
+#: discovery delay, with no lock.
+SESSION_READ_CALL_BUDGET = 44
 
 
 def test_a_session_read_stays_within_its_call_budget():
@@ -1357,9 +1376,9 @@ SESSION_INTERACTIONS = {
 
 #: Calls of a whole session per fixture kind, on the radio latencies of the
 #: benchmark: parse the TD, consume it, one interaction, then disconnect.
-#: Measured 139.0, 133.0 and 144.0: one of them is the ``all`` of the
+#: Measured 133.0, 127.0 and 140.0: one of them is the ``all`` of the
 #: transport check at construction.
-SESSION_CALL_BUDGETS = {"sensor-read": 139, "lamp-write": 133, "beacon-subscribe": 144}
+SESSION_CALL_BUDGETS = {"sensor-read": 133, "lamp-write": 127, "beacon-subscribe": 140}
 
 
 @pytest.mark.parametrize("kind", SESSION_CALL_BUDGETS)

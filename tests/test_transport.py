@@ -1,5 +1,6 @@
 import itertools
 import queue
+import random
 import statistics
 import sys
 import threading
@@ -291,6 +292,69 @@ def test_processing_delay_adds_to_discovery():
     elapsed_ms = (net.clock.monotonic() - start) * 1000.0
     assert 500.0 <= elapsed_ms <= 510.0
     net.close()
+
+
+def test_a_discovery_delay_is_the_seeded_uniform_draw_bit_for_bit():
+    seed, processing_ms = 20, 5.0
+    with make_network(clock=VirtualClock(), seed=seed) as net:
+        net.processing_delay_ms = processing_ms
+        peripherals = net.peripherals()
+        assert sorted(p.advertising_interval_ms for p in peripherals) == [50, 200, 2000]
+        reference = random.Random(seed)
+        expected, drawn = [], []
+        for i in range(3000):
+            peripheral = peripherals[i % len(peripherals)]
+            interval = peripheral.advertising_interval_ms
+            expected.append(((reference.uniform(0.0, interval) + processing_ms) / 1000.0).hex())
+            drawn.append(net.discovery_delay_s(peripheral).hex())
+    assert drawn == expected
+
+
+class DrawLog(SimNetwork):
+    """A network that keeps every discovery delay it draws."""
+
+    def __init__(self, **kw):
+        super().__init__(**kw)
+        self.draws = []
+
+    def discovery_delay_s(self, peripheral):
+        delay_s = super().discovery_delay_s(peripheral)
+        self.draws.append(delay_s)
+        return delay_s
+
+
+def test_concurrent_connects_take_each_discovery_draw_once():
+    seed, interval_ms, threads, cycles = 9, 100.0, 4, 500
+    net = DrawLog(clock=VirtualClock(), seed=seed)
+    macs = [f"AA:AA:AA:AA:AB:{i:02X}" for i in range(threads)]
+    for mac in macs:
+        net.define_peripheral(SimPeripheral(mac, interval_ms))
+    errors = []
+
+    def cycle(mac):
+        transport = SimTransport(net, timeout_s=1.0)
+        try:
+            for _ in range(cycles):
+                transport.connect(mac)
+                transport.disconnect(mac)
+        except Exception as exc:
+            errors.append(exc)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=cycle, args=(mac,)) for mac in macs]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(30.0)
+    finally:
+        sys.setswitchinterval(switch)
+        net.close()
+    assert not any(worker.is_alive() for worker in workers) and errors == []
+    reference = random.Random(seed)
+    sequential = [reference.uniform(0.0, interval_ms) / 1000.0 for _ in range(threads * cycles)]
+    assert sorted(net.draws) == sorted(sequential)
 
 
 # --- notifications ---------------------------------------------------------------------
