@@ -102,24 +102,35 @@ def consume(td: ThingDescription, transport: TransportContract,
             ) -> "ConsumedThing":
     """Create a ConsumedThing; performs no I/O.
 
-    The TD must be a parsed ``ThingDescription`` that validates cleanly:
+    The same as building :class:`ConsumedThing` directly: one path, which
+    checks the TD, finds its device, then checks the policy and the
+    transport, in that order.
+    """
+    return ConsumedThing(td, transport, policy)
+
+
+def _single_device(td: ThingDescription) -> str:
+    """The single device MAC that all of ``td``'s gatt:// forms name.
+
+    ``td`` must be a parsed ``ThingDescription`` that validates cleanly:
     anything else, and error-severity diagnostics, raise ``InvalidTd``;
     warnings are tolerated. One walk over the forms finds the device MACs.
     ``validate_td`` runs only when that walk meets a form whose href is not
     a gatt:// URI, or when the TD says the device is not connectable, the
-    two sources of an error diagnostic. When every gatt:// form names one
-    device, the thing starts with that device id; otherwise its first
-    connect raises ``MixedDevices`` or ``InvalidTd``. Then the thing checks
-    the policy and the transport, as :class:`ConsumedThing` says: a
-    transport that lacks a ``TransportContract`` method, or cannot call one,
-    raises ``BadArgument``, and none of its methods is called.
+    two sources of an error diagnostic. Forms that name several devices
+    then raise ``MixedDevices``, and a TD with no gatt:// form ``InvalidTd``.
+    A TD whose fields are not of the kinds a parsed one has raises
+    ``InvalidTd``.
     """
     if not isinstance(td, ThingDescription):
         raise InvalidTd(f"consume takes a parsed ThingDescription, got {type(td).__name__}")
-    macs = _device_macs(td)
     try:
+        macs = {None if form.uri is None else form.uri.device_id
+                for category in (td.properties, td.actions, td.events)
+                for affordance in category.values()
+                for form in affordance.forms}
         connectable = td.metadata.is_connectable
-    except AttributeError as exc:
+    except (AttributeError, TypeError) as exc:
         raise _not_well_formed(td, exc) from None
     if None in macs or connectable is False:
         errors = [d for d in validate_td(td) if d.severity is Severity.ERROR]
@@ -127,26 +138,12 @@ def consume(td: ThingDescription, transport: TransportContract,
             raise InvalidTd(f"TD {td.title!r} failed validation: "
                             + "; ".join(str(d) for d in errors), diagnostics=errors)
         macs.discard(None)
-    thing = ConsumedThing(td, transport, policy)
-    if len(macs) == 1:
-        thing._device_id = macs.pop()
-    return thing
-
-
-def _device_macs(td: ThingDescription) -> set:
-    """The device MAC of each of ``td``'s forms, and None for a form with none.
-
-    The one walk over a TD's forms: ``consume`` makes it, and so does a
-    directly built thing at its first connect. A TD whose fields are not of
-    the kinds a parsed one has raises ``InvalidTd``.
-    """
-    try:
-        return {None if form.uri is None else form.uri.device_id
-                for category in (td.properties, td.actions, td.events)
-                for affordance in category.values()
-                for form in affordance.forms}
-    except (AttributeError, TypeError) as exc:
-        raise _not_well_formed(td, exc) from None
+    if len(macs) > 1:
+        raise MixedDevices(f"TD {td.title!r} references several devices: "
+                           + ", ".join(sorted(macs)))
+    if not macs:
+        raise InvalidTd(f"TD {td.title!r} declares no gatt:// forms")
+    return macs.pop()
 
 
 def _value_writer(category: str, op: WotOperation):
@@ -185,12 +182,12 @@ class ConsumedThing:
 
     All forms of the TD must point at a single device; link and
     subscription changes are serialized so the connection policy stays
-    coherent under concurrent callers. ``consume`` finds that device in the
-    one walk over the forms it makes anyway, and runs ``validate_td`` only
-    when the walk or the TD's metadata shows an error is possible. A thing
-    built directly makes the same walk, under its lock, at its first
-    connect, and no validation. The walk raises ``MixedDevices`` when the
-    forms name several devices and ``InvalidTd`` when they name none.
+    coherent under concurrent callers. The thing finds that device when it
+    is built, in one walk over the forms, and runs ``validate_td`` only when
+    the walk or the TD's metadata shows an error is possible. Anything but a
+    parsed TD, and a TD that fails validation or names no device, raises
+    ``InvalidTd``; forms that name several devices raise ``MixedDevices``.
+    ``consume`` builds the thing this way too: the two are one path.
 
     The transport's link is the only record of whether the thing is
     connected; the thing keeps no copy. Things on one transport that target
@@ -230,20 +227,22 @@ class ConsumedThing:
     asks the transport once whether the link is up and drops it at most
     once.
 
-    The transport is checked once, when the thing is built: a transport
-    that lacks a ``TransportContract`` method, or holds one as something not
-    callable, raises ``BadArgument`` naming the transport's type and every
-    such method, before any transport call. So the transport's methods must
-    not change after that. An ``AttributeError`` or ``TypeError`` raised
-    inside a transport method passes through as it is.
+    The transport is checked once, when the thing is built, after the TD
+    and the policy: a transport that lacks a ``TransportContract`` method,
+    or holds one as something not callable, raises ``BadArgument`` naming
+    the transport's type and every such method, before any transport call.
+    So the transport's methods must not change after that. An
+    ``AttributeError`` or ``TypeError`` raised inside a transport method
+    passes through as it is.
 
     ``policy`` is a ``ConnectionPolicy`` member or the value of one; any
     other value raises ``InvalidPolicy``, which is also a ``ValueError``,
-    before the transport is checked.
+    after the TD is checked and before the transport is.
     """
 
     def __init__(self, td: ThingDescription, transport: TransportContract,
                  policy: ConnectionPolicy = ConnectionPolicy.KEEP_CONNECTED):
+        self._device_id = _single_device(td)
         self.td = td
         self.transport = transport
         if policy.__class__ is not ConnectionPolicy:
@@ -259,7 +258,6 @@ class ConsumedThing:
             raise BadArgument(_transport_fault(transport))
         self.policy = policy
         self._lock = threading.RLock()
-        self._device_id: str | None = None
         # One request table per operation, keyed by affordance name.
         self._reads: dict = {}
         self._writes: dict = {}
@@ -272,30 +270,13 @@ class ConsumedThing:
 
     @property
     def device_id(self) -> str:
-        """The single MAC all gatt:// forms of this TD agree on.
-
-        Set by ``consume``, or found at first use, under the lock.
-        """
-        if self._device_id is None:  # resolved once, under the lock; read freely after
-            with self._lock:
-                if self._device_id is None:
-                    self._device_id = self._resolve_device_id()
+        """The single MAC all gatt:// forms of this TD agree on."""
         return self._device_id
-
-    def _resolve_device_id(self) -> str:
-        macs = _device_macs(self.td)
-        macs.discard(None)  # validate_td reported the others
-        if len(macs) > 1:
-            raise MixedDevices(f"TD {self.td.title!r} references several devices: "
-                               + ", ".join(sorted(macs)))
-        if not macs:
-            raise InvalidTd(f"TD {self.td.title!r} declares no gatt:// forms")
-        return macs.pop()
 
     @property
     def connected(self) -> bool:
         """Whether the transport holds a link to the TD's device."""
-        return self.transport.is_connected(self.device_id)
+        return self.transport.is_connected(self._device_id)
 
     def connect(self) -> None:
         """Connect to the TD's device and explore its GATT structure."""
@@ -308,7 +289,7 @@ class ConsumedThing:
         With ``fresh``, a link that is up is dropped and opened again. Either
         way the transport is asked once whether the link is up.
         """
-        device_id, transport = self._device_id or self.device_id, self.transport
+        device_id, transport = self._device_id, self.transport
         if transport.is_connected(device_id):
             if not fresh:
                 return
@@ -324,7 +305,7 @@ class ConsumedThing:
 
     def _drop(self) -> None:
         """Drop the link of a thing with no live subscription; under the lock."""
-        device_id, transport = self._device_id or self.device_id, self.transport
+        device_id, transport = self._device_id, self.transport
         if transport.is_connected(device_id):
             transport.disconnect(device_id)
 
@@ -543,7 +524,7 @@ class ConsumedThing:
             finally:
                 if policy is not _KEEP_CONNECTED and not (self._subscriptions and self._live()):
                     # _drop, inlined: every teardown-policy operation runs it.
-                    device_id, transport = self._device_id or self.device_id, self.transport
+                    device_id, transport = self._device_id, self.transport
                     if transport.is_connected(device_id):
                         transport.disconnect(device_id)
 

@@ -636,9 +636,6 @@ def validate_td(td: ThingDescription) -> list[Diagnostic]:
 
 
 def _not_well_formed(td: ThingDescription, exc: Exception) -> InvalidTd:
-    """The error for a TD whose fields are not of the kinds a parsed one has.
-
-    ``td`` may be any object: a thing built directly checks nothing else.
-    """
+    """The error for a TD whose fields are not of the kinds a parsed one has."""
     title = getattr(td, "title", None)
     return InvalidTd(f"TD {title!r} is not a well-formed ThingDescription: {exc}")

@@ -177,16 +177,19 @@ class _Subscription:
 class SimNetwork:
     """A set of simulated peripherals sharing one clock and RNG.
 
-    Any number of :class:`SimTransport` centrals may attach; each peripheral
-    accepts a single connection at a time. Notification delivery runs on a
-    dedicated worker thread, never on the subscriber's calling thread.
+    Any number of :class:`SimTransport` centrals may share it; each
+    peripheral accepts a single connection at a time. Notification delivery
+    runs on a dedicated worker thread, never on the subscriber's calling
+    thread.
 
     Lifecycle:
 
-    * Only the network's methods change a device's ``connected_by``, a
-      characteristic's value, and the subscription registry:
-      :meth:`attach`, :meth:`detach`, :meth:`store`, :meth:`subscribe` and
-      :meth:`unsubscribe`.
+    * The network holds the device definitions, the seeded RNG, the
+      subscription registry and delivery. A :class:`SimTransport`'s
+      ``connect`` and ``disconnect`` set and clear a device's
+      ``connected_by`` themselves, under the network's lock.
+    * Only :meth:`subscribe` and :meth:`unsubscribe` change the
+      subscription registry.
     * The subscription registry holds live subscriptions only, keyed by
       their :class:`SimCharacteristic`: unsubscribing removes the entry,
       and nothing is delivered to it after ``unsubscribe`` returns, not even
@@ -279,81 +282,6 @@ class SimNetwork:
         """
         phase_ms = peripheral.advertising_interval_ms * self._rng.random()
         return (phase_ms + self.processing_delay_ms) / 1000.0
-
-    # -- links
-
-    def attach(self, mac: str, central, timeout_s: float) -> None:
-        """Discover ``mac`` and give ``central`` the device's single link.
-
-        ``mac`` is canonical. Waits out the discovery delay, or ``timeout_s``
-        when the device never advertises in time, and then the link setup.
-        Returns at once when ``central`` holds the link already.
-        """
-        peripheral = self._peripherals.get(mac)
-        if peripheral is None:
-            self.clock.sleep(timeout_s)
-            raise NotFound(f"device {mac} never advertised within {timeout_s:.3f} s")
-        if peripheral.connected_by is central:  # only central can end its link
-            return
-        delay_s = self.discovery_delay_s(peripheral)
-        if delay_s > timeout_s:
-            self.clock.sleep(timeout_s)
-            raise Timeout(f"device {mac} not discovered within {timeout_s:.3f} s")
-        self.clock.sleep(delay_s)
-        with self._lock:
-            if not peripheral.connectable:
-                raise NotConnectable(f"device {mac} does not accept connections")
-            if peripheral.connected_by is central:  # its connect in flight got there first
-                return
-            if peripheral.connected_by is not None:
-                raise Busy(f"device {mac} already holds its single connection")
-            peripheral.connected_by = central
-        self.clock.sleep(self.connect_setup_ms / 1000.0)
-
-    def linked(self, mac: str, central) -> SimPeripheral:
-        """The peripheral ``central`` holds the link to; ``mac`` is canonical.
-
-        Takes no lock. ``SimTransport`` makes the same check inline in
-        ``read``, ``write`` and ``_attribute``, which run on every interaction,
-        and so does :meth:`detach`, which runs on every teardown.
-        """
-        peripheral = self._peripherals.get(mac)
-        if peripheral is None or peripheral.connected_by is not central:
-            raise NotConnected(f"not connected to {mac}")
-        return peripheral
-
-    def is_linked(self, mac: str, central) -> bool:
-        """Whether ``central`` holds the link to ``mac``; ``mac`` is canonical."""
-        peripheral = self._peripherals.get(mac)
-        return peripheral is not None and peripheral.connected_by is central
-
-    def detach(self, mac: str, central) -> None:
-        """End ``central``'s link to ``mac`` and its subscriptions there.
-
-        ``mac`` is canonical. With no live subscription on the network, there
-        is nothing to end, and the registry is not scanned.
-        """
-        peripheral = self._peripherals.get(mac)  # SimNetwork.linked, inlined
-        if peripheral is None or peripheral.connected_by is not central:
-            raise NotConnected(f"not connected to {mac}")
-        if self._subscriptions:
-            with self._lock:
-                subs = [s for lst in self._subscriptions.values() for s in lst
-                        if s.transport is central and s.uri.device_id == mac]
-            for sub in subs:
-                self.unsubscribe(sub)
-        self.clock.sleep(self.disconnect_latency_ms / 1000.0)
-        with self._lock:
-            if peripheral.connected_by is central:
-                peripheral.connected_by = None
-
-    def store(self, char: SimCharacteristic, payload: bytes) -> None:
-        """Commit a written value; the characteristic keeps only its latest.
-
-        Takes no lock: nothing else changes with the value, and a read
-        takes none either.
-        """
-        char.value = payload
 
     # -- notifications
 
@@ -478,12 +406,13 @@ class SimNetwork:
 
 
 class SimTransport(TransportContract):
-    """A simulated central attached to a :class:`SimNetwork`.
+    """A simulated central on a :class:`SimNetwork`.
 
     The central is connected to a device exactly when the device's
-    ``connected_by`` is this transport; the link is recorded nowhere else,
-    and only the network's methods change it. Safe for concurrent use. It
-    keeps no state of its own beyond its network and connect timeout.
+    ``connected_by`` is this transport; the link is recorded nowhere else.
+    Only this transport's ``connect`` and ``disconnect`` change it, under
+    the network's lock. Safe for concurrent use. It keeps no state of its
+    own beyond its network and connect timeout.
 
     ``connect``, ``disconnect``, ``is_connected`` and ``discover_gatt`` use a
     device id as is when it is a canonical MAC of a device on the network
@@ -510,37 +439,80 @@ class SimTransport(TransportContract):
     # -- connections
 
     def connect(self, device_id: str) -> None:
-        network = self.network
-        if device_id.__class__ is not str or device_id not in network._peripherals:
+        """Discover the device and take its single link.
+
+        Waits out the discovery delay, or ``timeout_s`` when the device never
+        advertises in time, and then the link setup. Returns at once when
+        this central holds the link already.
+        """
+        network, timeout_s = self.network, self.timeout_s
+        peripherals = network._peripherals
+        peripheral = peripherals.get(device_id) if device_id.__class__ is str else None
+        if peripheral is None:
             device_id = normalize_mac(device_id)
-        network.attach(device_id, self, self.timeout_s)
+            peripheral = peripherals.get(device_id)
+            if peripheral is None:
+                network.clock.sleep(timeout_s)
+                raise NotFound(f"device {device_id} never advertised within {timeout_s:.3f} s")
+        if peripheral.connected_by is self:  # only this central can end its link
+            return
+        delay_s = network.discovery_delay_s(peripheral)
+        if delay_s > timeout_s:
+            network.clock.sleep(timeout_s)
+            raise Timeout(f"device {device_id} not discovered within {timeout_s:.3f} s")
+        network.clock.sleep(delay_s)
+        with network._lock:
+            if not peripheral.connectable:
+                raise NotConnectable(f"device {device_id} does not accept connections")
+            if peripheral.connected_by is self:  # its connect in flight got there first
+                return
+            if peripheral.connected_by is not None:
+                raise Busy(f"device {device_id} already holds its single connection")
+            peripheral.connected_by = self
+        network.clock.sleep(network.connect_setup_ms / 1000.0)
 
     def disconnect(self, device_id: str) -> None:
-        network = self.network
-        if device_id.__class__ is not str or device_id not in network._peripherals:
-            device_id = normalize_mac(device_id)
-        network.detach(device_id, self)
+        """End this central's link to the device and its subscriptions there.
 
-    def is_connected(self, device_id: str) -> bool:
-        """Whether this central holds the link to ``device_id``.
-
-        A canonical MAC of a device on the network is answered from its
-        peripheral here, as ``read`` and ``write`` check the link; any other
-        id goes through ``normalize_mac`` and the network's ``is_linked``.
+        With no live subscription on the network, there is nothing to end,
+        and the registry is not scanned.
         """
         network = self.network
-        if device_id.__class__ is str:
-            peripheral = network._peripherals.get(device_id)
-            if peripheral is not None:
-                return peripheral.connected_by is self
-        return network.is_linked(normalize_mac(device_id), self)
+        peripherals = network._peripherals
+        peripheral = peripherals.get(device_id) if device_id.__class__ is str else None
+        if peripheral is None:
+            device_id = normalize_mac(device_id)
+            peripheral = peripherals.get(device_id)
+        if peripheral is None or peripheral.connected_by is not self:
+            raise NotConnected(f"not connected to {device_id}")
+        if network._subscriptions:
+            with network._lock:
+                subs = [s for lst in network._subscriptions.values() for s in lst
+                        if s.transport is self and s.uri.device_id == device_id]
+            for sub in subs:
+                network.unsubscribe(sub)
+        network.clock.sleep(network.disconnect_latency_ms / 1000.0)
+        with network._lock:
+            if peripheral.connected_by is self:
+                peripheral.connected_by = None
+
+    def is_connected(self, device_id: str) -> bool:
+        """Whether this central holds the link to ``device_id``."""
+        peripherals = self.network._peripherals
+        peripheral = peripherals.get(device_id) if device_id.__class__ is str else None
+        if peripheral is None:
+            peripheral = peripherals.get(normalize_mac(device_id))
+        return peripheral is not None and peripheral.connected_by is self
 
     def discover_gatt(self, device_id: str) -> None:
         """Explore the device's GATT structure; the link must be up."""
-        network = self.network
-        if device_id.__class__ is not str or device_id not in network._peripherals:
+        peripherals = self.network._peripherals
+        peripheral = peripherals.get(device_id) if device_id.__class__ is str else None
+        if peripheral is None:
             device_id = normalize_mac(device_id)
-        network.linked(device_id, self)
+            peripheral = peripherals.get(device_id)
+        if peripheral is None or peripheral.connected_by is not self:
+            raise NotConnected(f"not connected to {device_id}")
 
     # -- attribute operations
 
@@ -574,7 +546,7 @@ class SimTransport(TransportContract):
         if with_response:
             # Confirmation round trip; write-without-response completes on send.
             network.clock.sleep(network.write_latency_ms / 1000.0)
-        network.store(char, payload)
+        char.value = payload  # the characteristic keeps only its latest value
 
     def subscribe(self, uri: GattUri, sink: Sink):
         char = self._attribute(uri, _NOTIFY)
@@ -593,7 +565,6 @@ class SimTransport(TransportContract):
         checked in that order. ``subscribe`` calls it on every call; ``read``
         and ``write`` only when their inline checks fail.
         """
-        # SimNetwork.linked, inlined.
         peripheral = self.network._peripherals.get(uri.device_id)
         if peripheral is None or peripheral.connected_by is not self:
             raise NotConnected(f"not connected to {uri.device_id}")

@@ -156,6 +156,25 @@ def test_single_connection_peripheral_second_central_busy():
     net.close()
 
 
+def test_a_central_without_the_link_cannot_end_or_explore_it():
+    with virtual_network(auto_notify=False) as net:
+        holder, other = SimTransport(net, timeout_s=1.0), SimTransport(net, timeout_s=1.0)
+        holder.connect(BEACON_MAC)
+        received: queue.Queue = queue.Queue()
+        subscription = holder.subscribe(BEACON_URI, received.put)
+        for spelling in (BEACON_MAC, BEACON_MAC.lower()):
+            for call in (other.disconnect, other.discover_gatt):
+                with pytest.raises(NotConnected, match=f"^not connected to {BEACON_MAC}$"):
+                    call(spelling)
+        assert net.peripheral(BEACON_MAC).connected_by is holder
+        assert holder.is_connected(BEACON_MAC) and not other.is_connected(BEACON_MAC)
+        assert subscription.active and live_subscriptions(net) == 1
+        net.emit(BEACON_MAC, BEACON_SERVICE, BEACON_CHAR, b"\x05")
+        assert received.get(timeout=2.0) == b"\x05"
+        holder.disconnect(BEACON_MAC)
+        assert not subscription.active and live_subscriptions(net) == 0
+
+
 def test_connect_by_the_holder_returns_at_once():
     net = virtual_network(processing_delay_ms=5, connect_setup_ms=7)
     t = SimTransport(net, timeout_s=1.0)
