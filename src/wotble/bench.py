@@ -19,6 +19,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
 import statistics
 from collections import Counter
 from dataclasses import dataclass
@@ -74,10 +75,18 @@ class BenchStats:
 
 @dataclass(frozen=True)
 class BenchPlan:
-    """What to measure: TD, operations, repetitions, transport, seed."""
+    """What to measure: TD, operations, repetitions, transport, seed.
+
+    The field defaults here are the only defaults, for a plan built in code
+    and for a plan file alike. Building a plan checks every field and raises
+    ``PlanError`` for any field of the wrong kind or value. ``operations``
+    may be one name or a sequence of names, and is stored as a tuple;
+    ``policy`` may be a ``ConnectionPolicy`` member or its value, and is
+    stored as the member.
+    """
 
     td_path: Path
-    operations: tuple[str, ...]
+    operations: tuple[str, ...] = BENCH_OPERATIONS
     repetitions: int = 25
     warmup: int = 1
     transport: str = "sim:network.sim.json"
@@ -87,64 +96,61 @@ class BenchPlan:
     timeout_ms: float = 10_000.0
 
     def __post_init__(self):
+        if not isinstance(self.td_path, (str, os.PathLike)):
+            raise PlanError(f"td must be a path, got {self.td_path!r}")
+        expect(self.transport, str, PlanError, "transport")
+        operations = self.operations
+        if isinstance(operations, str):
+            operations = (operations,)
+        if (not isinstance(operations, (list, tuple)) or not operations
+                or any(op not in BENCH_OPERATIONS for op in operations)):
+            raise PlanError(f"operations must be a name or a non-empty array of names "
+                            f"from {BENCH_OPERATIONS}, got {operations!r}")
+        object.__setattr__(self, "operations", tuple(operations))
         if expect(self.repetitions, int, PlanError, "repetitions") < 1:
             raise PlanError("repetitions must be >= 1")
         if expect(self.warmup, int, PlanError, "warmup") < 0:
             raise PlanError("warmup must be >= 0")
         if self.seed is not None:
             expect(self.seed, int, PlanError, "seed")
-        unknown = [op for op in self.operations if op not in BENCH_OPERATIONS]
-        if unknown or not self.operations:
-            raise PlanError(
-                f"operations must be a non-empty subset of {BENCH_OPERATIONS}, "
-                f"got {list(self.operations)}"
-            )
         if self.property is not None:
             expect(self.property, str, PlanError, "property")
-        if "read" in self.operations and not self.property:
+        if "read" in operations and not self.property:
             raise PlanError("a 'read' benchmark needs a property name")
-        timeout_ms = expect(self.timeout_ms, float, PlanError, "timeoutMs")
-        if not 0 < timeout_ms <= MAX_TIMEOUT_MS:
+        try:
+            object.__setattr__(self, "policy", ConnectionPolicy(self.policy))
+        except ValueError as exc:
+            raise PlanError(f"unknown policy {self.policy!r}") from exc
+        if not 0 < expect(self.timeout_ms, float, PlanError, "timeoutMs") <= MAX_TIMEOUT_MS:
             raise PlanError(f"timeoutMs must be > 0 and at most {MAX_TIMEOUT_MS:g}")
 
 
+#: Plan file key -> ``BenchPlan`` field, for every key but ``td``.
+_PLAN_KEYS = {"operations": "operations", "repetitions": "repetitions",
+              "warmup": "warmup", "transport": "transport", "seed": "seed",
+              "property": "property", "policy": "policy", "timeoutMs": "timeout_ms"}
+
+
 def load_bench_plan(path) -> BenchPlan:
-    """Read a plan file; relative td/config paths resolve against its folder."""
+    """Read a plan file; relative td/config paths resolve against its folder.
+
+    The file must be a JSON object with a ``td`` string. Every other key it
+    sets is passed on to ``BenchPlan``, which checks it and defaults the rest
+    (docs/bench-plan.md).
+    """
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:  # unreadable, not UTF-8 or not JSON
         raise PlanError(f"cannot read bench plan {path}: {exc}") from exc
     expect(raw, dict, PlanError, "bench plan")
-    td = expect(raw.get("td"), str, PlanError, "td")
     base = path.parent
-
-    transport = expect(raw.get("transport", "sim:network.sim.json"), str, PlanError,
-                       "transport")
-    if transport.startswith("sim:"):
-        transport = "sim:" + str((base / transport[4:]).resolve())
-
-    operations = raw.get("operations", list(BENCH_OPERATIONS))
-    if isinstance(operations, str):
-        operations = [operations]
-    expect(operations, list, PlanError, "operations")
-
-    try:
-        policy = ConnectionPolicy(raw.get("policy", "keep_connected"))
-    except ValueError as exc:
-        raise PlanError(f"unknown policy {raw.get('policy')!r}") from exc
-
-    return BenchPlan(
-        td_path=(base / td).resolve(),
-        operations=tuple(operations),
-        repetitions=raw.get("repetitions", 25),
-        warmup=raw.get("warmup", 1),
-        transport=transport,
-        seed=raw.get("seed"),
-        property=raw.get("property"),
-        policy=policy,
-        timeout_ms=raw.get("timeoutMs", 10_000.0),
-    )
+    td_path = (base / expect(raw.get("td"), str, PlanError, "td")).resolve()
+    fields = {field: raw[key] for key, field in _PLAN_KEYS.items() if key in raw}
+    transport = fields.get("transport", BenchPlan.transport)
+    if isinstance(transport, str) and transport.startswith("sim:"):
+        fields["transport"] = "sim:" + str((base / transport[4:]).resolve())
+    return BenchPlan(td_path=td_path, **fields)
 
 
 def time_operation(operation: str, thing: ConsumedThing, clock,

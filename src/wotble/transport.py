@@ -140,7 +140,8 @@ class SimPeripheral:
                  connectable: bool = True, services: dict | None = None):
         self.device_id = normalize_mac(device_id)
         if advertising_interval_ms <= 0:
-            raise InvalidConfig("advertising interval must be > 0 ms")
+            raise InvalidConfig(f"device {self.device_id}: advertisingIntervalMs must be > 0, "
+                                f"got {advertising_interval_ms!r}")
         self.advertising_interval_ms = float(advertising_interval_ms)
         self.connectable = bool(connectable)
         self.services: Mapping = MappingProxyType(dict(services or {}))
@@ -199,7 +200,9 @@ class SimNetwork:
     * With ``auto_notify`` a subscription's scripted values are queued in
       the same critical section that registers it, for that subscriber only.
     * Disconnecting a central cancels that central's subscriptions on the
-      device; unsubscribing one of them afterwards is a no-op.
+      device; unsubscribing one of them afterwards is a no-op. A
+      subscription is registered only while its central holds the link,
+      checked under the lock, so none outlives the link it was made on.
     * :meth:`discovery_delay_s` is the one draw from the seeded RNG, made
       once per discovery. It takes no lock: the draw is a single C call,
       atomic under the GIL, so concurrent connects never share or skip one.
@@ -293,12 +296,17 @@ class SimNetwork:
                   char: SimCharacteristic) -> _Subscription:
         """Register a live subscription of ``central`` to ``uri``.
 
-        With ``auto_notify`` the characteristic's script is queued in the
-        same critical section, for this subscriber alone.
+        ``central`` must still hold the device's link when the subscription
+        is registered, else ``NotConnected``: a disconnect that lands after
+        the caller's own check cannot leave a subscription behind. With
+        ``auto_notify`` the characteristic's script is queued in the same
+        critical section, for this subscriber alone.
         """
         sub = _Subscription(uri, sink, central, char)
         with self._lock:
             self._require_open()
+            if self._peripherals[uri.device_id].connected_by is not central:
+                raise NotConnected(f"not connected to {uri.device_id}")
             self._subscriptions.setdefault(char, []).append(sub)
             if self.auto_notify:
                 for payload in char.notify_source:
@@ -678,8 +686,6 @@ def _parse_device(body) -> SimPeripheral:
         raise InvalidConfig(f"bad device mac {mac_text!r}: {exc}") from exc
     interval = expect(body.get("advertisingIntervalMs", 100.0), float, InvalidConfig,
                       "device %s: advertisingIntervalMs", mac)
-    if interval <= 0:
-        raise InvalidConfig(f"device {mac}: advertisingIntervalMs must be > 0")
     connectable = expect(body.get("connectable", True), bool, InvalidConfig,
                          "device %s: connectable", mac)
     services_body = expect(body.get("services", {}), dict, InvalidConfig,

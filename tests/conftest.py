@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from wotble import SimTransport, TransportContract, load_sim_config
+from wotble import GattMethod, SimTransport, TransportContract, load_sim_config
 from wotble.transport import _Subscription
 from wotble.uris import normalize_mac
 
@@ -109,6 +109,20 @@ class RecordingTransport(SimTransport):
         super().unsubscribe(handle)
         if isinstance(handle, _Subscription):
             self.trace.append(("unsubscribe", handle.uri.text))
+
+
+class DropsTheLinkAfterItsCheck(RecordingTransport):
+    """Fault injection: ``drops_left`` disconnects land right after
+    subscribe's own link check, one per subscribe."""
+
+    drops_left = 1
+
+    def _attribute(self, uri, method):
+        char = super()._attribute(uri, method)
+        if method is GattMethod.NOTIFY and self.drops_left:
+            self.drops_left -= 1
+            self.disconnect(uri.device_id)
+        return char
 
 
 def _uncalled(name: str):

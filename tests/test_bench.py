@@ -7,7 +7,7 @@ import pytest
 
 from wotble import BenchStats, SimTransport, VirtualClock, load_bench_plan, run_bench
 from wotble.bench import BenchPlan, format_table, from_csv, time_operation, to_csv, to_json
-from wotble.consumer import consume
+from wotble.consumer import ConnectionPolicy, consume
 from wotble.errors import AllSamplesFailed, NotConnected, PlanError, Timeout
 from wotble.td import parse_td_file
 from conftest import BENCH_PLAN, FIXTURES, SENSOR_TD, make_network
@@ -103,6 +103,46 @@ def test_invalid_plans_are_rejected(tmp_path, overrides):
         load_bench_plan(plan_file)
 
 
+def test_a_plan_file_with_only_td_and_property_loads_the_defaults(tmp_path):
+    plan_file = tmp_path / "plan.json"
+    plan_file.write_text(json.dumps({"td": str(SENSOR_TD), "property": "moisture"}))
+    assert load_bench_plan(plan_file) == BenchPlan(
+        td_path=SENSOR_TD.resolve(), property="moisture",
+        transport=f"sim:{(tmp_path / 'network.sim.json').resolve()}")
+
+
+@pytest.mark.parametrize("overrides", [
+    {"transport": 5},
+    {"td_path": 5},
+    {"operations": 5},
+    {"operations": None},
+    {"operations": ()},
+    {"policy": "bogus"},
+    {"policy": None},
+    {"policy": ["keep_connected"]},
+])
+def test_a_plan_built_in_code_is_checked(overrides):
+    fields = {"td_path": SENSOR_TD, "property": "moisture", **overrides}
+    with pytest.raises(PlanError):
+        BenchPlan(**fields)
+
+
+def test_one_operation_name_is_stored_as_a_tuple():
+    plan = BenchPlan(td_path=SENSOR_TD, operations="read", property="moisture")
+    assert plan.operations == ("read",)
+    assert BenchPlan(td_path=str(SENSOR_TD), operations=["connect"]).operations == \
+        ("connect",)
+
+
+def test_a_policy_value_is_stored_as_its_member():
+    plan = BenchPlan(td_path=SENSOR_TD, operations=("read",), repetitions=4, warmup=0,
+                     transport=f"sim:{FIXTURES / 'network.sim.json'}", seed=7,
+                     property="moisture", policy="keep_connected")
+    assert plan.policy is ConnectionPolicy.KEEP_CONNECTED
+    [stats] = run_bench(plan, clock=VirtualClock())
+    assert stats.samples == (0.0, 0.0, 0.0, 0.0)  # no link setup in the first read
+
+
 # --- timing windows ------------------------------------------------------------------
 
 def test_time_operation_windows_on_virtual_clock():
@@ -137,6 +177,11 @@ def test_disconnect_while_disconnected_is_a_failed_sample():
         thing = consume(parse_td_file(SENSOR_TD), SimTransport(net, timeout_s=60.0))
         with pytest.raises(NotConnected):
             time_operation("disconnect", thing, clock)
+
+
+def test_an_unknown_operation_is_a_plan_error():
+    with pytest.raises(PlanError, match="unknown benchmark operation 'teleport'"):
+        time_operation("teleport", None, VirtualClock())
 
 
 # --- run_bench -------------------------------------------------------------------------
@@ -238,6 +283,12 @@ def test_csv_header_shape():
     lines = to_csv(sample_stats()).splitlines()
     assert lines[0] == "operation,n,mean_ms,sem_ms"
     assert len(lines) == 4
+
+
+@pytest.mark.parametrize("text", ["", "op,n,mean,sem\nread,1,1.0,0.0\n"])
+def test_csv_without_its_header_is_refused(text):
+    with pytest.raises(PlanError, match="expected CSV header"):
+        from_csv(text)
 
 
 def test_table_layout_has_device_and_operation_columns():

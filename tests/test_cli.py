@@ -103,14 +103,29 @@ def test_validate_ok(capsys):
     assert "ok" in out
 
 
-def test_validate_broken_td_exits_2(capsys, tmp_path):
+def unconnectable_lamp_td(tmp_path):
+    """The lamp TD marked not connectable, although it has forms: an error."""
     doc = json.loads(LAMP_TD.read_text())
     doc["sbo:isConnectable"] = False
     broken = tmp_path / "broken.td.json"
     broken.write_text(json.dumps(doc))
-    code, out, _ = run(capsys, "validate", broken)
+    return broken
+
+
+def test_validate_broken_td_exits_2(capsys, tmp_path):
+    code, out, _ = run(capsys, "validate", unconnectable_lamp_td(tmp_path))
     assert code == 2
     assert "connectability-conflict" in out
+
+
+def test_validate_json_output_lists_each_diagnostic(capsys, tmp_path):
+    code, out, _ = run(capsys, "validate", unconnectable_lamp_td(tmp_path),
+                       "--output", "json")
+    diagnostics = json.loads(out)
+    assert code == 2 and diagnostics
+    assert {d["code"] for d in diagnostics} == {"connectability-conflict"}
+    assert {d["severity"] for d in diagnostics} == {"error"}
+    assert run(capsys, "validate", LAMP_TD, "--output", "json")[:2] == (0, "[]\n")
 
 
 def test_validate_warning_only_exits_0(capsys, tmp_path):
@@ -171,6 +186,15 @@ def test_bench_csv_output(capsys):
     assert all(r[1] == "25" for r in rows)
 
 
+def test_bench_json_output(capsys):
+    code, out, _ = run(capsys, "bench", BENCH_PLAN, "--virtual-clock", "--output", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert [s["operation"] for s in payload] == ["connect", "disconnect", "read"]
+    assert all(s["n"] == len(s["samples_ms"]) == 25 and s["failures"] == 0
+               for s in payload)
+
+
 def test_bench_table_output(capsys):
     code, out, _ = run(capsys, "bench", BENCH_PLAN, "--virtual-clock")
     assert code == 0
@@ -211,7 +235,7 @@ def test_sim_list_lists_devices(capsys):
     assert "BE:58:30:00:CC:11" in out
 
 
-@pytest.mark.parametrize("timeout_ms", ["nan", "inf", "0", "-5", "1e13"])
+@pytest.mark.parametrize("timeout_ms", ["nan", "inf", "0", "-5", "1e13", "abc"])
 def test_timeout_a_wait_cannot_honour_is_usage_error(capsys, timeout_ms):
     # With `subscribe`, inf and 1e13 once ended in an OverflowError from
     # queue.get, and nan in a wait that never ended. `read` is used here, so

@@ -154,7 +154,7 @@ def test_odd_literal_run_is_rejected():
         compile_pattern("7e0", {})
 
 
-@pytest.mark.parametrize("pattern", ["7e{on", "7e}on{", "{}", "7e{on}}"])
+@pytest.mark.parametrize("pattern", ["7e{on", "7e}on{", "{}", "7e{on}}", "7e{{on}00"])
 def test_malformed_placeholders_are_rejected(pattern):
     with pytest.raises(BadHexPattern):
         compile_pattern(pattern, LAMP_VARS)
@@ -722,8 +722,9 @@ def test_codec_stays_within_its_call_budget(case):
 
 # --- codec registry ------------------------------------------------------------------
 
-def test_registry_returns_binary_data_stream_codec():
-    codec = get_codec(BINARY_DATA_STREAM)
+@pytest.mark.parametrize("media_type", [BINARY_DATA_STREAM, "Application/X.Binary-Data-Stream"])
+def test_registry_returns_binary_data_stream_codec(media_type):
+    codec = get_codec(media_type)
     assert codec.encode(1, BdoSpec(bytelength=1)) == bytes([0x01])
     # The codec's calls are the module's functions: no wrapper frame.
     assert (codec.encode, codec.decode) == (encode, decode)

@@ -58,6 +58,7 @@ from conftest import (
     LAMP_TD,
     SENSOR_MAC,
     SENSOR_TD,
+    DropsTheLinkAfterItsCheck,
     RecordingTransport,
     UncalledTransport,
     calls_per,
@@ -280,6 +281,17 @@ def test_write_outside_the_affordance_bounds_is_out_of_range(value, match):
         thing.write_property("temperature", 10)
         writes = [entry[2] for entry in transport.trace if entry[0] == "write"]
         assert writes == ["64"]
+        thing.disconnect()
+
+
+@pytest.mark.parametrize("value", ["5", True, None], ids=repr)
+def test_a_non_number_on_a_bounded_property_is_left_to_the_codec(value):
+    with make_network(clock=VirtualClock(), auto_notify=False) as net:
+        thing, transport = beacon_reader(net, ConnectionPolicy.KEEP_CONNECTED,
+                                         minimum=0, maximum=10)
+        with pytest.raises(BadValue, match="expected a numeric value"):
+            thing.write_property("temperature", value)
+        assert [entry for entry in transport.trace if entry[0] == "write"] == []
         thing.disconnect()
 
 
@@ -1110,6 +1122,22 @@ def test_a_subscription_reads_inactive_once_another_thing_drops_the_link():
         emit_beacon(net, 1)
         net.close()  # hands out whatever was queued before it
         assert received.empty()
+
+
+def test_a_subscribe_that_loses_its_link_subscribes_again():
+    with make_network(clock=VirtualClock(), auto_notify=False) as net:
+        transport = DropsTheLinkAfterItsCheck(net, timeout_s=60.0)
+        thing = consume(parse_td_file(BEACON_TD), transport)
+        thing.connect()
+        received: queue.Queue = queue.Queue()
+        subscription = thing.subscribe_event("temperature", received.put)
+        assert [entry[0] for entry in transport.trace] == [
+            *CYCLE, "disconnect", *CYCLE, "subscribe"]
+        assert subscription.active and thing.connected and live_subscriptions(net) == 1
+        emit_beacon(net, 100)
+        assert received.get(timeout=2.0) == pytest.approx(10.0)
+        thing.disconnect()
+        assert not subscription.active and live_subscriptions(net) == 0
 
 
 def test_listener_may_call_back_while_disconnect_runs(monkeypatch):

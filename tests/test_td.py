@@ -176,6 +176,18 @@ def test_affordance_without_forms_is_missing_required():
         parse_td(json.dumps(doc))
 
 
+@pytest.mark.parametrize("edit, match", [
+    (lambda doc: doc.update(title=""), "^TD has no title$"),
+    (lambda doc: doc["properties"]["level"]["forms"][0].update(href=""),
+     "^form of 'level' has no href$"),
+], ids=["title", "href"])
+def test_an_empty_title_or_href_is_missing_required(edit, match):
+    doc = json.loads(td_doc())
+    edit(doc)
+    with pytest.raises(MissingRequired, match=match):
+        parse_td(json.dumps(doc))
+
+
 def test_pattern_without_variables_is_missing_required():
     doc = json.loads(td_doc())
     doc["properties"]["level"] = {

@@ -53,6 +53,7 @@ from conftest import (
     LAMP_SERVICE,
     NETWORK_CONFIG,
     WRONG_TYPED_CONFIGS,
+    DropsTheLinkAfterItsCheck,
     RecordingTransport,
     live_subscriptions,
     make_network,
@@ -245,6 +246,14 @@ def test_not_connectable_peripheral():
     with pytest.raises(NotConnectable):
         t.connect("AA:AA:AA:AA:AA:02")
     net.close()
+
+
+@pytest.mark.parametrize("interval_ms", [0, -5.0])
+def test_a_peripheral_needs_a_positive_advertising_interval(interval_ms):
+    with pytest.raises(InvalidConfig, match=f"^device AA:AA:AA:AA:AA:07: "
+                                            f"advertisingIntervalMs must be > 0, "
+                                            f"got {interval_ms}$"):
+        SimPeripheral("aa-aa-aa-aa-aa-07", interval_ms)
 
 
 def test_duplicate_device_definition():
@@ -480,6 +489,21 @@ def test_disconnect_cancels_subscriptions():
     net.close()
 
 
+def test_a_subscription_cannot_outlive_the_link_it_was_made_on():
+    with virtual_network(auto_notify=False) as net:
+        t = DropsTheLinkAfterItsCheck(net, timeout_s=1.0)
+        t.connect(BEACON_MAC)
+        received = []
+        with pytest.raises(NotConnected, match=f"^not connected to {BEACON_MAC}$"):
+            t.subscribe(BEACON_URI, received.append)
+        assert live_subscriptions(net) == 0
+        other = SimTransport(net, timeout_s=1.0)
+        other.connect(BEACON_MAC)
+        other.disconnect(BEACON_MAC)
+        net.emit(BEACON_MAC, BEACON_SERVICE, BEACON_CHAR, b"\x99")
+    assert received == []  # closing delivered what was queued: nothing
+
+
 def test_sink_failures_are_counted():
     with virtual_network(auto_notify=False) as net:
         t = SimTransport(net, timeout_s=1.0)
@@ -495,6 +519,14 @@ def test_sink_failures_are_counted():
             net.emit(BEACON_MAC, BEACON_SERVICE, BEACON_CHAR, bytes([octet]))
     # Closing delivered what was queued.
     assert received == [b"\x00", b"\x01", b"\x02"] and net.sink_failures == 3
+
+
+def test_an_exhausted_script_emits_nothing():
+    with virtual_network(auto_notify=False) as net:
+        received = beacon_subscriber(net)
+        script = [net.emit_next(BEACON_MAC, BEACON_SERVICE, BEACON_CHAR) for _ in range(4)]
+    assert script == [b"\xfa", b"\x00", b"\x64", None]
+    assert received == [b"\xfa", b"\x00", b"\x64"]
 
 
 def test_a_refused_scripted_value_stays_next():

@@ -87,6 +87,7 @@ def test_format_emits_canonical_dash_form():
     assert format_gatt_uri(uri) == (
         f"gatt://BE-58-30-00-CC-11/{FULL_FFF0}/{FULL_FFF3}"
     )
+    assert str(uri) == uri.text == format_gatt_uri(uri)
 
 
 def test_zero_mac_round_trips():
