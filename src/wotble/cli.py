@@ -1,6 +1,16 @@
 """Command-line front end.
 
-Subcommands: read, write, invoke, subscribe, validate, bench, sim list.
+Each subcommand takes only the flags it reads, after its name:
+
+* ``read``, ``write``, ``invoke``: ``--transport``, ``--seed``,
+  ``--timeout-ms``, ``--policy`` and ``--output table|json``;
+* ``subscribe``: the same, plus ``--count``;
+* ``validate``: ``--output table|json``;
+* ``bench``: ``--output table|csv|json`` and ``--virtual-clock``; the plan
+  file alone sets the seed, timeout, transport and policy;
+* ``sim list``: no flag.
+
+Any other flag, or a flag before the subcommand's name, is a usage error.
 Exit codes: 0 on success, 1 for interaction errors, 2 for usage or
 validation errors.
 """
@@ -44,70 +54,69 @@ def _timeout_ms(text: str) -> float:
     return value
 
 
-def _add_global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
-    # Shared flags live on the root parser and on every subcommand; the
-    # subcommand copies default to SUPPRESS so they never shadow root values.
-    def d(value):
-        return argparse.SUPPRESS if suppress else value
-
-    parser.add_argument("--transport", default=d(None),
-                        help="'sim:<config.json>'")
-    parser.add_argument("--seed", type=int, default=d(None),
-                        help="RNG seed for the simulated network")
-    parser.add_argument("--timeout-ms", type=_timeout_ms, default=d(10_000.0),
-                        help="connect and notification wait in ms (finite, > 0)")
-    parser.add_argument("--output", choices=("table", "csv", "json"),
-                        default=d("table"))
-    parser.add_argument("--policy", default=d("keep_connected"),
-                        choices=[p.value for p in ConnectionPolicy])
-
-
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    _add_global_flags(common, suppress=True)
+    # Each subcommand takes exactly the flags its handler reads, from these
+    # two parents: one for the commands that print a result, one for the
+    # commands that open a transport.
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", choices=("table", "json"), default="table")
+    link = argparse.ArgumentParser(add_help=False)
+    link.add_argument("--transport", help="'sim:<config.json>'")
+    link.add_argument("--seed", type=int, help="RNG seed for the simulated network")
+    link.add_argument("--timeout-ms", type=_timeout_ms, default=10_000.0,
+                      help="connect and notification wait in ms (finite, > 0)")
+    link.add_argument("--policy", default="keep_connected",
+                      choices=[p.value for p in ConnectionPolicy])
 
     parser = argparse.ArgumentParser(
         prog="wotble",
         description="Interact with Bluetooth LE Things described by a TD, "
                     "over a simulated GATT transport.",
     )
-    _add_global_flags(parser, suppress=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("read", parents=[common], help="read and decode a property")
+    p = sub.add_parser("read", parents=[link, output], help="read and decode a property")
     p.add_argument("td")
     p.add_argument("property")
+    p.set_defaults(run=cmd_read)
 
-    p = sub.add_parser("write", parents=[common], help="encode and write a property")
+    p = sub.add_parser("write", parents=[link, output],
+                       help="encode and write a property")
     p.add_argument("td")
     p.add_argument("property")
     p.add_argument("value", help="JSON value, e.g. 5 or '{\"on\": 1}'")
+    p.set_defaults(run=cmd_write)
 
-    p = sub.add_parser("invoke", parents=[common], help="invoke an action")
+    p = sub.add_parser("invoke", parents=[link, output], help="invoke an action")
     p.add_argument("td")
     p.add_argument("action")
     p.add_argument("value", help="JSON value for the action input")
+    p.set_defaults(run=cmd_invoke)
 
-    p = sub.add_parser("subscribe", parents=[common],
+    p = sub.add_parser("subscribe", parents=[link, output],
                        help="print decoded event notifications")
     p.add_argument("td")
     p.add_argument("event")
     p.add_argument("--count", type=int, default=1,
                    help="number of notifications to wait for")
+    p.set_defaults(run=cmd_subscribe)
 
-    p = sub.add_parser("validate", parents=[common], help="report TD diagnostics")
+    p = sub.add_parser("validate", parents=[output], help="report TD diagnostics")
     p.add_argument("td")
+    p.set_defaults(run=cmd_validate)
 
-    p = sub.add_parser("bench", parents=[common], help="run a latency benchmark plan")
+    p = sub.add_parser("bench", help="run a latency benchmark plan")
     p.add_argument("plan")
+    p.add_argument("--output", choices=("table", "csv", "json"), default="table")
     p.add_argument("--virtual-clock", action="store_true",
                    help="run on simulated time instead of the real clock")
+    p.set_defaults(run=cmd_bench)
 
     p = sub.add_parser("sim", help="simulated network tools")
     sim_sub = p.add_subparsers(dest="sim_command", required=True)
-    p = sim_sub.add_parser("list", parents=[common],
-                           help="list the devices a network config defines")
+    p = sim_sub.add_parser("list", help="list the devices a network config defines")
     p.add_argument("config")
+    p.set_defaults(run=cmd_sim_list)
 
     return parser
 
@@ -208,7 +217,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_sim_list(args) -> int:
-    with load_sim_config(args.config, seed=args.seed) as network:
+    with load_sim_config(args.config) as network:
         peripherals = network.peripherals()
     print(f"simulated network: {len(peripherals)} device(s)")
     for peripheral in peripherals:
@@ -229,22 +238,10 @@ def _json_value(text: str):
         raise PlanError(f"value is not JSON: {text!r} ({exc})") from exc
 
 
-_COMMANDS = {
-    "read": cmd_read,
-    "write": cmd_write,
-    "invoke": cmd_invoke,
-    "subscribe": cmd_subscribe,
-    "validate": cmd_validate,
-    "bench": cmd_bench,
-    "sim": cmd_sim_list,  # list is the only sim command
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (TdError, InvalidTd, PlanError, InvalidConfig) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -201,7 +201,13 @@ class ConsumedThing:
     ``unsubscribe_event``, an explicit ``disconnect()``, which ends all of
     the thing's subscriptions, or with its link, whoever dropped that; it
     reads inactive as soon as the call that ended it returns. The thing
-    forgets an ended subscription at its next pin check.
+    forgets an ended subscription at its next pin check. Unsubscribing is an
+    operation like any other: once ``unsubscribe_event`` has ended the
+    thing's last live subscription, a teardown policy drops the link, under
+    the thing's lock, so another central may connect to the device. The
+    transport's ``disconnect`` releases the link and collects the link's
+    subscriptions in one step, then ends them and only then waits out its
+    teardown latency, so a subscribe made meanwhile meets ``NotConnected``.
 
     Each (affordance, operation) pair is resolved to its form, request and
     codec on first use and reused after that, so the TD must not be mutated
@@ -408,6 +414,10 @@ class ConsumedThing:
         self.transport.unsubscribe(subscription.handle)
         with self._lock:
             self._subscriptions = [s for s in self._subscriptions if s is not subscription]
+            # Unsubscribing is an operation too: once the last live one has
+            # ended, a teardown policy drops the link, as _run's finally does.
+            if self.policy is not _KEEP_CONNECTED and not (self._subscriptions and self._live()):
+                self._drop()
 
     # -- multi-property interactions
 

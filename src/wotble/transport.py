@@ -111,19 +111,20 @@ class SimCharacteristic:
     """One characteristic: its current value and its allowed methods.
 
     Like a BlueZ characteristic's ``Value``, ``value`` is what the last
-    write left there; no history of writes is kept.
+    write left there; no history of writes is kept. ``value`` and each
+    ``notify_source`` entry must be ``bytes``, ``bytearray`` or
+    ``memoryview`` of at most ``MAX_PAYLOAD_OCTETS``, else
+    :class:`InvalidConfig`; each is kept as ``bytes``.
     """
 
     def __init__(self, value: bytes = b"", allowed=(GattMethod.READ,),
                  notify_source: tuple[bytes, ...] = ()):
-        value = bytes(value)
-        if len(value) > MAX_PAYLOAD_OCTETS:
-            raise InvalidConfig(
-                f"characteristic value is {len(value)} octets, max {MAX_PAYLOAD_OCTETS}"
-            )
-        self.value = value
+        try:
+            self.value = _octets(value)
+            self.notify_source = tuple(map(_octets, notify_source))
+        except (BadValue, ValueTooLong) as exc:
+            raise InvalidConfig(f"characteristic: {exc}") from None
         self.allowed = frozenset(allowed)
-        self.notify_source = tuple(bytes(v) for v in notify_source)
         self._notify_cursor = 0
 
 
@@ -134,16 +135,23 @@ class SimPeripheral:
     UUID to :class:`SimCharacteristic`. It is fixed once the peripheral is
     defined, so the index by canonical ``gatt://`` text that serves the
     transport's per-call lookup is built here once.
+
+    ``advertising_interval_ms`` must be a finite number > 0 and
+    ``connectable`` a bool, else :class:`InvalidConfig`, with the messages a
+    config file's device gets.
     """
 
     def __init__(self, device_id: str, advertising_interval_ms: float,
                  connectable: bool = True, services: dict | None = None):
         self.device_id = normalize_mac(device_id)
+        expect(advertising_interval_ms, float, InvalidConfig,
+               "device %s: advertisingIntervalMs", self.device_id)
         if advertising_interval_ms <= 0:
             raise InvalidConfig(f"device {self.device_id}: advertisingIntervalMs must be > 0, "
                                 f"got {advertising_interval_ms!r}")
         self.advertising_interval_ms = float(advertising_interval_ms)
-        self.connectable = bool(connectable)
+        self.connectable = expect(connectable, bool, InvalidConfig,
+                                  "device %s: connectable", self.device_id)
         self.services: Mapping = MappingProxyType(dict(services or {}))
         self.connected_by = None  # the SimTransport holding the single connection
         self._by_uri: dict[str, SimCharacteristic] = {
@@ -482,8 +490,12 @@ class SimTransport(TransportContract):
     def disconnect(self, device_id: str) -> None:
         """End this central's link to the device and its subscriptions there.
 
-        With no live subscription on the network, there is nothing to end,
-        and the registry is not scanned.
+        One critical section checks the link, releases it and collects the
+        central's subscriptions on the device, so no subscribe can land on
+        the link after that. Each subscription is then ended, waiting out a
+        delivery that is running, and only then the teardown latency passes:
+        the link reads down meanwhile. With no live subscription on the
+        network, the registry is not scanned.
         """
         network = self.network
         peripherals = network._peripherals
@@ -491,18 +503,16 @@ class SimTransport(TransportContract):
         if peripheral is None:
             device_id = normalize_mac(device_id)
             peripheral = peripherals.get(device_id)
-        if peripheral is None or peripheral.connected_by is not self:
-            raise NotConnected(f"not connected to {device_id}")
-        if network._subscriptions:
-            with network._lock:
-                subs = [s for lst in network._subscriptions.values() for s in lst
-                        if s.transport is self and s.uri.device_id == device_id]
-            for sub in subs:
-                network.unsubscribe(sub)
-        network.clock.sleep(network.disconnect_latency_ms / 1000.0)
         with network._lock:
-            if peripheral.connected_by is self:
-                peripheral.connected_by = None
+            if peripheral is None or peripheral.connected_by is not self:
+                raise NotConnected(f"not connected to {device_id}")
+            peripheral.connected_by = None
+            subs = [s for lst in network._subscriptions.values() for s in lst
+                    if s.transport is self and s.uri.device_id == device_id
+                    ] if network._subscriptions else ()
+        for sub in subs:
+            network.unsubscribe(sub)
+        network.clock.sleep(network.disconnect_latency_ms / 1000.0)
 
     def is_connected(self, device_id: str) -> bool:
         """Whether this central holds the link to ``device_id``."""
@@ -684,10 +694,6 @@ def _parse_device(body) -> SimPeripheral:
         mac = normalize_mac(mac_text)
     except UriError as exc:
         raise InvalidConfig(f"bad device mac {mac_text!r}: {exc}") from exc
-    interval = expect(body.get("advertisingIntervalMs", 100.0), float, InvalidConfig,
-                      "device %s: advertisingIntervalMs", mac)
-    connectable = expect(body.get("connectable", True), bool, InvalidConfig,
-                         "device %s: connectable", mac)
     services_body = expect(body.get("services", {}), dict, InvalidConfig,
                            "device %s: services", mac)
 
@@ -699,12 +705,8 @@ def _parse_device(body) -> SimPeripheral:
                                           "device %s: service %s", mac, svc_text).items():
             services[svc][_config_uuid(chr_text)] = _parse_characteristic(char_body, mac)
 
-    return SimPeripheral(
-        device_id=mac,
-        advertising_interval_ms=float(interval),
-        connectable=connectable,
-        services=services,
-    )
+    return SimPeripheral(mac, body.get("advertisingIntervalMs", 100.0),
+                         body.get("connectable", True), services)
 
 
 def _config_uuid(text: str) -> uuidlib.UUID:

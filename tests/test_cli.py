@@ -1,9 +1,10 @@
+import argparse
 import json
 
 import pytest
 
 from wotble import SimTransport
-from wotble.cli import main
+from wotble.cli import build_parser, main
 from conftest import (
     BEACON_TD,
     BENCH_PLAN,
@@ -249,8 +250,58 @@ def test_timeout_a_wait_cannot_honour_is_usage_error(capsys, timeout_ms):
     assert "Traceback" not in captured.err
 
 
-def test_global_flags_accepted_before_subcommand(capsys):
-    code, out, _ = run(capsys, "--transport", SIM, "--output", "json",
-                       "read", SENSOR_TD, "moisture")
-    assert code == 0
-    assert json.loads(out)["value"] == 42
+#: The flags each subcommand takes, and the choices of its ``--output``.
+FLAG_TABLE = {
+    "read": {"--transport", "--seed", "--timeout-ms", "--policy", "--output"},
+    "write": {"--transport", "--seed", "--timeout-ms", "--policy", "--output"},
+    "invoke": {"--transport", "--seed", "--timeout-ms", "--policy", "--output"},
+    "subscribe": {"--transport", "--seed", "--timeout-ms", "--policy", "--output",
+                  "--count"},
+    "validate": {"--output"},
+    "bench": {"--output", "--virtual-clock"},
+    "sim list": set(),
+}
+OUTPUT_CHOICES = {"bench": ("table", "csv", "json")}
+
+
+def subcommands(parser, name=()):
+    """Each subcommand's name and parser, walked from ``parser``."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for word, child in action.choices.items():
+                yield from subcommands(child, (*name, word))
+            return
+    yield " ".join(name), parser
+
+
+def flags(parser):
+    return {option: action for action in parser._actions
+            for option in action.option_strings if option not in ("-h", "--help")}
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads():
+    root = build_parser()
+    table = {name: flags(parser) for name, parser in subcommands(root)}
+    assert flags(root) == {}
+    assert {name: set(options) for name, options in table.items()} == FLAG_TABLE
+    assert sum(map(len, table.values())) == 24
+    for name, options in table.items():
+        if "--output" in options:
+            assert options["--output"].choices == OUTPUT_CHOICES.get(name, ("table", "json"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench", BENCH_PLAN, "--virtual-clock", "--seed", "1"],
+    ["bench", BENCH_PLAN, "--virtual-clock", "--timeout-ms", "1"],
+    ["validate", LAMP_TD, "--transport", SIM],
+    ["sim", "list", NETWORK_CONFIG, "--output", "json"],
+    ["read", SENSOR_TD, "moisture", "--transport", SIM, "--output", "csv"],
+    ["--output", "json", "read", SENSOR_TD, "moisture", "--transport", SIM],
+], ids=["bench-seed", "bench-timeout", "validate-transport", "sim-list-output",
+        "read-csv", "root-position"])
+def test_a_flag_its_command_does_not_read_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main([str(a) for a in argv])
+    captured = capsys.readouterr()
+    assert exit_info.value.code == 2 and captured.out == ""
+    assert "error:" in captured.err and "Traceback" not in captured.err

@@ -1231,7 +1231,7 @@ def test_disconnect_accepts_a_link_dropped_underneath():
 
 @pytest.mark.parametrize("policy, cycles", [
     (ConnectionPolicy.RECONNECT_PER_OPERATION, (2, 2)),
-    (ConnectionPolicy.DISCONNECT_AFTER, (1, 1)),
+    (ConnectionPolicy.DISCONNECT_AFTER, (2, 2)),
 ])
 def test_last_unsubscribe_restores_the_policy(policy, cycles):
     with make_network(clock=VirtualClock(), auto_notify=False) as net:
@@ -1323,7 +1323,21 @@ def test_unsubscribing_through_another_thing_ends_the_owners_pin():
         assert owner.read_property("temperature") == pytest.approx(25.0)
         assert not owner.connected  # unpinned: the policy dropped the link
         assert [entry[0] for entry in owner_link.trace] == [
-            *CYCLE, "subscribe", "unsubscribe", "read", "disconnect"]
+            *CYCLE, "subscribe", "unsubscribe", "disconnect", *CYCLE, "read", "disconnect"]
+
+
+@pytest.mark.parametrize("policy", [ConnectionPolicy.RECONNECT_PER_OPERATION,
+                                    ConnectionPolicy.DISCONNECT_AFTER])
+def test_the_last_unsubscribe_frees_the_link_for_another_central(policy):
+    # Each thing is its own central: the second one's subscribe met Busy while
+    # the first one's ended subscription left its link up.
+    with make_network(clock=VirtualClock(), auto_notify=False) as net:
+        td = parse_td_file(BEACON_TD)
+        for _ in range(2):
+            thing = consume(td, SimTransport(net, timeout_s=10.0), policy)
+            thing.unsubscribe_event(thing.subscribe_event("temperature", print))
+            assert not thing.connected
+        assert net.peripheral(BEACON_MAC).connected_by is None
 
 
 class LinkCallLog(SimTransport):
@@ -1397,9 +1411,10 @@ SESSION_INTERACTIONS = {
 
 #: Calls of a whole session per fixture kind, on the radio latencies of the
 #: benchmark: parse the TD, consume it, one interaction, then disconnect.
-#: Measured 130.0, 123.0 and 137.0: one of them is the ``all`` of the
-#: transport check at construction.
-SESSION_CALL_BUDGETS = {"sensor-read": 130, "lamp-write": 123, "beacon-subscribe": 137}
+#: Measured 130.0, 123.0 and 140.0: one of them is the ``all`` of the
+#: transport check at construction. The beacon's unsubscribe ends the
+#: subscription's pin, so its policy teardown drops the link there.
+SESSION_CALL_BUDGETS = {"sensor-read": 130, "lamp-write": 123, "beacon-subscribe": 140}
 
 
 @pytest.mark.parametrize("kind", SESSION_CALL_BUDGETS)

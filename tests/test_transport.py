@@ -256,6 +256,20 @@ def test_a_peripheral_needs_a_positive_advertising_interval(interval_ms):
         SimPeripheral("aa-aa-aa-aa-aa-07", interval_ms)
 
 
+@pytest.mark.parametrize("terms, field", [
+    ({"advertising_interval_ms": "5"}, "advertisingIntervalMs"),
+    ({"advertising_interval_ms": float("nan")}, "advertisingIntervalMs"),
+    ({"advertising_interval_ms": float("inf")}, "advertisingIntervalMs"),
+    ({"advertising_interval_ms": True}, "advertisingIntervalMs"),
+    ({"advertising_interval_ms": 50, "connectable": "false"}, "connectable"),
+    ({"advertising_interval_ms": 50, "connectable": 1}, "connectable"),
+], ids=["interval-str", "interval-nan", "interval-inf", "interval-bool",
+        "connectable-str", "connectable-int"])
+def test_a_peripheral_built_in_code_is_checked_as_a_config_device(terms, field):
+    with pytest.raises(InvalidConfig, match=f"^device AA:AA:AA:AA:AA:08: {field} must be "):
+        SimPeripheral("aa-aa-aa-aa-aa-08", **terms)
+
+
 def test_duplicate_device_definition():
     net = SimNetwork(clock=VirtualClock())
     net.define_peripheral(SimPeripheral("AA:AA:AA:AA:AA:03", 50))
@@ -500,6 +514,27 @@ def test_a_subscription_cannot_outlive_the_link_it_was_made_on():
         other = SimTransport(net, timeout_s=1.0)
         other.connect(BEACON_MAC)
         other.disconnect(BEACON_MAC)
+        net.emit(BEACON_MAC, BEACON_SERVICE, BEACON_CHAR, b"\x99")
+    assert received == []  # closing delivered what was queued: nothing
+
+
+def test_a_subscribe_during_the_disconnect_latency_does_not_outlive_the_link():
+    clock = InterleavingClock()
+    with make_network(clock=clock, auto_notify=False, disconnect_latency_ms=4.0) as net:
+        t = SimTransport(net, timeout_s=1.0)
+        t.connect(BEACON_MAC)
+        received, outcome = [], []
+
+        def subscribe():
+            try:
+                outcome.append(t.subscribe(BEACON_URI, received.append).active)
+            except NotConnected:
+                outcome.append("refused")
+
+        clock.then = subscribe  # inside the disconnect's latency wait
+        t.disconnect(BEACON_MAC)
+        assert outcome == ["refused"] and not t.is_connected(BEACON_MAC)
+        assert live_subscriptions(net) == 0
         net.emit(BEACON_MAC, BEACON_SERVICE, BEACON_CHAR, b"\x99")
     assert received == []  # closing delivered what was queued: nothing
 
@@ -907,6 +942,23 @@ def test_a_virtual_sleep_of_no_positive_length_leaves_the_time(seconds):
 def test_characteristic_value_cap():
     with pytest.raises(InvalidConfig):
         SimCharacteristic(value=bytes(513))
+
+
+@pytest.mark.parametrize("terms", [
+    {"notify_source": (b"\x01", bytes(600))},
+    {"value": 5},
+    {"value": "7e"},
+    {"notify_source": (3,)},
+], ids=["script-600", "value-int", "value-str", "script-int"])
+def test_a_characteristic_takes_only_octets_within_the_att_cap(terms):
+    with pytest.raises(InvalidConfig, match="^characteristic: "):
+        SimCharacteristic(**terms)
+
+
+def test_a_characteristic_keeps_octets_as_bytes():
+    char = SimCharacteristic(bytearray(b"\x01"), notify_source=[memoryview(b"\x02")])
+    assert char.value == b"\x01" and char.value.__class__ is bytes
+    assert char.notify_source == (b"\x02",) and char.notify_source[0].__class__ is bytes
 
 
 # --- subscription registry and network lifecycle -----------------------------------------
