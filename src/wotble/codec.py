@@ -9,12 +9,19 @@ Converts between application values and octet payloads as described by a
   placeholders stand for independently described variables.
 
 Everything that depends only on a layout is worked out once, when the spec
-is built: a pattern's :class:`PatternLayout` with its flat ``steps`` and
-``total_octets``; a scalar spec's ``_scalar`` tuple of ``(offset, end,
-byteorder, signed, scale)``, with ``scale`` None when it is 1; and the
-integer bounds ``_lo``/``_hi`` of each scalar spec and each variable.
-:func:`encode` and :func:`decode` walk those steps or unpack that tuple, and
-make only the checks that depend on the value. Each first raises
+is built. A pattern spec keeps its :class:`PatternLayout`, with flat
+``steps`` and ``total_octets``, and its plan ``_plan``: those steps with
+each placeholder's name replaced by the variable's facts (bytelength, kind,
+``minimum``/``maximum``, integer bounds, byte order, sign), so no check
+reads a variable again. Both are shared between specs through bounded
+``lru_cache`` tables: the layout per pattern and variable sizes
+(``_layout_of``), the plan per pattern and variable facts (``_plan_of``),
+so a fresh parse of a known TD reuses them. A scalar spec keeps its
+``_scalar`` tuple of ``(offset, end, byteorder, signed, scale)``, with
+``scale`` None when it is 1, and its integer bounds ``_lo``/``_hi``.
+:func:`encode` walks the plan in its own frame, calling out only for a
+string-hex variable, and :func:`decode` walks the same plan or unpacks that
+tuple; each makes only the checks that depend on the value. Each first raises
 ``BadValue`` for a spec of None (no layout declared), then checks, in this
 order:
 
@@ -152,15 +159,16 @@ class BdoSpec:
     of the wrong type, such as a ``bytelength`` or ``offset`` that is not an
     integer, raises ``BadValue``.
 
-    Three fields are derived in ``__init__``, for every later encode and
+    Five fields are derived in ``__init__``, for every later encode and
     decode, and take no part in equality or repr: ``_layout``, the compiled
-    pattern (None without one); ``_scalar``, the scalar layout as the plain
-    tuple ``(offset, end, byteorder, signed, scale)``, where ``end`` is
-    ``offset + bytelength``, ``byteorder`` is ``endianess`` as
-    ``int.to_bytes`` spells it, and ``scale`` is None when it equals 1; and
-    ``_lo`` and ``_hi``, the least and greatest raw integer that
-    ``bytelength`` octets hold, signed or not. The last two, and
-    ``_scalar``, are None without a bytelength.
+    pattern, with ``_plan``, its steps with each variable's facts in place
+    of its name (both None without a pattern; see ``_plan_of``);
+    ``_scalar``, the scalar layout as the plain tuple ``(offset, end,
+    byteorder, signed, scale)``, where ``end`` is ``offset + bytelength``,
+    ``byteorder`` is ``endianess`` as ``int.to_bytes`` spells it, and
+    ``scale`` is None when it equals 1; and ``_lo`` and ``_hi``, the least
+    and greatest raw integer that ``bytelength`` octets hold, signed or not.
+    The last two, and ``_scalar``, are None without a bytelength.
     """
 
     bytelength: int | None = None
@@ -172,6 +180,7 @@ class BdoSpec:
     variables: Mapping[str, VariableSpec] = field(default_factory=dict)
     _layout: "PatternLayout | None" = field(default=None, init=False, compare=False,
                                             repr=False)
+    _plan: tuple | None = field(default=None, init=False, compare=False, repr=False)
     _scalar: tuple | None = field(default=None, init=False, compare=False, repr=False)
     _lo: int | None = field(default=None, init=False, compare=False, repr=False)
     _hi: int | None = field(default=None, init=False, compare=False, repr=False)
@@ -203,9 +212,12 @@ class BdoSpec:
             if not finite or scale == 0:
                 raise BadValue("scale must be finite and nonzero")
             # Validates placeholder coverage and literal runs up front, and
-            # keeps the result for every later encode and decode.
-            layout = None if pattern is None else _layout_of(pattern, tuple(
-                [(name, var.bytelength) for name, var in variables.items()]))
+            # keeps the result for every later encode and decode. Each
+            # variable's facts are its plan step (see _plan_of).
+            layout, plan = (None, None) if pattern is None else _plan_of(pattern, tuple(
+                [(name, var.bytelength, var.data_type is _STRING_HEX, var.minimum,
+                  var.maximum, var._lo, var._hi, var._byteorder, var.signed)
+                 for name, var in variables.items()]))
             byteorder = ("little" if endianess is _LITTLE else "big" if endianess is _BIG
                          else endianess.byteorder)
         except (TypeError, AttributeError) as exc:
@@ -214,7 +226,7 @@ class BdoSpec:
             offset, offset + bytelength, byteorder, signed, None if scale == 1 else scale)
         self.__dict__.update(bytelength=bytelength, signed=signed, endianess=endianess,
                              offset=offset, scale=scale, pattern=pattern, variables=variables,
-                             _layout=layout, _scalar=scalar, _lo=lo, _hi=hi)
+                             _layout=layout, _plan=plan, _scalar=scalar, _lo=lo, _hi=hi)
 
     def layout(self) -> "PatternLayout":
         if self._layout is None:
@@ -238,7 +250,7 @@ class PatternLayout:
 
 
 _PLACEHOLDER_RE = re.compile(r"\{([^{}]*)\}")
-_HEX_RUN_RE = re.compile(r"^[0-9A-Fa-f]*$")
+_HEX_RUN_RE = re.compile(r"[0-9A-Fa-f]*")
 
 
 def compile_pattern(pattern: str, variables: Mapping[str, VariableSpec]) -> PatternLayout:
@@ -267,7 +279,8 @@ def compile_pattern(pattern: str, variables: Mapping[str, VariableSpec]) -> Patt
     return PatternLayout(tuple(steps), total)
 
 
-#: Distinct (pattern, variable sizes) pairs whose layout is kept.
+#: Keys each cache keeps: (pattern, variable sizes) for a layout, and
+#: (pattern, variable facts) for a plan.
 _LAYOUT_CACHE_SIZE = 256
 
 
@@ -283,12 +296,29 @@ def _layout_of(pattern: str, sizes: tuple) -> PatternLayout:
                                      for name, bytelength in sizes})
 
 
+@lru_cache(maxsize=_LAYOUT_CACHE_SIZE)
+def _plan_of(pattern: str, facts: tuple) -> tuple:
+    """The layout of ``pattern`` and its plan, built once per pattern and facts.
+
+    ``facts`` holds one ``(name, bytelength, hexed, minimum, maximum, lo, hi,
+    byteorder, signed)`` per variable, ``hexed`` true for string-hex. The
+    plan is the layout's ``steps`` with each name replaced by its facts, so a
+    placeholder carries what its checks read. Specs with equal facts share
+    one plan; a minimum of ``0`` and of ``0.0`` check alike, and each error
+    message reads the spec's own variable.
+    """
+    layout = _layout_of(pattern, tuple([fact[:2] for fact in facts]))
+    steps = {fact[0]: fact for fact in facts}
+    return layout, tuple([step if step.__class__ is bytes else steps[step]
+                          for step in layout.steps])
+
+
 def _append_literal(steps: list, run: str) -> None:
     if not run:
         return
     if "{" in run or "}" in run:
         raise BadHexPattern(f"malformed placeholder in pattern near {run!r}")
-    if not _HEX_RUN_RE.match(run):
+    if not _HEX_RUN_RE.fullmatch(run):
         raise BadHexPattern(f"non-hex characters in pattern literal {run!r}")
     if len(run) % 2 != 0:
         raise BadHexPattern(f"odd-length hex literal {run!r}")
@@ -312,29 +342,19 @@ def _to_raw_integer(value: Scalar, scale: float | None) -> int:
     return round(value / scale)
 
 
-def _encode_variable(var: VariableSpec, value) -> bytes:
-    if var.data_type is _STRING_HEX:
-        if not isinstance(value, str):
-            raise BadValue(f"variable {var.name!r} expects hex text")
-        try:
-            octets = bytes.fromhex(value)
-        except ValueError as exc:
-            raise BadValue(f"variable {var.name!r}: invalid hex text {value!r}") from exc
-        if len(octets) != var.bytelength:
-            raise OutOfRange(
-                f"variable {var.name!r}: hex value is {len(octets)} octet(s), "
-                f"spec says {var.bytelength}"
-            )
-        return octets
-    if value.__class__ is not int and (isinstance(value, bool) or not isinstance(value, int)):
-        raise BadValue(f"variable {var.name!r} expects an integer")
-    if var.minimum is not None and value < var.minimum:
-        raise OutOfRange(f"variable {var.name!r}: {shown(value)} below minimum {var.minimum}")
-    if var.maximum is not None and value > var.maximum:
-        raise OutOfRange(f"variable {var.name!r}: {shown(value)} above maximum {var.maximum}")
-    if not var._lo <= value <= var._hi:
-        raise _out_of_range(value, var.bytelength, var.signed)
-    return value.to_bytes(var.bytelength, var._byteorder, signed=var.signed)
+def _hex_octets(var: VariableSpec, value) -> bytes:
+    if not isinstance(value, str):
+        raise BadValue(f"variable {var.name!r} expects hex text")
+    try:
+        octets = bytes.fromhex(value)
+    except ValueError as exc:
+        raise BadValue(f"variable {var.name!r}: invalid hex text {value!r}") from exc
+    if len(octets) != var.bytelength:
+        raise OutOfRange(
+            f"variable {var.name!r}: hex value is {len(octets)} octet(s), "
+            f"spec says {var.bytelength}"
+        )
+    return octets
 
 
 def encode(value: Value, spec: BdoSpec | None) -> bytes:
@@ -350,7 +370,34 @@ def encode(value: Value, spec: BdoSpec | None) -> bytes:
     if layout is not None:
         if value.__class__ is not dict and not isinstance(value, Mapping):
             raise BadValue("pattern spec requires a mapping of variable values")
-        payload = _encode_pattern(value, layout, spec.variables)
+        # The plan's walk, in this frame: a check that fails reads the
+        # spec's own variable for its message.
+        payload = b""
+        for step in spec._plan:
+            if step.__class__ is bytes:
+                payload += step
+                continue
+            name, size, hexed, minimum, maximum, lo, hi, byteorder, signed = step
+            if name not in value:
+                raise MissingVariable(f"no value supplied for variable {name!r}")
+            number = value[name]
+            if hexed:
+                payload += _hex_octets(spec.variables[name], number)
+                continue
+            if number.__class__ is not int and (isinstance(number, bool)
+                                                or not isinstance(number, int)):
+                raise BadValue(f"variable {spec.variables[name].name!r} expects an integer")
+            if minimum is not None and number < minimum:
+                var = spec.variables[name]
+                raise OutOfRange(f"variable {var.name!r}: {shown(number)} below minimum "
+                                 f"{var.minimum}")
+            if maximum is not None and number > maximum:
+                var = spec.variables[name]
+                raise OutOfRange(f"variable {var.name!r}: {shown(number)} above maximum "
+                                 f"{var.maximum}")
+            if not lo <= number <= hi:
+                raise _out_of_range(number, spec.variables[name].bytelength, signed)
+            payload += number.to_bytes(size, byteorder, signed=signed)
         if layout.total_octets > MAX_PAYLOAD_OCTETS:  # the payload's length
             raise _too_long(layout.total_octets)
         return payload
@@ -377,18 +424,6 @@ def _too_long(octets: int) -> AttLengthExceeded:
     )
 
 
-def _encode_pattern(values: Mapping, layout: PatternLayout, variables: Mapping) -> bytes:
-    out = bytearray()
-    for step in layout.steps:
-        if step.__class__ is bytes:
-            out += step
-        elif step in values:
-            out += _encode_variable(variables[step], values[step])
-        else:
-            raise MissingVariable(f"no value supplied for variable {step!r}")
-    return bytes(out)
-
-
 _OCTET_TYPES = (bytes, bytearray, memoryview)
 
 
@@ -408,7 +443,7 @@ def decode(payload: bytes, spec: BdoSpec | None) -> Value:
                        f"got {type(payload).__name__}")
     layout = spec._layout
     if layout is not None:
-        return _decode_pattern(payload, layout, spec.variables)
+        return _decode_pattern(payload, layout.total_octets, spec._plan)
     offset, end, byteorder, signed, scale = spec._scalar
     size = len(payload)
     if size < end:
@@ -419,17 +454,15 @@ def decode(payload: bytes, spec: BdoSpec | None) -> Value:
     return raw if scale is None else raw * scale
 
 
-def _decode_pattern(payload: bytes, layout: PatternLayout, variables: Mapping) -> dict:
+def _decode_pattern(payload: bytes, total: int, plan: tuple) -> dict:
     size = len(payload)
-    if size < layout.total_octets:
-        raise TooShort(f"payload has {size} octet(s), pattern needs {layout.total_octets}")
-    if size > layout.total_octets:
-        raise PatternMismatch(
-            f"payload has {size} octet(s), pattern describes exactly {layout.total_octets}"
-        )
+    if size < total:
+        raise TooShort(f"payload has {size} octet(s), pattern needs {total}")
+    if size > total:
+        raise PatternMismatch(f"payload has {size} octet(s), pattern describes exactly {total}")
     values: dict = {}
     pos = 0
-    for step in layout.steps:
+    for step in plan:
         if step.__class__ is bytes:
             end = pos + len(step)
             if payload[pos:end] != step:
@@ -439,15 +472,15 @@ def _decode_pattern(payload: bytes, layout: PatternLayout, variables: Mapping) -
                 )
             pos = end
             continue
-        var = variables[step]
-        end = pos + var.bytelength
-        if var.data_type is _STRING_HEX:
+        name, octets, hexed, _, _, _, _, byteorder, signed = step
+        end = pos + octets
+        if hexed:
             decoded = payload[pos:end].hex()
         else:
-            decoded = int.from_bytes(payload[pos:end], var._byteorder, signed=var.signed)
-        if step in values and values[step] != decoded:
-            raise PatternMismatch(f"repeated variable {step!r} decodes to conflicting values")
-        values[step] = decoded
+            decoded = int.from_bytes(payload[pos:end], byteorder, signed=signed)
+        if name in values and values[name] != decoded:
+            raise PatternMismatch(f"repeated variable {name!r} decodes to conflicting values")
+        values[name] = decoded
         pos = end
     return values
 

@@ -22,11 +22,12 @@ from .errors import BadDeviceId, BadScheme, BadStructure, BadUuid
 BLUETOOTH_BASE_UUID = uuid.UUID("00000000-0000-1000-8000-00805f9b34fb")
 
 _SCHEME_RE = re.compile(r"^([A-Za-z][A-Za-z0-9+.-]*)://")
-_MAC_RE = re.compile(r"^[0-9A-Fa-f]{2}(?:[:-][0-9A-Fa-f]{2}){5}$")
+# Matched with fullmatch: a ``$`` would also match before a final newline.
+_MAC_RE = re.compile(r"[0-9A-Fa-f]{2}(?:[:-][0-9A-Fa-f]{2}){5}")
 _UUID128_RE = re.compile(
-    r"^[0-9A-Fa-f]{8}-[0-9A-Fa-f]{4}-[0-9A-Fa-f]{4}-[0-9A-Fa-f]{4}-[0-9A-Fa-f]{12}$"
+    r"[0-9A-Fa-f]{8}-[0-9A-Fa-f]{4}-[0-9A-Fa-f]{4}-[0-9A-Fa-f]{4}-[0-9A-Fa-f]{12}"
 )
-_UUID16_RE = re.compile(r"^[0-9A-Fa-f]{4}$")
+_UUID16_RE = re.compile(r"[0-9A-Fa-f]{4}")
 
 #: Distinct texts each parser remembers; beyond that the least recent go.
 _CACHE_SIZE = 256
@@ -78,7 +79,7 @@ def normalize_mac(text: str) -> str:
     """Return the canonical ``HH:HH:HH:HH:HH:HH`` uppercase form of a MAC."""
     if not isinstance(text, str):
         raise BadDeviceId(f"device id must be a string, got {text!r}")
-    if not _MAC_RE.match(text):
+    if not _MAC_RE.fullmatch(text):
         raise BadDeviceId(f"not a 6-octet MAC address: {text!r}")
     return text.replace("-", ":").upper()
 
@@ -101,9 +102,9 @@ def parse_uuid(text: str) -> uuid.UUID:
     """Parse a UUID segment: canonical 128-bit form or 4-hex-digit short form."""
     if not isinstance(text, str):
         raise BadUuid(f"UUID must be a string, got {text!r}")
-    if _UUID16_RE.match(text):
+    if _UUID16_RE.fullmatch(text):
         return expand_uuid(int(text, 16))
-    if _UUID128_RE.match(text):
+    if _UUID128_RE.fullmatch(text):
         return uuid.UUID(text.lower())
     raise BadUuid(f"not a 4-hex short UUID or canonical 128-bit UUID: {text!r}")
 

@@ -1,4 +1,7 @@
+import math
 import random
+from collections.abc import Mapping
+from dataclasses import replace
 from types import MappingProxyType
 
 import pytest
@@ -11,6 +14,7 @@ from wotble import (
     VariableSpec,
     VariableType,
     compile_pattern,
+    parse_td,
     parse_td_file,
 )
 from wotble.codec import (
@@ -154,6 +158,11 @@ def test_odd_literal_run_is_rejected():
         compile_pattern("7e0", {})
 
 
+def test_a_literal_run_ending_in_a_newline_is_rejected():
+    with pytest.raises(BadHexPattern, match="non-hex characters"):
+        compile_pattern("7e0\n{on}", LAMP_VARS)
+
+
 @pytest.mark.parametrize("pattern", ["7e{on", "7e}on{", "{}", "7e{on}}", "7e{{on}00"])
 def test_malformed_placeholders_are_rejected(pattern):
     with pytest.raises(BadHexPattern):
@@ -212,8 +221,9 @@ def test_failed_pattern_compiles_raise_anew(pattern, error):
 def test_compiled_layout_cache_stays_bounded():
     for index in range(codec_module._LAYOUT_CACHE_SIZE + 50):
         BdoSpec(pattern=f"{index:04x}{{on}}", variables=LAMP_VARS)
-    info = codec_module._layout_of.cache_info()
-    assert info.currsize <= info.maxsize == codec_module._LAYOUT_CACHE_SIZE
+    for cache in (codec_module._layout_of, codec_module._plan_of):
+        info = cache.cache_info()
+        assert info.currsize <= info.maxsize == codec_module._LAYOUT_CACHE_SIZE
 
 
 @pytest.mark.parametrize("scale", [1, 0.1])
@@ -697,6 +707,226 @@ def test_pattern_decode_checks_literals_and_repeats_on_random_patterns():
             decode(bytes(payload), spec)
 
 
+# --- the plan against a reference step walk --------------------------------------------
+
+def int_range(bytelength: int, signed: bool) -> tuple[int, int]:
+    lo = -(256 ** bytelength // 2) if signed else 0
+    return lo, lo + 256 ** bytelength - 1
+
+
+def reference_octets(value, pattern: str, variables) -> bytes:
+    """A pattern payload built by walking the layout's steps, each placeholder
+    reading its variable's fields: the reference the plan is checked against.
+    Every check but the ATT cap runs, in the module docstring's order."""
+    if not isinstance(value, Mapping):
+        raise BadValue("pattern spec requires a mapping of variable values")
+    out = b""
+    for step in compile_pattern(pattern, variables).steps:
+        if isinstance(step, bytes):
+            out += step
+            continue
+        if step not in value:
+            raise MissingVariable(f"no value supplied for variable {step!r}")
+        var, item = variables[step], value[step]
+        size, where = var.bytelength, f"variable {var.name!r}"
+        if var.data_type is VariableType.STRING_HEX:
+            if not isinstance(item, str):
+                raise BadValue(f"{where} expects hex text")
+            try:
+                octets = bytes.fromhex(item)
+            except ValueError:
+                raise BadValue(f"{where}: invalid hex text {item!r}") from None
+            if len(octets) != size:
+                raise OutOfRange(f"{where}: hex value is {len(octets)} octet(s), "
+                                 f"spec says {size}")
+            out += octets
+            continue
+        if isinstance(item, bool) or not isinstance(item, int):
+            raise BadValue(f"{where} expects an integer")
+        if var.minimum is not None and item < var.minimum:
+            raise OutOfRange(f"{where}: {item} below minimum {var.minimum}")
+        if var.maximum is not None and item > var.maximum:
+            raise OutOfRange(f"{where}: {item} above maximum {var.maximum}")
+        lo, hi = int_range(size, var.signed)
+        if not lo <= item <= hi:
+            kind = "signed" if var.signed else "unsigned"
+            raise OutOfRange(f"{item} not representable in {size} octet(s) ({kind})")
+        out += item.to_bytes(size, var.endianess.byteorder, signed=var.signed)
+    return out
+
+
+def reference_encode(value, pattern: str, variables) -> bytes:
+    out = reference_octets(value, pattern, variables)
+    if len(out) > MAX_PAYLOAD_OCTETS:
+        raise AttLengthExceeded(
+            f"payload is {len(out)} octets, ATT allows at most {MAX_PAYLOAD_OCTETS}")
+    return out
+
+
+def reference_decode(payload: bytes, pattern: str, variables) -> dict:
+    """A pattern payload read by walking the layout's steps."""
+    layout = compile_pattern(pattern, variables)
+    size, total = len(payload), layout.total_octets
+    if size < total:
+        raise TooShort(f"payload has {size} octet(s), pattern needs {total}")
+    if size > total:
+        raise PatternMismatch(f"payload has {size} octet(s), pattern describes exactly {total}")
+    values, pos = {}, 0
+    for step in layout.steps:
+        if isinstance(step, bytes):
+            got = payload[pos:pos + len(step)]
+            if got != step:
+                raise PatternMismatch(f"literal octets differ at offset {pos}: expected "
+                                      f"{step.hex()}, got {got.hex()}")
+            pos += len(step)
+            continue
+        var = variables[step]
+        octets = payload[pos:pos + var.bytelength]
+        if var.data_type is VariableType.STRING_HEX:
+            item = octets.hex()
+        else:
+            item = int.from_bytes(octets, var.endianess.byteorder, signed=var.signed)
+        if step in values and values[step] != item:
+            raise PatternMismatch(f"repeated variable {step!r} decodes to conflicting values")
+        values[step] = item
+        pos += var.bytelength
+    return values
+
+
+def outcome(call, *args):
+    """What ``call`` returns, or the class and message of the codec error it raises."""
+    try:
+        return call(*args)
+    except CodecError as exc:
+        return type(exc), str(exc)
+
+
+def random_plan_case(rng: random.Random):
+    """A pattern with one to four placeholders, its variables and a valid value
+    for each.
+
+    Placeholders may repeat a name. Sizes run from 1 to 8 octets, with now
+    and then 16, 256 or 512, so that some patterns pass the ATT cap. About a
+    third of the variables are string-hex. An integer variable's minimum and
+    maximum are each set about half the time, now and then as a float, and
+    its name differs now and then from its placeholder's.
+    """
+    count = rng.randint(1, 4)
+    names = rng.sample("uvwxyz", rng.randint(1, count))
+    order = names + [rng.choice(names) for _ in range(count - len(names))]
+    rng.shuffle(order)
+    variables, values = {}, {}
+    for name in names:
+        size = rng.randint(1, 8) if rng.random() < 0.9 else rng.choice((16, 256, 512))
+        signed, endianess = rng.random() < 0.5, rng.choice(list(Endianess))
+        label = name if rng.random() < 0.8 else name.upper()
+        if rng.random() < 0.3:
+            variables[name] = VariableSpec(label, VariableType.STRING_HEX, size, signed,
+                                           endianess)
+            values[name] = random_hex(rng, size)
+            continue
+        lo, hi = int_range(size, signed)
+        minimum = rng.randint(lo, hi) if rng.random() < 0.5 else None
+        maximum = (rng.randint(lo if minimum is None else minimum, hi)
+                   if rng.random() < 0.5 else None)
+        if size <= 4 and rng.random() < 0.3:  # a float holds these exactly
+            minimum, maximum = (None if m is None else float(m) for m in (minimum, maximum))
+        variables[name] = VariableSpec(label, bytelength=size, signed=signed,
+                                       endianess=endianess, minimum=minimum, maximum=maximum)
+        values[name] = rng.randint(lo if minimum is None else math.ceil(minimum),
+                                   hi if maximum is None else math.floor(maximum))
+    pattern = "".join(random_hex(rng, rng.randint(0, 2)) + f"{{{name}}}" for name in order)
+    return pattern + random_hex(rng, rng.randint(0, 2)), variables, values
+
+
+def refused_values(var: VariableSpec) -> list:
+    """One value of each kind that ``var``'s placeholder refuses."""
+    n = var.bytelength
+    if var.data_type is VariableType.STRING_HEX:
+        return [MISSING, 1, None, b"ab" * n, "zz" * n, "abc", "ab" * (n + 1), "ab" * (n - 1)]
+    lo, hi = int_range(n, var.signed)
+    refused = [MISSING, True, False, 1.0, "1", None, lo - 1, hi + 1]
+    if var.minimum is not None:
+        refused.append(math.floor(var.minimum) - 1)
+    if var.maximum is not None:
+        refused.append(math.ceil(var.maximum) + 1)
+    return refused
+
+
+def test_the_plan_encodes_and_decodes_as_the_reference_walk_does():
+    rng = random.Random(2211_1293)
+    for _ in range(1500):
+        pattern, variables, values = random_plan_case(rng)
+        spec = BdoSpec(pattern=pattern, variables=variables)
+        given = values if rng.random() < 0.7 else MappingProxyType(values)
+        assert outcome(encode, given, spec) == outcome(reference_encode, values, pattern,
+                                                       variables), pattern
+        for value in (1, None, [("u", 1)], "u"):  # not a mapping
+            assert outcome(encode, value, spec) == outcome(reference_encode, value, pattern,
+                                                           variables)
+        for name, var in variables.items():
+            for bad in refused_values(var):
+                broken = {key: item for key, item in values.items() if key != name}
+                if bad is not MISSING:
+                    broken[name] = bad
+                expected = outcome(reference_encode, broken, pattern, variables)
+                assert outcome(encode, broken, spec) == expected, (pattern, name, bad)
+                assert expected.__class__ is tuple  # every one of them is refused
+
+        payload = reference_octets(values, pattern, variables)
+        flipped = bytearray(payload)
+        flipped[rng.randrange(len(flipped))] ^= 1 << rng.randrange(8)
+        for octets in (payload, payload[:-1], payload + b"\x00", bytes(flipped),
+                       rng.randbytes(len(payload))):
+            assert outcome(decode, octets, spec) == outcome(reference_decode, octets, pattern,
+                                                            variables), (pattern, octets)
+
+
+def test_two_parses_of_the_lamp_share_one_plan():
+    text = LAMP_TD.read_text()
+    first, second = (parse_td(text).properties["power"].bdo for _ in range(2))
+    assert first is not second
+    assert first._plan is second._plan and first.layout() is second.layout()
+    assert "_plan" not in repr(first)
+
+
+@pytest.mark.parametrize("tag, change", [(0xA1, {"minimum": 1}), (0xA2, {"signed": True}),
+                                         (0xA3, {"endianess": Endianess.BIG})],
+                         ids=["minimum", "signed", "endianess"])
+def test_specs_that_differ_in_one_variable_fact_keep_their_own_plans(tag, change):
+    """A plan shared by name and size alone would hand one spec the other's checks."""
+    base = {"x": VariableSpec("x", bytelength=2, maximum=0xFFF0)}
+    variant = {"x": replace(base["x"], **change)}
+    # Either spec built first, each time on a pattern no earlier spec used.
+    for order, pair in enumerate([(base, variant), (variant, base)]):
+        pattern = f"{tag:02x}{order:02x}{{x}}"
+        specs = [BdoSpec(pattern=pattern, variables=variables) for variables in pair]
+        assert specs[0]._plan is not specs[1]._plan
+        assert specs[0].layout() is specs[1].layout()
+        for spec, variables in zip(specs, pair):
+            for value in (-1, 0, 1, 0x7FFF, 0x8000, 0xFFF0, 0xFFFF):
+                assert outcome(encode, {"x": value}, spec) == outcome(
+                    reference_encode, {"x": value}, pattern, variables)
+            for octets in (b"\x01\x00", b"\xff\xff"):
+                payload = bytes.fromhex(pattern[:4]) + octets
+                assert outcome(decode, payload, spec) == outcome(
+                    reference_decode, payload, pattern, variables)
+
+
+def test_bounds_that_are_equal_numbers_share_a_plan_but_not_a_message():
+    ints = BdoSpec(pattern="ab{x}", variables={"x": VariableSpec("x", minimum=1, maximum=2)})
+    floats = BdoSpec(pattern="ab{x}",
+                     variables={"x": VariableSpec("x", minimum=1.0, maximum=2.0)})
+    assert ints._plan is floats._plan
+    for spec, low, high in ((ints, "1", "2"), (floats, "1.0", "2.0")):
+        with pytest.raises(OutOfRange) as below:
+            encode({"x": 0}, spec)
+        with pytest.raises(OutOfRange) as above:
+            encode({"x": 3}, spec)
+        assert str(below.value) == f"variable 'x': 0 below minimum {low}"
+        assert str(above.value) == f"variable 'x': 3 above maximum {high}"
+
+
 # --- call budget -----------------------------------------------------------------------
 
 LAMP_POWER = parse_td_file(LAMP_TD).properties["power"].bdo
@@ -704,7 +934,7 @@ SENSOR_TEMPERATURE = parse_td_file(SENSOR_TD).properties["temperature"].bdo
 
 #: One codec call per fixture spec, with the most Python calls it may make.
 CODEC_CALL_BUDGETS = {
-    "lamp-encode": (encode, {"on": 1}, LAMP_POWER, 4),
+    "lamp-encode": (encode, {"on": 1}, LAMP_POWER, 2),
     "lamp-decode": (decode, bytes.fromhex("7e00040100000000ef"), LAMP_POWER, 6),
     "temperature-encode": (encode, 21.5, SENSOR_TEMPERATURE, 7),
     "temperature-decode": (decode, bytes([0xD7, 0x00]), SENSOR_TEMPERATURE, 3),

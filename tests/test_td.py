@@ -209,6 +209,13 @@ def test_pattern_placeholder_without_matching_variable():
         parse_td(json.dumps(doc))
 
 
+def test_a_lamp_pattern_ending_in_a_newline_is_malformed():
+    doc = json.loads(LAMP_TD.read_text())
+    doc["properties"]["power"]["bdo:pattern"] = "7e0004{on}00000000e\n"
+    with pytest.raises(MalformedDocument, match="non-hex characters"):
+        parse_td(json.dumps(doc))
+
+
 def test_undeclared_prefix_is_rejected():
     doc = json.loads(td_doc())
     doc["@context"] = ["https://www.w3.org/2022/wot/td/v1", {"bdo": CONTEXT[1]["bdo"]}]

@@ -60,6 +60,16 @@ def test_bad_structure_is_rejected(bad):
         parse_gatt_uri(bad)
 
 
+@pytest.mark.parametrize("parse, text, error", [
+    (normalize_mac, "BE:58:30:00:CC:11\n", BadDeviceId),
+    (parse_uuid, "fff3\n", BadUuid),
+    (parse_uuid, f"{FULL_FFF3}\n", BadUuid),
+], ids=["mac", "short-uuid", "full-uuid"])
+def test_a_trailing_newline_is_not_part_of_a_segment(parse, text, error):
+    with pytest.raises(error, match="^not a "):
+        parse(text)
+
+
 @pytest.mark.parametrize("short,expected", [
     (0xFFF3, "0000fff3-0000-1000-8000-00805f9b34fb"),
     (0x0000, "00000000-0000-1000-8000-00805f9b34fb"),
