@@ -69,7 +69,6 @@ _METHODS_OF = {
 }
 
 
-@_memoised
 def parse_operation(text: str) -> WotOperation:
     """Map an op string from a TD form onto the closed operation vocabulary."""
     try:

@@ -9,21 +9,20 @@ Converts between application values and octet payloads as described by a
   placeholders stand for independently described variables.
 
 Everything that depends only on a layout is worked out once, when the spec
-is built. A pattern spec keeps its :class:`PatternLayout`, with flat
-``steps`` and ``total_octets``, and its plan ``_plan``: those steps with
-each placeholder's name replaced by the variable's facts (bytelength, kind,
+is built, and kept in one derived field per shape. A pattern spec keeps
+``_plan``: the pattern's total octets and its steps, each literal run as
+its octets and each placeholder as its variable's facts (bytelength, kind,
 ``minimum``/``maximum``, integer bounds, byte order, sign), so no check
-reads a variable again. Both are shared between specs through bounded
-``lru_cache`` tables: the layout per pattern and variable sizes
-(``_layout_of``), the plan per pattern and variable facts (``_plan_of``),
-so a fresh parse of a known TD reuses them. A scalar spec keeps its
-``_scalar`` tuple of ``(offset, end, byteorder, signed, scale)``, with
-``scale`` None when it is 1, and its integer bounds ``_lo``/``_hi``.
+reads a variable again. Plans are shared between specs through one bounded
+``lru_cache`` table per pattern and variable facts (``_plan_of``), so a
+fresh parse of a known TD reuses them. A scalar spec keeps its ``_scalar``
+tuple of ``(offset, end, byteorder, signed, scale, lo, hi)``, with
+``scale`` None when it is 1 and ``lo``/``hi`` its integer bounds.
 :func:`encode` walks the plan in its own frame, calling out only for a
 string-hex variable, and :func:`decode` walks the same plan or unpacks that
 tuple; each makes only the checks that depend on the value. Each first raises
-``BadValue`` for a spec of None (no layout declared), then checks, in this
-order:
+``BadValue`` for a spec of None (no layout declared), or for any other
+object that is not a :class:`BdoSpec`, then checks, in this order:
 
 * pattern encode: the mapping check (``BadValue``), then each placeholder in
   pattern order (``MissingVariable``, then the variable's own ``BadValue`` or
@@ -159,16 +158,16 @@ class BdoSpec:
     of the wrong type, such as a ``bytelength`` or ``offset`` that is not an
     integer, raises ``BadValue``.
 
-    Five fields are derived in ``__init__``, for every later encode and
-    decode, and take no part in equality or repr: ``_layout``, the compiled
-    pattern, with ``_plan``, its steps with each variable's facts in place
-    of its name (both None without a pattern; see ``_plan_of``);
-    ``_scalar``, the scalar layout as the plain tuple ``(offset, end,
-    byteorder, signed, scale)``, where ``end`` is ``offset + bytelength``,
-    ``byteorder`` is ``endianess`` as ``int.to_bytes`` spells it, and
-    ``scale`` is None when it equals 1; and ``_lo`` and ``_hi``, the least
-    and greatest raw integer that ``bytelength`` octets hold, signed or not.
-    The last two, and ``_scalar``, are None without a bytelength.
+    Two fields are derived in ``__init__``, for every later encode and
+    decode, and take no part in equality or repr: ``_plan``, the pattern's
+    total octets and its steps with each variable's facts in place of its
+    name (None without a pattern; see ``_plan_of``); and ``_scalar``, the
+    scalar layout as the plain tuple ``(offset, end, byteorder, signed,
+    scale, lo, hi)``, where ``end`` is ``offset + bytelength``,
+    ``byteorder`` is ``endianess`` as ``int.to_bytes`` spells it, ``scale``
+    is None when it equals 1, and ``lo`` and ``hi`` are the least and
+    greatest raw integer that ``bytelength`` octets hold, signed or not
+    (None without a bytelength).
     """
 
     bytelength: int | None = None
@@ -178,12 +177,8 @@ class BdoSpec:
     scale: float = 1.0
     pattern: str | None = None
     variables: Mapping[str, VariableSpec] = field(default_factory=dict)
-    _layout: "PatternLayout | None" = field(default=None, init=False, compare=False,
-                                            repr=False)
     _plan: tuple | None = field(default=None, init=False, compare=False, repr=False)
     _scalar: tuple | None = field(default=None, init=False, compare=False, repr=False)
-    _lo: int | None = field(default=None, init=False, compare=False, repr=False)
-    _hi: int | None = field(default=None, init=False, compare=False, repr=False)
 
     # Hand-written for the reason VariableSpec's is.
     def __init__(self, bytelength=None, signed=False, endianess=Endianess.LITTLE, offset=0,
@@ -200,21 +195,17 @@ class BdoSpec:
                 raise BadValue(f"offset must be an integer, got {type(offset).__name__}")
             # Bounds, math.isfinite and Endianess.byteorder inline, as in
             # VariableSpec.
-            if bytelength is None:
-                lo = hi = None
-            else:
+            if bytelength is not None:
                 half = 1 << (8 * bytelength - 1)  # a TypeError unless an integer
                 lo, hi = (-half, half - 1) if signed else (0, 2 * half - 1)
-            if scale.__class__ is float:
-                finite = -_FLOAT_MAX <= scale <= _FLOAT_MAX
-            else:
-                finite = math.isfinite(scale)
+            finite = (-_FLOAT_MAX <= scale <= _FLOAT_MAX if scale.__class__ is float
+                      else math.isfinite(scale))
             if not finite or scale == 0:
                 raise BadValue("scale must be finite and nonzero")
             # Validates placeholder coverage and literal runs up front, and
             # keeps the result for every later encode and decode. Each
             # variable's facts are its plan step (see _plan_of).
-            layout, plan = (None, None) if pattern is None else _plan_of(pattern, tuple(
+            plan = None if pattern is None else _plan_of(pattern, tuple(
                 [(name, var.bytelength, var.data_type is _STRING_HEX, var.minimum,
                   var.maximum, var._lo, var._hi, var._byteorder, var.signed)
                  for name, var in variables.items()]))
@@ -223,15 +214,10 @@ class BdoSpec:
         except (TypeError, AttributeError) as exc:
             raise BadValue(f"spec field of the wrong type ({exc})") from None
         scalar = None if bytelength is None else (
-            offset, offset + bytelength, byteorder, signed, None if scale == 1 else scale)
+            offset, offset + bytelength, byteorder, signed, None if scale == 1 else scale, lo, hi)
         self.__dict__.update(bytelength=bytelength, signed=signed, endianess=endianess,
                              offset=offset, scale=scale, pattern=pattern, variables=variables,
-                             _layout=layout, _plan=plan, _scalar=scalar, _lo=lo, _hi=hi)
-
-    def layout(self) -> "PatternLayout":
-        if self._layout is None:
-            raise BadValue("spec has no pattern")
-        return self._layout
+                             _plan=plan, _scalar=scalar)
 
 
 @dataclass(frozen=True)
@@ -241,8 +227,7 @@ class PatternLayout:
     ``steps`` has one entry per literal run or placeholder, in pattern
     order: a literal run's octets (``bytes``) or a placeholder's variable
     name (``str``). ``total_octets`` is the length of every payload the
-    pattern describes. Specs that agree on the pattern and the variable
-    sizes share one layout (see ``_layout_of``).
+    pattern describes.
     """
 
     steps: tuple[bytes | str, ...]
@@ -279,38 +264,27 @@ def compile_pattern(pattern: str, variables: Mapping[str, VariableSpec]) -> Patt
     return PatternLayout(tuple(steps), total)
 
 
-#: Keys each cache keeps: (pattern, variable sizes) for a layout, and
-#: (pattern, variable facts) for a plan.
-_LAYOUT_CACHE_SIZE = 256
+#: Plans the cache keeps, one per pattern and variable facts.
+_PLAN_CACHE_SIZE = 256
 
 
-@lru_cache(maxsize=_LAYOUT_CACHE_SIZE)
-def _layout_of(pattern: str, sizes: tuple) -> PatternLayout:
-    """``compile_pattern``, run once per pattern text and variable sizes.
-
-    ``sizes`` holds each variable's ``(name, bytelength)``. A layout depends
-    only on those and the pattern, so specs that agree on them share one.
-    Failures are not kept: they raise anew on every call.
-    """
-    return compile_pattern(pattern, {name: VariableSpec(name, bytelength=bytelength)
-                                     for name, bytelength in sizes})
-
-
-@lru_cache(maxsize=_LAYOUT_CACHE_SIZE)
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _plan_of(pattern: str, facts: tuple) -> tuple:
-    """The layout of ``pattern`` and its plan, built once per pattern and facts.
+    """The total octets of ``pattern`` and its plan, built once per pattern and facts.
 
     ``facts`` holds one ``(name, bytelength, hexed, minimum, maximum, lo, hi,
     byteorder, signed)`` per variable, ``hexed`` true for string-hex. The
-    plan is the layout's ``steps`` with each name replaced by its facts, so a
-    placeholder carries what its checks read. Specs with equal facts share
-    one plan; a minimum of ``0`` and of ``0.0`` check alike, and each error
-    message reads the spec's own variable.
+    plan is ``compile_pattern``'s steps with each name replaced by its facts,
+    so a placeholder carries what its checks read. Specs with equal facts
+    share one plan; a minimum of ``0`` and of ``0.0`` check alike, and each
+    error message reads the spec's own variable. Failures are not kept: they
+    raise anew on every call.
     """
-    layout = _layout_of(pattern, tuple([fact[:2] for fact in facts]))
     steps = {fact[0]: fact for fact in facts}
-    return layout, tuple([step if step.__class__ is bytes else steps[step]
-                          for step in layout.steps])
+    layout = compile_pattern(pattern, {name: VariableSpec(name, bytelength=fact[1])
+                                       for name, fact in steps.items()})
+    return layout.total_octets, tuple([step if step.__class__ is bytes else steps[step]
+                                       for step in layout.steps])
 
 
 def _append_literal(steps: list, run: str) -> None:
@@ -364,16 +338,17 @@ def encode(value: Value, spec: BdoSpec | None) -> bytes:
     every variable. The result never exceeds 512 octets. The checks run in
     the order the module docstring gives.
     """
-    if spec is None:
-        raise BadValue("no binary layout declared for this affordance")
-    layout = spec._layout
-    if layout is not None:
+    try:
+        plan = spec._plan
+    except AttributeError:
+        raise _not_a_spec(spec) from None
+    if plan is not None:
         if value.__class__ is not dict and not isinstance(value, Mapping):
             raise BadValue("pattern spec requires a mapping of variable values")
         # The plan's walk, in this frame: a check that fails reads the
         # spec's own variable for its message.
         payload = b""
-        for step in spec._plan:
+        for step in plan[1]:
             if step.__class__ is bytes:
                 payload += step
                 continue
@@ -398,12 +373,12 @@ def encode(value: Value, spec: BdoSpec | None) -> bytes:
             if not lo <= number <= hi:
                 raise _out_of_range(number, spec.variables[name].bytelength, signed)
             payload += number.to_bytes(size, byteorder, signed=signed)
-        if layout.total_octets > MAX_PAYLOAD_OCTETS:  # the payload's length
-            raise _too_long(layout.total_octets)
+        if plan[0] > MAX_PAYLOAD_OCTETS:  # the payload's length
+            raise _too_long(plan[0])
         return payload
     if value.__class__ is dict or isinstance(value, Mapping):
         raise BadValue("scalar spec got a mapping; no pattern is defined")
-    offset, end, byteorder, signed, scale = spec._scalar
+    offset, end, byteorder, signed, scale, lo, hi = spec._scalar
     if end > MAX_PAYLOAD_OCTETS:  # before the offset's zero octets are built
         raise _too_long(end)
     try:
@@ -413,15 +388,20 @@ def encode(value: Value, spec: BdoSpec | None) -> bytes:
     except OverflowError:  # round() of an infinity, or an int past a float
         raise OutOfRange(f"value is infinite or too large for a float; not representable "
                          f"in {spec.bytelength} octet(s) at scale {spec.scale}") from None
-    if not spec._lo <= raw <= spec._hi:
+    if not lo <= raw <= hi:
         raise _out_of_range(raw, spec.bytelength, signed)
     return bytes(offset) + raw.to_bytes(end - offset, byteorder, signed=signed)
 
 
+def _not_a_spec(spec) -> BadValue:
+    """The first error for a ``spec`` without a plan: None, or not a BdoSpec."""
+    return BadValue("no binary layout declared for this affordance" if spec is None
+                    else f"expected a BdoSpec, got {type(spec).__name__}")
+
+
 def _too_long(octets: int) -> AttLengthExceeded:
-    return AttLengthExceeded(
-        f"payload is {octets} octets, ATT allows at most {MAX_PAYLOAD_OCTETS}"
-    )
+    return AttLengthExceeded(f"payload is {octets} octets, ATT allows at most "
+                             f"{MAX_PAYLOAD_OCTETS}")
 
 
 _OCTET_TYPES = (bytes, bytearray, memoryview)
@@ -436,15 +416,16 @@ def decode(payload: bytes, spec: BdoSpec | None) -> Value:
     return a name-to-value mapping. Hex-string variables decode to lowercase
     hex text.
     """
-    if spec is None:
-        raise BadValue("no binary layout declared for this affordance")
+    try:
+        plan = spec._plan
+    except AttributeError:
+        raise _not_a_spec(spec) from None
     if payload.__class__ is not bytes and not isinstance(payload, _OCTET_TYPES):
         raise BadValue("a payload must be bytes, bytearray or memoryview, "
                        f"got {type(payload).__name__}")
-    layout = spec._layout
-    if layout is not None:
-        return _decode_pattern(payload, layout.total_octets, spec._plan)
-    offset, end, byteorder, signed, scale = spec._scalar
+    if plan is not None:
+        return _decode_pattern(payload, plan[0], plan[1])
+    offset, end, byteorder, signed, scale, _, _ = spec._scalar
     size = len(payload)
     if size < end:
         raise TooShort(f"payload has {size} octet(s), spec reads octets [{offset}, {end})")
@@ -454,7 +435,7 @@ def decode(payload: bytes, spec: BdoSpec | None) -> Value:
     return raw if scale is None else raw * scale
 
 
-def _decode_pattern(payload: bytes, total: int, plan: tuple) -> dict:
+def _decode_pattern(payload: bytes, total: int, steps: tuple) -> dict:
     size = len(payload)
     if size < total:
         raise TooShort(f"payload has {size} octet(s), pattern needs {total}")
@@ -462,7 +443,7 @@ def _decode_pattern(payload: bytes, total: int, plan: tuple) -> dict:
         raise PatternMismatch(f"payload has {size} octet(s), pattern describes exactly {total}")
     values: dict = {}
     pos = 0
-    for step in plan:
+    for step in steps:
         if step.__class__ is bytes:
             end = pos + len(step)
             if payload[pos:end] != step:

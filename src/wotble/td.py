@@ -72,7 +72,7 @@ BDO_IRI = "https://freumi.inrupt.net/BinaryDataOntology.ttl#"
 RDF_IRI = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
 QUDT_IRI = "http://qudt.org/schema/qudt/"
 
-_CURIE_RE = re.compile(r"^([A-Za-z][A-Za-z0-9_.-]*):(?!//)(.+)$")
+_CURIE_RE = re.compile(r"([A-Za-z][A-Za-z0-9_.-]*):(?!//)(.+)")
 
 
 class GapRole(str, Enum):
@@ -230,7 +230,7 @@ class _Context(dict):
         self.prefixes = dict(binding)
 
     def __missing__(self, text: str) -> tuple:
-        curie = _CURIE_RE.match(text)
+        curie = _CURIE_RE.fullmatch(text)
         if curie is None:
             entry = (None, text)
         else:

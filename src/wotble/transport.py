@@ -114,7 +114,9 @@ class SimCharacteristic:
     write left there; no history of writes is kept. ``value`` and each
     ``notify_source`` entry must be ``bytes``, ``bytearray`` or
     ``memoryview`` of at most ``MAX_PAYLOAD_OCTETS``, else
-    :class:`InvalidConfig`; each is kept as ``bytes``.
+    :class:`InvalidConfig`; each is kept as ``bytes``. Each ``allowed``
+    entry must be a :class:`GattMethod` or its value, else
+    :class:`InvalidConfig`; each is kept as the member.
     """
 
     def __init__(self, value: bytes = b"", allowed=(GattMethod.READ,),
@@ -122,9 +124,12 @@ class SimCharacteristic:
         try:
             self.value = _octets(value)
             self.notify_source = tuple(map(_octets, notify_source))
+            try:
+                self.allowed = frozenset([GattMethod(method) for method in allowed])
+            except (TypeError, ValueError):  # not iterable, or not a method
+                raise BadValue(f"allowed must hold GATT methods, got {allowed!r}") from None
         except (BadValue, ValueTooLong) as exc:
             raise InvalidConfig(f"characteristic: {exc}") from None
-        self.allowed = frozenset(allowed)
         self._notify_cursor = 0
 
 
@@ -138,7 +143,8 @@ class SimPeripheral:
 
     ``advertising_interval_ms`` must be a finite number > 0 and
     ``connectable`` a bool, else :class:`InvalidConfig`, with the messages a
-    config file's device gets.
+    config file's device gets. ``services`` must be a mapping whose values
+    are mappings of :class:`SimCharacteristic`, else :class:`InvalidConfig`.
     """
 
     def __init__(self, device_id: str, advertising_interval_ms: float,
@@ -152,7 +158,13 @@ class SimPeripheral:
         self.advertising_interval_ms = float(advertising_interval_ms)
         self.connectable = expect(connectable, bool, InvalidConfig,
                                   "device %s: connectable", self.device_id)
-        self.services: Mapping = MappingProxyType(dict(services or {}))
+        services = {} if services is None else services
+        if not isinstance(services, Mapping) or not all(isinstance(chars, Mapping) and all(
+                isinstance(char, SimCharacteristic) for char in chars.values())
+                for chars in services.values()):
+            raise InvalidConfig(f"device {self.device_id}: services must map each service to "
+                                f"a mapping of SimCharacteristic, got {services!r}")
+        self.services: Mapping = MappingProxyType(dict(services))
         self.connected_by = None  # the SimTransport holding the single connection
         self._by_uri: dict[str, SimCharacteristic] = {
             GattUri(self.device_id, svc, char).text: chr_obj
@@ -260,6 +272,8 @@ class SimNetwork:
     # -- definition
 
     def define_peripheral(self, peripheral: SimPeripheral) -> SimPeripheral:
+        if not isinstance(peripheral, SimPeripheral):
+            raise InvalidConfig(f"define_peripheral takes a SimPeripheral, got {peripheral!r}")
         with self._lock:
             if peripheral.device_id in self._peripherals:
                 raise DuplicateDevice(f"device {peripheral.device_id} already defined")

@@ -178,31 +178,36 @@ def lamp_spec() -> BdoSpec:
     return BdoSpec(pattern=LAMP_PATTERN, variables=LAMP_VARS)
 
 
-def test_spec_keeps_its_compiled_layout():
+def plan_names(spec: BdoSpec) -> tuple:
+    """The spec's plan steps with each variable's facts cut back to its name."""
+    return tuple([step if step.__class__ is bytes else step[0] for step in spec._plan[1]])
+
+
+def test_spec_keeps_its_compiled_plan():
     spec = lamp_spec()
-    assert spec.layout() is spec.layout()
-    assert spec.layout() == compile_pattern(LAMP_PATTERN, LAMP_VARS)
-    # The kept layout is derived data: not part of equality or repr.
+    layout = compile_pattern(LAMP_PATTERN, LAMP_VARS)
+    assert (spec._plan[0], plan_names(spec)) == (layout.total_octets, layout.steps)
+    # The kept plan is derived data: not part of equality or repr.
     other = BdoSpec(pattern=LAMP_PATTERN, variables=LAMP_VARS)
-    object.__setattr__(other, "_layout", None)
+    object.__setattr__(other, "_plan", None)
     assert other == spec
-    assert "layout" not in repr(spec)
+    assert "_plan" not in repr(spec)
 
 
-def test_equal_patterns_share_one_compiled_layout(monkeypatch):
+def test_equal_patterns_share_one_compiled_plan(monkeypatch):
     spec = lamp_spec()
-    # Only the pattern and each variable's bytelength shape the layout.
-    same_sizes = BdoSpec(pattern=LAMP_PATTERN,
-                         variables={"on": VariableSpec("on", bytelength=1, signed=True)})
-    assert same_sizes.layout() is spec.layout()
+    # Equal variable facts give one plan, built once; another size gives its own.
+    twin = BdoSpec(pattern=LAMP_PATTERN,
+                   variables={"on": VariableSpec("on", bytelength=1, minimum=0, maximum=1)})
+    assert twin._plan is spec._plan
     wider = BdoSpec(pattern=LAMP_PATTERN, variables={"on": VariableSpec("on", bytelength=2)})
-    assert wider.layout().total_octets == spec.layout().total_octets + 1
+    assert wider._plan[0] == spec._plan[0] + 1
 
     def recompiled(*_args, **_kwargs):
         raise AssertionError("pattern compiled again")
 
     monkeypatch.setattr("wotble.codec.compile_pattern", recompiled)
-    assert lamp_spec().layout() is spec.layout()
+    assert lamp_spec()._plan is spec._plan
 
 
 @pytest.mark.parametrize("pattern, error", [
@@ -218,12 +223,11 @@ def test_failed_pattern_compiles_raise_anew(pattern, error):
     assert raised[0] is not raised[1] and str(raised[0]) == str(raised[1])
 
 
-def test_compiled_layout_cache_stays_bounded():
-    for index in range(codec_module._LAYOUT_CACHE_SIZE + 50):
+def test_compiled_plan_cache_stays_bounded():
+    for index in range(codec_module._PLAN_CACHE_SIZE + 50):
         BdoSpec(pattern=f"{index:04x}{{on}}", variables=LAMP_VARS)
-    for cache in (codec_module._layout_of, codec_module._plan_of):
-        info = cache.cache_info()
-        assert info.currsize <= info.maxsize == codec_module._LAYOUT_CACHE_SIZE
+    info = codec_module._plan_of.cache_info()
+    assert info.currsize <= info.maxsize == codec_module._PLAN_CACHE_SIZE
 
 
 @pytest.mark.parametrize("scale", [1, 0.1])
@@ -248,20 +252,23 @@ def test_scalar_codec_matches_int_bytes(endianess, signed, offset, scale):
 def test_derived_fields_take_no_part_in_equality_or_repr():
     spec = BdoSpec(bytelength=2, endianess=Endianess.BIG, offset=2)
     var = VariableSpec("x", endianess=Endianess.BIG, signed=True)
-    assert (spec._scalar, var._byteorder) == ((2, 4, "big", False, None), "big")
-    assert BdoSpec(bytelength=1, signed=True, scale=0.5)._scalar == (0, 1, "little", True, 0.5)
-    assert (spec._lo, spec._hi, var._lo, var._hi) == (0, 0xFFFF, -0x80, 0x7F)
+    assert (spec._scalar, var._byteorder) == ((2, 4, "big", False, None, 0, 0xFFFF), "big")
+    assert BdoSpec(bytelength=1, signed=True, scale=0.5)._scalar == (
+        0, 1, "little", True, 0.5, -0x80, 0x7F)
+    assert (spec._plan, var._lo, var._hi) == (None, -0x80, 0x7F)
     pattern_only = BdoSpec(pattern="00")
-    assert (pattern_only._scalar, pattern_only._lo, pattern_only._hi) == (None, None, None)
+    assert (pattern_only._scalar, pattern_only._plan) == (None, (1, (b"\x00",)))
     twin = BdoSpec(bytelength=2, endianess=Endianess.BIG, offset=2)
+    pattern_twin = BdoSpec(pattern="00")
     twin_var = VariableSpec("x", endianess=Endianess.BIG, signed=True)
-    for name in ("_scalar", "_lo", "_hi"):
-        object.__setattr__(twin, name, None)
+    object.__setattr__(twin, "_scalar", None)
+    object.__setattr__(pattern_twin, "_plan", None)
     for name in ("_byteorder", "_lo", "_hi"):
         object.__setattr__(twin_var, name, None)
-    assert twin == spec and twin_var == var and hash(twin_var) == hash(var)
-    for text in (repr(spec), repr(var)):
-        assert "_byteorder" not in text and "_scalar" not in text
+    assert twin == spec and pattern_twin == pattern_only
+    assert twin_var == var and hash(twin_var) == hash(var)
+    for text in (repr(spec), repr(pattern_only), repr(var)):
+        assert "_byteorder" not in text and "_scalar" not in text and "_plan" not in text
         assert "_lo" not in text and "_hi" not in text
 
 
@@ -886,7 +893,7 @@ def test_two_parses_of_the_lamp_share_one_plan():
     text = LAMP_TD.read_text()
     first, second = (parse_td(text).properties["power"].bdo for _ in range(2))
     assert first is not second
-    assert first._plan is second._plan and first.layout() is second.layout()
+    assert first._plan is second._plan
     assert "_plan" not in repr(first)
 
 
@@ -902,7 +909,7 @@ def test_specs_that_differ_in_one_variable_fact_keep_their_own_plans(tag, change
         pattern = f"{tag:02x}{order:02x}{{x}}"
         specs = [BdoSpec(pattern=pattern, variables=variables) for variables in pair]
         assert specs[0]._plan is not specs[1]._plan
-        assert specs[0].layout() is specs[1].layout()
+        assert plan_names(specs[0]) == plan_names(specs[1])
         for spec, variables in zip(specs, pair):
             for value in (-1, 0, 1, 0x7FFF, 0x8000, 0xFFF0, 0xFFFF):
                 assert outcome(encode, {"x": value}, spec) == outcome(
@@ -960,14 +967,17 @@ def test_registry_returns_binary_data_stream_codec(media_type):
     assert (codec.encode, codec.decode) == (encode, decode)
 
 
-@pytest.mark.parametrize("call", [
-    lambda: encode("not a number", None),
-    lambda: encode({"on": 1}, None),
-    lambda: decode("not octets", None),
-    lambda: decode(b"", None),
-], ids=["encode-bad-value", "encode-mapping", "decode-bad-payload", "decode-empty"])
-def test_a_missing_layout_is_the_first_error_of_the_codec(call):
-    with pytest.raises(BadValue, match="no binary layout declared"):
+@pytest.mark.parametrize("call, message", [
+    (lambda: encode("not a number", None), "no binary layout declared"),
+    (lambda: encode({"on": 1}, None), "no binary layout declared"),
+    (lambda: decode("not octets", None), "no binary layout declared"),
+    (lambda: decode(b"", None), "no binary layout declared"),
+    (lambda: encode(1, 5), "^expected a BdoSpec, got int$"),
+    (lambda: decode(b"\x01", 5), "^expected a BdoSpec, got int$"),
+], ids=["encode-bad-value", "encode-mapping", "decode-bad-payload", "decode-empty",
+        "encode-int-spec", "decode-int-spec"])
+def test_a_missing_layout_is_the_first_error_of_the_codec(call, message):
+    with pytest.raises(BadValue, match=message):
         call()
 
 

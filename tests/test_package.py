@@ -1,4 +1,6 @@
 import importlib
+import importlib.util
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +26,7 @@ REMOVED_ATTRIBUTES = [
     (wotble.ResolvedRequest, "disables_notifications"),
     (wotble.ConsumedThing, "read_raw"),
     (wotble.ConsumedThing, "write_raw"),
+    (wotble.BdoSpec, "layout"),
 ]
 
 
@@ -83,3 +86,30 @@ def test_a_sim_transport_keeps_no_call_log():
 
 def test_a_sim_characteristic_keeps_no_write_log():
     assert not hasattr(wotble.SimCharacteristic(b"\x00"), "write_log")
+
+
+def _perfbench_layers():
+    """``perfbench/layers.py``, loaded by its path: ``perfbench`` is no package."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("perfbench_layers", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+#: (layer, module, attribute) of each entry point the benchmark's tracer wraps.
+TRACED = _perfbench_layers().WRAPPED
+
+
+def test_the_tracer_wraps_every_layer_entry_point():
+    assert len(TRACED) == 24
+
+
+@pytest.mark.parametrize("layer, module, attribute", TRACED,
+                         ids=[f"{module}.{attribute}" for _, module, attribute in TRACED])
+def test_each_traced_entry_point_resolves_to_a_callable(layer, module, attribute):
+    """The tracer skips a name it cannot find, and its metrics then read zero."""
+    target = importlib.import_module(module)
+    for name in attribute.split("."):
+        target = getattr(target, name)
+    assert callable(target)

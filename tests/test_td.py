@@ -216,6 +216,20 @@ def test_a_lamp_pattern_ending_in_a_newline_is_malformed():
         parse_td(json.dumps(doc))
 
 
+def test_a_method_name_ending_in_a_newline_is_not_a_method():
+    doc = json.loads(LAMP_TD.read_text())
+    doc["properties"]["power"]["forms"][0]["sbo:methodName"] = "sbo:write\n"
+    with pytest.raises(MethodOpConflict, match="unknown GATT method name"):
+        parse_td(json.dumps(doc))
+
+
+def test_an_endianess_ending_in_a_newline_is_malformed():
+    doc = json.loads(LAMP_TD.read_text())
+    doc["properties"]["power"]["bdo:variable"]["on"]["bdo:endianess"] = "bdo:bigEndian\n"
+    with pytest.raises(MalformedDocument, match="unknown endianess"):
+        parse_td(json.dumps(doc))
+
+
 def test_undeclared_prefix_is_rejected():
     doc = json.loads(td_doc())
     doc["@context"] = ["https://www.w3.org/2022/wot/td/v1", {"bdo": CONTEXT[1]["bdo"]}]

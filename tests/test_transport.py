@@ -955,6 +955,36 @@ def test_a_characteristic_takes_only_octets_within_the_att_cap(terms):
         SimCharacteristic(**terms)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: SimCharacteristic(b"", allowed=5),
+     "^characteristic: allowed must hold GATT methods, got 5$"),
+    (lambda: SimCharacteristic(b"", allowed=["push"]),
+     r"^characteristic: allowed must hold GATT methods, got \['push'\]$"),
+    (lambda: SimPeripheral("AA:AA:AA:AA:AA:01", 100, True, services=5),
+     "^device AA:AA:AA:AA:AA:01: services must map each service to a mapping of "
+     "SimCharacteristic, got 5$"),
+    (lambda: SimPeripheral("AA:AA:AA:AA:AA:01", 100, True, services={"x": 5}),
+     "^device AA:AA:AA:AA:AA:01: services must map each service to a mapping of "
+     "SimCharacteristic, got {'x': 5}$"),
+], ids=["allowed-int", "allowed-unknown", "services-int", "services-of-int"])
+def test_a_device_built_in_code_takes_only_methods_and_characteristics(build, message):
+    with pytest.raises(InvalidConfig, match=message):
+        build()
+
+
+def test_a_network_defines_only_peripherals():
+    with virtual_network() as net:
+        with pytest.raises(InvalidConfig,
+                           match="^define_peripheral takes a SimPeripheral, got 5$"):
+            net.define_peripheral(5)
+
+
+def test_a_characteristic_keeps_each_allowed_method_as_its_member():
+    char = SimCharacteristic(allowed=["read", GattMethod.NOTIFY])
+    assert char.allowed == {GattMethod.READ, GattMethod.NOTIFY}
+    assert all(method.__class__ is GattMethod for method in char.allowed)
+
+
 def test_a_characteristic_keeps_octets_as_bytes():
     char = SimCharacteristic(bytearray(b"\x01"), notify_source=[memoryview(b"\x02")])
     assert char.value == b"\x01" and char.value.__class__ is bytes

@@ -178,22 +178,22 @@ def test_values_with_a_dict_field_stay_unhashable(value):
 
 def test_replace_recomputes_the_spec_derived_fields():
     spec = TEMPERATURE.bdo
-    assert spec._scalar == (0, 2, "little", True, 0.1)
+    assert spec._scalar == (0, 2, "little", True, 0.1, -0x8000, 0x7FFF)
     assert replace(spec, endianess=Endianess.BIG)._scalar[2] == "big"
     assert replace(spec, offset=3)._scalar[:2] == (3, 5)
     assert replace(spec, scale=1)._scalar[4] is None
-    assert (spec._lo, spec._hi) == (-0x8000, 0x7FFF)
-    assert (replace(spec, signed=False)._lo, replace(spec, bytelength=1)._hi) == (0, 0x7F)
+    assert replace(spec, signed=False)._scalar[5:] == (0, 0xFFFF)
+    assert replace(spec, bytelength=1)._scalar[5:] == (-0x80, 0x7F)
     assert replace(spec, bytelength=None, pattern="00{on}",
                    variables=POWER.bdo.variables)._scalar is None
     pattern = POWER.bdo
     other = replace(pattern, pattern="ff{on}")
-    assert other._layout == compile_pattern("ff{on}", pattern.variables)
-    assert pattern._layout == compile_pattern(pattern.pattern, pattern.variables)
+    assert other._plan[0] == compile_pattern("ff{on}", pattern.variables).total_octets == 2
+    assert pattern._plan[0] == compile_pattern(pattern.pattern, pattern.variables).total_octets
     var = pattern.variables["on"]
     assert replace(var, endianess=Endianess.BIG)._byteorder == "big"
     assert (replace(var, signed=True)._lo, replace(var, bytelength=2)._hi) == (-0x80, 0xFFFF)
-    assert other._layout.steps == (b"\xff", "on")
+    assert other._plan[1][0] == b"\xff" and other._plan[1][1][0] == "on"
 
 
 def test_replace_reparses_a_form_href():
