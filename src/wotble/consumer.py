@@ -7,7 +7,9 @@ through a form whose ``contentType`` is ``application/octet-stream``.
 
 A connection policy governs session lifetime per device: stay connected,
 reconnect around every operation, or drop the link after each operation.
-A live event subscription pins the link against the policy's teardown.
+The transport lends each thing a lease on the link, and the policy takes
+and releases only that lease; a live event subscription pins it against
+the policy's teardown.
 """
 
 from __future__ import annotations
@@ -44,11 +46,15 @@ Listener = Callable[[object], None]
 
 
 class ConnectionPolicy(str, Enum):
-    """When a :class:`ConsumedThing` opens and drops its device link.
+    """When a :class:`ConsumedThing` takes and releases its lease on its device link.
 
-    While the thing has a live event subscription the link is pinned: the
-    two teardown policies neither drop nor cycle it until the last
-    subscription ends.
+    The thing holds at most one lease, and releases only its own: the
+    transport ends the link when its last lease is released. So a "fresh
+    connection" is a fresh lease; the radio link is cycled only when the
+    thing held its only lease, and a link another thing holds a lease on
+    stays up. While the thing has a live event subscription its lease is
+    pinned: the two teardown policies neither release nor renew it until
+    the last subscription ends.
     """
 
     #: Connect on first use, stay connected until an explicit disconnect.
@@ -169,11 +175,11 @@ def _value_writer(category: str, op: WotOperation):
         with_response = request.method is _WRITE
         transport = self.transport
         if self.policy is not _KEEP_CONNECTED:
-            return self._run(transport.write, uri, payload, with_response)
+            return self._run(transport.write, uri, payload, with_response, self)
         try:
-            transport.write(uri, payload, with_response)
+            transport.write(uri, payload, with_response, self)
         except NotConnected:
-            self._recover(transport.write, uri, payload, with_response)
+            self._recover(transport.write, uri, payload, with_response, self)
     return write
 
 
@@ -189,25 +195,30 @@ class ConsumedThing:
     ``InvalidTd``; forms that name several devices raise ``MixedDevices``.
     ``consume`` builds the thing this way too: the two are one path.
 
-    The transport's link is the only record of whether the thing is
-    connected; the thing keeps no copy. Things on one transport that target
-    one device therefore share its link, and a link the transport drops is
-    dropped for the thing too.
+    The thing is connected exactly when it holds a lease on its device's
+    link, which the transport records and the thing keeps no copy of:
+    ``connected`` asks the transport, passing the thing as the holder, and
+    so does every transport call of the thing's. Things on one transport
+    that target one device share its link, each through its own lease. A
+    thing releases only its own lease, by a policy teardown, by its last
+    ``unsubscribe_event`` or by ``disconnect()``; the link ends when its
+    last lease is released, or when the transport drops it, with every
+    lease on it. So no thing ends another thing's link or subscriptions,
+    nor waits for another thing's delivery.
 
     The thing is disconnected, connected, or pinned: connected with at least
     one live subscription, which no policy teardown ends. The transport's
     subscription handle is the only record of whether a subscription is
     live, and ``Subscription.active`` reads it. A subscription ends through
     ``unsubscribe_event``, an explicit ``disconnect()``, which ends all of
-    the thing's subscriptions, or with its link, whoever dropped that; it
-    reads inactive as soon as the call that ended it returns. The thing
-    forgets an ended subscription at its next pin check. Unsubscribing is an
-    operation like any other: once ``unsubscribe_event`` has ended the
-    thing's last live subscription, a teardown policy drops the link, under
-    the thing's lock, so another central may connect to the device. The
-    transport's ``disconnect`` releases the link and collects the link's
-    subscriptions in one step, then ends them and only then waits out its
-    teardown latency, so a subscribe made meanwhile meets ``NotConnected``.
+    the thing's subscriptions, or with its link, when the transport drops
+    that; it reads inactive as soon as the call that ended it returns. The
+    end notice that the transport then gives the subscription's sink comes
+    later, on the delivery thread, so the thing reads ``active`` instead:
+    it forgets an ended subscription at its next pin check. Unsubscribing is
+    an operation like any other: once ``unsubscribe_event`` has ended the
+    thing's last live subscription, a teardown policy releases the lease,
+    under the thing's lock, so the link ends unless another thing holds one.
 
     Each (affordance, operation) pair is resolved to its form, request and
     codec on first use and reused after that, so the TD must not be mutated
@@ -224,14 +235,16 @@ class ConsumedThing:
     the transport's ``read`` or ``write`` themselves, with no lock of the
     thing's. The teardown policies, and ``subscribe_event`` under every
     policy, make the call under the thing's lock. Only when the call raises
-    ``NotConnected`` does the operation take the lock, connect and make the
-    call once more, on one path under every policy: connecting on first use
-    and recovering a dropped link are one path. ``RECONNECT_PER_OPERATION``
-    alone, while unpinned, opens a fresh link before the call.
+    ``NotConnected``, because the thing holds no lease, does the operation
+    take the lock, connect and make the call once more, on one path under
+    every policy: connecting on first use, taking a lease on a link another
+    thing opened and recovering a dropped link are one path.
+    ``RECONNECT_PER_OPERATION`` alone, while unpinned, takes a fresh lease
+    before the call.
 
     A teardown of an unpinned thing, by a policy or by ``disconnect()``,
-    asks the transport once whether the link is up and drops it at most
-    once.
+    asks the transport once whether the thing holds a lease and releases it
+    at most once.
 
     The transport is checked once, when the thing is built, after the TD
     and the policy: a transport that lacks a ``TransportContract`` method,
@@ -281,8 +294,11 @@ class ConsumedThing:
 
     @property
     def connected(self) -> bool:
-        """Whether the transport holds a link to the TD's device."""
-        return self.transport.is_connected(self._device_id)
+        """Whether this thing holds a lease on its device's link.
+
+        A link another thing on the transport holds a lease on does not count.
+        """
+        return self.transport.is_connected(self._device_id, self)
 
     def connect(self) -> None:
         """Connect to the TD's device and explore its GATT structure."""
@@ -290,30 +306,24 @@ class ConsumedThing:
             self._open()
 
     def _open(self, fresh: bool = False) -> None:
-        """Connect and explore GATT unless the link is up; under the lock.
+        """Take a lease and explore GATT unless the thing holds one; under the lock.
 
-        With ``fresh``, a link that is up is dropped and opened again. Either
-        way the transport is asked once whether the link is up.
+        With ``fresh``, a lease the thing holds is released and taken again.
+        Either way the transport is asked once whether the thing holds one.
         """
         device_id, transport = self._device_id, self.transport
-        if transport.is_connected(device_id):
+        if transport.is_connected(device_id, self):
             if not fresh:
                 return
-            transport.disconnect(device_id)
-        transport.connect(device_id)
+            transport.disconnect(device_id, self)
+        transport.connect(device_id, self)
         # Exploring the GATT structure is part of the connect time the paper
         # measures, though it yields nothing that the thing reads.
         try:
             transport.discover_gatt(device_id)
         except Exception:
-            transport.disconnect(device_id)  # release the link
+            transport.disconnect(device_id, self)  # release the lease
             raise
-
-    def _drop(self) -> None:
-        """Drop the link of a thing with no live subscription; under the lock."""
-        device_id, transport = self._device_id, self.transport
-        if transport.is_connected(device_id):
-            transport.disconnect(device_id)
 
     def _live(self) -> list[Subscription]:
         """The subscriptions still live; forgets the ended ones. Under the lock."""
@@ -322,17 +332,18 @@ class ConsumedThing:
         return self._subscriptions
 
     def disconnect(self) -> None:
-        """End the thing's subscriptions, then tear the session down.
+        """End the thing's subscriptions, then release its lease.
 
-        A no-op when not connected. A link the transport already dropped
-        counts as disconnected, so the next operation connects again. A
-        running listener may call back into the thing meanwhile.
+        A no-op when the thing holds no lease. A link the transport already
+        dropped took the lease with it, so the next operation connects
+        again. A running listener may call back into the thing meanwhile.
         """
         while True:
             with self._lock:
                 live = self._subscriptions and self._live()
                 if not live:
-                    self._drop()
+                    if self.transport.is_connected(self._device_id, self):
+                        self.transport.disconnect(self._device_id, self)
                     return
             for subscription in live:
                 self._end(subscription)
@@ -348,12 +359,12 @@ class ConsumedThing:
                                                    _READPROPERTY)
         transport = self.transport
         if self.policy is not _KEEP_CONNECTED:
-            payload = self._run(transport.read, request.uri)
+            payload = self._run(transport.read, request.uri, self)
         else:
             try:
-                payload = transport.read(request.uri)
+                payload = transport.read(request.uri, self)
             except NotConnected:
-                payload = self._recover(transport.read, request.uri)
+                payload = self._recover(transport.read, request.uri, self)
         return codec.decode(payload, request.spec)
 
     write_property = _value_writer("properties", _WRITEPROPERTY)
@@ -365,10 +376,11 @@ class ConsumedThing:
         The listener runs on the transport's delivery thread. Its exceptions,
         and values that fail to decode, are swallowed so one bad callback
         cannot kill the subscription; the subscription counts both. While
-        the subscription is active it pins the connection: reads and writes
-        under a teardown policy leave the link up, and a second subscription
-        reuses it. A listener that is not callable raises ``BadArgument``
-        before any transport call.
+        the subscription is active it pins the thing's lease: reads and writes
+        under a teardown policy leave it held, and a second subscription
+        reuses it. The end notice the transport gives when the link ends
+        reaches neither the listener nor a counter. A listener that is not
+        callable raises ``BadArgument`` before any transport call.
         """
         if not callable(listener):
             raise BadArgument(f"subscribe_event takes a callable listener, "
@@ -384,18 +396,21 @@ class ConsumedThing:
         def subscribe() -> Subscription:
             subscription = Subscription(self, name, None)
 
-            def sink(payload: bytes) -> None:
+            def sink(payload: bytes | None) -> None:
                 try:
                     value = decode(payload, spec)
                 except Exception:
-                    subscription.decode_failures += 1
+                    # None, which no codec decodes, is the link's end notice:
+                    # the handle reads inactive already.
+                    if payload is not None:
+                        subscription.decode_failures += 1
                     return
                 try:
                     listener(value)
                 except Exception:
                     subscription.listener_failures += 1
 
-            subscription.handle = self.transport.subscribe(request.uri, sink)
+            subscription.handle = self.transport.subscribe(request.uri, sink, self)
             self._subscriptions.append(subscription)
             return subscription
 
@@ -415,9 +430,9 @@ class ConsumedThing:
         with self._lock:
             self._subscriptions = [s for s in self._subscriptions if s is not subscription]
             # Unsubscribing is an operation too: once the last live one has
-            # ended, a teardown policy drops the link, as _run's finally does.
+            # ended, a teardown policy releases the lease, as _run's finally does.
             if self.policy is not _KEEP_CONNECTED and not (self._subscriptions and self._live()):
-                self._drop()
+                self.disconnect()  # with none live, this only releases the lease
 
     # -- multi-property interactions
 
@@ -512,12 +527,12 @@ class ConsumedThing:
     def _run(self, call, *args):
         """Return ``call(*args)``, made under the thing's lock and its policy.
 
-        Unless a live subscription pins the link, ``RECONNECT_PER_OPERATION``
-        replaces it with a fresh one first, in a single pass: one ``_open``
-        frame asks the transport once whether the link is up, drops it if
-        so, connects and explores GATT, so the call is not made on a link
-        bound to fail. Both teardown policies drop the link afterwards, also
-        when the call raises, from this frame. A call that raises
+        Unless a live subscription pins the lease, ``RECONNECT_PER_OPERATION``
+        takes a fresh one first, in a single pass: one ``_open`` frame asks
+        the transport once whether the thing holds a lease, releases it if
+        so, connects and explores GATT, so the call is not made on a lease
+        bound to fail. Both teardown policies release the lease afterwards,
+        also when the call raises, from this frame. A call that raises
         ``NotConnected`` goes to ``_recover``. ``subscribe_event`` runs here
         under every policy; ``read_property`` and the writers only under a
         teardown policy, as they make a kept-link call themselves.
@@ -533,16 +548,18 @@ class ConsumedThing:
                     return self._recover(call, *args)
             finally:
                 if policy is not _KEEP_CONNECTED and not (self._subscriptions and self._live()):
-                    # _drop, inlined: every teardown-policy operation runs it.
+                    # disconnect()'s lease release, inlined: every teardown-policy
+                    # operation runs it.
                     device_id, transport = self._device_id, self.transport
-                    if transport.is_connected(device_id):
-                        transport.disconnect(device_id)
+                    if transport.is_connected(device_id, self):
+                        transport.disconnect(device_id, self)
 
     def _recover(self, call, *args):
         """Connect under the thing's lock and make ``call(*args)`` once more.
 
-        For a call that raised ``NotConnected``: the thing was never
-        connected or lost its link, and with the link its subscriptions.
+        For a call that raised ``NotConnected``: the thing held no lease, or
+        lost it when the transport dropped the link, and with the link its
+        subscriptions.
         """
         with self._lock:
             self._live()  # forget the subscriptions the link took

@@ -23,13 +23,12 @@ import uuid as uuidlib
 from pathlib import Path
 from queue import SimpleQueue
 from types import MappingProxyType
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .binding import GattMethod
 from .clock import RealClock
 from .codec import MAX_PAYLOAD_OCTETS
 from .errors import (
-    BadUuid,
     BadValue,
     Busy,
     DuplicateDevice,
@@ -60,45 +59,56 @@ _NOTIFY = GattMethod.NOTIFY
 class TransportContract(abc.ABC):
     """Abstract GATT central: exactly what a ``ConsumedThing`` calls.
 
-    The transport owns each link; ``is_connected`` is the only record of
-    one that a consumer reads. A consumer relies on two promises:
+    The transport owns each link and lends it out through counted leases.
+    A lease is held by a ``holder``, at most one per holder and link; a
+    ``ConsumedThing`` passes itself, and without a holder the central holds
+    its own. The leases are the only record of a link that a consumer reads:
 
-    * ``read``, ``write`` and ``subscribe`` raise :class:`NotConnected`
-      before any effect when the link to the URI's device is down, so the
-      call may be made again once connected;
-    * nothing reaches a sink after ``unsubscribe`` or ``disconnect``
-      returns, and ``disconnect`` ends the link's subscriptions;
+    * ``connect`` takes the holder's lease, bringing the link up first when
+      it is down; ``is_connected`` says whether the holder holds one;
+    * ``read``, ``write`` and ``subscribe`` run on the holder's lease. They
+      raise :class:`NotConnected` before any effect when it holds none, so
+      the call may be made again once connected;
+    * ``disconnect`` releases the holder's lease and no other: the link ends
+      when its last lease is released. The transport may also drop a link,
+      with every lease on it; ``disconnect`` without a holder does so;
+    * when a link ends, every subscription on it ends, and its sink is told
+      once, after its last delivery, by a call with ``None``: the end
+      notice, as BlueZ signals ``Connected`` turning false. ``unsubscribe``
+      gives none. Nothing but that notice reaches a sink after
+      ``unsubscribe`` or the ``disconnect`` that ended its link returns;
     * the handle ``subscribe`` returns has an ``active`` attribute, which
       is False once the subscription has ended, however it ended: through
-      ``unsubscribe``, or with its link, whoever dropped that. It is the
-      only record of whether a subscription is live that a consumer reads.
+      ``unsubscribe``, or with its link. It is the only record of whether a
+      subscription is live that a consumer reads.
 
-    A write with response completes only after the server confirms, without
+    ``discover_gatt`` needs the link up, whoever holds a lease on it. A
+    write with response completes only after the server confirms, without
     response on send. A ``ConsumedThing`` checks when it is built that each
     of these methods is there and callable.
     """
 
     @abc.abstractmethod
-    def connect(self, device_id: str) -> None: ...
+    def connect(self, device_id: str, holder=None) -> None: ...
 
     @abc.abstractmethod
-    def disconnect(self, device_id: str) -> None: ...
+    def disconnect(self, device_id: str, holder=None) -> None: ...
 
     @abc.abstractmethod
-    def is_connected(self, device_id: str) -> bool: ...
+    def is_connected(self, device_id: str, holder=None) -> bool: ...
 
     @abc.abstractmethod
     def discover_gatt(self, device_id: str) -> None: ...
 
     @abc.abstractmethod
-    def read(self, uri: GattUri) -> bytes:
+    def read(self, uri: GattUri, holder=None) -> bytes:
         """The characteristic's value as ``bytes``, which the caller may keep."""
 
     @abc.abstractmethod
-    def write(self, uri: GattUri, payload: bytes, with_response: bool) -> None: ...
+    def write(self, uri: GattUri, payload: bytes, with_response: bool, holder=None) -> None: ...
 
     @abc.abstractmethod
-    def subscribe(self, uri: GattUri, sink: Sink): ...
+    def subscribe(self, uri: GattUri, sink: Sink, holder=None): ...
 
     @abc.abstractmethod
     def unsubscribe(self, handle) -> None: ...
@@ -112,8 +122,8 @@ class SimCharacteristic:
 
     Like a BlueZ characteristic's ``Value``, ``value`` is what the last
     write left there; no history of writes is kept. ``value`` and each
-    ``notify_source`` entry must be ``bytes``, ``bytearray`` or
-    ``memoryview`` of at most ``MAX_PAYLOAD_OCTETS``, else
+    entry of ``notify_source``, an iterable, must be ``bytes``,
+    ``bytearray`` or ``memoryview`` of at most ``MAX_PAYLOAD_OCTETS``, else
     :class:`InvalidConfig`; each is kept as ``bytes``. Each ``allowed``
     entry must be a :class:`GattMethod` or its value, else
     :class:`InvalidConfig`; each is kept as the member.
@@ -123,6 +133,8 @@ class SimCharacteristic:
                  notify_source: tuple[bytes, ...] = ()):
         try:
             self.value = _octets(value)
+            if not isinstance(notify_source, Iterable):
+                raise BadValue(f"notify_source must hold payloads, got {notify_source!r}")
             self.notify_source = tuple(map(_octets, notify_source))
             try:
                 self.allowed = frozenset([GattMethod(method) for method in allowed])
@@ -143,8 +155,15 @@ class SimPeripheral:
 
     ``advertising_interval_ms`` must be a finite number > 0 and
     ``connectable`` a bool, else :class:`InvalidConfig`, with the messages a
-    config file's device gets. ``services`` must be a mapping whose values
-    are mappings of :class:`SimCharacteristic`, else :class:`InvalidConfig`.
+    config file's device gets. ``services`` must map each service
+    ``uuid.UUID`` to a mapping of characteristic ``uuid.UUID`` to
+    :class:`SimCharacteristic`, else :class:`InvalidConfig`.
+
+    ``connected_by`` is the :class:`SimTransport` holding the device's single
+    link, or None, and ``leases`` holds each holder of a lease on that link
+    as a key: it is empty exactly when ``connected_by`` is None.
+    A central's ``connect`` and ``disconnect`` change both, under the
+    network's lock.
     """
 
     def __init__(self, device_id: str, advertising_interval_ms: float,
@@ -159,13 +178,14 @@ class SimPeripheral:
         self.connectable = expect(connectable, bool, InvalidConfig,
                                   "device %s: connectable", self.device_id)
         services = {} if services is None else services
-        if not isinstance(services, Mapping) or not all(isinstance(chars, Mapping) and all(
-                isinstance(char, SimCharacteristic) for char in chars.values())
-                for chars in services.values()):
-            raise InvalidConfig(f"device {self.device_id}: services must map each service to "
-                                f"a mapping of SimCharacteristic, got {services!r}")
+        if not isinstance(services, Mapping) or not all(
+                isinstance(svc, uuidlib.UUID) and isinstance(chars, Mapping) and all(
+                    isinstance(key, uuidlib.UUID) and isinstance(char, SimCharacteristic)
+                    for key, char in chars.items()) for svc, chars in services.items()):
+            raise InvalidConfig(f"device {self.device_id}: services must map service UUIDs to "
+                                f"mappings of UUID to SimCharacteristic, got {services!r}")
         self.services: Mapping = MappingProxyType(dict(services))
-        self.connected_by = None  # the SimTransport holding the single connection
+        self.connected_by, self.leases = None, {}
         self._by_uri: dict[str, SimCharacteristic] = {
             GattUri(self.device_id, svc, char).text: chr_obj
             for svc, chars in self.services.items()
@@ -207,8 +227,8 @@ class SimNetwork:
 
     * The network holds the device definitions, the seeded RNG, the
       subscription registry and delivery. A :class:`SimTransport`'s
-      ``connect`` and ``disconnect`` set and clear a device's
-      ``connected_by`` themselves, under the network's lock.
+      ``connect`` and ``disconnect`` change a device's ``connected_by`` and
+      ``leases`` themselves, under the network's lock.
     * Only :meth:`subscribe` and :meth:`unsubscribe` change the
       subscription registry.
     * The subscription registry holds live subscriptions only, keyed by
@@ -219,17 +239,20 @@ class SimNetwork:
       once; see its docstring.
     * With ``auto_notify`` a subscription's scripted values are queued in
       the same critical section that registers it, for that subscriber only.
-    * Disconnecting a central cancels that central's subscriptions on the
-      device; unsubscribing one of them afterwards is a no-op. A
-      subscription is registered only while its central holds the link,
-      checked under the lock, so none outlives the link it was made on.
+    * The end of a link ends every subscription on it in one critical
+      section and queues each one's end notice, which is delivered after
+      every value delivered to it; unsubscribing one of them afterwards is
+      a no-op. A subscription is registered only while its central holds
+      the link, checked under the lock, so none outlives the link it was
+      made on.
     * :meth:`discovery_delay_s` is the one draw from the seeded RNG, made
       once per discovery. It takes no lock: the draw is a single C call,
       atomic under the GIL, so concurrent connects never share or skip one.
     * :meth:`close` (also called on leaving a ``with`` block) lets the
       delivery thread hand out what was queued before it, then stops and
       joins the thread. It is idempotent; later ``subscribe`` and
-      :meth:`emit` calls raise :class:`TransportUnavailable`.
+      :meth:`emit` calls raise :class:`TransportUnavailable`, and an end
+      notice queued later is never delivered.
 
     ``sink_failures`` counts the sink calls that raised; the delivery thread
     swallows those, so that one failing sink does not stall the others.
@@ -335,12 +358,17 @@ class SimNetwork:
                     self._queue.put((sub, payload))
         return sub
 
-    def unsubscribe(self, sub: _Subscription) -> None:
+    def unsubscribe(self, sub: _Subscription, notice: bool = False) -> None:
         """End ``sub``: nothing is delivered to it once this returns.
 
         Waits out a delivery to ``sub`` that is running, unless called on
         the delivery thread itself: the sink runs under ``sub.delivery``,
-        which is not re-entrant. Must not be called holding the network lock.
+        which is not re-entrant. Must then not be called holding the network
+        lock. With ``notice``, as when its link ends, a live ``sub`` gets
+        its end notice instead of that wait, and the call may hold the lock:
+        the delivery thread skips the values queued to an ended
+        subscription, so the notice is its sink's last call, made once a
+        running delivery is over.
         """
         with self._lock:
             if sub.active:
@@ -349,7 +377,9 @@ class SimNetwork:
                 live.remove(sub)
                 if not live:
                     del self._subscriptions[sub.char]
-        if threading.get_ident() != self._worker.ident:
+                if notice:
+                    self._queue.put((sub, None))
+        if not notice and threading.get_ident() != self._worker.ident:
             with sub.delivery:
                 pass
 
@@ -413,7 +443,7 @@ class SimNetwork:
                 return
             sub, payload = item
             with sub.delivery:
-                if not sub.active:
+                if not sub.active and payload is not None:  # None: the end notice
                     continue
                 try:
                     sub.sink(payload)
@@ -438,11 +468,13 @@ class SimNetwork:
 class SimTransport(TransportContract):
     """A simulated central on a :class:`SimNetwork`.
 
-    The central is connected to a device exactly when the device's
-    ``connected_by`` is this transport; the link is recorded nowhere else.
-    Only this transport's ``connect`` and ``disconnect`` change it, under
-    the network's lock. Safe for concurrent use. It keeps no state of its
-    own beyond its network and connect timeout.
+    The central holds a device's link exactly when the device's
+    ``connected_by`` is this transport, and a holder holds a lease on it
+    exactly when it is also a key of the device's ``leases``;
+    neither is recorded anywhere else. Only this transport's ``connect``
+    and ``disconnect`` change them, under the network's lock. Safe for
+    concurrent use. It keeps no state of its own beyond its network and
+    connect timeout.
 
     ``connect``, ``disconnect``, ``is_connected`` and ``discover_gatt`` use a
     device id as is when it is a canonical MAC of a device on the network
@@ -468,12 +500,12 @@ class SimTransport(TransportContract):
 
     # -- connections
 
-    def connect(self, device_id: str) -> None:
-        """Discover the device and take its single link.
+    def connect(self, device_id: str, holder=None) -> None:
+        """Take ``holder``'s lease on the device's link, taking the link first.
 
-        Waits out the discovery delay, or ``timeout_s`` when the device never
-        advertises in time, and then the link setup. Returns at once when
-        this central holds the link already.
+        Taking the link waits out the discovery delay, or ``timeout_s`` when
+        the device never advertises in time, and then the link setup. When
+        this central holds the link already, the lease is taken at once.
         """
         network, timeout_s = self.network, self.timeout_s
         peripherals = network._peripherals
@@ -484,32 +516,36 @@ class SimTransport(TransportContract):
             if peripheral is None:
                 network.clock.sleep(timeout_s)
                 raise NotFound(f"device {device_id} never advertised within {timeout_s:.3f} s")
-        if peripheral.connected_by is self:  # only this central can end its link
-            return
-        delay_s = network.discovery_delay_s(peripheral)
-        if delay_s > timeout_s:
-            network.clock.sleep(timeout_s)
-            raise Timeout(f"device {device_id} not discovered within {timeout_s:.3f} s")
-        network.clock.sleep(delay_s)
+        if peripheral.connected_by is not self:  # only this central can end its link
+            delay_s = network.discovery_delay_s(peripheral)
+            if delay_s > timeout_s:
+                network.clock.sleep(timeout_s)
+                raise Timeout(f"device {device_id} not discovered within {timeout_s:.3f} s")
+            network.clock.sleep(delay_s)
         with network._lock:
-            if not peripheral.connectable:
+            # Up already, or a connect of this central in flight got there first.
+            linked = peripheral.connected_by is self
+            if not (linked or peripheral.connectable):
                 raise NotConnectable(f"device {device_id} does not accept connections")
-            if peripheral.connected_by is self:  # its connect in flight got there first
-                return
-            if peripheral.connected_by is not None:
+            if not linked and peripheral.connected_by is not None:
                 raise Busy(f"device {device_id} already holds its single connection")
             peripheral.connected_by = self
-        network.clock.sleep(network.connect_setup_ms / 1000.0)
+            peripheral.leases[holder] = True
+        if not linked:
+            network.clock.sleep(network.connect_setup_ms / 1000.0)
 
-    def disconnect(self, device_id: str) -> None:
-        """End this central's link to the device and its subscriptions there.
+    def disconnect(self, device_id: str, holder=None) -> None:
+        """Release ``holder``'s lease; without a holder, drop the link.
 
-        One critical section checks the link, releases it and collects the
-        central's subscriptions on the device, so no subscribe can land on
-        the link after that. Each subscription is then ended, waiting out a
-        delivery that is running, and only then the teardown latency passes:
-        the link reads down meanwhile. With no live subscription on the
-        network, the registry is not scanned.
+        A release that leaves a lease on the link returns at once. Else the
+        link ends: one critical section checks the lease, releases the link
+        with every lease on it, and ends every subscription on the device,
+        queuing its end notice, so no subscribe can land on the link after
+        that and no value emitted later reaches them. It waits for no
+        delivery: a running one ends before the end notice, which tells the
+        owner so. Then the teardown latency passes, and the link reads down
+        meanwhile. With no live subscription on the network, the registry is
+        not scanned.
         """
         network = self.network
         peripherals = network._peripherals
@@ -518,23 +554,28 @@ class SimTransport(TransportContract):
             device_id = normalize_mac(device_id)
             peripheral = peripherals.get(device_id)
         with network._lock:
-            if peripheral is None or peripheral.connected_by is not self:
+            if peripheral is None or peripheral.connected_by is not self or (
+                    holder is not None and holder not in peripheral.leases):
                 raise NotConnected(f"not connected to {device_id}")
-            peripheral.connected_by = None
-            subs = [s for lst in network._subscriptions.values() for s in lst
-                    if s.transport is self and s.uri.device_id == device_id
-                    ] if network._subscriptions else ()
-        for sub in subs:
-            network.unsubscribe(sub)
+            if holder is not None:
+                del peripheral.leases[holder]
+                if peripheral.leases:  # other holders keep the link up
+                    return
+            peripheral.connected_by, peripheral.leases = None, {}
+            subs = [s for char in peripheral._by_uri.values()
+                    for s in network._subscriptions.get(char, ())] if network._subscriptions else ()
+            for sub in subs:  # each ends with the link, and is told so
+                network.unsubscribe(sub, True)
         network.clock.sleep(network.disconnect_latency_ms / 1000.0)
 
-    def is_connected(self, device_id: str) -> bool:
-        """Whether this central holds the link to ``device_id``."""
+    def is_connected(self, device_id: str, holder=None) -> bool:
+        """Whether ``holder`` holds a lease on this central's link to ``device_id``."""
         peripherals = self.network._peripherals
         peripheral = peripherals.get(device_id) if device_id.__class__ is str else None
         if peripheral is None:
             peripheral = peripherals.get(normalize_mac(device_id))
-        return peripheral is not None and peripheral.connected_by is self
+        return (peripheral is not None and peripheral.connected_by is self
+                and holder in peripheral.leases)
 
     def discover_gatt(self, device_id: str) -> None:
         """Explore the device's GATT structure; the link must be up."""
@@ -548,7 +589,7 @@ class SimTransport(TransportContract):
 
     # -- attribute operations
 
-    def read(self, uri: GattUri) -> bytes:
+    def read(self, uri: GattUri, holder=None) -> bytes:
         """The characteristic's current value, as ``bytes``.
 
         A value that is exactly ``bytes`` is returned as it is: it cannot
@@ -557,22 +598,22 @@ class SimTransport(TransportContract):
         """
         network = self.network
         peripheral = network._peripherals.get(uri.device_id)
-        char = (peripheral._by_uri.get(uri.text)
-                if peripheral is not None and peripheral.connected_by is self else None)
+        char = (peripheral._by_uri.get(uri.text) if peripheral is not None
+                and peripheral.connected_by is self and holder in peripheral.leases else None)
         if char is None or _READ not in char.allowed:
-            char = self._attribute(uri, _READ)
+            char = self._attribute(uri, _READ, holder)
         network.clock.sleep(network.read_latency_ms / 1000.0)
         value = char.value
         return value if value.__class__ is bytes else bytes(value)
 
-    def write(self, uri: GattUri, payload: bytes, with_response: bool) -> None:
+    def write(self, uri: GattUri, payload: bytes, with_response: bool, holder=None) -> None:
         method = _WRITE if with_response else _WRITE_WITHOUT_RESPONSE
         network = self.network
         peripheral = network._peripherals.get(uri.device_id)
-        char = (peripheral._by_uri.get(uri.text)
-                if peripheral is not None and peripheral.connected_by is self else None)
+        char = (peripheral._by_uri.get(uri.text) if peripheral is not None
+                and peripheral.connected_by is self and holder in peripheral.leases else None)
         if char is None or method not in char.allowed:
-            char = self._attribute(uri, method)
+            char = self._attribute(uri, method, holder)
         if payload.__class__ is not bytes or len(payload) > MAX_PAYLOAD_OCTETS:
             payload = _octets(payload)  # copies raw octets, or raises
         if with_response:
@@ -580,25 +621,31 @@ class SimTransport(TransportContract):
             network.clock.sleep(network.write_latency_ms / 1000.0)
         char.value = payload  # the characteristic keeps only its latest value
 
-    def subscribe(self, uri: GattUri, sink: Sink):
-        char = self._attribute(uri, _NOTIFY)
+    def subscribe(self, uri: GattUri, sink: Sink, holder=None):
+        char = self._attribute(uri, _NOTIFY, holder)
         return self.network.subscribe(uri, sink, self, char)
 
     def unsubscribe(self, handle) -> None:
-        if isinstance(handle, _Subscription):
+        """End the subscription ``handle``; a no-op for a foreign handle.
+
+        A handle is foreign unless ``subscribe`` on this transport's network
+        returned it: neither it nor any registry changes.
+        """
+        if isinstance(handle, _Subscription) and handle.transport.network is self.network:
             self.network.unsubscribe(handle)
 
     # -- helpers
 
-    def _attribute(self, uri: GattUri, method: GattMethod) -> SimCharacteristic:
-        """The characteristic ``uri`` names, if linked and ``method`` is allowed.
+    def _attribute(self, uri: GattUri, method: GattMethod, holder) -> SimCharacteristic:
+        """The characteristic ``uri`` names, if leased and ``method`` is allowed.
 
         Raises ``NotConnected``, ``NoSuchAttribute`` or ``MethodNotPermitted``,
         checked in that order. ``subscribe`` calls it on every call; ``read``
         and ``write`` only when their inline checks fail.
         """
         peripheral = self.network._peripherals.get(uri.device_id)
-        if peripheral is None or peripheral.connected_by is not self:
+        if (peripheral is None or peripheral.connected_by is not self
+                or holder not in peripheral.leases):
             raise NotConnected(f"not connected to {uri.device_id}")
         char = peripheral._by_uri.get(uri.text)
         if char is None:  # not in the index: raises NoSuchAttribute
@@ -616,11 +663,8 @@ _ROUTE_KEY_TYPES = (str, uuidlib.UUID)
 
 
 def _as_uuid(value) -> uuidlib.UUID:
-    if isinstance(value, uuidlib.UUID):
-        return value
-    if not isinstance(value, str):
-        raise BadUuid(f"UUID must be a string or uuid.UUID, got {value!r}")
-    return parse_uuid(value)
+    """``value`` if it is a ``uuid.UUID``, else ``parse_uuid(value)``: ``BadUuid`` if not text."""
+    return value if isinstance(value, uuidlib.UUID) else parse_uuid(value)
 
 
 def _octets(payload) -> bytes:
@@ -658,16 +702,17 @@ def load_sim_config(source, clock=None, seed: int | None = None,
     "connectable", "services": {service-uuid: {char-uuid: {"valueHex",
     "allowed", "notifySequenceHex"}}}}]}`` plus optional latency knobs.
     """
+    config = source
     if isinstance(source, (str, Path)) and not str(source).lstrip().startswith("{"):
         try:
-            text = Path(source).read_text(encoding="utf-8")
+            config = Path(source).read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             raise InvalidConfig(f"cannot read sim config {source}: {exc}") from exc
-        config = _loads_config(text)
-    elif isinstance(source, str):
-        config = _loads_config(source)
-    else:
-        config = source
+    if isinstance(config, str):
+        try:
+            config = json.loads(config)
+        except ValueError as exc:  # not JSON, or an integer with too many digits
+            raise InvalidConfig(f"config is not JSON: {exc}") from exc
     expect(config, dict, InvalidConfig, "config")
     devices = expect(config.get("devices"), list, InvalidConfig, "config devices")
 
@@ -692,13 +737,6 @@ def _latency(value, name: str) -> float:
     if value < 0:
         raise InvalidConfig(f"{_LATENCY_KNOBS[name]} ({name}) must be >= 0, got {value}")
     return value
-
-
-def _loads_config(text: str):
-    try:
-        return json.loads(text)
-    except ValueError as exc:  # not JSON, or an integer with too many digits
-        raise InvalidConfig(f"config is not JSON: {exc}") from exc
 
 
 def _parse_device(body) -> SimPeripheral:

@@ -1,6 +1,9 @@
 import cProfile
 import gc
+import os
 import pstats
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -10,7 +13,9 @@ from wotble import GattMethod, SimTransport, TransportContract, load_sim_config
 from wotble.transport import _Subscription
 from wotble.uris import normalize_mac
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
+FIXTURES = TESTS.parent / "fixtures"
 
 LAMP_TD = FIXTURES / "ble-lamp.td.json"
 SENSOR_TD = FIXTURES / "flower-sensor.td.json"
@@ -79,35 +84,35 @@ class RecordingTransport(SimTransport):
         super().__init__(network, timeout_s)
         self.trace: list[tuple] = []
 
-    def connect(self, device_id):
-        super().connect(device_id)
+    def connect(self, device_id, holder=None):
+        super().connect(device_id, holder)
         self.trace.append(("connect", normalize_mac(device_id)))
 
-    def disconnect(self, device_id):
-        super().disconnect(device_id)
+    def disconnect(self, device_id, holder=None):
+        super().disconnect(device_id, holder)
         self.trace.append(("disconnect", normalize_mac(device_id)))
 
     def discover_gatt(self, device_id):
         super().discover_gatt(device_id)
         self.trace.append(("discover_gatt", normalize_mac(device_id)))
 
-    def read(self, uri):
-        value = super().read(uri)
+    def read(self, uri, holder=None):
+        value = super().read(uri, holder)
         self.trace.append(("read", uri.text))
         return value
 
-    def write(self, uri, payload, with_response):
-        super().write(uri, payload, with_response)
+    def write(self, uri, payload, with_response, holder=None):
+        super().write(uri, payload, with_response, holder)
         self.trace.append(("write", uri.text, payload.hex(), with_response))
 
-    def subscribe(self, uri, sink):
-        handle = super().subscribe(uri, sink)
+    def subscribe(self, uri, sink, holder=None):
+        handle = super().subscribe(uri, sink, holder)
         self.trace.append(("subscribe", uri.text))
         return handle
 
     def unsubscribe(self, handle):
         super().unsubscribe(handle)
-        if isinstance(handle, _Subscription):
+        if isinstance(handle, _Subscription) and handle.transport.network is self.network:
             self.trace.append(("unsubscribe", handle.uri.text))
 
 
@@ -117,8 +122,8 @@ class DropsTheLinkAfterItsCheck(RecordingTransport):
 
     drops_left = 1
 
-    def _attribute(self, uri, method):
-        char = super()._attribute(uri, method)
+    def _attribute(self, uri, method, holder):
+        char = super()._attribute(uri, method, holder)
         if method is GattMethod.NOTIFY and self.drops_left:
             self.drops_left -= 1
             self.disconnect(uri.device_id)
@@ -165,6 +170,28 @@ def calls_per(fn, n: int) -> float:
     finally:
         gc.enable()
     return (pstats.Stats(profile).total_calls - n - 1) / n
+
+
+def run_watched(module: str, scenario: str, timeout_s: float = 10.0) -> str:
+    """Run ``module.scenario()`` in a child interpreter; return what it printed.
+
+    A scenario that hangs, such as threads deadlocked on each other's locks,
+    fails the calling test after ``timeout_s`` instead of stalling the run:
+    the child is killed, where a deadlocked delivery thread in this process
+    could never be joined by ``SimNetwork.close()``. The child imports
+    ``wotble`` from this checkout and ``module`` from this directory; a
+    scenario that raises fails the test with the child's traceback.
+    """
+    path = os.pathsep.join(filter(None, [str(SRC), str(TESTS), os.environ.get("PYTHONPATH")]))
+    try:
+        done = subprocess.run([sys.executable, "-c", f"import {module}; {module}.{scenario}()"],
+                              capture_output=True, text=True, timeout=timeout_s,
+                              env={**os.environ, "PYTHONPATH": path})
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"{module}.{scenario} hung: not done after {timeout_s} s", pytrace=False)
+    if done.returncode:
+        pytest.fail(f"{module}.{scenario} failed:\n{done.stderr}", pytrace=False)
+    return done.stdout
 
 
 def live_subscriptions(net) -> int:

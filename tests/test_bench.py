@@ -225,11 +225,11 @@ class EveryOtherReadFails(SimTransport):
 
     reads = 0
 
-    def read(self, uri):
+    def read(self, uri, holder=None):
         self.reads += 1
         if self.reads % 2 == 0:
             raise Timeout("injected read failure")
-        return super().read(uri)
+        return super().read(uri, holder)
 
 
 def test_run_bench_records_why_repetitions_failed():

@@ -88,8 +88,8 @@ def test_invoke_writes_the_encoded_action_input(capsys, tmp_path, monkeypatch):
     written = []
     write = SimTransport.write
 
-    def recording_write(self, uri, payload, with_response):
-        write(self, uri, payload, with_response)  # a write that raises is not logged
+    def recording_write(self, uri, payload, with_response, holder=None):
+        write(self, uri, payload, with_response, holder)  # a write that raises is not logged
         written.append(payload)
 
     monkeypatch.setattr(SimTransport, "write", recording_write)

@@ -64,6 +64,7 @@ from conftest import (
     calls_per,
     live_subscriptions,
     make_network,
+    run_watched,
     writes,
 )
 
@@ -606,16 +607,20 @@ def test_failed_gatt_exploration_releases_the_link(policy):
     (lambda thing: thing.read_property("temperature"), "read"),
     (lambda thing: thing.write_property("temperature", 3.0), "write"),
 ])
-def test_a_fresh_link_replaces_one_a_sibling_thing_holds(call, op):
+def test_a_fresh_lease_leaves_the_link_a_sibling_thing_holds(call, op):
+    # The thing takes a lease of its own and releases it; the radio link is
+    # cycled only when the thing held its only lease.
     with make_network(clock=VirtualClock(), auto_notify=False) as net:
         thing, transport = beacon_reader(net, ConnectionPolicy.RECONNECT_PER_OPERATION)
         sibling = consume(thing.td, transport)
         sibling.connect()
-        entries = len(transport.trace)
+        entries, now = len(transport.trace), net.clock.monotonic()
         call(thing)
-        assert [entry[0] for entry in transport.trace[entries:]] == [
-            "disconnect", *CYCLE, op, "disconnect"]
-        assert not sibling.connected
+        assert [entry[0] for entry in transport.trace[entries:]] == [*CYCLE, op, "disconnect"]
+        assert net.clock.monotonic() == now  # no discovery wait: the link stayed up
+        assert sibling.connected and not thing.connected
+        sibling.disconnect()
+        assert net.peripheral(BEACON_MAC).connected_by is None
 
 
 # --- the transport's link is the thing's only record of it ---------------------------
@@ -655,12 +660,17 @@ def test_things_on_one_transport_share_their_device_link():
         transport = RecordingTransport(net, timeout_s=60.0)
         first, second = (consume(parse_td_file(SENSOR_TD), transport) for _ in range(2))
         assert first.read_property("moisture") == 42
+        linked_at = net.clock.monotonic()
         assert second.read_property("moisture") == 42  # no Busy
-        assert second.connected and connect_count(transport) == 1
-        second.disconnect()
-        assert not first.connected
+        assert net.clock.monotonic() == linked_at  # a lease on the link that is up
+        assert first.connected and second.connected
+        second.disconnect()  # releases its own lease only
+        assert first.connected and not second.connected
+        entries = len(transport.trace)
         assert first.read_property("moisture") == 42
-        first.disconnect()
+        assert [entry[0] for entry in transport.trace[entries:]] == ["read"]
+        first.disconnect()  # the last lease: the link ends
+        assert net.peripheral(SENSOR_MAC).connected_by is None
 
 
 # --- events ---------------------------------------------------------------------------
@@ -1120,18 +1130,90 @@ def test_a_pinned_disconnect_ends_each_subscription_then_the_link(monkeypatch, l
     net.close()
 
 
-def test_a_subscription_reads_inactive_once_another_thing_drops_the_link():
+def test_another_things_disconnect_leaves_a_subscription_live():
     with make_network(clock=VirtualClock(), auto_notify=False) as net:
         transport = SimTransport(net, timeout_s=60.0)
         owner, other = (consume(parse_td_file(BEACON_TD), transport) for _ in range(2))
         received: queue.Queue = queue.Queue()
         subscription = owner.subscribe_event("temperature", received.put)
-        other.connect()  # the link is up already: shared, not opened anew
-        other.disconnect()
-        assert not subscription.active and not owner.connected
+        other.connect()  # the link is up already: a second lease on it
+        other.disconnect()  # releases that lease, and not the owner's
+        assert subscription.active and owner.connected and not other.connected
         emit_beacon(net, 1)
+        assert received.get(timeout=2.0) == pytest.approx(0.1)
+        owner.disconnect()
+        assert not subscription.active and net.peripheral(BEACON_MAC).connected_by is None
+        emit_beacon(net, 2)
         net.close()  # hands out whatever was queued before it
         assert received.empty()
+
+
+def test_a_kept_link_outlives_a_sibling_things_teardown(monkeypatch):
+    # A DISCONNECT_AFTER thing reads beside a KEEP_CONNECTED one on one
+    # transport: its teardown releases its own lease and leaves the kept one.
+    with make_network(clock=VirtualClock(), seed=1, connect_setup_ms=30.0) as net:
+        draws, draw = [], net.discovery_delay_s
+
+        def counted_draw(peripheral):
+            draws.append(draw(peripheral))
+            return draws[-1]
+
+        monkeypatch.setattr(net, "discovery_delay_s", counted_draw)
+        transport = SimTransport(net, timeout_s=60.0)
+        td = parse_td_file(SENSOR_TD)
+        sometimes = consume(td, transport, ConnectionPolicy.DISCONNECT_AFTER)
+        kept = consume(td, transport, ConnectionPolicy.KEEP_CONNECTED)
+        for _ in range(10):
+            assert sometimes.read_property("moisture") == 42
+            assert kept.read_property("moisture") == 42
+            assert kept.connected and not sometimes.connected
+        # The link was set up twice: for the first read, which held its only
+        # lease, and for the kept thing's; every later lease rode on that one.
+        assert len(draws) == 2
+        assert net.clock.monotonic() == pytest.approx(sum(draws) + 2 * 0.030)
+        kept.disconnect()
+        assert net.peripheral(SENSOR_MAC).leases == {}
+
+
+def listener_reads_through_a_thing_in_its_teardown() -> None:
+    """Print, as JSON, what a read of thing A and a listener of thing B got.
+
+    A (``DISCONNECT_AFTER``) and B (``KEEP_CONNECTED``) share the beacon's
+    link on one transport. B's listener reads a property through A once A's
+    policy teardown has reached the transport, so it waits for A's lock
+    while A tears down. Run it through ``run_watched``: if A's teardown
+    waited for B's delivery, both would wait for good.
+    """
+    with make_network(clock=VirtualClock(), auto_notify=False) as net:
+        a, transport = beacon_reader(net, ConnectionPolicy.DISCONNECT_AFTER)
+        b = consume(a.td, transport)
+        in_listener, in_teardown = threading.Event(), threading.Event()
+        heard = []
+
+        def listener(value):
+            in_listener.set()
+            in_teardown.wait(5.0)
+            heard.append([value, a.read_property("temperature")])
+
+        disconnect = transport.disconnect
+
+        def teardown(*args):
+            in_teardown.set()
+            disconnect(*args)
+
+        subscription = b.subscribe_event("temperature", listener)
+        emit_beacon(net, 1)
+        assert in_listener.wait(5.0)
+        transport.disconnect = teardown
+        read = a.read_property("temperature")
+        state = {"read": read, "active": subscription.active, "b": b.connected}
+    print(json.dumps({**state, "heard": heard}))  # the network's close delivered all
+
+
+def test_a_listener_reads_through_a_thing_while_its_teardown_runs():
+    out = run_watched("test_consumer", "listener_reads_through_a_thing_in_its_teardown")
+    assert json.loads(out) == {"read": pytest.approx(25.0), "active": True, "b": True,
+                               "heard": [[pytest.approx(0.1), pytest.approx(25.0)]]}
 
 
 def test_a_subscribe_that_loses_its_link_subscribes_again():
@@ -1357,17 +1439,17 @@ class LinkCallLog(SimTransport):
         super().__init__(net, timeout_s=60.0)
         self.calls = []
 
-    def connect(self, device_id):
+    def connect(self, device_id, holder=None):
         self.calls.append("connect")
-        super().connect(device_id)
+        super().connect(device_id, holder)
 
-    def disconnect(self, device_id):
+    def disconnect(self, device_id, holder=None):
         self.calls.append("disconnect")
-        super().disconnect(device_id)
+        super().disconnect(device_id, holder)
 
-    def is_connected(self, device_id):
+    def is_connected(self, device_id, holder=None):
         self.calls.append("is_connected")
-        return super().is_connected(device_id)
+        return super().is_connected(device_id, holder)
 
 
 #: Link calls of a read, then an explicit disconnect(), on a fresh thing.
@@ -1566,15 +1648,15 @@ class LockWitness(RecordingTransport):
         self.connects: list[bool] = []
         self._failed = threading.local()
 
-    def connect(self, device_id):
+    def connect(self, device_id, holder=None):
         self.connects.append(self.thing._lock._is_owned())
-        super().connect(device_id)
+        super().connect(device_id, holder)
 
-    def read(self, uri):
-        return self._witness(super().read, uri)
+    def read(self, uri, holder=None):
+        return self._witness(super().read, uri, holder)
 
-    def write(self, uri, payload, with_response):
-        return self._witness(super().write, uri, payload, with_response)
+    def write(self, uri, payload, with_response, holder=None):
+        return self._witness(super().write, uri, payload, with_response, holder)
 
     def _witness(self, call, *args):
         if getattr(self._failed, "value", False):
@@ -1682,11 +1764,11 @@ def test_racing_first_reads_of_a_fresh_thing_connect_once():
     met = threading.local()
 
     class FirstReadsMeet(RecordingTransport):
-        def read(self, uri):
+        def read(self, uri, holder=None):
             if not getattr(met, "value", False):  # all four reach the transport
                 met.value = True
                 meet.wait()
-            return super().read(uri)
+            return super().read(uri, holder)
 
     with make_network(clock=VirtualClock(), auto_notify=False) as net:
         transport = FirstReadsMeet(net, timeout_s=60.0)

@@ -1,10 +1,13 @@
+import gc
 import itertools
 import queue
 import random
+import re
 import statistics
 import sys
 import threading
 import time
+import tracemalloc
 import uuid
 
 import pytest
@@ -52,6 +55,8 @@ from conftest import (
     LAMP_MAC,
     LAMP_SERVICE,
     NETWORK_CONFIG,
+    SENSOR_MAC,
+    SENSOR_TD,
     WRONG_TYPED_CONFIGS,
     DropsTheLinkAfterItsCheck,
     RecordingTransport,
@@ -61,6 +66,7 @@ from conftest import (
 )
 
 LAMP_URI = parse_gatt_uri(f"gatt://{LAMP_MAC.replace(':', '-')}/{LAMP_SERVICE}/{LAMP_CHAR}")
+FFF0 = uuid.UUID(LAMP_SERVICE)
 BEACON_URI = parse_gatt_uri(
     f"gatt://{BEACON_MAC.replace(':', '-')}/{BEACON_SERVICE}/{BEACON_CHAR}"
 )
@@ -498,6 +504,7 @@ def test_disconnect_cancels_subscriptions():
     t.subscribe(BEACON_URI, received.put)
     t.disconnect(BEACON_MAC)
     net.emit(BEACON_MAC, BEACON_SERVICE, BEACON_CHAR, b"\x99")
+    assert received.get(timeout=2.0) is None  # the end notice, and nothing after it
     with pytest.raises(queue.Empty):
         received.get(timeout=0.3)
     net.close()
@@ -949,7 +956,8 @@ def test_characteristic_value_cap():
     {"value": 5},
     {"value": "7e"},
     {"notify_source": (3,)},
-], ids=["script-600", "value-int", "value-str", "script-int"])
+    {"notify_source": 5},
+], ids=["script-600", "value-int", "value-str", "script-int", "script-not-iterable"])
 def test_a_characteristic_takes_only_octets_within_the_att_cap(terms):
     with pytest.raises(InvalidConfig, match="^characteristic: "):
         SimCharacteristic(**terms)
@@ -961,12 +969,21 @@ def test_a_characteristic_takes_only_octets_within_the_att_cap(terms):
     (lambda: SimCharacteristic(b"", allowed=["push"]),
      r"^characteristic: allowed must hold GATT methods, got \['push'\]$"),
     (lambda: SimPeripheral("AA:AA:AA:AA:AA:01", 100, True, services=5),
-     "^device AA:AA:AA:AA:AA:01: services must map each service to a mapping of "
-     "SimCharacteristic, got 5$"),
-    (lambda: SimPeripheral("AA:AA:AA:AA:AA:01", 100, True, services={"x": 5}),
-     "^device AA:AA:AA:AA:AA:01: services must map each service to a mapping of "
-     "SimCharacteristic, got {'x': 5}$"),
-], ids=["allowed-int", "allowed-unknown", "services-int", "services-of-int"])
+     "^device AA:AA:AA:AA:AA:01: services must map service UUIDs to mappings of "
+     "UUID to SimCharacteristic, got 5$"),
+    (lambda: SimPeripheral("AA:AA:AA:AA:AA:01", 100, True, services={FFF0: 5}),
+     "^device AA:AA:AA:AA:AA:01: services must map service UUIDs to mappings of "
+     "UUID to SimCharacteristic, got " + re.escape(f"{{{FFF0!r}: 5}}") + "$"),
+    (lambda: SimPeripheral("AA:AA:AA:AA:AA:01", 100, True,
+                           services={"fff0": {"fff3": SimCharacteristic(b"\x01")}}),
+     "^device AA:AA:AA:AA:AA:01: services must map service UUIDs to mappings of "
+     "UUID to SimCharacteristic, got {'fff0': {'fff3': <"),
+    (lambda: SimPeripheral("AA:AA:AA:AA:AA:01", 100, True,
+                           services={FFF0: {"fff3": SimCharacteristic(b"\x01")}}),
+     "^device AA:AA:AA:AA:AA:01: services must map service UUIDs to mappings of "
+     "UUID to SimCharacteristic, got " + re.escape(f"{{{FFF0!r}: {{'fff3': <")),
+], ids=["allowed-int", "allowed-unknown", "services-int", "services-of-int",
+        "service-key-str", "characteristic-key-str"])
 def test_a_device_built_in_code_takes_only_methods_and_characteristics(build, message):
     with pytest.raises(InvalidConfig, match=message):
         build()
@@ -1006,6 +1023,111 @@ def test_registry_keeps_only_live_subscriptions_across_sessions():
         assert live_subscriptions(net) == 0 and net._subscriptions == {}
 
 
+@pytest.mark.parametrize("beside", [False, True], ids=["alone", "beside-a-kept-lease"])
+def test_no_lease_outlives_its_session(beside):
+    sensor_td, beacon_td = parse_td_file(SENSOR_TD), parse_td_file(BEACON_TD)
+    policy = ConnectionPolicy.RECONNECT_PER_OPERATION
+    with virtual_network(auto_notify=False) as net:
+        transport = SimTransport(net, timeout_s=10.0)
+        kept = consume(sensor_td, transport)
+        if beside:  # a lease that each session's lease on the sensor rides beside
+            kept.connect()
+
+        def session():
+            sensor = consume(sensor_td, transport, policy)
+            beacon = consume(beacon_td, transport, policy)
+            assert sensor.read_property("moisture") == 42
+            beacon.unsubscribe_event(beacon.subscribe_event("temperature", print))
+            sensor.disconnect()
+            beacon.disconnect()
+
+        for _ in range(100):  # warm caches
+            session()
+        tracemalloc.start()
+        try:
+            gc.collect()  # a subscription and its sink form a cycle
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(1000):
+                session()
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert net.peripheral(SENSOR_MAC).leases == ({kept: True} if beside else {})
+        assert net.peripheral(BEACON_MAC).leases == {} and net._subscriptions == {}
+        kept.disconnect()
+    assert grown < 64 * 1024
+
+
+def test_a_dropped_link_ends_every_lease_and_tells_each_subscriber_once():
+    with virtual_network(auto_notify=False) as net:
+        t = SimTransport(net, timeout_s=1.0)
+        holders = ("first", "second")
+        t.connect(BEACON_MAC)  # the central's own lease
+        for holder in holders:
+            t.connect(BEACON_MAC, holder)
+        heard = {holder: [] for holder in holders}
+        running, release = threading.Event(), threading.Event()
+
+        def sink_of(holder):
+            def sink(payload):
+                heard[holder].append(payload)
+                if holder == "first" and payload == b"\x01":
+                    running.set()
+                    release.wait(5.0)  # still running when the link drops
+            return sink
+
+        handles = [t.subscribe(BEACON_URI, sink_of(holder), holder) for holder in holders]
+        for octet in (1, 2):  # each queued behind the first delivery
+            net.emit(BEACON_MAC, BEACON_SERVICE, BEACON_CHAR, bytes([octet]))
+        assert running.wait(5.0)
+        t.disconnect(BEACON_MAC)  # waits for no delivery, not even the running one
+        assert not any(handle.active for handle in handles)
+        peripheral = net.peripheral(BEACON_MAC)
+        assert peripheral.connected_by is None and peripheral.leases == {}
+        assert not any(t.is_connected(BEACON_MAC, holder) for holder in (None, *holders))
+        net.emit(BEACON_MAC, BEACON_SERVICE, BEACON_CHAR, b"\x03")  # reaches nobody
+        assert heard["first"] == [b"\x01"]  # still running: no notice before it ends
+        release.set()
+    # close() handed out everything queued: each end notice once, and last.
+    assert heard == {"first": [b"\x01", None], "second": [None]}
+
+
+def test_a_release_leaves_the_link_and_its_subscriptions_to_the_other_holders():
+    with virtual_network(auto_notify=False) as net:
+        t = SimTransport(net, timeout_s=1.0)
+        t.connect(BEACON_MAC, "first")
+        t.connect(BEACON_MAC, "first")  # at most one lease per holder
+        t.connect(BEACON_MAC, "second")
+        received: queue.Queue = queue.Queue()
+        handle = t.subscribe(BEACON_URI, received.put, "second")
+        now = net.clock.monotonic()
+        t.disconnect(BEACON_MAC, "first")
+        assert net.clock.monotonic() == now  # no teardown: the link stays up
+        assert handle.active and t.is_connected(BEACON_MAC, "second")
+        assert not t.is_connected(BEACON_MAC, "first") and not t.is_connected(BEACON_MAC)
+        with pytest.raises(NotConnected):
+            t.read(BEACON_URI, "first")  # an operation runs on its holder's lease
+        with pytest.raises(NotConnected):
+            t.disconnect(BEACON_MAC, "first")
+        net.emit(BEACON_MAC, BEACON_SERVICE, BEACON_CHAR, b"\x07")
+        assert received.get(timeout=2.0) == b"\x07"
+        t.disconnect(BEACON_MAC, "second")  # the last lease: the link ends
+        assert received.get(timeout=2.0) is None and not handle.active
+        assert net.peripheral(BEACON_MAC).connected_by is None
+
+
+def test_unsubscribing_a_foreign_handle_changes_nothing():
+    with virtual_network(auto_notify=False) as net, virtual_network(auto_notify=False) as other:
+        t, foreign = SimTransport(net, timeout_s=1.0), SimTransport(other, timeout_s=1.0)
+        foreign.connect(BEACON_MAC)
+        handle = foreign.subscribe(BEACON_URI, print)
+        t.unsubscribe(handle)
+        assert handle.active and live_subscriptions(other) == 1 and net._subscriptions == {}
+        foreign.unsubscribe(handle)
+        assert not handle.active and other._subscriptions == {}
+
+
 def test_disconnect_cancels_only_live_subscriptions(monkeypatch):
     with virtual_network(auto_notify=False) as net:
         thing = beacon_thing(net)
@@ -1013,11 +1135,11 @@ def test_disconnect_cancels_only_live_subscriptions(monkeypatch):
             thing.unsubscribe_event(thing.subscribe_event("temperature", print))
             thing.disconnect()
         thing.subscribe_event("temperature", print)
-        thing.transport.subscribe(BEACON_URI, print)  # a second live one
+        thing.transport.subscribe(BEACON_URI, print, thing)  # a second live one
         cancels = []
         cancel = net.unsubscribe
         monkeypatch.setattr(net, "unsubscribe",
-                            lambda sub: cancels.append(sub) or cancel(sub))
+                            lambda sub, *notice: cancels.append(sub) or cancel(sub, *notice))
         live = live_subscriptions(net)
         thing.disconnect()  # the 100th
         assert len(cancels) == live == 2
@@ -1051,7 +1173,7 @@ def test_unsubscribe_after_disconnect_is_a_no_op():
     with virtual_network(auto_notify=False) as net:
         thing = beacon_thing(net, ConnectionPolicy.KEEP_CONNECTED)
         subscription = thing.subscribe_event("temperature", print)
-        handle = thing.transport.subscribe(BEACON_URI, print)
+        handle = thing.transport.subscribe(BEACON_URI, print, thing)  # on the thing's lease
         thing.disconnect()
         thing.unsubscribe_event(subscription)
         thing.transport.unsubscribe(handle)
