@@ -15,7 +15,7 @@ from enum import Enum
 from typing import TYPE_CHECKING
 
 from .errors import MethodOpConflict, NoMatchingForm
-from .uris import GattUri, _memoised, parse_gatt_uri
+from .uris import GattUri, parse_gatt_uri
 
 if TYPE_CHECKING:
     from .codec import BdoSpec
@@ -88,7 +88,6 @@ _METHOD_ALIASES = {
 }
 
 
-@_memoised
 def parse_method(text: str) -> GattMethod:
     """Parse an sbo method name; accepts hyphenated or camelCase spellings."""
     if not isinstance(text, str):
@@ -106,11 +105,12 @@ def map_operation(op: WotOperation, method_name: GattMethod | None = None) -> Ga
     Without an explicit method name, read-category operations use ``read``,
     write-category operations default to the confirmation-bearing ``write``,
     and both subscribe operations use ``notify``. An explicit method name must
-    belong to the operation's category.
+    belong to the operation's category. An ``op`` that is not an operation,
+    hashable or not, raises ``MethodOpConflict`` too.
     """
     try:
         default, allowed = _METHODS_OF[op]
-    except KeyError:  # pragma: no cover - closed enum
+    except (KeyError, TypeError):  # not an operation, or not even hashable
         raise MethodOpConflict(f"unmapped operation {op!r}") from None
     if method_name is None:
         return default

@@ -3,7 +3,8 @@
 Each subcommand takes only the flags it reads, after its name:
 
 * ``read``, ``write``, ``invoke``: ``--transport``, ``--seed``,
-  ``--timeout-ms``, ``--policy`` and ``--output table|json``;
+  ``--timeout-ms``, ``--policy keep_connected|reconnect_per_operation``
+  and ``--output table|json``;
 * ``subscribe``: the same, plus ``--count``;
 * ``validate``: ``--output table|json``;
 * ``bench``: ``--output table|csv|json`` and ``--virtual-clock``; the plan

@@ -6,10 +6,9 @@ resolution and the codec of the form's content type; raw octets travel
 through a form whose ``contentType`` is ``application/octet-stream``.
 
 A connection policy governs session lifetime per device: stay connected,
-reconnect around every operation, or drop the link after each operation.
-The transport lends each thing a lease on the link, and the policy takes
-and releases only that lease; a live event subscription pins it against
-the policy's teardown.
+or take a lease around every operation. The transport lends each thing a
+lease on the link, and the policy takes and releases only that lease; a
+live event subscription pins it against the policy's teardown.
 """
 
 from __future__ import annotations
@@ -49,26 +48,25 @@ class ConnectionPolicy(str, Enum):
     """When a :class:`ConsumedThing` takes and releases its lease on its device link.
 
     The thing holds at most one lease, and releases only its own: the
-    transport ends the link when its last lease is released. So a "fresh
-    connection" is a fresh lease; the radio link is cycled only when the
-    thing held its only lease, and a link another thing holds a lease on
-    stays up. While the thing has a live event subscription its lease is
-    pinned: the two teardown policies neither release nor renew it until
-    the last subscription ends.
+    transport ends the link when its last lease is released. So
+    ``RECONNECT_PER_OPERATION`` cycles the radio link only when the thing
+    held its only lease, and a link another thing holds a lease on stays
+    up. A lease the thing already holds, as after an explicit ``connect()``,
+    is used as it is, not released and taken again. While the thing has a
+    live event subscription its lease is pinned: ``RECONNECT_PER_OPERATION``
+    does not release it until the last subscription ends.
     """
 
     #: Connect on first use, stay connected until an explicit disconnect.
     KEEP_CONNECTED = "keep_connected"
-    #: Establish a fresh connection for every operation and drop it after.
+    #: Take a lease before each operation unless the thing holds one; release
+    #: it afterwards unless a live subscription pins it.
     RECONNECT_PER_OPERATION = "reconnect_per_operation"
-    #: Reuse an existing connection but drop the link after each operation.
-    DISCONNECT_AFTER = "disconnect_after"
 
 
 # Bound once: every interaction compares against these, and a module name is
 # cheaper to read than an enum member.
 _KEEP_CONNECTED = ConnectionPolicy.KEEP_CONNECTED
-_RECONNECT_PER_OPERATION = ConnectionPolicy.RECONNECT_PER_OPERATION
 _READPROPERTY = WotOperation.READPROPERTY
 _WRITEPROPERTY = WotOperation.WRITEPROPERTY
 _WRITE = GattMethod.WRITE
@@ -217,8 +215,9 @@ class ConsumedThing:
     later, on the delivery thread, so the thing reads ``active`` instead:
     it forgets an ended subscription at its next pin check. Unsubscribing is
     an operation like any other: once ``unsubscribe_event`` has ended the
-    thing's last live subscription, a teardown policy releases the lease,
-    under the thing's lock, so the link ends unless another thing holds one.
+    thing's last live subscription, ``RECONNECT_PER_OPERATION`` releases the
+    lease, under the thing's lock, so the link ends unless another thing
+    holds one.
 
     Each (affordance, operation) pair is resolved to its form, request and
     codec on first use and reused after that, so the TD must not be mutated
@@ -228,19 +227,20 @@ class ConsumedThing:
     no codec handles is one: it raises ``UnsupportedMediaType`` before any
     bounds check or transport call.
 
-    An operation makes its call first and asks the transport nothing else
-    while the link is up. Under ``KEEP_CONNECTED``, ``read_property``,
-    ``write_property`` and ``invoke_action`` take their resolved entry
-    straight from their operation's table with one lookup by name, and call
-    the transport's ``read`` or ``write`` themselves, with no lock of the
-    thing's. The teardown policies, and ``subscribe_event`` under every
-    policy, make the call under the thing's lock. Only when the call raises
-    ``NotConnected``, because the thing holds no lease, does the operation
-    take the lock, connect and make the call once more, on one path under
-    every policy: connecting on first use, taking a lease on a link another
-    thing opened and recovering a dropped link are one path.
-    ``RECONNECT_PER_OPERATION`` alone, while unpinned, takes a fresh lease
-    before the call.
+    Under ``KEEP_CONNECTED``, ``read_property``, ``write_property`` and
+    ``invoke_action`` make their call first and ask the transport nothing
+    else while the link is up: they take their resolved entry straight from
+    their operation's table with one lookup by name, and call the
+    transport's ``read`` or ``write`` themselves, with no lock of the
+    thing's. Only when the call raises ``NotConnected``, because the thing
+    holds no lease, do they take the lock, connect and make the call once
+    more: connecting on first use, taking a lease on a link another thing
+    opened and recovering a dropped link are one path. Every operation
+    under ``RECONNECT_PER_OPERATION``, and ``subscribe_event`` under every
+    policy, runs under the thing's lock and, while no live subscription pins
+    the lease, first takes a lease if the thing holds none. A call that
+    still raises ``NotConnected``, as when the link drops under it, takes
+    the same path to connect and call once more.
 
     A teardown of an unpinned thing, by a policy or by ``disconnect()``,
     asks the transport once whether the thing holds a lease and releases it
@@ -305,25 +305,21 @@ class ConsumedThing:
         with self._lock:
             self._open()
 
-    def _open(self, fresh: bool = False) -> None:
+    def _open(self) -> None:
         """Take a lease and explore GATT unless the thing holds one; under the lock.
 
-        With ``fresh``, a lease the thing holds is released and taken again.
-        Either way the transport is asked once whether the thing holds one.
+        The transport is asked once whether the thing holds one.
         """
         device_id, transport = self._device_id, self.transport
-        if transport.is_connected(device_id, self):
-            if not fresh:
-                return
-            transport.disconnect(device_id, self)
-        transport.connect(device_id, self)
-        # Exploring the GATT structure is part of the connect time the paper
-        # measures, though it yields nothing that the thing reads.
-        try:
-            transport.discover_gatt(device_id)
-        except Exception:
-            transport.disconnect(device_id, self)  # release the lease
-            raise
+        if not transport.is_connected(device_id, self):
+            transport.connect(device_id, self)
+            # Exploring the GATT structure is part of the connect time the paper
+            # measures, though it yields nothing that the thing reads.
+            try:
+                transport.discover_gatt(device_id)
+            except Exception:
+                transport.disconnect(device_id, self)  # release the lease
+                raise
 
     def _live(self) -> list[Subscription]:
         """The subscriptions still live; forgets the ended ones. Under the lock."""
@@ -377,10 +373,10 @@ class ConsumedThing:
         and values that fail to decode, are swallowed so one bad callback
         cannot kill the subscription; the subscription counts both. While
         the subscription is active it pins the thing's lease: reads and writes
-        under a teardown policy leave it held, and a second subscription
-        reuses it. The end notice the transport gives when the link ends
-        reaches neither the listener nor a counter. A listener that is not
-        callable raises ``BadArgument`` before any transport call.
+        under ``RECONNECT_PER_OPERATION`` leave it held, and a second
+        subscription reuses it. The end notice the transport gives when the
+        link ends reaches neither the listener nor a counter. A listener that
+        is not callable raises ``BadArgument`` before any transport call.
         """
         if not callable(listener):
             raise BadArgument(f"subscribe_event takes a callable listener, "
@@ -430,7 +426,7 @@ class ConsumedThing:
         with self._lock:
             self._subscriptions = [s for s in self._subscriptions if s is not subscription]
             # Unsubscribing is an operation too: once the last live one has
-            # ended, a teardown policy releases the lease, as _run's finally does.
+            # ended, the policy releases the lease, as _run's finally does.
             if self.policy is not _KEEP_CONNECTED and not (self._subscriptions and self._live()):
                 self.disconnect()  # with none live, this only releases the lease
 
@@ -527,29 +523,30 @@ class ConsumedThing:
     def _run(self, call, *args):
         """Return ``call(*args)``, made under the thing's lock and its policy.
 
-        Unless a live subscription pins the lease, ``RECONNECT_PER_OPERATION``
-        takes a fresh one first, in a single pass: one ``_open`` frame asks
-        the transport once whether the thing holds a lease, releases it if
-        so, connects and explores GATT, so the call is not made on a lease
-        bound to fail. Both teardown policies release the lease afterwards,
-        also when the call raises, from this frame. A call that raises
-        ``NotConnected`` goes to ``_recover``. ``subscribe_event`` runs here
-        under every policy; ``read_property`` and the writers only under a
-        teardown policy, as they make a kept-link call themselves.
+        While no live subscription pins the lease, the thing first takes a
+        lease if it holds none, under every policy: one ``_open`` frame asks
+        the transport once, then connects and explores GATT if need be, so the
+        call is not made on a lease bound to fail. ``RECONNECT_PER_OPERATION``
+        releases the lease afterwards, also when the call raises, from this
+        frame, unless a live subscription pins it by then. A call that raises
+        ``NotConnected``, as when the link drops under it, goes to
+        ``_recover``. ``subscribe_event`` runs here under every policy;
+        ``read_property`` and the writers only under
+        ``RECONNECT_PER_OPERATION``, as they make a kept-link call themselves.
         """
         with self._lock:
-            policy = self.policy
-            if policy is _RECONNECT_PER_OPERATION and not (self._subscriptions and self._live()):
-                self._open(fresh=True)
+            if not (self._subscriptions and self._live()):
+                self._open()
             try:
                 try:
                     return call(*args)
                 except NotConnected:
                     return self._recover(call, *args)
             finally:
-                if policy is not _KEEP_CONNECTED and not (self._subscriptions and self._live()):
-                    # disconnect()'s lease release, inlined: every teardown-policy
-                    # operation runs it.
+                if self.policy is not _KEEP_CONNECTED and not (
+                        self._subscriptions and self._live()):
+                    # disconnect()'s lease release, inlined: every operation
+                    # under RECONNECT_PER_OPERATION runs it.
                     device_id, transport = self._device_id, self.transport
                     if transport.is_connected(device_id, self):
                         transport.disconnect(device_id, self)

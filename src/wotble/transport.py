@@ -242,9 +242,10 @@ class SimNetwork:
     * The end of a link ends every subscription on it in one critical
       section and queues each one's end notice, which is delivered after
       every value delivered to it; unsubscribing one of them afterwards is
-      a no-op. A subscription is registered only while its central holds
-      the link, checked under the lock, so none outlives the link it was
-      made on.
+      a no-op. A subscription's handle keeps its sink only while a call of
+      it is left to make; see :meth:`unsubscribe`. A subscription is
+      registered only while its central holds the link, checked under the
+      lock, so none outlives the link it was made on.
     * :meth:`discovery_delay_s` is the one draw from the seeded RNG, made
       once per discovery. It takes no lock: the draw is a single C call,
       atomic under the GIL, so concurrent connects never share or skip one.
@@ -369,9 +370,17 @@ class SimNetwork:
         the delivery thread skips the values queued to an ended
         subscription, so the notice is its sink's last call, made once a
         running delivery is over.
+
+        The handle drops its sink once no call of it is left to make: here,
+        when this call ended ``sub`` without a notice and waited out a
+        running delivery, or on the delivery thread, once it has made the end
+        notice's call. So what the sink holds is freed by reference counting,
+        not left to the cyclic collector, and the sink is never dropped while
+        the end notice is queued.
         """
         with self._lock:
-            if sub.active:
+            ended = sub.active
+            if ended:
                 sub.active = False
                 live = self._subscriptions[sub.char]
                 live.remove(sub)
@@ -382,6 +391,8 @@ class SimNetwork:
         if not notice and threading.get_ident() != self._worker.ident:
             with sub.delivery:
                 pass
+        if ended and not notice:
+            sub.sink = None  # no call of it is left: free what the sink holds
 
     def emit(self, device_id: str, service, characteristic, payload: bytes) -> None:
         """Deliver one notification value to all active subscribers.
@@ -449,6 +460,8 @@ class SimNetwork:
                     sub.sink(payload)
                 except Exception:
                     self.sink_failures += 1  # must not stall delivery to others
+                if payload is None:  # the end notice was its last call
+                    sub.sink = None
 
     def close(self) -> None:
         """Stop the delivery thread for good; a second call is a no-op.

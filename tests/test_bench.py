@@ -89,6 +89,7 @@ def test_load_plan_resolves_paths_relative_to_plan_file():
     {"timeoutMs": float("inf")},
     {"timeoutMs": 10**400},
     {"timeoutMs": 1e16},  # beyond the longest wait a thread can be given
+    {"policy": "disconnect_after"},  # a removed policy
 ])
 def test_invalid_plans_are_rejected(tmp_path, overrides):
     raw = json.loads(BENCH_PLAN.read_text())

@@ -51,6 +51,9 @@ def test_subscribe_operations_accept_notify():
     (WotOperation.WRITEPROPERTY, GattMethod.NOTIFY),
     (WotOperation.SUBSCRIBEEVENT, GattMethod.READ),
     (WotOperation.SUBSCRIBEEVENT, GattMethod.WRITE_WITHOUT_RESPONSE),
+    ("bogus", None),  # not an operation
+    (None, None),
+    (["x"], None),  # not even hashable
 ])
 def test_category_conflicts_are_rejected(op, method):
     with pytest.raises(MethodOpConflict):

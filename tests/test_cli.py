@@ -236,6 +236,15 @@ def test_sim_list_lists_devices(capsys):
     assert "BE:58:30:00:CC:11" in out
 
 
+def test_the_removed_disconnect_after_policy_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["read", str(SENSOR_TD), "moisture", "--transport", SIM,
+              "--policy", "disconnect_after"])
+    captured = capsys.readouterr()
+    assert exit_info.value.code == 2 and captured.out == ""
+    assert "argument --policy: invalid choice: 'disconnect_after'" in captured.err
+
+
 @pytest.mark.parametrize("timeout_ms", ["nan", "inf", "0", "-5", "1e13", "abc"])
 def test_timeout_a_wait_cannot_honour_is_usage_error(capsys, timeout_ms):
     # With `subscribe`, inf and 1e13 once ended in an OverflowError from

@@ -1,4 +1,5 @@
 import cProfile
+import gc
 import json
 import pstats
 import queue
@@ -6,6 +7,7 @@ import re
 import sys
 import threading
 import tracemalloc
+import weakref
 from dataclasses import replace
 from itertools import repeat
 from types import SimpleNamespace
@@ -567,9 +569,11 @@ def test_reconnect_per_operation_cycles_the_connection():
     net.close()
 
 
-def test_disconnect_after_reuses_then_drops():
+def test_reconnect_per_operation_reuses_a_held_lease_then_drops_it():
+    # A lease the thing holds, here from connect(), is not released and
+    # taken again before the read; the read's teardown releases it.
     net = make_network(clock=VirtualClock())
-    thing, transport = sensor_thing(net, policy=ConnectionPolicy.DISCONNECT_AFTER)
+    thing, transport = sensor_thing(net, policy=ConnectionPolicy.RECONNECT_PER_OPERATION)
     thing.connect()
     thing.read_property("moisture")
     assert connect_count(transport) == 1
@@ -640,7 +644,7 @@ def test_the_next_operation_recovers_a_dropped_link():
 
 def test_an_operation_ends_the_subscriptions_a_dropped_link_took():
     with make_network(clock=VirtualClock(), auto_notify=False) as net:
-        thing, transport = beacon_reader(net, ConnectionPolicy.DISCONNECT_AFTER)
+        thing, transport = beacon_reader(net, ConnectionPolicy.RECONNECT_PER_OPERATION)
         subscription = thing.subscribe_event("temperature", print)
         transport.disconnect(BEACON_MAC)
         assert not subscription.active  # it ended with the link
@@ -653,6 +657,31 @@ def test_an_operation_ends_the_subscriptions_a_dropped_link_took():
         assert not thing.connected and live_subscriptions(net) == 0
         thing.unsubscribe_event(subscription)  # a no-op
         assert transport.trace[-1][0] == "disconnect"
+
+
+@pytest.mark.parametrize("end", ["unsubscribe", "link-drop"])
+def test_an_ended_subscription_and_its_thing_are_freed_by_reference_counting(end):
+    # The cyclic collector is paused: a reference cycle through the
+    # subscription's sink would keep both alive.
+    gc.collect()
+    gc.disable()
+    try:
+        with make_network(clock=VirtualClock(), auto_notify=False) as net:
+            transport = SimTransport(net, timeout_s=10.0)
+            thing = consume(parse_td_file(BEACON_TD), transport,
+                            ConnectionPolicy.RECONNECT_PER_OPERATION)
+            subscription = thing.subscribe_event("temperature", print)
+            if end == "unsubscribe":
+                thing.unsubscribe_event(subscription)
+            else:
+                transport.disconnect(BEACON_MAC)
+                net.close()  # returns once the end notice is delivered
+            thing.disconnect()
+            refs = [weakref.ref(thing), weakref.ref(subscription)]
+            del thing, subscription
+            assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_things_on_one_transport_share_their_device_link():
@@ -1022,11 +1051,9 @@ def emit_beacon(net, octet: int) -> None:
     net.emit(BEACON_MAC, BEACON_SERVICE, BEACON_CHAR, bytes([octet]))
 
 
-@pytest.mark.parametrize("policy", [ConnectionPolicy.RECONNECT_PER_OPERATION,
-                                    ConnectionPolicy.DISCONNECT_AFTER])
-def test_subscription_survives_reads_and_writes_under_teardown_policies(policy):
+def test_subscription_survives_reads_and_writes_under_reconnect_per_operation():
     with make_network(clock=VirtualClock(), auto_notify=False) as net:
-        thing, _ = beacon_reader(net, policy)
+        thing, _ = beacon_reader(net, ConnectionPolicy.RECONNECT_PER_OPERATION)
         received: queue.Queue = queue.Queue()
         subscription = thing.subscribe_event("temperature", received.put)
         assert thing.read_property("temperature") == pytest.approx(25.0)
@@ -1149,7 +1176,7 @@ def test_another_things_disconnect_leaves_a_subscription_live():
 
 
 def test_a_kept_link_outlives_a_sibling_things_teardown(monkeypatch):
-    # A DISCONNECT_AFTER thing reads beside a KEEP_CONNECTED one on one
+    # A RECONNECT_PER_OPERATION thing reads beside a KEEP_CONNECTED one on one
     # transport: its teardown releases its own lease and leaves the kept one.
     with make_network(clock=VirtualClock(), seed=1, connect_setup_ms=30.0) as net:
         draws, draw = [], net.discovery_delay_s
@@ -1161,7 +1188,7 @@ def test_a_kept_link_outlives_a_sibling_things_teardown(monkeypatch):
         monkeypatch.setattr(net, "discovery_delay_s", counted_draw)
         transport = SimTransport(net, timeout_s=60.0)
         td = parse_td_file(SENSOR_TD)
-        sometimes = consume(td, transport, ConnectionPolicy.DISCONNECT_AFTER)
+        sometimes = consume(td, transport, ConnectionPolicy.RECONNECT_PER_OPERATION)
         kept = consume(td, transport, ConnectionPolicy.KEEP_CONNECTED)
         for _ in range(10):
             assert sometimes.read_property("moisture") == 42
@@ -1178,14 +1205,14 @@ def test_a_kept_link_outlives_a_sibling_things_teardown(monkeypatch):
 def listener_reads_through_a_thing_in_its_teardown() -> None:
     """Print, as JSON, what a read of thing A and a listener of thing B got.
 
-    A (``DISCONNECT_AFTER``) and B (``KEEP_CONNECTED``) share the beacon's
+    A (``RECONNECT_PER_OPERATION``) and B (``KEEP_CONNECTED``) share the beacon's
     link on one transport. B's listener reads a property through A once A's
     policy teardown has reached the transport, so it waits for A's lock
     while A tears down. Run it through ``run_watched``: if A's teardown
     waited for B's delivery, both would wait for good.
     """
     with make_network(clock=VirtualClock(), auto_notify=False) as net:
-        a, transport = beacon_reader(net, ConnectionPolicy.DISCONNECT_AFTER)
+        a, transport = beacon_reader(net, ConnectionPolicy.RECONNECT_PER_OPERATION)
         b = consume(a.td, transport)
         in_listener, in_teardown = threading.Event(), threading.Event()
         heard = []
@@ -1321,13 +1348,9 @@ def test_disconnect_accepts_a_link_dropped_underneath():
         beacon.disconnect()
 
 
-@pytest.mark.parametrize("policy, cycles", [
-    (ConnectionPolicy.RECONNECT_PER_OPERATION, (2, 2)),
-    (ConnectionPolicy.DISCONNECT_AFTER, (2, 2)),
-])
-def test_last_unsubscribe_restores_the_policy(policy, cycles):
+def test_last_unsubscribe_restores_the_policy():
     with make_network(clock=VirtualClock(), auto_notify=False) as net:
-        thing, transport = beacon_reader(net, policy)
+        thing, transport = beacon_reader(net, ConnectionPolicy.RECONNECT_PER_OPERATION)
         subscriptions = [thing.subscribe_event("temperature", print) for _ in range(2)]
         thing.read_property("temperature")
         thing.unsubscribe_event(subscriptions[0])
@@ -1335,7 +1358,7 @@ def test_last_unsubscribe_restores_the_policy(policy, cycles):
         assert (connect_count(transport), disconnect_count(transport)) == (1, 0)
         thing.unsubscribe_event(subscriptions[1])
         thing.read_property("temperature")
-        assert (connect_count(transport), disconnect_count(transport)) == cycles
+        assert (connect_count(transport), disconnect_count(transport)) == (2, 2)
         assert not thing.connected
 
 
@@ -1347,14 +1370,9 @@ POLICY_TRACES = {
     (ConnectionPolicy.RECONNECT_PER_OPERATION, False):
         CYCLE + ("read", "disconnect") + CYCLE + ("write", "disconnect")
         + CYCLE + ("read", "disconnect"),
-    (ConnectionPolicy.DISCONNECT_AFTER, False):
-        CYCLE + ("read", "disconnect") + CYCLE + ("write", "disconnect")
-        + CYCLE + ("read", "disconnect"),
     (ConnectionPolicy.KEEP_CONNECTED, True):
         CYCLE + ("subscribe", "read", "write", "read"),
     (ConnectionPolicy.RECONNECT_PER_OPERATION, True):
-        CYCLE + ("subscribe", "read", "write", "read"),
-    (ConnectionPolicy.DISCONNECT_AFTER, True):
         CYCLE + ("subscribe", "read", "write", "read"),
 }
 
@@ -1406,7 +1424,7 @@ def test_concurrent_subscribers_leave_no_pin_behind():
 
 def test_unsubscribing_through_another_thing_ends_the_owners_pin():
     with make_network(clock=VirtualClock(), auto_notify=False) as net:
-        owner, owner_link = beacon_reader(net, ConnectionPolicy.DISCONNECT_AFTER)
+        owner, owner_link = beacon_reader(net, ConnectionPolicy.RECONNECT_PER_OPERATION)
         other, other_link = beacon_reader(net, ConnectionPolicy.KEEP_CONNECTED)
         subscription = owner.subscribe_event("temperature", print)
         other.unsubscribe_event(subscription)
@@ -1418,15 +1436,14 @@ def test_unsubscribing_through_another_thing_ends_the_owners_pin():
             *CYCLE, "subscribe", "unsubscribe", "disconnect", *CYCLE, "read", "disconnect"]
 
 
-@pytest.mark.parametrize("policy", [ConnectionPolicy.RECONNECT_PER_OPERATION,
-                                    ConnectionPolicy.DISCONNECT_AFTER])
-def test_the_last_unsubscribe_frees_the_link_for_another_central(policy):
+def test_the_last_unsubscribe_frees_the_link_for_another_central():
     # Each thing is its own central: the second one's subscribe met Busy while
     # the first one's ended subscription left its link up.
     with make_network(clock=VirtualClock(), auto_notify=False) as net:
         td = parse_td_file(BEACON_TD)
         for _ in range(2):
-            thing = consume(td, SimTransport(net, timeout_s=10.0), policy)
+            thing = consume(td, SimTransport(net, timeout_s=10.0),
+                            ConnectionPolicy.RECONNECT_PER_OPERATION)
             thing.unsubscribe_event(thing.subscribe_event("temperature", print))
             assert not thing.connected
         assert net.peripheral(BEACON_MAC).connected_by is None
@@ -1458,8 +1475,6 @@ TEARDOWN_CALLS = {
     ConnectionPolicy.KEEP_CONNECTED:
         ("is_connected", "connect", "is_connected", "disconnect"),
     ConnectionPolicy.RECONNECT_PER_OPERATION:
-        ("is_connected", "connect", "is_connected", "disconnect", "is_connected"),
-    ConnectionPolicy.DISCONNECT_AFTER:
         ("is_connected", "connect", "is_connected", "disconnect", "is_connected"),
 }
 

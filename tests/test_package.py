@@ -27,6 +27,7 @@ REMOVED_ATTRIBUTES = [
     (wotble.ConsumedThing, "read_raw"),
     (wotble.ConsumedThing, "write_raw"),
     (wotble.BdoSpec, "layout"),
+    (wotble.ConnectionPolicy, "DISCONNECT_AFTER"),
 ]
 
 
