@@ -1003,6 +1003,52 @@ def test_an_error_inside_a_transport_method_passes_through(method, policy, faili
     assert str(exc_info.value) == message.format(cls=transport_class.__name__)
 
 
+#: The contract methods a call reaches on a thing that already holds a lease.
+HELD_LEASE_METHODS = [method for method in CONTRACT_CALLS
+                      if method not in ("connect", "discover_gatt")]
+
+
+@pytest.mark.parametrize("failing, error, message", [
+    (lambda transport: transport.missing_attribute, AttributeError,
+     "'{cls}' object has no attribute 'missing_attribute'"),
+    (lambda transport: transport.network.read, AttributeError,
+     "'SimNetwork' object has no attribute 'read'"),
+    (lambda transport: transport.timeout_s(), TypeError, "'float' object is not callable"),
+    (lambda transport: len(transport), TypeError, "object of type '{cls}' has no len()"),
+], ids=["own-attribute", "contract-name-on-another-object", "not-callable-inside",
+        "type-error-inside"])
+@pytest.mark.parametrize("policy", list(ConnectionPolicy))
+@pytest.mark.parametrize("method", HELD_LEASE_METHODS)
+def test_an_error_inside_a_transport_method_passes_through_on_a_held_lease(
+        method, policy, failing, error, message):
+    # The thing takes its lease through connect() before the method fails, so
+    # no operation opens the link first. The method fails only once armed.
+    td_path, call = CONTRACT_CALLS[method]
+    real = getattr(SimTransport, method)
+
+    def armed(self, *args):
+        return failing(self) if self.armed else real(self, *args)
+
+    transport_class = type(f"{method.title().replace('_', '')}Armed", (SimTransport,),
+                           {method: armed, "armed": False})
+    with make_network(clock=VirtualClock()) as net:
+        transport = transport_class(net, timeout_s=60.0)
+        thing = consume(parse_td_file(td_path), transport, policy)
+        thing.connect()
+        transport.armed = True
+        with pytest.raises(error) as exc_info:
+            call(thing)
+        transport.armed = False
+        # An operation's teardown releases the lease also when its call raised.
+        released = (policy is ConnectionPolicy.RECONNECT_PER_OPERATION
+                    and method in ("read", "write", "subscribe"))
+        assert thing.connected is not released
+        thing.disconnect()
+        assert net.peripheral(thing.device_id).connected_by is None
+    assert type(exc_info.value) is error
+    assert str(exc_info.value) == message.format(cls=transport_class.__name__)
+
+
 def test_a_single_name_is_not_a_collection_of_names():
     with make_network(clock=VirtualClock()) as net:
         sensor, transport = sensor_thing(net)
