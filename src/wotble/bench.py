@@ -141,7 +141,7 @@ def load_bench_plan(path) -> BenchPlan:
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:  # unreadable, not UTF-8 or not JSON
+    except (OSError, ValueError, RecursionError) as exc:  # unreadable, not UTF-8, not JSON
         raise PlanError(f"cannot read bench plan {path}: {exc}") from exc
     expect(raw, dict, PlanError, "bench plan")
     base = path.parent

@@ -114,11 +114,14 @@ def map_operation(op: WotOperation, method_name: GattMethod | None = None) -> Ga
         raise MethodOpConflict(f"unmapped operation {op!r}") from None
     if method_name is None:
         return default
-    if method_name not in allowed:
-        raise MethodOpConflict(
-            f"method {method_name.value!r} conflicts with operation {op.value!r}"
-        )
-    return method_name
+    try:
+        if method_name in allowed:
+            return method_name
+    except TypeError:  # not even hashable
+        pass
+    method = method_name.value if isinstance(method_name, GattMethod) else method_name
+    raise MethodOpConflict(
+        f"method {method!r} conflicts with operation {WotOperation(op).value!r}")
 
 
 @dataclass(frozen=True, init=False)
@@ -144,12 +147,21 @@ def resolve_form(affordance: "Affordance", op: WotOperation) -> ResolvedRequest:
         if op not in form.op:
             continue
         method = form.method_name
-        # No method name: the operation's default, as map_operation gives it
-        # but with no frame. A named method is checked by map_operation.
+        # The operation's default, or a named method its category allows, as
+        # map_operation gives them but with no frame; map_operation is called
+        # only for a method it refuses, to raise its error.
+        if method is None:
+            method = _METHODS_OF[op][0]
+        else:
+            try:
+                allowed = method in _METHODS_OF[op][1]
+            except (KeyError, TypeError):  # not an operation, or not hashable
+                allowed = False
+            if not allowed:
+                map_operation(op, method)  # raises MethodOpConflict
         return ResolvedRequest(
             form.uri if form.uri is not None else parse_gatt_uri(form.href),
-            _METHODS_OF[op][0] if method is None else map_operation(op, method),
-            affordance.bdo, op, form.content_type)
+            method, affordance.bdo, op, form.content_type)
     raise NoMatchingForm(
         f"affordance {affordance.name!r} has no form for operation {op.value!r}"
     )

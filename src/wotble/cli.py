@@ -235,7 +235,7 @@ def cmd_sim_list(args) -> int:
 def _json_value(text: str):
     try:
         return json.loads(text)
-    except ValueError as exc:  # not JSON, or an integer with too many digits
+    except (ValueError, RecursionError) as exc:  # not JSON, too many digits, too deep
         raise PlanError(f"value is not JSON: {text!r} ({exc})") from exc
 
 

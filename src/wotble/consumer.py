@@ -118,36 +118,46 @@ def _single_device(td: ThingDescription) -> str:
 
     ``td`` must be a parsed ``ThingDescription`` that validates cleanly:
     anything else, and error-severity diagnostics, raise ``InvalidTd``;
-    warnings are tolerated. One walk over the forms finds the device MACs.
-    ``validate_td`` runs only when that walk meets a form whose href is not
-    a gatt:// URI, or when the TD says the device is not connectable, the
-    two sources of an error diagnostic. Forms that name several devices
-    then raise ``MixedDevices``, and a TD with no gatt:// form ``InvalidTd``.
-    A TD whose fields are not of the kinds a parsed one has raises
-    ``InvalidTd``.
+    warnings are tolerated. One walk over the forms, in plain loops, keeps
+    the first device MAC and sets aside only what differs from it: another
+    MAC, or None for a form whose href is not a gatt:// URI. So a TD whose
+    forms all name one device costs no call. ``validate_td`` runs only when
+    that walk meets a form with no gatt:// URI, or when the TD says the
+    device is not connectable, the two sources of an error diagnostic.
+    Forms that name several devices then raise ``MixedDevices``, and a TD
+    with no gatt:// form ``InvalidTd``. A TD whose fields are not of the
+    kinds a parsed one has raises ``InvalidTd``.
     """
     if not isinstance(td, ThingDescription):
         raise InvalidTd(f"consume takes a parsed ThingDescription, got {type(td).__name__}")
+    device = None  # the first form's MAC
+    others: set = set()  # the other MACs, and None for a form with no gatt:// URI
     try:
-        macs = {None if form.uri is None else form.uri.device_id
-                for category in (td.properties, td.actions, td.events)
-                for affordance in category.values()
-                for form in affordance.forms}
+        for category in (td.properties, td.actions, td.events):
+            for affordance in category.values():
+                for form in affordance.forms:
+                    uri = form.uri
+                    if uri is None:
+                        others.add(None)
+                    elif device is None:
+                        device = uri.device_id
+                    elif uri.device_id != device:
+                        others.add(uri.device_id)
         connectable = td.metadata.is_connectable
     except (AttributeError, TypeError) as exc:
         raise _not_well_formed(td, exc) from None
-    if None in macs or connectable is False:
+    if None in others or connectable is False:
         errors = [d for d in validate_td(td) if d.severity is Severity.ERROR]
         if errors:
             raise InvalidTd(f"TD {td.title!r} failed validation: "
                             + "; ".join(str(d) for d in errors), diagnostics=errors)
-        macs.discard(None)
-    if len(macs) > 1:
+        others.discard(None)
+    if others:
         raise MixedDevices(f"TD {td.title!r} references several devices: "
-                           + ", ".join(sorted(macs)))
-    if not macs:
+                           + ", ".join(sorted(others | {device})))
+    if device is None:
         raise InvalidTd(f"TD {td.title!r} declares no gatt:// forms")
-    return macs.pop()
+    return device
 
 
 def _value_writer(category: str, op: WotOperation):

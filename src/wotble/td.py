@@ -10,6 +10,13 @@ known term whose value has the wrong JSON type raises ``MalformedDocument``
 (``MissingRequired`` for a required ``title``, ``forms`` or ``href``); a
 JSON ``true`` or ``false`` is never a number.
 
+A ``str`` document goes straight to the C scanner of a default JSON decoder;
+only a text the scanner refuses, or one with more after its value, and a
+document that is not exactly a ``str`` go to ``json.loads``, which words the
+error. JSON nested too deeply for the interpreter is ``MalformedDocument``
+too. Each affordance is read in one walk: its own terms, then each of its
+forms in full, in order, then its layout and bounds.
+
 Each key and CURIE value is resolved once per full prefix->IRI binding: the
 result goes into that binding's term table (``_Context``), which every
 document declaring the same binding shares. The tables are few and each is
@@ -331,11 +338,15 @@ _LAYOUT_KINDS = {
 }
 _SPEC_TERMS = ("bytelength", "offset", "signed", "scale", "pattern")
 _VARIABLE_TERMS = ("bytelength", "signed", "minimum", "maximum")
-_BOUNDS = ("minimum", "maximum")
-
 
 
 # --- document parsing ----------------------------------------------------------
+
+#: The C scanner of a default JSON decoder, and the matcher of the whitespace
+#: that ``json.loads`` skips around a value. Neither runs Python code, so
+#: threads share them as they share ``json.loads``'s decoder.
+_scan_json = json.decoder.JSONDecoder().scan_once
+_skip_space = json.decoder.WHITESPACE.match
 
 
 def parse_td(document: str) -> ThingDescription:
@@ -344,14 +355,28 @@ def parse_td(document: str) -> ThingDescription:
     Applies the binary-data vocabulary defaults (unsigned, little-endian,
     offset 0, scale 1.0) to every layout the document leaves partial, and
     keeps unknown terms in the extensions maps.
+
+    A ``str`` goes straight to the C scanner of a default JSON decoder,
+    between the whitespace that ``json.loads`` skips. Anything else, and a
+    text that the scanner refuses or that has more after its value, goes to
+    ``json.loads``, whose error gives the message. Each affordance is then
+    read in one walk: its terms, then each of its forms in full, in order.
     """
-    try:
-        doc = json.loads(document)
-    except ValueError as exc:  # not JSON, or an integer with too many digits
-        raise MalformedDocument(f"document is not JSON: {exc}") from exc
-    except TypeError:  # not text: a dict, a list, a number, None
-        raise MalformedDocument(f"document must be JSON text (str, bytes or bytearray), "
-                                f"got {type(document).__name__}") from None
+    end = None
+    if document.__class__ is str:
+        try:
+            doc, end = _scan_json(document, _skip_space(document).end())
+            end = _skip_space(document, end).end()
+        except (StopIteration, ValueError, RecursionError):
+            pass  # json.loads words the error
+    if end is None or end != len(document):
+        try:
+            doc = json.loads(document)
+        except (ValueError, RecursionError) as exc:  # not JSON, too many digits, too deep
+            raise MalformedDocument(f"document is not JSON: {exc}") from exc
+        except TypeError:  # not text: a dict, a list, a number, None
+            raise MalformedDocument(f"document must be JSON text (str, bytes or bytearray), "
+                                    f"got {type(document).__name__}") from None
     if doc.__class__ is not dict:
         expect(doc, dict, MalformedDocument, "top-level JSON value")
 
@@ -425,10 +450,10 @@ def _parse_affordance(name: str, body, ctx: _Context, category: str) -> Affordan
     if body.__class__ is not dict:
         expect(body, dict, MalformedDocument, "affordance %r", name)
     bdo_terms: dict = {}
-    bounds: dict = {}
     extensions: dict = {}
     data_type = None
     fmt = None
+    minimum = maximum = None
     forms_raw = None
 
     for key, value in body.items():
@@ -443,8 +468,10 @@ def _parse_affordance(name: str, body, ctx: _Context, category: str) -> Affordan
             if value.__class__ is not str:
                 expect(value, str, MalformedDocument, "%r: format", name)
             fmt = value
-        elif key in _BOUNDS:  # checked below
-            bounds[key] = value
+        elif key == "minimum":  # checked below
+            minimum = value
+        elif key == "maximum":
+            maximum = value
         else:
             extensions[key] = value
 
@@ -452,62 +479,51 @@ def _parse_affordance(name: str, body, ctx: _Context, category: str) -> Affordan
         expect(forms_raw, list, MissingRequired, "affordance %r: forms", name)
     if not forms_raw:
         raise MissingRequired(f"affordance {name!r} has no forms")
-    forms = tuple([_parse_form(f, ctx, category, name) for f in forms_raw])
+    forms = []
+    for form in forms_raw:
+        if form.__class__ is not dict:
+            expect(form, dict, MalformedDocument, "form of %r", name)
+        href = form.get("href")
+        if href.__class__ is not str:
+            expect(href, str, MissingRequired, "form of %r: href", name)
+        if not href:
+            raise MissingRequired(f"form of {name!r} has no href")
+
+        op_raw = form.get("op")
+        if op_raw is None:
+            ops = _DEFAULT_OPS[category]
+        elif op_raw.__class__ is not list:
+            op = _OPERATIONS.get(op_raw) if op_raw.__class__ is str else None
+            ops = (op if op is not None else parse_operation(op_raw),)
+        elif op_raw:
+            ops = tuple([_OPERATIONS.get(item) if item.__class__ is str else None
+                         for item in op_raw])
+            if None in ops:  # parse_operation raises for the first that is not an op
+                ops = tuple([parse_operation(item) for item in op_raw])
+        else:
+            raise MissingRequired(f"form of {name!r} has an empty op list")
+
+        method_name = None
+        for key, value in form.items():
+            vocab, term = ctx[key]
+            if term == "methodName" and vocab is SBO_IRI:
+                if value.__class__ is not str:
+                    expect(value, str, MalformedDocument, "form of %r: sbo:methodName", name)
+                local = ctx[value][1]
+                method_name = _METHOD_ALIASES.get(local) or parse_method(local)
+
+        content_type = form.get("contentType", BINARY_DATA_STREAM)
+        if content_type.__class__ is not str:
+            expect(content_type, str, MalformedDocument, "form of %r: contentType", name)
+        forms.append(Form(href, ops, method_name, content_type))
 
     bdo = _build_bdo_spec(bdo_terms, ctx, name) if bdo_terms else None
-    for term in _BOUNDS:
-        if term in bounds:
-            value = bounds[term]
-            if (value.__class__ is not int and value.__class__ is not float
-                    or not -_FLOAT_MAX <= value <= _FLOAT_MAX):
-                expect(value, float, MalformedDocument, "%r: %s", name, term)
-    return Affordance(
-        name=name,
-        forms=forms,
-        data_type=data_type,
-        format=fmt,
-        bdo=bdo,
-        extensions=extensions,
-        **bounds,
-    )
-
-
-def _parse_form(body, ctx: _Context, category: str, name: str) -> Form:
-    if body.__class__ is not dict:
-        expect(body, dict, MalformedDocument, "form of %r", name)
-    href = body.get("href")
-    if href.__class__ is not str:
-        expect(href, str, MissingRequired, "form of %r: href", name)
-    if not href:
-        raise MissingRequired(f"form of {name!r} has no href")
-
-    op_raw = body.get("op")
-    if op_raw is None:
-        ops = _DEFAULT_OPS[category]
-    elif op_raw.__class__ is not list:
-        op = _OPERATIONS.get(op_raw) if op_raw.__class__ is str else None
-        ops = (op if op is not None else parse_operation(op_raw),)
-    elif op_raw:
-        ops = tuple([_OPERATIONS.get(item) if item.__class__ is str else None
-                     for item in op_raw])
-        if None in ops:  # parse_operation raises for the first that is not an op
-            ops = tuple([parse_operation(item) for item in op_raw])
-    else:
-        raise MissingRequired(f"form of {name!r} has an empty op list")
-
-    method_name = None
-    for key, value in body.items():
-        vocab, term = ctx[key]
-        if term == "methodName" and vocab is SBO_IRI:
-            if value.__class__ is not str:
-                expect(value, str, MalformedDocument, "form of %r: sbo:methodName", name)
-            local = ctx[value][1]
-            method_name = _METHOD_ALIASES.get(local) or parse_method(local)
-
-    content_type = body.get("contentType", BINARY_DATA_STREAM)
-    if content_type.__class__ is not str:
-        expect(content_type, str, MalformedDocument, "form of %r: contentType", name)
-    return Form(href=href, op=ops, method_name=method_name, content_type=content_type)
+    # A bound is checked only when the body has it: a JSON null is no number.
+    for term, bound in (("minimum", minimum), ("maximum", maximum)):
+        if term in body and (bound.__class__ is not int and bound.__class__ is not float
+                             or not -_FLOAT_MAX <= bound <= _FLOAT_MAX):
+            expect(bound, float, MalformedDocument, "%r: %s", name, term)
+    return Affordance(name, tuple(forms), data_type, fmt, bdo, minimum, maximum, extensions)
 
 
 def _build_bdo_spec(terms: dict, ctx: _Context, name: str) -> BdoSpec:

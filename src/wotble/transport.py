@@ -724,7 +724,7 @@ def load_sim_config(source, clock=None, seed: int | None = None,
     if isinstance(config, str):
         try:
             config = json.loads(config)
-        except ValueError as exc:  # not JSON, or an integer with too many digits
+        except (ValueError, RecursionError) as exc:  # not JSON, too many digits, too deep
             raise InvalidConfig(f"config is not JSON: {exc}") from exc
     expect(config, dict, InvalidConfig, "config")
     devices = expect(config.get("devices"), list, InvalidConfig, "config devices")

@@ -104,6 +104,13 @@ def test_invalid_plans_are_rejected(tmp_path, overrides):
         load_bench_plan(plan_file)
 
 
+def test_a_plan_file_nested_past_the_recursion_limit_is_a_plan_error(tmp_path):
+    plan_file = tmp_path / "plan.json"
+    plan_file.write_text("[" * 100_000)
+    with pytest.raises(PlanError, match="maximum recursion"):
+        load_bench_plan(plan_file)
+
+
 def test_a_plan_file_with_only_td_and_property_loads_the_defaults(tmp_path):
     plan_file = tmp_path / "plan.json"
     plan_file.write_text(json.dumps({"td": str(SENSOR_TD), "property": "moisture"}))

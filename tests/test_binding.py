@@ -1,6 +1,8 @@
+from dataclasses import replace
+
 import pytest
 
-from wotble import GattMethod, WotOperation, map_operation, parse_td_file, resolve_form
+from wotble import Form, GattMethod, WotOperation, map_operation, parse_td_file, resolve_form
 from wotble.binding import parse_method, parse_operation
 from wotble.errors import MethodOpConflict, NoMatchingForm
 from conftest import LAMP_TD
@@ -54,10 +56,22 @@ def test_subscribe_operations_accept_notify():
     ("bogus", None),  # not an operation
     (None, None),
     (["x"], None),  # not even hashable
+    (WotOperation.READPROPERTY, "write"),  # a method's text, of another category
+    (WotOperation.READPROPERTY, "bogus"),  # not a method
+    (WotOperation.READPROPERTY, ["x"]),  # not even hashable
 ])
 def test_category_conflicts_are_rejected(op, method):
     with pytest.raises(MethodOpConflict):
         map_operation(op, method)
+
+
+def test_a_method_given_as_its_text_is_accepted():
+    assert map_operation(WotOperation.WRITEPROPERTY, "write-without-response") == \
+        GattMethod.WRITE_WITHOUT_RESPONSE
+    assert map_operation("readproperty", "read") == GattMethod.READ
+    with pytest.raises(MethodOpConflict,
+                       match="^method 'read' conflicts with operation 'writeproperty'$"):
+        map_operation("writeproperty", "read")
 
 
 @pytest.mark.parametrize("text", ["observeproperty", "unobserveproperty", "nonsense"])
@@ -101,6 +115,26 @@ def test_resolve_form_without_matching_op():
     td = parse_td_file(LAMP_TD)
     with pytest.raises(NoMatchingForm):
         resolve_form(td.properties["power"], WotOperation.READPROPERTY)
+
+
+@pytest.mark.parametrize("method", [GattMethod.READ, "read", "bogus", ["x"]],
+                         ids=["member", "text", "unknown", "unhashable"])
+def test_resolve_form_refuses_a_named_method_of_another_category(method):
+    with pytest.raises(MethodOpConflict):
+        resolve_form(lamp_power_named(method), WotOperation.WRITEPROPERTY)
+
+
+def test_resolve_form_takes_a_named_method_given_as_its_text():
+    request = resolve_form(lamp_power_named("write-without-response"),
+                           WotOperation.WRITEPROPERTY)
+    assert request.method == GattMethod.WRITE_WITHOUT_RESPONSE
+
+
+def lamp_power_named(method):
+    """The lamp's power property with one hand-built form naming ``method``."""
+    power = parse_td_file(LAMP_TD).properties["power"]
+    form = power.forms[0]
+    return replace(power, forms=(Form(form.href, form.op, method),))
 
 
 def test_resolution_is_deterministic_first_match_wins():

@@ -62,6 +62,24 @@ def test_write_rejects_an_integer_past_the_digit_limit(capsys):
     assert "not JSON" in err
 
 
+#: Each JSON input of the CLI, nested past the recursion limit.
+DEEP_JSON_INPUTS = {
+    "td": lambda deep: ("validate", deep),
+    "value": lambda deep: ("write", LAMP_TD, "power", deep.read_text(), "--transport", SIM),
+    "sim-config": lambda deep: ("read", SENSOR_TD, "moisture", "--transport", f"sim:{deep}"),
+    "bench-plan": lambda deep: ("bench", deep),
+}
+
+
+@pytest.mark.parametrize("entry", DEEP_JSON_INPUTS)
+def test_json_nested_past_the_recursion_limit_is_usage_error(capsys, tmp_path, entry):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    code, out, err = run(capsys, *DEEP_JSON_INPUTS[entry](deep))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "maximum recursion" in err
+
+
 def test_subscribe_collects_notifications(capsys):
     code, out, _ = run(capsys, "subscribe", BEACON_TD, "temperature",
                        "--count", "3", "--transport", SIM)

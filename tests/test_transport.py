@@ -910,6 +910,13 @@ def test_invalid_configs_are_rejected(config):
         load_sim_config(config)
 
 
+def test_a_config_file_nested_past_the_recursion_limit_is_invalid(tmp_path):
+    path = tmp_path / "deep.sim.json"
+    path.write_text("[" * 100_000)
+    with pytest.raises(InvalidConfig, match="^config is not JSON: maximum recursion"):
+        load_sim_config(path)
+
+
 @pytest.mark.parametrize("value", [-1, "5", float("nan"), True])
 @pytest.mark.parametrize("knob", ["processing_delay_ms", "connect_setup_ms",
                                   "read_latency_ms", "write_latency_ms",
