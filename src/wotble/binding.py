@@ -142,7 +142,11 @@ class ResolvedRequest:
 
 
 def resolve_form(affordance: "Affordance", op: WotOperation) -> ResolvedRequest:
-    """Pick the first form listing ``op`` and resolve it into a request."""
+    """Pick the first form listing ``op`` and resolve it into a request.
+
+    ``NoMatchingForm`` when no form lists ``op``, or ``MethodOpConflict``
+    when ``op`` is neither a :class:`WotOperation` nor its text, such as None.
+    """
     for form in affordance.forms:
         if op not in form.op:
             continue
@@ -162,6 +166,7 @@ def resolve_form(affordance: "Affordance", op: WotOperation) -> ResolvedRequest:
         return ResolvedRequest(
             form.uri if form.uri is not None else parse_gatt_uri(form.href),
             method, affordance.bdo, op, form.content_type)
+    op = parse_operation(op)  # MethodOpConflict unless an operation or its text
     raise NoMatchingForm(
         f"affordance {affordance.name!r} has no form for operation {op.value!r}"
     )

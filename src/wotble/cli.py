@@ -232,11 +232,17 @@ def cmd_sim_list(args) -> int:
     return 0
 
 
+#: Characters of a refused value argument that its usage error echoes.
+_ECHOED_CHARS = 60
+
+
 def _json_value(text: str):
     try:
         return json.loads(text)
     except (ValueError, RecursionError) as exc:  # not JSON, too many digits, too deep
-        raise PlanError(f"value is not JSON: {text!r} ({exc})") from exc
+        shown = (repr(text) if len(text) <= _ECHOED_CHARS else
+                 f"{text[:_ECHOED_CHARS]!r}... ({len(text)} characters)")
+        raise PlanError(f"value is not JSON: {shown} ({exc})") from exc
 
 
 def main(argv=None) -> int:

@@ -242,11 +242,16 @@ def compile_pattern(pattern: str, variables: Mapping[str, VariableSpec]) -> Patt
     """Split a hex template into literal octets and variable names.
 
     Literal runs must contain an even number of hex digits. A placeholder may
-    repeat, in which case both spans carry the same variable.
+    repeat, in which case both spans carry the same variable. A ``pattern``
+    that is not text raises ``BadValue``, as a spec field of the wrong type.
     """
     steps: list[bytes | str] = []
     pos = 0
-    for m in _PLACEHOLDER_RE.finditer(pattern):
+    try:
+        matches = _PLACEHOLDER_RE.finditer(pattern)
+    except TypeError:  # not text: None, octets, a number
+        raise BadValue(f"pattern must be text, got {pattern!r}") from None
+    for m in matches:
         _append_literal(steps, pattern[pos:m.start()])
         name = m.group(1)
         if not name:

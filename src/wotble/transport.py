@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import abc
 import json
+import os
 import random
 import threading
 import uuid as uuidlib
+from collections import deque
 from pathlib import Path
-from queue import SimpleQueue
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
 
@@ -221,7 +222,13 @@ class SimNetwork:
     Any number of :class:`SimTransport` centrals may share it; each
     peripheral accepts a single connection at a time. Notification delivery
     runs on a dedicated worker thread, never on the subscriber's calling
-    thread.
+    thread. That thread sleeps in a read of the network's pipe, and each
+    queued item writes it one byte, so a sink, and a listener behind it, may
+    run before :meth:`emit` returns. The network holds that pipe, two file
+    descriptors, until :meth:`close`; its write end is non-blocking
+    (``os.set_blocking`` on a pipe, verified on Linux only), and a write
+    that finds it full is dropped, as the pipe already holds unread
+    wake-ups.
 
     Lifecycle:
 
@@ -251,9 +258,10 @@ class SimNetwork:
       atomic under the GIL, so concurrent connects never share or skip one.
     * :meth:`close` (also called on leaving a ``with`` block) lets the
       delivery thread hand out what was queued before it, then stops and
-      joins the thread. It is idempotent; later ``subscribe`` and
-      :meth:`emit` calls raise :class:`TransportUnavailable`, and an end
-      notice queued later is never delivered.
+      joins the thread, which closes the pipe as it leaves. It is
+      idempotent; later ``subscribe`` and :meth:`emit` calls raise
+      :class:`TransportUnavailable`, and an end notice due later is neither
+      queued nor delivered.
 
     ``sink_failures`` counts the sink calls that raised; the delivery thread
     swallows those, so that one failing sink does not stall the others.
@@ -280,7 +288,12 @@ class SimNetwork:
         self._subscriptions: dict[SimCharacteristic, list[_Subscription]] = {}
         #: (device_id, service, characteristic) as emit's caller spelled them.
         self._routes: dict[tuple, SimCharacteristic] = {}
-        self._queue: SimpleQueue = SimpleQueue()
+        self._queue: deque = deque()
+        # The delivery thread sleeps in a read of this pipe; each _put writes
+        # it one byte. os.write drops the GIL before the wake-up, so the woken
+        # thread runs at once instead of meeting a held GIL.
+        self._wake_r, self._wake_w = os.pipe()
+        os.set_blocking(self._wake_w, False)
         self._closed = False
         self.sink_failures = 0
         self._worker = threading.Thread(target=self._deliver_loop,
@@ -356,7 +369,7 @@ class SimNetwork:
             self._subscriptions.setdefault(char, []).append(sub)
             if self.auto_notify:
                 for payload in char.notify_source:
-                    self._queue.put((sub, payload))
+                    self._put((sub, payload))
         return sub
 
     def unsubscribe(self, sub: _Subscription, notice: bool = False) -> None:
@@ -387,7 +400,7 @@ class SimNetwork:
                 if not live:
                     del self._subscriptions[sub.char]
                 if notice:
-                    self._queue.put((sub, None))
+                    self._put((sub, None))
         if not notice and threading.get_ident() != self._worker.ident:
             with sub.delivery:
                 pass
@@ -419,7 +432,7 @@ class SimNetwork:
         with self._lock:
             self._require_open()
             for sub in self._subscriptions.get(char, ()):
-                self._queue.put((sub, payload))
+                self._put((sub, payload))
 
     def _route(self, device_id, service, characteristic) -> SimCharacteristic:
         """Resolve an address for :meth:`emit`; keeps it when it succeeds."""
@@ -446,22 +459,40 @@ class SimNetwork:
             char._notify_cursor = cursor + 1
         return payload
 
+    def _put(self, item) -> None:
+        """Queue ``item`` for the delivery thread and wake it; under the lock.
+
+        Nothing is queued once the network is closed: the delivery thread is
+        gone or going, and its pipe with it.
+        """
+        if self._closed:
+            return
+        self._queue.append(item)
+        try:
+            os.write(self._wake_w, b"\0")
+        except BlockingIOError:  # the pipe is full of wake-ups not read yet
+            pass
+
     def _deliver_loop(self) -> None:
-        get = self._queue.get
+        queue, wake = self._queue, self._wake_r
         while True:
-            item = get()
-            if item is None:
-                return
-            sub, payload = item
-            with sub.delivery:
-                if not sub.active and payload is not None:  # None: the end notice
-                    continue
-                try:
-                    sub.sink(payload)
-                except Exception:
-                    self.sink_failures += 1  # must not stall delivery to others
-                if payload is None:  # the end notice was its last call
-                    sub.sink = None
+            os.read(wake, 4096)  # blocks until woken; takes many wake-ups at once
+            while queue:  # to empty: an item whose byte met a full pipe has none
+                item = queue.popleft()
+                if item is None:  # close()'s stop marker: no byte comes after it
+                    os.close(self._wake_r)
+                    os.close(self._wake_w)
+                    return
+                sub, payload = item
+                with sub.delivery:
+                    if not sub.active and payload is not None:  # None: the end notice
+                        continue
+                    try:
+                        sub.sink(payload)
+                    except Exception:
+                        self.sink_failures += 1  # must not stall delivery to others
+                    if payload is None:  # the end notice was its last call
+                        sub.sink = None
 
     def close(self) -> None:
         """Stop the delivery thread for good; a second call is a no-op.
@@ -472,8 +503,8 @@ class SimNetwork:
         with self._lock:
             if self._closed:
                 return
+            self._put(None)  # the last item queued: _put queues nothing once closed
             self._closed = True
-            self._queue.put(None)
         if threading.current_thread() is not self._worker:
             self._worker.join()
 

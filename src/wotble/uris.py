@@ -139,5 +139,8 @@ def format_gatt_uri(uri: GattUri) -> str:
     Dashes keep the device segment clear of the URI authority's ``:`` port
     syntax; ``parse_gatt_uri(format_gatt_uri(u)) == u`` for every valid value.
     """
-    device = uri.device_id.replace(":", "-")
-    return f"gatt://{device}/{uri.service}/{uri.characteristic}"
+    try:
+        device = uri.device_id.replace(":", "-")
+        return f"gatt://{device}/{uri.service}/{uri.characteristic}"
+    except AttributeError:  # not a GattUri, or one built with a device id not text
+        raise BadStructure(f"format_gatt_uri takes a GattUri, got {uri!r}") from None

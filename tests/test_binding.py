@@ -117,6 +117,18 @@ def test_resolve_form_without_matching_op():
         resolve_form(td.properties["power"], WotOperation.READPROPERTY)
 
 
+def test_resolve_form_words_an_operation_given_as_its_text_that_no_form_lists():
+    power = parse_td_file(LAMP_TD).properties["power"]
+    with pytest.raises(NoMatchingForm, match="has no form for operation 'readproperty'$"):
+        resolve_form(power, "readproperty")
+
+
+@pytest.mark.parametrize("op", ["bogus", None, ["x"]], ids=["unknown", "none", "unhashable"])
+def test_resolve_form_refuses_what_is_not_an_operation(op):
+    with pytest.raises(MethodOpConflict, match="is not supported by the GATT binding$"):
+        resolve_form(parse_td_file(LAMP_TD).properties["power"], op)
+
+
 @pytest.mark.parametrize("method", [GattMethod.READ, "read", "bogus", ["x"]],
                          ids=["member", "text", "unknown", "unhashable"])
 def test_resolve_form_refuses_a_named_method_of_another_category(method):

@@ -80,6 +80,14 @@ def test_json_nested_past_the_recursion_limit_is_usage_error(capsys, tmp_path, e
     assert err.startswith("error:") and "maximum recursion" in err
 
 
+def test_a_long_value_that_is_not_json_is_echoed_in_short(capsys):
+    value = "[" * 100_000
+    code, out, err = run(capsys, "write", LAMP_TD, "power", value, "--transport", SIM)
+    assert code == 2 and out == ""
+    assert len(err.encode()) < 1024
+    assert err.startswith(f"error: value is not JSON: {'[' * 60!r}... (100000 characters)")
+
+
 def test_subscribe_collects_notifications(capsys):
     code, out, _ = run(capsys, "subscribe", BEACON_TD, "temperature",
                        "--count", "3", "--transport", SIM)

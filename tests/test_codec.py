@@ -169,6 +169,12 @@ def test_malformed_placeholders_are_rejected(pattern):
         compile_pattern(pattern, LAMP_VARS)
 
 
+@pytest.mark.parametrize("pattern", [None, b"7e{on}ef", 7], ids=["none", "octets", "int"])
+def test_a_pattern_that_is_not_text_is_rejected(pattern):
+    with pytest.raises(BadValue, match="^pattern must be text, got "):
+        compile_pattern(pattern, LAMP_VARS)
+
+
 def test_placeholder_without_spec_is_rejected():
     with pytest.raises(MissingVariable):
         compile_pattern("7e{off}ef", LAMP_VARS)

@@ -1,5 +1,7 @@
 import gc
 import itertools
+import json
+import os
 import queue
 import random
 import re
@@ -62,6 +64,7 @@ from conftest import (
     RecordingTransport,
     live_subscriptions,
     make_network,
+    run_watched,
     writes,
 )
 
@@ -476,16 +479,16 @@ def test_auto_notify_script_goes_to_each_new_subscriber_alone():
 
 def test_close_racing_subscribe_still_delivers_the_script(monkeypatch):
     closers: list[threading.Thread] = []
+    put = SimNetwork._put
 
-    class CloseOnFirstValue(queue.SimpleQueue):
-        def put(self, item, *args, **kwargs):
-            if item is not None and not closers:
-                closers.append(threading.Thread(target=net.close))
-                closers[0].start()
-                closers[0].join(0.2)  # close() needs the lock the script is queued under
-            super().put(item, *args, **kwargs)
+    def close_on_first_value(self, item):
+        if item is not None and not closers:
+            closers.append(threading.Thread(target=net.close))
+            closers[0].start()
+            closers[0].join(0.2)  # close() needs the lock the script is queued under
+        put(self, item)
 
-    monkeypatch.setattr("wotble.transport.SimpleQueue", CloseOnFirstValue)
+    monkeypatch.setattr(SimNetwork, "_put", close_on_first_value)
     net = make_network(seed=0)
     t = SimTransport(net, timeout_s=1.0)
     t.connect(BEACON_MAC)
@@ -494,6 +497,111 @@ def test_close_racing_subscribe_still_delivers_the_script(monkeypatch):
     closers[0].join(5.0)
     assert not closers[0].is_alive()
     assert received == [b"\xfa", b"\x00", b"\x64"]  # none left behind the stop marker
+
+
+#: Values a sink emits from the delivery thread: more wake-ups than a pipe holds.
+FLOOD = 70_000
+
+
+def a_sink_floods_its_own_delivery_thread() -> None:
+    """Print, as JSON, whether a flood emitted by a sink arrived whole and in order.
+
+    The sink emits ``FLOOD`` values while the delivery thread runs it, so no
+    wake-up is read meanwhile and the pipe fills up. Run it through
+    ``run_watched``: a wake-up lost to the full pipe would leave the main
+    thread waiting.
+    """
+    with make_network(clock=VirtualClock(), auto_notify=False) as net:
+        t = SimTransport(net, timeout_s=1.0)
+        t.connect(BEACON_MAC)
+        got, done, full = [], threading.Event(), []
+
+        def sink(payload):
+            if payload == b"go":
+                for k in range(FLOOD):
+                    net.emit(BEACON_MAC, BEACON_SERVICE, BEACON_CHAR, k.to_bytes(3, "big"))
+                try:
+                    os.write(net._wake_w, b"\0")
+                except BlockingIOError:
+                    full.append(True)
+            else:
+                got.append(int.from_bytes(payload, "big"))
+                if len(got) == FLOOD:
+                    done.set()
+
+        t.subscribe(BEACON_URI, sink)
+        net.emit(BEACON_MAC, BEACON_SERVICE, BEACON_CHAR, b"go")
+        arrived = done.wait(8.0)
+    print(json.dumps({"arrived": arrived, "in_order": got == list(range(FLOOD)),
+                      "pipe_was_full": full == [True], "failures": net.sink_failures}))
+
+
+def test_a_flood_past_the_pipe_s_size_is_delivered_whole_and_in_order():
+    out = run_watched("test_transport", "a_sink_floods_its_own_delivery_thread", 20.0)
+    assert json.loads(out) == {"arrived": True, "in_order": True, "pipe_was_full": True,
+                               "failures": 0}
+
+
+def test_values_emitted_past_the_pipe_s_size_while_a_sink_runs_all_arrive():
+    with virtual_network(auto_notify=False) as net:
+        t = SimTransport(net, timeout_s=1.0)
+        t.connect(BEACON_MAC)
+        held, release, done, got = threading.Event(), threading.Event(), threading.Event(), []
+
+        def sink(payload):
+            if payload == b"hold":
+                held.set()
+                release.wait(10.0)
+            else:
+                got.append(int.from_bytes(payload, "big"))
+                if len(got) == FLOOD:
+                    done.set()
+
+        t.subscribe(BEACON_URI, sink)
+        net.emit(BEACON_MAC, BEACON_SERVICE, BEACON_CHAR, b"hold")
+        assert held.wait(5.0)
+        try:
+            for k in range(FLOOD):  # from this thread, while the delivery thread waits
+                net.emit(BEACON_MAC, BEACON_SERVICE, BEACON_CHAR, k.to_bytes(3, "big"))
+            with pytest.raises(BlockingIOError):
+                os.write(net._wake_w, b"\0")
+        finally:
+            release.set()
+        assert done.wait(10.0)
+    assert got == list(range(FLOOD))
+
+
+def open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_networks_opened_and_closed_leave_no_fd_open():
+    before = open_fds()
+    for _ in range(200):
+        SimNetwork().close()
+    assert open_fds() == before
+    for _ in range(200):  # closed by a sink, on the delivery thread
+        net = virtual_network(auto_notify=False)
+        t = SimTransport(net, timeout_s=1.0)
+        t.connect(BEACON_MAC)
+        t.subscribe(BEACON_URI, lambda payload: net.close())
+        net.emit(BEACON_MAC, BEACON_SERVICE, BEACON_CHAR, b"\x01")
+        net._worker.join(5.0)
+        assert not net._worker.is_alive()
+    assert open_fds() == before
+
+
+def test_dropping_a_link_after_close_raises_nothing_and_delivers_nothing():
+    net = virtual_network(auto_notify=False)
+    t = SimTransport(net, timeout_s=1.0)
+    t.connect(BEACON_MAC)
+    received = []
+    handle = t.subscribe(BEACON_URI, received.append)
+    net.close()
+    t.disconnect(BEACON_MAC)  # its end notice is queued after close(): never written
+    assert not handle.active and not t.is_connected(BEACON_MAC)
+    assert received == [] and not net._queue
 
 
 def test_disconnect_cancels_subscriptions():

@@ -100,6 +100,14 @@ def test_format_emits_canonical_dash_form():
     assert str(uri) == uri.text == format_gatt_uri(uri)
 
 
+@pytest.mark.parametrize("uri", [None, "gatt://BE-58-30-00-CC-11/fff0/fff3", 0,
+                                 GattUri(None, expand_uuid(0xFFF0), expand_uuid(0xFFF3))],
+                         ids=["none", "text", "int", "no-device-text"])
+def test_format_of_anything_but_a_gatt_uri_is_a_bad_structure(uri):
+    with pytest.raises(BadStructure, match="^format_gatt_uri takes a GattUri"):
+        format_gatt_uri(uri)
+
+
 def test_zero_mac_round_trips():
     uri = GattUri("00:00:00:00:00:00", expand_uuid(0), expand_uuid(0))
     assert parse_gatt_uri(format_gatt_uri(uri)) == uri
